@@ -18,9 +18,12 @@ A JSON sidecar at `<path>.json` carries the construction parameters
 from __future__ import annotations
 
 import json
+import os
 import struct
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 from .corrnet import WeightedDigraph
@@ -29,7 +32,7 @@ MAGIC = b"FCGR"
 VERSION = 1
 _HEAD = struct.Struct("<4sIQ")
 _REC_HEAD = struct.Struct("<10sIQ")
-_EDGE = struct.Struct("<IId")
+_EDGE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
 
 
 def sidecar_path(path) -> Path:
@@ -50,16 +53,22 @@ def write_graphs(path, graphs: list[WeightedDigraph], params: dict) -> None:
                     len(g.edges),
                 )
             )
-            for s, t, w in g.edges:
-                f.write(_EDGE.pack(s, t, w))
+            f.write(np.array(g.edges, dtype=_EDGE).tobytes())
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         json.dump(params, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
+    """Graphs and construction parameters of an archive.
+
+    Every record is checked: vertex indices below its vertex count, no
+    self-loops or duplicate edges, finite positive weights, and dates
+    strictly increasing across records.
+    """
     path = Path(path)
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         head = f.read(_HEAD.size)
         if len(head) < _HEAD.size:
             raise DataError(f"{path}: truncated graph archive header")
@@ -68,29 +77,43 @@ def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
             raise DataError(f"{path}: not a graph archive (bad magic {magic!r})")
         if version != VERSION:
             raise DataError(f"{path}: unsupported archive version {version}")
-        graphs = []
+        graphs: list[WeightedDigraph] = []
         for _ in range(count):
             rec = f.read(_REC_HEAD.size)
             if len(rec) < _REC_HEAD.size:
                 raise DataError(f"{path}: truncated record header")
             date_bytes, n, edge_count = _REC_HEAD.unpack(rec)
-            as_of = date.fromisoformat(date_bytes.decode("ascii"))
-            raw = f.read(_EDGE.size * edge_count)
-            if len(raw) < _EDGE.size * edge_count:
+            try:
+                as_of = date.fromisoformat(date_bytes.decode("ascii"))
+            except ValueError:
+                raise DataError(f"{path}: bad record date {date_bytes!r}") from None
+            if graphs and as_of <= graphs[-1].as_of_date:
+                raise DataError(f"{path}: record dates not increasing at {as_of}")
+            if _EDGE.itemsize * edge_count > size - f.tell():
                 raise DataError(f"{path}: truncated edge block")
-            edges = [
-                _EDGE.unpack_from(raw, i * _EDGE.size) for i in range(edge_count)
-            ]
-            graphs.append(
-                WeightedDigraph(
-                    n_vertices=n,
-                    edges=[(s, t, w) for s, t, w in edges],
-                    as_of_date=as_of,
-                )
-            )
+            block = np.frombuffer(f.read(_EDGE.itemsize * edge_count), dtype=_EDGE)
+            _check_edges(path, as_of, n, block)
+            edges = zip(block["s"].tolist(), block["t"].tolist(), block["w"].tolist())
+            graphs.append(WeightedDigraph(n_vertices=n, edges=list(edges), as_of_date=as_of))
     side = sidecar_path(path)
     params = {}
     if side.exists():
         with open(side, "r", encoding="utf-8") as f:
-            params = json.load(f)
+            try:
+                params = json.load(f)
+            except ValueError as exc:
+                raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
     return graphs, params
+
+
+def _check_edges(path, as_of: date, n: int, block: np.ndarray) -> None:
+    s, t, w = block["s"], block["t"], block["w"]
+    where = f"{path}: record {as_of}"
+    if (s >= n).any() or (t >= n).any():
+        raise DataError(f"{where}: vertex index out of range for {n} vertices")
+    if (s == t).any():
+        raise DataError(f"{where}: self-loop")
+    if np.unique(s.astype(np.uint64) * n + t).size < len(block):
+        raise DataError(f"{where}: duplicate edge")
+    if not (np.isfinite(w) & (w > 0.0)).all():
+        raise DataError(f"{where}: non-finite or non-positive edge weight")

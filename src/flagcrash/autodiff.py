@@ -174,17 +174,6 @@ def relu(x: Tensor) -> Tensor:
     return _wrap(out_data, (x,), backward)
 
 
-def row_sum(x: Tensor) -> Tensor:
-    """Sum over rows: (n, m) -> (m,); 1-d input sums to a scalar."""
-    out_data = x.data.sum(axis=0)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
-
-    return _wrap(out_data, (x,), backward)
-
-
 def mean_rows(x: Tensor) -> Tensor:
     """Mean over rows: (n, m) -> (m,); 1-d input averages to a scalar."""
     n = x.data.shape[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 
 import numpy as np
 
@@ -227,14 +228,23 @@ def correlation_series(
     if kind not in ("pearson", "ccm"):
         raise DataError(f"unknown correlation kind {kind!r}")
     specs = window_specs(returns.returns.shape[0], width)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
+    return parallel_map(partial(_one_window, returns, kind, ccm_params), specs, jobs)
 
-        fn = partial(_one_window, returns, kind, ccm_params)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, specs, chunksize=32))
-    return [_one_window(returns, kind, ccm_params, spec) for spec in specs]
+
+def parallel_map(fn, items: list, jobs: int) -> list:
+    """`[fn(x) for x in items]`, fanned out over `jobs` worker processes.
+
+    With more than one job, `fn` and every item must pickle; results keep
+    the order of `items`.  Each worker gets about eight chunks, so uneven
+    items still balance while per-chunk pickling stays small.
+    """
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
+    chunksize = max(1, -(-len(items) // (8 * jobs)))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def _one_window(

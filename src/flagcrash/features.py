@@ -1,20 +1,12 @@
-"""Flattened correlation matrices and PCA dimensionality reduction."""
+"""PCA dimensionality reduction of flattened correlation matrices."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
-from .corrnet import CorrelationMatrix
 from .errors import DataError
-
-
-@dataclass
-class FeatureVector:
-    as_of_date: date
-    values: np.ndarray
 
 
 @dataclass
@@ -29,11 +21,6 @@ class PcaModel:
     mean: np.ndarray  # (D,)
     components: np.ndarray  # (d, D)
     explained_variance: np.ndarray  # (d,)
-
-
-def flatten(c: CorrelationMatrix) -> FeatureVector:
-    """Row-major N*N vector of the matrix, keeping its date."""
-    return FeatureVector(as_of_date=c.as_of_date, values=c.values.reshape(-1).copy())
 
 
 def fit_pca(data: np.ndarray, d: int) -> PcaModel:
@@ -64,23 +51,12 @@ def fit_pca(data: np.ndarray, d: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, explained_variance=explained)
 
 
-def project(model: PcaModel, v: FeatureVector) -> FeatureVector:
-    """components @ (v - mean), preserving the date."""
-    if v.values.shape[0] != model.mean.shape[0]:
+def project_matrix(model: PcaModel, data: np.ndarray) -> np.ndarray:
+    """components @ (row - mean) for every row of `data`."""
+    if data.shape[1] != model.mean.shape[0]:
         raise DataError(
-            f"cannot project a {v.values.shape[0]}-vector with a "
+            f"cannot project {data.shape[1]}-dimensional rows with a "
             f"{model.mean.shape[0]}-dimensional model"
         )
-    return FeatureVector(
-        as_of_date=v.as_of_date, values=model.components @ (v.values - model.mean)
-    )
-
-
-def project_matrix(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    if data.shape[1] != model.mean.shape[0]:
-        raise DataError("projection dimension mismatch")
     return (data - model.mean) @ model.components.T
 
-
-def reconstruct(model: PcaModel, projected: np.ndarray) -> np.ndarray:
-    return projected @ model.components + model.mean

@@ -84,23 +84,6 @@ class GineModel:
     def parameters(self) -> list[Tensor]:
         return [t for layer in self.layers for t in layer.tensors()]
 
-    def copy(self) -> "GineModel":
-        layers = [
-            GineLayer(
-                epsilon=Tensor(l.epsilon.data.copy(), requires_grad=True),
-                edge_proj=Tensor(l.edge_proj.data.copy(), requires_grad=True),
-                w1=Tensor(l.w1.data.copy(), requires_grad=True),
-                w2=Tensor(l.w2.data.copy(), requires_grad=True),
-            )
-            for l in self.layers
-        ]
-        return GineModel(
-            layers=layers,
-            node_dim=self.node_dim,
-            edge_dim=self.edge_dim,
-            hidden=self.hidden,
-        )
-
     def checksum(self) -> float:
         return float(sum(np.sum(t.data) + np.sum(t.data**2) for t in self.parameters()))
 
@@ -221,53 +204,52 @@ def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
     return min(losses[-patience:]) > best_before - min_delta
 
 
+def _fit(params, term, rng, n, config, weight_decay: float) -> list[float]:
+    """Adam on the batch mean of `term(i)` over shuffled mini-batches of
+    graphs 0..n-1; returns the per-epoch mean loss, stopping on a plateau."""
+    state = AdamState(params)
+    losses: list[float] = []
+    for _ in range(config.epochs):
+        epoch_loss = 0.0
+        for batch in _epoch_batches(rng, n, config.batch_size):
+            for p in params:
+                p.zero_grad()
+            terms = [term(i) for i in batch]
+            loss = terms[0]
+            for t in terms[1:]:
+                loss = ad.add(loss, t)
+            loss = ad.scalar_mul(1.0 / len(batch), loss)
+            loss.backward()
+            adam_step(params, state, lr=config.lr, weight_decay=weight_decay)
+            epoch_loss += float(loss.data) * len(batch)
+        losses.append(epoch_loss / n)
+        if _plateau(losses, config.patience, config.min_delta):
+            break
+    return losses
+
+
 def ocgin_train(graphs: list[AttributedGraph], config: OcginConfig) -> OcginState:
     """Minimize mean squared distance of graph embeddings to the frozen
     center (the mean embedding at initialization)."""
     if not graphs:
         raise DataError("ocgin_train needs a non-empty graph list")
     rng = np.random.default_rng(config.seed)
-    model = init_gine(
-        rng, node_dim=2, edge_dim=1, hidden=config.hidden, n_layers=config.layers
-    )
+    model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
     prepped = [_GraphTensors(g) for g in graphs]
     center = np.mean([_forward(model, gt)[1].data for gt in prepped], axis=0)
     c_tensor = Tensor(center)
 
-    params = model.parameters()
-    state = AdamState(params)
-    losses: list[float] = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        for batch in _epoch_batches(rng, len(graphs), config.batch_size):
-            for p in params:
-                p.zero_grad()
-            terms = [
-                ad.squared_norm(ad.sub(_forward(model, prepped[i])[1], c_tensor))
-                for i in batch
-            ]
-            loss = terms[0]
-            for t in terms[1:]:
-                loss = ad.add(loss, t)
-            loss = ad.scalar_mul(1.0 / len(batch), loss)
-            loss.backward()
-            adam_step(params, state, lr=config.lr, weight_decay=config.weight_decay)
-            epoch_loss += float(loss.data) * len(batch)
-        losses.append(epoch_loss / len(graphs))
-        if _plateau(losses, config.patience, config.min_delta):
-            break
+    def term(i: int) -> Tensor:
+        return ad.squared_norm(ad.sub(_forward(model, prepped[i])[1], c_tensor))
+
+    losses = _fit(model.parameters(), term, rng, len(graphs), config, config.weight_decay)
     return OcginState(model=model, center=center, loss_curve=losses)
 
 
-def ocgin_score(state: OcginState, g: AttributedGraph) -> float:
-    """Squared distance of the graph embedding to the center."""
-    _, emb = gine_forward(state.model, g)
-    diff = emb.data - state.center
-    return float(diff @ diff)
-
-
 def ocgin_scores(state: OcginState, graphs: list[AttributedGraph]) -> np.ndarray:
-    return np.array([ocgin_score(state, g) for g in graphs])
+    """Squared distance of each graph embedding to the center."""
+    diffs = [gine_forward(state.model, g)[1].data - state.center for g in graphs]
+    return np.array([float(d @ d) for d in diffs])
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +300,10 @@ def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> Gloca
     if config.lam < 0:
         raise DataError(f"lambda must be nonnegative, got {config.lam}")
     rng = np.random.default_rng(config.seed)
-    teacher = init_gine(
-        rng, node_dim=2, edge_dim=1, hidden=config.hidden, n_layers=config.layers
-    )
+    teacher = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
     for t in teacher.parameters():
         t.requires_grad = False
-    student = init_gine(
-        rng, node_dim=2, edge_dim=1, hidden=config.hidden, n_layers=config.layers
-    )
+    student = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
 
     prepped = [_GraphTensors(g) for g in graphs]
     teacher_out = []
@@ -333,30 +311,11 @@ def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> Gloca
         per_layer, emb = _forward(teacher, gt)
         teacher_out.append((per_layer[-1].data.copy(), emb.data.copy()))
 
-    params = student.parameters()
-    state = AdamState(params)
-    losses: list[float] = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        for batch in _epoch_batches(rng, len(graphs), config.batch_size):
-            for p in params:
-                p.zero_grad()
-            terms = [
-                _distill_loss(
-                    student, prepped[i], teacher_out[i][0], teacher_out[i][1], config.lam
-                )
-                for i in batch
-            ]
-            loss = terms[0]
-            for t in terms[1:]:
-                loss = ad.add(loss, t)
-            loss = ad.scalar_mul(1.0 / len(batch), loss)
-            loss.backward()
-            adam_step(params, state, lr=config.lr, weight_decay=0.0)
-            epoch_loss += float(loss.data) * len(batch)
-        losses.append(epoch_loss / len(graphs))
-        if _plateau(losses, config.patience, config.min_delta):
-            break
+    def term(i: int) -> Tensor:
+        nodes, emb = teacher_out[i]
+        return _distill_loss(student, prepped[i], nodes, emb, config.lam)
+
+    losses = _fit(student.parameters(), term, rng, len(graphs), config, 0.0)
     return GlocalState(
         teacher=teacher, student=student, lam=config.lam, loss_curve=losses
     )

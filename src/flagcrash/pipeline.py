@@ -7,13 +7,14 @@ chaining the individual commands on the intermediate files.
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import itertools
 import json
 import platform
-from configparser import ConfigParser
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +84,14 @@ class PipelineConfig:
         feature_branch = bool(self.tda_norms or self.pca_dims) and bool(self.detectors)
         if not feature_branch and not self.gnn_models:
             raise ConfigError("config selects no feature/detector or gnn branch")
-        for m in self.gnn_models:
-            if m not in ("ocgin", "glocalkd"):
-                raise ConfigError(f"unknown gnn model {m!r}")
-        for m in self.detectors:
-            if m not in ("mahalanobis", "lof"):
-                raise ConfigError(f"unknown detector {m!r}")
-        for norm in self.tda_norms:
-            if norm not in ("l1", "l2"):
-                raise ConfigError(f"unknown tda norm {norm!r}")
+        for what, names, known in (
+            ("gnn model", self.gnn_models, _GNN_GRIDS),
+            ("detector", self.detectors, ("mahalanobis", "lof")),
+            ("tda norm", self.tda_norms, ("l1", "l2")),
+        ):
+            for name in names:
+                if name not in known:
+                    raise ConfigError(f"unknown {what} {name!r}")
         for dim in self.pca_dims:
             if dim != "raw" and not dim.isdigit():
                 raise ConfigError(f"pca dim must be 'raw' or an integer, got {dim!r}")
@@ -111,59 +111,87 @@ def _split(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in _split(text))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _split(text))
+
+
+# (section, key, field, parser) of every optional config key; an absent key
+# keeps the field's default.  `embedding_dim` and `lag` are CcmParams fields.
+_CONFIG_KEYS = (
+    ("data", "min_coverage", "min_coverage", float),
+    ("network", "window", "window", int),
+    ("network", "correlation", "correlation", str),
+    ("network", "ccm_embedding", "embedding_dim", int),
+    ("network", "ccm_lag", "lag", int),
+    ("features", "tda_norms", "tda_norms", _split),
+    ("features", "essential", "essential", str),
+    ("features", "pca_dims", "pca_dims", _split),
+    ("detectors", "methods", "detectors", _split),
+    ("detectors", "lof_k", "lof_k", _ints),
+    ("gnn", "models", "gnn_models", _split),
+    ("gnn", "ocgin_lr", "ocgin_lr", _floats),
+    ("gnn", "ocgin_weight_decay", "ocgin_weight_decay", _floats),
+    ("gnn", "ocgin_batch", "ocgin_batch", _ints),
+    ("gnn", "ocgin_layers", "ocgin_layers", _ints),
+    ("gnn", "glocal_lr", "glocal_lr", _floats),
+    ("gnn", "glocal_batch", "glocal_batch", _ints),
+    ("gnn", "glocal_layers", "glocal_layers", _ints),
+    ("gnn", "glocal_lambda", "glocal_lambda", _floats),
+    ("gnn", "hidden", "hidden", int),
+    ("gnn", "epochs", "epochs", int),
+    ("eval", "percentile", "percentile", float),
+    ("eval", "lookback", "lookback", int),
+    ("run", "output_dir", "output_dir", str),
+    ("run", "seed", "seed", int),
+)
+
+
+# Hyperparameter axes of each GNN grid in product order:
+# (config field, stage_gnn keyword, method-label key, label format spec).
+_GNN_GRIDS = {
+    "ocgin": (
+        ("ocgin_lr", "lr", "lr", "g"),
+        ("ocgin_weight_decay", "weight_decay", "wd", "g"),
+        ("ocgin_batch", "batch", "batch", ""),
+        ("ocgin_layers", "layers", "layers", ""),
+    ),
+    "glocalkd": (
+        ("glocal_lr", "lr", "lr", "g"),
+        ("glocal_lambda", "lam", "lambda", "g"),
+        ("glocal_batch", "batch", "batch", ""),
+        ("glocal_layers", "layers", "layers", ""),
+    ),
+}
+
+
 def load_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    raw_text = path.read_text(encoding="utf-8")
-    parser = ConfigParser()
-    parser.read_string(raw_text)
-
-    def get(section, key, fallback):
-        return parser.get(section, key, fallback=fallback)
-
     try:
+        raw_text = path.read_text(encoding="utf-8")
+        parser = configparser.ConfigParser()
+        parser.read_string(raw_text)
+        values = {
+            name: parse(parser.get(section, key))
+            for section, key, name, parse in _CONFIG_KEYS
+            if parser.has_option(section, key)
+        }
+        ccm = {k: values.pop(k) for k in ("embedding_dim", "lag") if k in values}
         cfg = PipelineConfig(
             prices_path=parser.get("data", "prices"),
             events_path=parser.get("data", "events"),
             start=date.fromisoformat(parser.get("data", "start")),
             end=date.fromisoformat(parser.get("data", "end")),
-            min_coverage=float(get("data", "min_coverage", "1.0")),
-            window=int(get("network", "window", "25")),
-            correlation=get("network", "correlation", "ccm"),
-            ccm_params=CcmParams(
-                embedding_dim=int(get("network", "ccm_embedding", "2")),
-                lag=int(get("network", "ccm_lag", "1")),
-            ),
-            tda_norms=_split(get("features", "tda_norms", "l1,l2")),
-            essential=get("features", "essential", "drop"),
-            pca_dims=_split(get("features", "pca_dims", "raw,10,100")),
-            detectors=_split(get("detectors", "methods", "mahalanobis,lof")),
-            lof_k=tuple(int(k) for k in _split(get("detectors", "lof_k", "5,10,15,20,25,30"))),
-            gnn_models=_split(get("gnn", "models", "")),
-            ocgin_lr=tuple(float(v) for v in _split(get("gnn", "ocgin_lr", "0.01,0.001,0.0001,0.00001"))),
-            ocgin_weight_decay=tuple(
-                float(v) for v in _split(get("gnn", "ocgin_weight_decay", "0.001,0.0001,0.00001,0.000001"))
-            ),
-            ocgin_batch=tuple(int(v) for v in _split(get("gnn", "ocgin_batch", "25,50,100"))),
-            ocgin_layers=tuple(int(v) for v in _split(get("gnn", "ocgin_layers", "2,3"))),
-            glocal_lr=tuple(float(v) for v in _split(get("gnn", "glocal_lr", "0.01,0.001,0.0001,0.00001"))),
-            glocal_batch=tuple(int(v) for v in _split(get("gnn", "glocal_batch", "25,50,100"))),
-            glocal_layers=tuple(int(v) for v in _split(get("gnn", "glocal_layers", "2,3"))),
-            glocal_lambda=tuple(float(v) for v in _split(get("gnn", "glocal_lambda", "0.1,0.5,0.9"))),
-            hidden=int(get("gnn", "hidden", "10")),
-            epochs=int(get("gnn", "epochs", "150")),
-            percentile=float(get("eval", "percentile", str(DEFAULT_PERCENTILE))),
-            lookback=int(get("eval", "lookback", str(DEFAULT_LOOKBACK))),
-            output_dir=get("run", "output_dir", "runs"),
-            seed=int(get("run", "seed", "7")),
+            ccm_params=CcmParams(**ccm),
             raw_text=raw_text,
+            **values,
         )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from exc
-    except ConfigError:
-        raise
-    except Exception as exc:  # configparser errors
+    except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     cfg.validate()
     return cfg
@@ -203,25 +231,14 @@ def stage_graphs(
 
 def stage_tda(graphs_path, essential, out_path, jobs: int = 1) -> None:
     graphs, _ = archive.read_graphs(graphs_path)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        fn = partial(_tda_one, essential)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            feats = list(pool.map(fn, graphs, chunksize=16))
-    else:
-        feats = tda_features(graphs, essential=essential)
+    fn = partial(tda_features, essential=essential)
+    feats = [f for (f,) in corrnet.parallel_map(fn, [[g] for g in graphs], jobs)]
     tables.write_feature_csv(
         out_path,
         [f.as_of_date for f in feats],
         ["l1_h0", "l2_h0", "l1_h1", "l2_h1"],
         [f.values() for f in feats],
     )
-
-
-def _tda_one(essential, g):
-    return tda_features([g], essential=essential)[0]
 
 
 def stage_pca(graphs_path, dim: str, out_path) -> None:
@@ -268,33 +285,15 @@ def stage_gnn(
     graphs, _ = archive.read_graphs(graphs_path)
     attributed = gnn.attribute_graphs(graphs)
     dates = [g.as_of_date for g in graphs]
+    common = dict(
+        lr=lr, batch_size=batch, layers=layers, hidden=hidden, epochs=epochs, seed=seed
+    )
     if model == "ocgin":
-        state = gnn.ocgin_train(
-            attributed,
-            gnn.OcginConfig(
-                lr=lr,
-                weight_decay=weight_decay,
-                batch_size=batch,
-                layers=layers,
-                hidden=hidden,
-                epochs=epochs,
-                seed=seed,
-            ),
-        )
+        config = gnn.OcginConfig(weight_decay=weight_decay, **common)
+        state = gnn.ocgin_train(attributed, config)
         scores = gnn.ocgin_scores(state, attributed)
     elif model == "glocalkd":
-        state = gnn.glocalkd_train(
-            attributed,
-            gnn.GlocalConfig(
-                lr=lr,
-                batch_size=batch,
-                layers=layers,
-                hidden=hidden,
-                lam=lam,
-                epochs=epochs,
-                seed=seed,
-            ),
-        )
+        state = gnn.glocalkd_train(attributed, gnn.GlocalConfig(lam=lam, **common))
         scores = gnn.glocalkd_scores(state, attributed)
     else:
         raise ConfigError(f"unknown gnn model {model!r}")
@@ -338,14 +337,8 @@ def stage_evaluate(
 # full pipeline
 
 
-def _run_gnn_task(task) -> None:
-    graphs_bin, out, hidden, epochs, seed, params = task
-    stage_gnn(
-        graphs_bin, params["model"], out,
-        lr=params["lr"], weight_decay=params.get("weight_decay", 0.0),
-        lam=params.get("lam", 0.1), layers=params["layers"], hidden=hidden,
-        batch=params["batch"], epochs=epochs, seed=seed,
-    )
+def _run_gnn_task(kwargs: dict) -> None:
+    stage_gnn(**kwargs)
 
 
 def _slug(method: str) -> str:
@@ -421,56 +414,30 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
         score_files: dict[str, Path] = {}
         for branch, feature_csv in feature_files.items():
             for det in config.detectors:
-                if det == "mahalanobis":
-                    method = f"{branch}+mahalanobis"
+                for k in config.lof_k if det == "lof" else (0,):
+                    method = f"{branch}+lof-k{k}" if det == "lof" else f"{branch}+{det}"
                     out = run_dir / f"scores_{_slug(method)}.csv"
-                    stage_score(feature_csv, "mahalanobis", 0, out)
+                    stage_score(feature_csv, det, k, out)
                     score_files[method] = out
-                else:
-                    for k in config.lof_k:
-                        method = f"{branch}+lof-k{k}"
-                        out = run_dir / f"scores_{_slug(method)}.csv"
-                        stage_score(feature_csv, "lof", k, out)
-                        score_files[method] = out
 
         stage = "gnn"
-        gnn_jobs: list[tuple[str, dict]] = []
-        if "ocgin" in config.gnn_models:
-            grid = itertools.product(
-                config.ocgin_lr, config.ocgin_weight_decay,
-                config.ocgin_batch, config.ocgin_layers,
-            )
-            for lr, wd, batch, layers in grid:
-                method = f"ocgin lr={lr:g} wd={wd:g} batch={batch} layers={layers}"
-                gnn_jobs.append(
-                    (method, dict(model="ocgin", lr=lr, weight_decay=wd,
-                                  batch=batch, layers=layers))
-                )
-        if "glocalkd" in config.gnn_models:
-            grid = itertools.product(
-                config.glocal_lr, config.glocal_lambda,
-                config.glocal_batch, config.glocal_layers,
-            )
-            for lr, lam, batch, layers in grid:
-                method = f"glocalkd lr={lr:g} lambda={lam:g} batch={batch} layers={layers}"
-                gnn_jobs.append(
-                    (method, dict(model="glocalkd", lr=lr, lam=lam,
-                                  batch=batch, layers=layers))
-                )
         tasks = []
-        for method, params in gnn_jobs:
-            out = run_dir / f"scores_{_slug(method)}.csv"
-            score_files[method] = out
-            tasks.append((graphs_bin, out, config.hidden, config.epochs, config.seed, params))
-        if tasks:
-            if jobs > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    list(pool.map(_run_gnn_task, tasks))
-            else:
-                for task in tasks:
-                    _run_gnn_task(task)
+        for model, axes in _GNN_GRIDS.items():
+            if model not in config.gnn_models:
+                continue
+            fields, keywords, labels, specs = zip(*axes)
+            for point in itertools.product(*(getattr(config, f) for f in fields)):
+                method = " ".join(
+                    [model] + [f"{k}={v:{spec}}" for k, v, spec in zip(labels, point, specs)]
+                )
+                out = run_dir / f"scores_{_slug(method)}.csv"
+                score_files[method] = out
+                tasks.append(dict(
+                    graphs_path=graphs_bin, model=model, out_path=out,
+                    hidden=config.hidden, epochs=config.epochs, seed=config.seed,
+                    **dict(zip(keywords, point)),
+                ))
+        corrnet.parallel_map(_run_gnn_task, tasks, jobs)
 
         stage = "evaluate"
         rows = []

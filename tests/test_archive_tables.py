@@ -1,9 +1,11 @@
+import struct
 from datetime import date
 
 import numpy as np
 import pytest
 
 from flagcrash.archive import read_graphs, sidecar_path, write_graphs
+from flagcrash.cli import main
 from flagcrash.corrnet import WeightedDigraph
 from flagcrash.errors import DataError
 from flagcrash.tables import (
@@ -60,6 +62,87 @@ class TestGraphArchive:
     def test_undated_graph_rejected(self, tmp_path):
         with pytest.raises(DataError, match="date"):
             write_graphs(tmp_path / "x.bin", [WeightedDigraph(2, [], None)], {})
+
+
+def fcgr_bytes(records):
+    """A hand-written FCGR v1 archive of (date text, n_vertices, edges) records."""
+    out = struct.pack("<4sIQ", b"FCGR", 1, len(records))
+    for day, n, edges in records:
+        out += struct.pack("<10sIQ", day.encode("ascii"), n, len(edges))
+        out += b"".join(struct.pack("<IId", s, t, w) for s, t, w in edges)
+    return out
+
+
+GOOD = ("2020-01-02", 3, [(0, 1, 0.5), (1, 2, 0.25)])
+
+CORRUPT = {
+    "vertex-index": [("2020-01-02", 3, [(0, 7, 0.5)])],
+    "self-loop": [("2020-01-02", 3, [(1, 1, 0.5)])],
+    "duplicate-edge": [("2020-01-02", 3, [(0, 1, 0.5), (0, 1, 0.25)])],
+    "nan-weight": [("2020-01-02", 3, [(0, 1, float("nan"))])],
+    "inf-weight": [("2020-01-02", 3, [(0, 1, float("inf"))])],
+    "zero-weight": [("2020-01-02", 3, [(0, 1, 0.0)])],
+    "negative-weight": [("2020-01-02", 3, [(0, 1, -0.5)])],
+    "repeated-date": [GOOD, GOOD],
+    "decreasing-date": [GOOD, ("2020-01-01", 3, [])],
+    "bad-date": [("2020-13-45", 3, [])],
+}
+
+
+class TestArchiveValidation:
+    def test_hand_written_archive_reads_back(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes([GOOD, ("2020-01-03", 3, [])]))
+        graphs, params = read_graphs(path)
+        assert params == {}
+        assert [g.as_of_date for g in graphs] == [date(2020, 1, 2), date(2020, 1, 3)]
+        assert graphs[0].edges == [(0, 1, 0.5), (1, 2, 0.25)]
+        assert all(type(v) is int for s, t, _ in graphs[0].edges for v in (s, t))
+        assert all(type(w) is float for *_, w in graphs[0].edges)
+
+    def test_writer_matches_hand_written_layout(self, tmp_path):
+        graphs = [WeightedDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)], date(2020, 1, 2))]
+        write_graphs(tmp_path / "g.bin", graphs, {})
+        assert (tmp_path / "g.bin").read_bytes() == fcgr_bytes([GOOD])
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT))
+    def test_corrupt_record_rejected(self, tmp_path, name):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes(CORRUPT[name]))
+        with pytest.raises(DataError):
+            read_graphs(path)
+
+    def test_edge_count_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        data = bytearray(fcgr_bytes([GOOD]))
+        struct.pack_into("<Q", data, 16 + 14, 2**63)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="truncated"):
+            read_graphs(path)
+
+    def test_bad_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes([GOOD]))
+        sidecar_path(path).write_text("{not json")
+        with pytest.raises(DataError, match="sidecar"):
+            read_graphs(path)
+
+    @pytest.mark.parametrize("name", ["vertex-index", "nan-weight"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pca", "--dim", "raw"],
+            ["tda"],
+            ["gnn", "--model", "ocgin", "--epochs", "1"],
+        ],
+        ids=["pca", "tda", "gnn"],
+    )
+    def test_cli_exits_3_on_corrupt_archive(self, tmp_path, name, command):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes(CORRUPT[name]))
+        out = tmp_path / "out.csv"
+        assert main(command + ["--graphs", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestFeatureTables:

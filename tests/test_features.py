@@ -1,44 +1,12 @@
-from datetime import date
-
 import numpy as np
 import pytest
 
-from flagcrash.corrnet import CorrelationMatrix, WindowSpec
 from flagcrash.errors import DataError
-from flagcrash.features import (
-    FeatureVector,
-    fit_pca,
-    flatten,
-    project,
-    project_matrix,
-    reconstruct,
-)
+from flagcrash.features import fit_pca, project_matrix
 
 
-def corr_of(values):
-    values = np.asarray(values, dtype=float)
-    return CorrelationMatrix(
-        values=values,
-        window=WindowSpec(0, 3),
-        as_of_date=date(2021, 3, 1),
-        kind="ccm",
-    )
-
-
-class TestFlatten:
-    def test_row_major_order(self):
-        fv = flatten(corr_of([[0.0, 0.5], [0.2, 0.0]]))
-        np.testing.assert_array_equal(fv.values, [0.0, 0.5, 0.2, 0.0])
-        assert fv.as_of_date == date(2021, 3, 1)
-
-    def test_zero_matrix(self):
-        fv = flatten(corr_of(np.zeros((3, 3))))
-        assert fv.values.shape == (9,)
-        assert not fv.values.any()
-
-    def test_39_stock_matrix_gives_1521_vector(self):
-        fv = flatten(corr_of(np.zeros((39, 39))))
-        assert fv.values.shape == (1521,)
+def reconstruct(model, projected):
+    return projected @ model.components + model.mean
 
 
 class TestFitPca:
@@ -101,30 +69,25 @@ class TestProject:
 
     def test_mean_projects_to_zero(self):
         data, model = self.fitted()
-        out = project(model, FeatureVector(date(2021, 1, 4), model.mean.copy()))
-        assert np.max(np.abs(out.values)) < 1e-12
-        assert out.as_of_date == date(2021, 1, 4)
+        out = project_matrix(model, model.mean[None, :])
+        assert out.shape == (1, 6)
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_unit_along_component_k(self):
         data, model = self.fitted(d=4)
-        for k in range(4):
-            v = model.mean + model.components[k]
-            out = project(model, FeatureVector(date(2021, 1, 4), v))
-            expected = np.zeros(4)
-            expected[k] = 1.0
-            np.testing.assert_allclose(out.values, expected, atol=1e-10)
+        out = project_matrix(model, model.mean + model.components)
+        np.testing.assert_allclose(out, np.eye(4), atol=1e-10)
 
     def test_full_rank_reconstruction(self):
         data, model = self.fitted(d=6)
-        v = data[7]
-        proj = project(model, FeatureVector(date(2021, 1, 4), v))
-        rebuilt = model.components.T @ proj.values + model.mean
+        v = data[7:8]
+        rebuilt = reconstruct(model, project_matrix(model, v))
         assert np.max(np.abs(rebuilt - v)) < 1e-10
 
     def test_dimension_mismatch(self):
         _, model = self.fitted()
-        with pytest.raises(DataError):
-            project(model, FeatureVector(date(2021, 1, 4), np.zeros(3)))
+        with pytest.raises(DataError, match="6-dimensional model"):
+            project_matrix(model, np.zeros((1, 3)))
 
     def test_training_projections_centered_with_diagonal_covariance(self):
         rng = np.random.default_rng(15)

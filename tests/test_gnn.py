@@ -1,3 +1,4 @@
+import copy
 from datetime import date
 
 import numpy as np
@@ -288,7 +289,7 @@ class TestGlocal:
     def test_student_equal_teacher_zero_loss_zero_grads(self):
         graphs = attribute_graphs(random_graph_sequence(3, 6, 6))
         state = glocalkd_train(graphs, self.small_config(epochs=1))
-        state.student = state.teacher.copy()
+        state.student = copy.deepcopy(state.teacher)
         for g in graphs:
             assert glocalkd_score(state, g) == pytest.approx(0.0, abs=1e-20)
 

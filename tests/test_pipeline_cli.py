@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from flagcrash.cli import main
 from flagcrash.errors import ConfigError
-from flagcrash.pipeline import load_config, run_pipeline
+from flagcrash.pipeline import PipelineConfig, load_config, run_pipeline
 from flagcrash.tables import read_feature_csv, read_scores_csv
 
 
@@ -175,6 +176,10 @@ class TestStageCommands:
             "--end", "2030-01-01", "--out", str(tmp_path / "o.csv"),
         ]) == 3
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
+        for text in ("prices = x\n", "[data]\nprices = a\nprices = b\n"):
+            malformed = tmp_path / "malformed.ini"
+            malformed.write_text(text)
+            assert main(["run", "--config", str(malformed)]) == 2
 
 
 class TestRunPipeline:
@@ -295,3 +300,44 @@ class TestRunPipeline:
         assert any(r.startswith("ocgin") for r in rows[1:])
         summary = (run_dir / "summary.csv").read_text()
         assert "ocgin" in summary
+
+    def test_gnn_grid_method_labels(self, synth_files, tmp_path):
+        prices, events = synth_files
+        text = config_text(prices, events, tmp_path / "runs", gnn_models="ocgin,glocalkd")
+        text = text.replace("tda_norms = l1", "tda_norms =").replace(
+            "pca_dims = raw", "pca_dims ="
+        ).replace("ocgin_lr = 0.003", "ocgin_lr = 0.003,0.00001").replace(
+            "epochs = 8",
+            "epochs = 2\nglocal_lr = 0.003\nglocal_batch = 64\n"
+            "glocal_layers = 2\nglocal_lambda = 0.25,0.5",
+        )
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(text)
+        run_dir = run_pipeline(load_config(cfg_path))
+        rows = (run_dir / "results.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [
+            "glocalkd lr=0.003 lambda=0.25 batch=64 layers=2",
+            "glocalkd lr=0.003 lambda=0.5 batch=64 layers=2",
+            "ocgin lr=0.003 wd=0.0001 batch=64 layers=2",
+            "ocgin lr=1e-05 wd=0.0001 batch=64 layers=2",
+        ]
+
+
+class TestLoadConfig:
+    def test_data_section_alone_gives_dataclass_defaults(self, synth_files, tmp_path):
+        prices, events = synth_files
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(
+            f"[data]\nprices = {prices}\nevents = {events}\n"
+            "start = 2010-01-01\nend = 2011-12-31\n"
+        )
+        config = load_config(cfg_path)
+        for f in dataclasses.fields(PipelineConfig):
+            if f.default is not dataclasses.MISSING:
+                expected = f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                expected = f.default_factory()
+            else:
+                continue
+            if f.name != "raw_text":
+                assert getattr(config, f.name) == expected, f.name
