@@ -63,8 +63,9 @@ def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
     """Graphs and construction parameters of an archive.
 
     Every record is checked: vertex indices below its vertex count, no
-    self-loops or duplicate edges, finite positive weights, and dates
-    strictly increasing across records.
+    self-loops or duplicate edges, finite positive weights, dates
+    strictly increasing across records, and one vertex count shared by
+    every record and by the sidecar's tickers, when it lists them.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -89,6 +90,11 @@ def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
                 raise DataError(f"{path}: bad record date {date_bytes!r}") from None
             if graphs and as_of <= graphs[-1].as_of_date:
                 raise DataError(f"{path}: record dates not increasing at {as_of}")
+            if graphs and n != graphs[0].n_vertices:
+                raise DataError(
+                    f"{path}: record {as_of} has {n} vertices, "
+                    f"the first record has {graphs[0].n_vertices}"
+                )
             if _EDGE.itemsize * edge_count > size - f.tell():
                 raise DataError(f"{path}: truncated edge block")
             block = np.frombuffer(f.read(_EDGE.itemsize * edge_count), dtype=_EDGE)
@@ -103,6 +109,16 @@ def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
                 params = json.load(f)
             except ValueError as exc:
                 raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
+        if not isinstance(params, dict):
+            raise DataError(f"{side}: sidecar is not a JSON object")
+        tickers = params.get("tickers")
+        if tickers is not None and graphs and (
+            not isinstance(tickers, list) or len(tickers) != graphs[0].n_vertices
+        ):
+            raise DataError(
+                f"{side}: tickers are not a list of {graphs[0].n_vertices} names, "
+                "one per graph vertex"
+            )
     return graphs, params
 
 

@@ -2,21 +2,24 @@
 
 Both detectors are transductive: scores are computed in-sample over the
 whole series, matching the percentile-over-observed-distribution protocol
-used downstream.
+used downstream.  LOF computes the pairwise distances of a feature table
+once and scores every configured neighbor count k from them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import DataError
 
 RIDGE_EPS = 1e-6
 LRD_EPS = 1e-10  # keeps densities finite around duplicate points
+LOF_BLOCK_ROWS = 128  # LOF reductions hold (128 x T) temporaries, not (T x T)
 
 
 @dataclass
@@ -67,14 +70,18 @@ def mahalanobis_scores(
 
 
 def lof_scores(
-    dates: list[date], vectors: np.ndarray, k: int, method_tag: str | None = None
-) -> AnomalySeries:
-    """Classical local outlier factor with tie-inclusive neighborhoods.
+    dates: list[date], vectors: np.ndarray, ks: Sequence[int]
+) -> list[AnomalySeries]:
+    """Classical local outlier factor for each neighbor count in `ks`.
 
     The k-neighborhood contains every point at distance <= the k-th
     nearest distance, so it may exceed k under ties.  Local reachability
     densities carry a 1e-10 additive floor, which makes exact duplicate
-    clusters score exactly 1.
+    clusters score exactly 1.  The distance matrix and every k-distance
+    are computed once for all of `ks`; the reductions then run over
+    blocks of LOF_BLOCK_ROWS rows, each row summed exactly as over the
+    whole matrix.  Returns one series, tagged `lof-k<k>`, per entry of
+    `ks`.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
@@ -82,24 +89,46 @@ def lof_scores(
     t_rows = x.shape[0]
     if t_rows < 2:
         raise DataError("need at least 2 vectors")
-    if not 1 <= k < t_rows:
-        raise DataError(f"neighbor count k={k} out of range [1, {t_rows - 1}]")
+    for k in ks:
+        if not 1 <= k < t_rows:
+            raise DataError(f"neighbor count k={k} out of range [1, {t_rows - 1}]")
     if len(dates) != t_rows:
         raise DataError("dates/vectors length mismatch")
+    if not ks:
+        return []
 
     # direct differences: the gram-expansion shortcut loses precision on
     # near-duplicate rows, which blows up reachability ratios
-    dist = cdist(x, x, metric="euclidean")
+    dist = squareform(pdist(x, metric="euclidean"))
     np.fill_diagonal(dist, np.inf)
+    blocks = [slice(lo, lo + LOF_BLOCK_ROWS) for lo in range(0, t_rows, LOF_BLOCK_ROWS)]
 
-    kdist = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    neighbor_mask = dist <= kdist[:, None]  # excludes self via inf diagonal
-    counts = neighbor_mask.sum(axis=1)
+    kths = sorted({k - 1 for k in ks})
+    kdists = np.empty((len(kths), t_rows))
+    for rows in blocks:
+        kdists[:, rows] = np.partition(dist[rows], kths, axis=1)[:, kths].T
 
-    reach = np.maximum(kdist[None, :], dist)  # reach[a, b] = reach dist of b from a
-    mean_reach = np.where(neighbor_mask, reach, 0.0).sum(axis=1) / counts
-    lrd = 1.0 / (mean_reach + LRD_EPS)
-    lof = np.where(neighbor_mask, lrd[None, :], 0.0).sum(axis=1) / counts / lrd
-    return AnomalySeries(
-        dates=list(dates), scores=lof, method_tag=method_tag or f"lof-k{k}"
-    )
+    scores = {}
+    for k in dict.fromkeys(ks):
+        kdist = kdists[kths.index(k - 1)]
+        counts = np.empty(t_rows, dtype=np.intp)
+        mean_reach = np.empty(t_rows)
+        for rows in blocks:
+            # reach[a, b] = reach dist of b from a; the inf diagonal
+            # keeps each point out of its own neighborhood
+            neighbor_mask = dist[rows] <= kdist[rows, None]
+            counts[rows] = neighbor_mask.sum(axis=1)
+            reach = np.maximum(kdist[None, :], dist[rows])
+            reach_sum = np.where(neighbor_mask, reach, 0.0).sum(axis=1)
+            mean_reach[rows] = reach_sum / counts[rows]
+        lrd = 1.0 / (mean_reach + LRD_EPS)
+        lof = np.empty(t_rows)
+        for rows in blocks:
+            neighbor_mask = dist[rows] <= kdist[rows, None]
+            lrd_sum = np.where(neighbor_mask, lrd[None, :], 0.0).sum(axis=1)
+            lof[rows] = lrd_sum / counts[rows] / lrd[rows]
+        scores[k] = lof
+    return [
+        AnomalySeries(list(dates), scores[k].copy(), method_tag=f"lof-k{k}")
+        for k in ks
+    ]

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, archive, corrnet, gnn, tables
 from .charts import monthly_counts_svg
 from .corrnet import CcmParams
-from .detectors import lof_scores, mahalanobis_scores
+from .detectors import AnomalySeries, lof_scores, mahalanobis_scores
 from .errors import ConfigError, StageError
 from .evaluation import (
     DEFAULT_LOOKBACK,
@@ -257,14 +257,23 @@ def stage_pca(graphs_path, dim: str, out_path) -> None:
     tables.write_feature_csv(out_path, dates, columns, values)
 
 
-def stage_score(features_path, method: str, lof_k: int, out_path) -> None:
+def score_table(features_path, methods, lof_k) -> list[AnomalySeries]:
+    """Series of every method in `methods` (LOF once per `lof_k` entry)
+    over one feature table, which is read once."""
     dates, _, values = tables.read_feature_csv(features_path)
-    if method == "mahalanobis":
-        series = mahalanobis_scores(dates, values)
-    elif method == "lof":
-        series = lof_scores(dates, values, k=lof_k)
-    else:
-        raise ConfigError(f"unknown scoring method {method!r}")
+    out = []
+    for method in methods:
+        if method == "mahalanobis":
+            out.append(mahalanobis_scores(dates, values))
+        elif method == "lof":
+            out.extend(lof_scores(dates, values, lof_k))
+        else:
+            raise ConfigError(f"unknown scoring method {method!r}")
+    return out
+
+
+def stage_score(features_path, method: str, lof_k: int, out_path) -> None:
+    (series,) = score_table(features_path, [method], [lof_k])
     tables.write_scores_csv(out_path, series.dates, series.scores)
 
 
@@ -313,8 +322,6 @@ def stage_evaluate(
     report_path,
     chart_path=None,
 ) -> dict:
-    from .detectors import AnomalySeries
-
     dates, scores = tables.read_scores_csv(scores_path)
     series = AnomalySeries(dates=dates, scores=scores, method_tag=method)
     flags = threshold_anomalies(series, percentile)
@@ -413,12 +420,11 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
         stage = "score"
         score_files: dict[str, Path] = {}
         for branch, feature_csv in feature_files.items():
-            for det in config.detectors:
-                for k in config.lof_k if det == "lof" else (0,):
-                    method = f"{branch}+lof-k{k}" if det == "lof" else f"{branch}+{det}"
-                    out = run_dir / f"scores_{_slug(method)}.csv"
-                    stage_score(feature_csv, det, k, out)
-                    score_files[method] = out
+            for series in score_table(feature_csv, config.detectors, config.lof_k):
+                method = f"{branch}+{series.method_tag}"
+                out = run_dir / f"scores_{_slug(method)}.csv"
+                tables.write_scores_csv(out, series.dates, series.scores)
+                score_files[method] = out
 
         stage = "gnn"
         tasks = []

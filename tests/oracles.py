@@ -11,6 +11,7 @@ from collections import Counter
 from datetime import date, timedelta
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from flagcrash.corrnet import WeightedDigraph
 
@@ -246,3 +247,23 @@ def brute_force_lof(points: np.ndarray, k: int) -> np.ndarray:
     for a in range(t):
         lof[a] = sum(lrd[b] for b in neighborhoods[a]) / len(neighborhoods[a]) / lrd[a]
     return lof
+
+
+# ---------------------------------------------------------------------------
+# Single-k LOF over the whole distance matrix at once: the production
+# arithmetic before distances and k-distances were shared across k and the
+# reductions ran in row blocks.  Production scores must equal it bit for bit.
+
+
+def reference_lof(points: np.ndarray, k: int) -> np.ndarray:
+    dist = cdist(points, points, metric="euclidean")
+    np.fill_diagonal(dist, np.inf)
+
+    kdist = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    neighbor_mask = dist <= kdist[:, None]  # excludes self via inf diagonal
+    counts = neighbor_mask.sum(axis=1)
+
+    reach = np.maximum(kdist[None, :], dist)  # reach[a, b] = reach dist of b from a
+    mean_reach = np.where(neighbor_mask, reach, 0.0).sum(axis=1) / counts
+    lrd = 1.0 / (mean_reach + 1e-10)
+    return np.where(neighbor_mask, lrd[None, :], 0.0).sum(axis=1) / counts / lrd

@@ -145,7 +145,7 @@ def test_criterion_4_detector_oracles():
         k = int(rng.integers(1, min(t - 1, 10) + 1))
         pts = rng.normal(size=(t, dim))
         dates = [date(2020, 1, 1) + timedelta(days=i) for i in range(t)]
-        mine = lof_scores(dates, pts, k=k).scores
+        mine = lof_scores(dates, pts, [k])[0].scores
         ref = brute_force_lof(pts, k=k)
         np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-9)
         assert orderings_agree(mine, ref)

@@ -1,3 +1,4 @@
+import json
 import struct
 from datetime import date
 
@@ -21,6 +22,8 @@ from oracles import random_graph_sequence
 class TestGraphArchive:
     def test_roundtrip_preserves_everything(self, tmp_path):
         graphs = random_graph_sequence(3, 7, 12)
+        for g in graphs:  # an archive holds one vertex count
+            g.n_vertices = 12
         path = tmp_path / "graphs.bin"
         write_graphs(path, graphs, {"window": 25, "correlation": "ccm"})
         back, params = read_graphs(path)
@@ -86,6 +89,7 @@ CORRUPT = {
     "repeated-date": [GOOD, GOOD],
     "decreasing-date": [GOOD, ("2020-01-01", 3, [])],
     "bad-date": [("2020-13-45", 3, [])],
+    "mixed-vertex-count": [GOOD, ("2020-01-03", 4, []), ("2020-01-06", 3, [])],
 }
 
 
@@ -127,7 +131,22 @@ class TestArchiveValidation:
         with pytest.raises(DataError, match="sidecar"):
             read_graphs(path)
 
-    @pytest.mark.parametrize("name", ["vertex-index", "nan-weight"])
+    def test_non_object_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes([GOOD]))
+        sidecar_path(path).write_text("[1, 2]")
+        with pytest.raises(DataError, match="not a JSON object"):
+            read_graphs(path)
+
+    @pytest.mark.parametrize("tickers", [["a", "b"], "abc"], ids=["short", "not-list"])
+    def test_sidecar_tickers_must_match_vertex_count(self, tmp_path, tickers):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes([GOOD]))
+        sidecar_path(path).write_text(json.dumps({"tickers": tickers}))
+        with pytest.raises(DataError, match="tickers"):
+            read_graphs(path)
+
+    @pytest.mark.parametrize("name", ["vertex-index", "nan-weight", "mixed-vertex-count"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -176,3 +195,39 @@ class TestFeatureTables:
         path.write_text("date,score\n2020-01-02,nan\n")
         with pytest.raises(DataError, match="finite"):
             read_scores_csv(path)
+
+
+def write_table(path, rows):
+    path.write_text("date,a\n" + "".join(f"{row}\n" for row in rows))
+    return path
+
+
+class TestFeatureDates:
+    """Dates parse exactly as `datetime.strptime(text, "%Y-%m-%d")` does,
+    also when the same text was parsed before in the process."""
+
+    @pytest.mark.parametrize("bad", ["2010-02-30", "2010/01/05"])
+    def test_bad_date_rejected_on_its_line(self, tmp_path, bad):
+        good = write_table(tmp_path / "good.csv", ["2010-01-04,1.0", "2010-01-05,2.0"])
+        table = write_table(tmp_path / "bad.csv", ["2010-01-04,1.0", f"{bad},2.0"])
+        for _ in range(2):
+            read_feature_csv(good)
+            with pytest.raises(DataError, match=f"line 3: bad date '{bad}'"):
+                read_feature_csv(table)
+
+    def test_accepts_what_strptime_accepts(self, tmp_path):
+        path = write_table(tmp_path / "f.csv", ["2010-1-5,1.0", "2010-01-05,2.0"])
+        for _ in range(2):
+            dates, _, _ = read_feature_csv(path)
+            assert dates == [date(2010, 1, 5), date(2010, 1, 5)]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("2010-01-05,1.0,2.0", "line 3: column count"), ("2010-01-05,inf", "finite")],
+        ids=["column-count", "non-finite"],
+    )
+    def test_rows_still_checked(self, tmp_path, row, message):
+        path = write_table(tmp_path / "f.csv", ["2010-01-04,1.0", row])
+        read_feature_csv(write_table(tmp_path / "ok.csv", ["2010-01-05,1.0"]))
+        with pytest.raises(DataError, match=message):
+            read_feature_csv(path)

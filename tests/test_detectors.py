@@ -2,11 +2,12 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from flagcrash.detectors import lof_scores, mahalanobis_scores
+from flagcrash.detectors import LOF_BLOCK_ROWS, lof_scores, mahalanobis_scores
 from flagcrash.errors import DataError
 
-from oracles import brute_force_lof
+from oracles import brute_force_lof, reference_lof
 
 
 def dates_for(n):
@@ -80,7 +81,7 @@ class TestLof:
     def test_uniform_grid_interior_scores_near_one(self):
         xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0))
         pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-        s = lof_scores(dates_for(100), pts, k=5).scores
+        s = lof_scores(dates_for(100), pts, [5])[0].scores
         interior = [
             i
             for i, (px, py) in enumerate(pts)
@@ -92,23 +93,23 @@ class TestLof:
         xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0))
         pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
         pts = np.vstack([pts, [[50.0, 50.0]]])  # 10x the grid spacing away
-        s = lof_scores(dates_for(101), pts, k=5).scores
+        s = lof_scores(dates_for(101), pts, [5])[0].scores
         assert s[-1] > 1.5
         assert s[-1] == s.max()
 
     def test_all_identical_points_score_one(self):
         pts = np.ones((8, 3))
-        s = lof_scores(dates_for(8), pts, k=3).scores
+        s = lof_scores(dates_for(8), pts, [3])[0].scores
         np.testing.assert_allclose(s, 1.0)
 
     def test_k_out_of_range(self):
         pts = np.zeros((5, 2))
         with pytest.raises(DataError):
-            lof_scores(dates_for(5), pts, k=0)
+            lof_scores(dates_for(5), pts, [0])
         with pytest.raises(DataError):
-            lof_scores(dates_for(5), pts, k=5)
+            lof_scores(dates_for(5), pts, [2, 5])
         with pytest.raises(DataError):
-            lof_scores(dates_for(1), np.zeros((1, 2)), k=1)
+            lof_scores(dates_for(1), np.zeros((1, 2)), [1])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force_reference(self, seed):
@@ -117,7 +118,7 @@ class TestLof:
         d = int(rng.integers(1, 5))
         k = int(rng.integers(1, min(t - 1, 8) + 1))
         pts = rng.normal(size=(t, d))
-        mine = lof_scores(dates_for(t), pts, k=k).scores
+        mine = lof_scores(dates_for(t), pts, [k])[0].scores
         ref = brute_force_lof(pts, k=k)
         np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-9)
         # pairs separated by more than the value tolerance must rank the same
@@ -130,7 +131,7 @@ class TestLof:
         # four corners of a square plus center: each corner's 1-neighborhood
         # under k=2 holds both adjacent corners and the center ties break in
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        mine = lof_scores(dates_for(4), pts, k=2).scores
+        mine = lof_scores(dates_for(4), pts, [2])[0].scores
         ref = brute_force_lof(pts, k=2)
         np.testing.assert_allclose(mine, ref, atol=1e-12)
 
@@ -138,6 +139,42 @@ class TestLof:
     def test_invariance_translation_and_uniform_scaling(self, seed):
         rng = np.random.default_rng(400 + seed)
         pts = rng.normal(size=(30, 3))
-        base = lof_scores(dates_for(30), pts, k=4).scores
-        moved = lof_scores(dates_for(30), pts * 3.7 + 11.0, k=4).scores
+        base = lof_scores(dates_for(30), pts, [4])[0].scores
+        moved = lof_scores(dates_for(30), pts * 3.7 + 11.0, [4])[0].scores
         np.testing.assert_allclose(base, moved, rtol=1e-9)
+
+    def test_no_k_gives_no_series(self):
+        assert lof_scores(dates_for(5), np.zeros((5, 2)), []) == []
+
+
+def lof_cases():
+    """Tables below, at and not a multiple of the reduction block size,
+    plus exact ties and duplicate rows, and the width of a 12-ticker
+    flattened correlation matrix."""
+    rng = np.random.default_rng(500)
+    b = LOF_BLOCK_ROWS
+    cases = {f"normal-T{t}": rng.normal(size=(t, 3)) for t in (b // 2, b, 2 * b + 37)}
+    # 16 lattice points repeated: duplicate rows and many tied distances
+    cases["lattice"] = rng.integers(0, 4, size=(2 * b + 37, 2)).astype(float)
+    cases["wide"] = rng.normal(size=(b + 5, 144))
+    return cases
+
+
+LOF_CASES = lof_cases()
+
+
+class TestLofAgainstReference:
+    @pytest.mark.parametrize("name", sorted(LOF_CASES))
+    def test_every_k_bitwise_equal(self, name):
+        x = LOF_CASES[name]
+        t = len(x)
+        ks = [1, 5, t // 2, 5, t - 1]
+        series = lof_scores(dates_for(t), x, ks)
+        assert [s.method_tag for s in series] == [f"lof-k{k}" for k in ks]
+        for k, s in zip(ks, series):
+            assert np.array_equal(s.scores, reference_lof(x, k))
+
+    @pytest.mark.parametrize("name", sorted(LOF_CASES))
+    def test_pdist_equals_cdist(self, name):
+        x = LOF_CASES[name]
+        assert np.array_equal(squareform(pdist(x)), cdist(x, x))

@@ -219,16 +219,27 @@ class TestRunPipeline:
     def test_stage_isolation_files_reproduce_pipeline(self, synth_files, tmp_path):
         prices, events = synth_files
         cfg_path = tmp_path / "pipeline.ini"
-        cfg_path.write_text(config_text(prices, events, tmp_path / "runs"))
+        cfg_path.write_text(
+            config_text(prices, events, tmp_path / "runs")
+            .replace("methods = mahalanobis", "methods = mahalanobis,lof")
+            .replace("lof_k = 5", "lof_k = 5,20")
+        )
         config = load_config(cfg_path)
         run_dir = run_pipeline(config)
         # feed the pipeline's own intermediates to the standalone commands
         scores = tmp_path / "standalone_scores.csv"
-        assert main([
-            "score", "--features", str(run_dir / "tda_l1.csv"),
-            "--method", "mahalanobis", "--out", str(scores),
-        ]) == 0
-        assert scores.read_bytes() == (run_dir / "scores_tda-l1+mahalanobis.csv").read_bytes()
+        for table, branch in (("tda_l1", "tda-l1"), ("pca_raw", "pca-raw")):
+            for flags, method in [
+                (["--method", "mahalanobis"], "mahalanobis"),
+                (["--method", "lof", "--lof-k", "5"], "lof-k5"),
+                (["--method", "lof", "--lof-k", "20"], "lof-k20"),
+            ]:
+                assert main([
+                    "score", "--features", str(run_dir / f"{table}.csv"),
+                    *flags, "--out", str(scores),
+                ]) == 0
+                piped = run_dir / f"scores_{branch}+{method}.csv"
+                assert scores.read_bytes() == piped.read_bytes()
 
     def test_single_branch_yields_single_report(self, synth_files, tmp_path):
         prices, events = synth_files
