@@ -40,12 +40,24 @@ def sidecar_path(path) -> Path:
 
 
 def write_graphs(path, graphs: list[WeightedDigraph], params: dict) -> None:
+    """Write an archive and its sidecar; nothing is written when a graph has
+    no date, the vertex counts differ, or `params["tickers"]` does not name
+    one ticker per vertex."""
     path = Path(path)
+    if any(g.as_of_date is None for g in graphs):
+        raise DataError("cannot archive a graph without a date")
+    if graphs:
+        n = graphs[0].n_vertices
+        odd = next((g for g in graphs if g.n_vertices != n), None)
+        if odd is not None:
+            raise DataError(
+                f"cannot archive graphs of different vertex counts: {odd.as_of_date} "
+                f"has {odd.n_vertices}, the first graph has {n}"
+            )
+        _check_tickers(path, params, n)
     with open(path, "wb") as f:
         f.write(_HEAD.pack(MAGIC, VERSION, len(graphs)))
         for g in graphs:
-            if g.as_of_date is None:
-                raise DataError("cannot archive a graph without a date")
             f.write(
                 _REC_HEAD.pack(
                     g.as_of_date.isoformat().encode("ascii"),
@@ -111,15 +123,15 @@ def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
                 raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
         if not isinstance(params, dict):
             raise DataError(f"{side}: sidecar is not a JSON object")
-        tickers = params.get("tickers")
-        if tickers is not None and graphs and (
-            not isinstance(tickers, list) or len(tickers) != graphs[0].n_vertices
-        ):
-            raise DataError(
-                f"{side}: tickers are not a list of {graphs[0].n_vertices} names, "
-                "one per graph vertex"
-            )
+        if graphs:
+            _check_tickers(side, params, graphs[0].n_vertices)
     return graphs, params
+
+
+def _check_tickers(where, params: dict, n: int) -> None:
+    tickers = params.get("tickers")
+    if tickers is not None and (not isinstance(tickers, list) or len(tickers) != n):
+        raise DataError(f"{where}: tickers are not a list of {n} names, one per graph vertex")
 
 
 def _check_edges(path, as_of: date, n: int, block: np.ndarray) -> None:

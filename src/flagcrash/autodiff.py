@@ -5,7 +5,9 @@ its parents and a backward closure on the output.  `Tensor.backward()`
 topologically sorts the tape and accumulates gradients into the leaves.
 Only the handful of ops needed for GINE message passing and the two
 anomaly losses are provided; shapes are 0-d, 1-d, or 2-d and never
-broadcast implicitly.
+broadcast implicitly.  The one sparse op, `sparse_matmul`, multiplies a
+tensor by a constant `scipy.sparse` matrix (message gather, scatter and
+pooling over a batch of graphs).
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -122,6 +125,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(gb)
 
     return _wrap(out_data, (a, b), backward)
+
+
+def sparse_matmul(a, x: Tensor) -> Tensor:
+    """Product of a constant scipy.sparse CSR matrix `a` and a 2-d tensor."""
+    if x.data.ndim != 2 or a.shape[1] != x.data.shape[0]:
+        raise ValueError(f"sparse_matmul: shape mismatch {a.shape} @ {x.shape}")
+    out_data = np.asarray(a @ x.data)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(a.T @ g)
+
+    return _wrap(out_data, (x,), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -10,14 +10,24 @@ solution where the network maps everything onto the center.
 Message passing treats every directed edge as a bidirectional channel
 carrying the same edge feature both ways, so nodes whose correlations
 point one way still receive messages.
+
+Graphs go through the network in mini-batches.  A batch is the disjoint
+union of its graphs: stacked node and message features plus constant
+sparse block-diagonal gather, scatter and mean-pool matrices, so one
+autodiff tape covers a whole training batch and graphs of different
+sizes can share it.  The one-class center, the teacher's targets and
+both scores are computed over chunks of `batch_size` graphs, so memory
+grows with the batch, not with the length of the series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step
@@ -33,24 +43,26 @@ class AttributedGraph:
     y: np.ndarray  # (|E|, k) edge features
     as_of_date: date | None = None
 
+    @cached_property
+    def message_ends(self) -> np.ndarray:
+        """(2, 2E) source and target vertex of every message: edge i
+        delivers s -> t as message i and t -> s as message E + i."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        return np.concatenate([ends, ends[:, ::-1]]).T
+
 
 def attribute_graphs(graphs: list[WeightedDigraph]) -> list[AttributedGraph]:
     """Node features (1, weighted degree); edge feature (weight,)."""
     out = []
     for g in graphs:
-        x = np.zeros((g.n_vertices, 2))
-        x[:, 0] = 1.0
-        for s, t, w in g.edges:
-            x[s, 1] += w
-            x[t, 1] += w
         edges = [(s, t) for s, t, _ in g.edges]
-        y = np.array([[w] for *_, w in g.edges], dtype=np.float64).reshape(
-            len(g.edges), 1
-        )
+        y = np.array([w for *_, w in g.edges], dtype=np.float64).reshape(-1, 1)
+        x = np.ones((g.n_vertices, 2))
+        # bincount adds in input order, so each degree sums its edges in edge order
+        ends = np.array(edges, dtype=np.intp).reshape(-1)  # s0, t0, s1, t1, ...
+        x[:, 1] = np.bincount(ends, weights=np.repeat(y, 2), minlength=g.n_vertices)
         out.append(
-            AttributedGraph(
-                n=g.n_vertices, x=x, edges=edges, y=y, as_of_date=g.as_of_date
-            )
+            AttributedGraph(n=g.n_vertices, x=x, edges=edges, y=y, as_of_date=g.as_of_date)
         )
     return out
 
@@ -84,9 +96,6 @@ class GineModel:
     def parameters(self) -> list[Tensor]:
         return [t for layer in self.layers for t in layer.tensors()]
 
-    def checksum(self) -> float:
-        return float(sum(np.sum(t.data) + np.sum(t.data**2) for t in self.parameters()))
-
 
 def init_gine(
     rng: np.random.Generator,
@@ -118,40 +127,56 @@ def init_gine(
     )
 
 
-class _GraphTensors:
-    """Constant per-graph matrices shared by every forward pass."""
+class _Batch:
+    """Disjoint union of graphs: stacked node features (N, m) and message
+    features (2E, k), with constant sparse block-diagonal gather (2E x N),
+    scatter (N x 2E) and mean-pool (B x N) matrices."""
 
-    def __init__(self, g: AttributedGraph):
-        self.n = g.n
-        self.x = Tensor(g.x)
-        n_deliveries = 2 * len(g.edges)
-        self.has_edges = n_deliveries > 0
+    def __init__(self, graphs: list[AttributedGraph]):
+        self.sizes = np.array([g.n for g in graphs], dtype=np.intp)
+        if not self.sizes.all():
+            raise DataError("cannot embed a graph without vertices")
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        n_nodes = int(self.offsets[-1])
+        src, tgt = np.concatenate(
+            [g.message_ends + off for g, off in zip(graphs, self.offsets)], axis=1
+        )
+        n_msgs = src.size
+        self.x = Tensor(np.concatenate([g.x for g in graphs]))
+        self.has_edges = n_msgs > 0
         if self.has_edges:
-            src = np.zeros((n_deliveries, g.n))
-            tgt_t = np.zeros((g.n, n_deliveries))
-            for i, (s, t) in enumerate(g.edges):
-                src[i, s] = 1.0
-                tgt_t[t, i] = 1.0
-                src[i + len(g.edges), t] = 1.0
-                tgt_t[s, i + len(g.edges)] = 1.0
-            self.gather = Tensor(src)
-            self.scatter = Tensor(tgt_t)
-            self.y_both = Tensor(np.vstack([g.y, g.y]))
+            ones, one_per_row = np.ones(n_msgs), np.arange(n_msgs + 1)
+            self.gather = sp.csr_matrix((ones, src, one_per_row), shape=(n_msgs, n_nodes))
+            by_target = sp.csr_matrix((ones, tgt, one_per_row), shape=(n_msgs, n_nodes))
+            self.scatter = by_target.T.tocsr()
+            self.y = Tensor(np.concatenate([y for g in graphs for y in (g.y, g.y)]))
+        self.pool = sp.csr_matrix(
+            (np.repeat(1.0 / self.sizes, self.sizes), np.arange(n_nodes), self.offsets),
+            shape=(len(graphs), n_nodes),
+        )
 
 
-def _forward(model: GineModel, gt: _GraphTensors) -> tuple[list[Tensor], Tensor]:
-    h = gt.x
+def _chunks(graphs: list[AttributedGraph], size: int):
+    """Batches of at most `size` consecutive graphs, in graph order."""
+    return (_Batch(graphs[lo : lo + size]) for lo in range(0, len(graphs), size))
+
+
+def _forward(model: GineModel, batch: _Batch) -> tuple[list[Tensor], Tensor]:
+    """Per-layer (N, h) node embeddings and the (B, L*h) graph embeddings."""
+    h = batch.x
     per_layer: list[Tensor] = []
     for layer in model.layers:
         combined = ad.add(h, ad.scalar_mul(layer.epsilon, h))  # (1 + eps) * h
-        if gt.has_edges:
+        if batch.has_edges:
             messages = ad.relu(
-                ad.add(ad.matmul(gt.gather, h), ad.matmul(gt.y_both, layer.edge_proj))
+                ad.add(
+                    ad.sparse_matmul(batch.gather, h), ad.matmul(batch.y, layer.edge_proj)
+                )
             )
-            combined = ad.add(combined, ad.matmul(gt.scatter, messages))
+            combined = ad.add(combined, ad.sparse_matmul(batch.scatter, messages))
         h = ad.matmul(ad.relu(ad.matmul(combined, layer.w1)), layer.w2)
         per_layer.append(h)
-    graph_emb = ad.concat_cols([ad.mean_rows(h) for h in per_layer])
+    graph_emb = ad.concat_cols([ad.sparse_matmul(batch.pool, h) for h in per_layer])
     return per_layer, graph_emb
 
 
@@ -165,7 +190,14 @@ def gine_forward(model: GineModel, g: AttributedGraph) -> tuple[list[Tensor], Te
         raise DataError(
             f"graph edge features have dim {g.y.shape[1]}, model expects {model.edge_dim}"
         )
-    return _forward(model, _GraphTensors(g))
+    per_layer, emb = _forward(model, _Batch([g]))
+    return per_layer, ad.matmul(Tensor(np.ones(1)), emb)  # (1, L*h) -> (L*h,)
+
+
+def _embeddings(model: GineModel, graphs: list[AttributedGraph], size: int) -> np.ndarray:
+    """(T, L*h) graph embeddings, computed `size` graphs at a time."""
+    parts = [_forward(model, b)[1].data for b in _chunks(graphs, size)]
+    return np.concatenate([np.zeros((0, model.embedding_dim)), *parts])
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +236,21 @@ def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
     return min(losses[-patience:]) > best_before - min_delta
 
 
-def _fit(params, term, rng, n, config, weight_decay: float) -> list[float]:
-    """Adam on the batch mean of `term(i)` over shuffled mini-batches of
-    graphs 0..n-1; returns the per-epoch mean loss, stopping on a plateau."""
+def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]:
+    """Adam on the batch mean of `batch_loss(idx)`, the summed loss of the
+    graphs at `idx`, over shuffled mini-batches of graphs 0..n-1; returns
+    the per-epoch mean loss, stopping on a plateau."""
     state = AdamState(params)
     losses: list[float] = []
     for _ in range(config.epochs):
         epoch_loss = 0.0
-        for batch in _epoch_batches(rng, n, config.batch_size):
+        for idx in _epoch_batches(rng, n, config.batch_size):
             for p in params:
                 p.zero_grad()
-            terms = [term(i) for i in batch]
-            loss = terms[0]
-            for t in terms[1:]:
-                loss = ad.add(loss, t)
-            loss = ad.scalar_mul(1.0 / len(batch), loss)
+            loss = ad.scalar_mul(1.0 / len(idx), batch_loss(idx))
             loss.backward()
             adam_step(params, state, lr=config.lr, weight_decay=weight_decay)
-            epoch_loss += float(loss.data) * len(batch)
+            epoch_loss += float(loss.data) * len(idx)
         losses.append(epoch_loss / n)
         if _plateau(losses, config.patience, config.min_delta):
             break
@@ -235,21 +264,25 @@ def ocgin_train(graphs: list[AttributedGraph], config: OcginConfig) -> OcginStat
         raise DataError("ocgin_train needs a non-empty graph list")
     rng = np.random.default_rng(config.seed)
     model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
-    prepped = [_GraphTensors(g) for g in graphs]
-    center = np.mean([_forward(model, gt)[1].data for gt in prepped], axis=0)
-    c_tensor = Tensor(center)
+    center = np.mean(_embeddings(model, graphs, config.batch_size), axis=0)
 
-    def term(i: int) -> Tensor:
-        return ad.squared_norm(ad.sub(_forward(model, prepped[i])[1], c_tensor))
+    def batch_loss(idx) -> Tensor:
+        emb = _forward(model, _Batch([graphs[i] for i in idx]))[1]
+        return ad.squared_norm(ad.sub(emb, Tensor(np.tile(center, (len(idx), 1)))))
 
-    losses = _fit(model.parameters(), term, rng, len(graphs), config, config.weight_decay)
+    losses = _fit(
+        model.parameters(), batch_loss, rng, len(graphs), config, config.weight_decay
+    )
     return OcginState(model=model, center=center, loss_curve=losses)
 
 
-def ocgin_scores(state: OcginState, graphs: list[AttributedGraph]) -> np.ndarray:
-    """Squared distance of each graph embedding to the center."""
-    diffs = [gine_forward(state.model, g)[1].data - state.center for g in graphs]
-    return np.array([float(d @ d) for d in diffs])
+def ocgin_scores(
+    state: OcginState, graphs: list[AttributedGraph], batch_size: int = 50
+) -> np.ndarray:
+    """Squared distance of each graph embedding to the center, computed
+    `batch_size` graphs at a time."""
+    diffs = _embeddings(state.model, graphs, batch_size) - state.center
+    return np.sum(diffs * diffs, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +310,6 @@ class GlocalState:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def _distill_loss(
-    student: GineModel,
-    gt: _GraphTensors,
-    teacher_nodes: np.ndarray,
-    teacher_emb: np.ndarray,
-    lam: float,
-) -> Tensor:
-    per_layer, emb = _forward(student, gt)
-    node_term = ad.scalar_mul(
-        lam / gt.n, ad.squared_norm(ad.sub(per_layer[-1], Tensor(teacher_nodes)))
-    )
-    graph_term = ad.squared_norm(ad.sub(emb, Tensor(teacher_emb)))
-    return ad.add(node_term, graph_term)
-
-
 def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> GlocalState:
     """Train a student to mimic a frozen random teacher; the mimicry error
     (lambda * node term + graph term) is the anomaly score."""
@@ -305,33 +323,44 @@ def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> Gloca
         t.requires_grad = False
     student = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
 
-    prepped = [_GraphTensors(g) for g in graphs]
-    teacher_out = []
-    for gt in prepped:
-        per_layer, emb = _forward(teacher, gt)
-        teacher_out.append((per_layer[-1].data.copy(), emb.data.copy()))
+    teacher_nodes: list[np.ndarray] = []
+    teacher_embs = []
+    for batch in _chunks(graphs, config.batch_size):
+        per_layer, emb = _forward(teacher, batch)
+        teacher_nodes.extend(np.split(per_layer[-1].data, batch.offsets[1:-1]))
+        teacher_embs.append(emb.data)
+    teacher_emb = np.concatenate(teacher_embs)
 
-    def term(i: int) -> Tensor:
-        nodes, emb = teacher_out[i]
-        return _distill_loss(student, prepped[i], nodes, emb, config.lam)
+    def batch_loss(idx) -> Tensor:
+        """Sum over the batch of lambda/n * node term + graph term."""
+        batch = _Batch([graphs[i] for i in idx])
+        per_layer, emb = _forward(student, batch)
+        target = np.concatenate([teacher_nodes[i] for i in idx])
+        node_diff = ad.sub(per_layer[-1], Tensor(target))
+        # squaring rows scaled by sqrt(lambda/n) weighs each graph's node term by lambda/n
+        root = np.repeat(np.sqrt(config.lam / batch.sizes), batch.sizes)
+        scale = sp.diags(root, format="csr")
+        node_term = ad.squared_norm(ad.sparse_matmul(scale, node_diff))
+        graph_term = ad.squared_norm(ad.sub(emb, Tensor(teacher_emb[idx])))
+        return ad.add(node_term, graph_term)
 
-    losses = _fit(student.parameters(), term, rng, len(graphs), config, 0.0)
+    losses = _fit(student.parameters(), batch_loss, rng, len(graphs), config, 0.0)
     return GlocalState(
         teacher=teacher, student=student, lam=config.lam, loss_curve=losses
     )
 
 
-def glocalkd_score(state: GlocalState, g: AttributedGraph) -> float:
-    """lambda * final-layer node mimicry error + graph embedding error."""
-    gt = _GraphTensors(g)
-    teacher_layers, teacher_emb = _forward(state.teacher, gt)
-    student_layers, student_emb = _forward(state.student, gt)
-    node_err = float(
-        np.sum((student_layers[-1].data - teacher_layers[-1].data) ** 2)
-    ) / g.n
-    graph_err = float(np.sum((student_emb.data - teacher_emb.data) ** 2))
-    return state.lam * node_err + graph_err
-
-
-def glocalkd_scores(state: GlocalState, graphs: list[AttributedGraph]) -> np.ndarray:
-    return np.array([glocalkd_score(state, g) for g in graphs])
+def glocalkd_scores(
+    state: GlocalState, graphs: list[AttributedGraph], batch_size: int = 50
+) -> np.ndarray:
+    """lambda * final-layer node mimicry error / n + graph embedding error,
+    computed `batch_size` graphs at a time."""
+    scores = [np.zeros(0)]
+    for batch in _chunks(graphs, batch_size):
+        teacher_layers, teacher_emb = _forward(state.teacher, batch)
+        student_layers, student_emb = _forward(state.student, batch)
+        node_sq = np.sum((student_layers[-1].data - teacher_layers[-1].data) ** 2, axis=1)
+        node_err = np.add.reduceat(node_sq, batch.offsets[:-1]) / batch.sizes
+        graph_err = np.sum((student_emb.data - teacher_emb.data) ** 2, axis=1)
+        scores.append(state.lam * node_err + graph_err)
+    return np.concatenate(scores)

@@ -300,10 +300,10 @@ def stage_gnn(
     if model == "ocgin":
         config = gnn.OcginConfig(weight_decay=weight_decay, **common)
         state = gnn.ocgin_train(attributed, config)
-        scores = gnn.ocgin_scores(state, attributed)
+        scores = gnn.ocgin_scores(state, attributed, batch)
     elif model == "glocalkd":
         state = gnn.glocalkd_train(attributed, gnn.GlocalConfig(lam=lam, **common))
-        scores = gnn.glocalkd_scores(state, attributed)
+        scores = gnn.glocalkd_scores(state, attributed, batch)
     else:
         raise ConfigError(f"unknown gnn model {model!r}")
     if checkpoint_path is not None:

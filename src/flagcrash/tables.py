@@ -25,7 +25,7 @@ def write_feature_csv(path, dates: list[date], columns: list[str], values) -> No
     with open(path, "w", encoding="utf-8") as f:
         f.write("date," + ",".join(columns) + "\n")
         for d, row in zip(dates, values):
-            f.write(d.isoformat() + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            f.write(d.isoformat() + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 @lru_cache(maxsize=1 << 14)

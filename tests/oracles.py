@@ -13,6 +13,8 @@ from datetime import date, timedelta
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from flagcrash import autodiff as ad
+from flagcrash import gnn
 from flagcrash.corrnet import WeightedDigraph
 
 
@@ -267,3 +269,141 @@ def reference_lof(points: np.ndarray, k: int) -> np.ndarray:
     mean_reach = np.where(neighbor_mask, reach, 0.0).sum(axis=1) / counts
     lrd = 1.0 / (mean_reach + 1e-10)
     return np.where(neighbor_mask, lrd[None, :], 0.0).sum(axis=1) / counts / lrd
+
+
+# ---------------------------------------------------------------------------
+# Per-graph GINE: one tape per graph over dense one-hot (2E x n) gather and
+# scatter matrices, and the training loop that summed per-graph loss terms.
+# This was the production path before graphs were batched; batched forwards,
+# scores and loss curves must match it to rounding.
+
+
+class OneHotGraph:
+    """Constant per-graph matrices shared by every forward pass."""
+
+    def __init__(self, g):
+        self.n = g.n
+        self.x = ad.Tensor(g.x)
+        n_deliveries = 2 * len(g.edges)
+        self.has_edges = n_deliveries > 0
+        if self.has_edges:
+            src = np.zeros((n_deliveries, g.n))
+            tgt_t = np.zeros((g.n, n_deliveries))
+            for i, (s, t) in enumerate(g.edges):
+                src[i, s] = 1.0
+                tgt_t[t, i] = 1.0
+                src[i + len(g.edges), t] = 1.0
+                tgt_t[s, i + len(g.edges)] = 1.0
+            self.gather = ad.Tensor(src)
+            self.scatter = ad.Tensor(tgt_t)
+            self.y_both = ad.Tensor(np.vstack([g.y, g.y]))
+
+
+def onehot_forward(model, gt: OneHotGraph):
+    """Per-layer (n, h) node tensors and the (L*h,) graph embedding."""
+    h = gt.x
+    per_layer = []
+    for layer in model.layers:
+        combined = ad.add(h, ad.scalar_mul(layer.epsilon, h))
+        if gt.has_edges:
+            messages = ad.relu(
+                ad.add(ad.matmul(gt.gather, h), ad.matmul(gt.y_both, layer.edge_proj))
+            )
+            combined = ad.add(combined, ad.matmul(gt.scatter, messages))
+        h = ad.matmul(ad.relu(ad.matmul(combined, layer.w1)), layer.w2)
+        per_layer.append(h)
+    return per_layer, ad.concat_cols([ad.mean_rows(h) for h in per_layer])
+
+
+def _reference_fit(params, term, rng, n, config, weight_decay):
+    state = ad.AdamState(params)
+    losses = []
+    for _ in range(config.epochs):
+        epoch_loss = 0.0
+        perm = rng.permutation(n)
+        for batch in [perm[i : i + config.batch_size] for i in range(0, n, config.batch_size)]:
+            for p in params:
+                p.zero_grad()
+            terms = [term(i) for i in batch]
+            loss = terms[0]
+            for t in terms[1:]:
+                loss = ad.add(loss, t)
+            loss = ad.scalar_mul(1.0 / len(batch), loss)
+            loss.backward()
+            ad.adam_step(params, state, lr=config.lr, weight_decay=weight_decay)
+            epoch_loss += float(loss.data) * len(batch)
+        losses.append(epoch_loss / n)
+        if len(losses) > config.patience and min(
+            losses[-config.patience :]
+        ) > min(losses[: -config.patience]) - config.min_delta:
+            break
+    return losses
+
+
+def reference_ocgin_train(graphs, config):
+    rng = np.random.default_rng(config.seed)
+    model = gnn.init_gine(rng, hidden=config.hidden, n_layers=config.layers)
+    prepped = [OneHotGraph(g) for g in graphs]
+    center = np.mean([onehot_forward(model, gt)[1].data for gt in prepped], axis=0)
+    c_tensor = ad.Tensor(center)
+
+    def term(i):
+        return ad.squared_norm(ad.sub(onehot_forward(model, prepped[i])[1], c_tensor))
+
+    losses = _reference_fit(
+        model.parameters(), term, rng, len(graphs), config, config.weight_decay
+    )
+    return gnn.OcginState(model=model, center=center, loss_curve=losses)
+
+
+def reference_ocgin_scores(state, graphs):
+    diffs = [onehot_forward(state.model, OneHotGraph(g))[1].data - state.center for g in graphs]
+    return np.array([float(d @ d) for d in diffs])
+
+
+def reference_glocalkd_train(graphs, config):
+    rng = np.random.default_rng(config.seed)
+    teacher = gnn.init_gine(rng, hidden=config.hidden, n_layers=config.layers)
+    for t in teacher.parameters():
+        t.requires_grad = False
+    student = gnn.init_gine(rng, hidden=config.hidden, n_layers=config.layers)
+    prepped = [OneHotGraph(g) for g in graphs]
+    teacher_out = []
+    for gt in prepped:
+        per_layer, emb = onehot_forward(teacher, gt)
+        teacher_out.append((per_layer[-1].data.copy(), emb.data.copy()))
+
+    def term(i):
+        nodes, emb = teacher_out[i]
+        per_layer, s_emb = onehot_forward(student, prepped[i])
+        node_term = ad.scalar_mul(
+            config.lam / prepped[i].n,
+            ad.squared_norm(ad.sub(per_layer[-1], ad.Tensor(nodes))),
+        )
+        return ad.add(node_term, ad.squared_norm(ad.sub(s_emb, ad.Tensor(emb))))
+
+    losses = _reference_fit(student.parameters(), term, rng, len(graphs), config, 0.0)
+    return gnn.GlocalState(
+        teacher=teacher, student=student, lam=config.lam, loss_curve=losses
+    )
+
+
+def reference_glocalkd_score(state, g) -> float:
+    """lambda * final-layer node mimicry error / n + graph embedding error."""
+    gt = OneHotGraph(g)
+    teacher_layers, teacher_emb = onehot_forward(state.teacher, gt)
+    student_layers, student_emb = onehot_forward(state.student, gt)
+    node_err = float(
+        np.sum((student_layers[-1].data - teacher_layers[-1].data) ** 2)
+    ) / g.n
+    graph_err = float(np.sum((student_emb.data - teacher_emb.data) ** 2))
+    return state.lam * node_err + graph_err
+
+
+def reference_glocalkd_scores(state, graphs):
+    return np.array([reference_glocalkd_score(state, g) for g in graphs])
+
+
+def model_checksum(model) -> float:
+    """Sum of every parameter entry and its square: equal models, equal sums."""
+    return float(sum(np.sum(t.data) + np.sum(t.data**2) for t in model.parameters()))

@@ -66,6 +66,26 @@ class TestGraphArchive:
         with pytest.raises(DataError, match="date"):
             write_graphs(tmp_path / "x.bin", [WeightedDigraph(2, [], None)], {})
 
+    @pytest.mark.parametrize(
+        "sizes, params, message",
+        [
+            ((3, 4, 3), {}, "different vertex counts"),
+            ((3, 3), {"tickers": ["a", "b"]}, "tickers"),
+            ((3, 3), {"tickers": "abc"}, "tickers"),
+            ((3, 3, None), {}, "date"),
+        ],
+        ids=["mixed-vertex-count", "short-tickers", "tickers-not-list", "late-undated"],
+    )
+    def test_bad_archive_writes_no_file(self, tmp_path, sizes, params, message):
+        graphs = [
+            WeightedDigraph(n or 3, [(0, 1, 0.5)], date(2020, 1, 1 + i) if n else None)
+            for i, n in enumerate(sizes)
+        ]
+        path = tmp_path / "x.bin"
+        with pytest.raises(DataError, match=message):
+            write_graphs(path, graphs, params)
+        assert list(tmp_path.iterdir()) == []
+
 
 def fcgr_bytes(records):
     """A hand-written FCGR v1 archive of (date text, n_vertices, edges) records."""
@@ -183,6 +203,23 @@ class TestFeatureTables:
         rdates, rscores = read_scores_csv(path)
         assert rdates == dates
         assert np.array_equal(rscores, scores)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_bytes_equal_per_value_formatter(self, tmp_path, dtype):
+        values = np.array(
+            [[-0.0, 5e-324, 1e16], [1e-5, 0.1 + 0.2, 2.0**53], [-1.5, 7.0, 1e300]]
+        )
+        if dtype is not np.float64:
+            values = np.round(values * 1e3).clip(-1e6, 1e6).astype(dtype)
+        dates = [date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6)]
+        path = tmp_path / "f.csv"
+        write_feature_csv(path, dates, ["a", "b", "c"], values)
+        as_float = np.asarray(values, dtype=np.float64)
+        expected = "date,a,b,c\n" + "".join(
+            d.isoformat() + "," + ",".join(repr(float(v)) for v in row) + "\n"
+            for d, row in zip(dates, as_float)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(DataError):

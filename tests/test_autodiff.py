@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from flagcrash.autodiff import (
     AdamState,
@@ -11,6 +12,7 @@ from flagcrash.autodiff import (
     mean_rows,
     relu,
     scalar_mul,
+    sparse_matmul,
     squared_norm,
     sub,
 )
@@ -127,6 +129,57 @@ def test_random_composition_matches_finite_differences(seed):
     numeric = finite_difference_grad(loss_fn, params)
     for a, n in zip(analytic, numeric):
         assert relative_error(a, n) < 1e-4
+
+
+class TestSparseMatmul:
+    def matrix(self, rng, shape, density=0.4):
+        dense = rng.normal(size=shape) * (rng.random(shape) < density)
+        return sp.csr_matrix(dense), dense
+
+    def test_forward_equals_dense_product(self):
+        rng = np.random.default_rng(3)
+        a, dense = self.matrix(rng, (7, 5))
+        x = rng.normal(size=(5, 3))
+        out = sparse_matmul(a, Tensor(x))
+        assert isinstance(out.data, np.ndarray) and out.shape == (7, 3)
+        np.testing.assert_allclose(out.data, dense @ x, rtol=1e-14, atol=1e-15)
+
+    def test_backward_is_transpose_product(self):
+        rng = np.random.default_rng(4)
+        a, dense = self.matrix(rng, (6, 4))
+        x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        target = rng.normal(size=(6, 2))
+        squared_norm(sub(sparse_matmul(a, x), Tensor(target))).backward()
+        expected = dense.T @ (2.0 * (dense @ x.data - target))
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_composition_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        gather, _ = self.matrix(rng, (9, 4))
+        scatter, _ = self.matrix(rng, (4, 9))
+        w = Tensor(rng.normal(size=(3, 3)) * 0.7, requires_grad=True)
+        h = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+
+        def loss_fn():
+            messages = relu(matmul(sparse_matmul(gather, h), w))
+            return squared_norm(add(h, sparse_matmul(scatter, messages)))
+
+        params = [w, h]
+        loss_fn().backward()
+        analytic = [p.grad.copy() for p in params]
+        numeric = finite_difference_grad(loss_fn, params)
+        for a, n in zip(analytic, numeric):
+            assert relative_error(a, n) < 1e-4
+
+    def test_constant_input_records_no_tape(self):
+        out = sparse_matmul(sp.identity(2, format="csr"), Tensor(np.ones((2, 2))))
+        assert not out.requires_grad and out._backward is None
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2)])
+    def test_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="sparse_matmul"):
+            sparse_matmul(sp.identity(3, format="csr"), Tensor(np.ones(shape)))
 
 
 def test_backward_deterministic_bit_identical():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flagcrash import autodiff as ad
+from flagcrash import gnn
 from flagcrash.corrnet import WeightedDigraph
 from flagcrash.errors import DataError
 from flagcrash.gnn import (
@@ -13,7 +14,6 @@ from flagcrash.gnn import (
     OcginConfig,
     attribute_graphs,
     gine_forward,
-    glocalkd_score,
     glocalkd_scores,
     glocalkd_train,
     init_gine,
@@ -21,7 +21,14 @@ from flagcrash.gnn import (
     ocgin_train,
 )
 
-from oracles import random_graph_sequence
+from oracles import (
+    model_checksum,
+    random_graph_sequence,
+    reference_glocalkd_scores,
+    reference_glocalkd_train,
+    reference_ocgin_scores,
+    reference_ocgin_train,
+)
 
 
 def digraph(n, edges):
@@ -240,7 +247,7 @@ class TestOcgin:
         graphs = attribute_graphs(random_graph_sequence(8, 24, 8))
         state_a = ocgin_train(graphs, self.small_config(seed=1, epochs=40))
         state_b = ocgin_train(graphs, self.small_config(seed=2, epochs=40))
-        assert state_a.model.checksum() != state_b.model.checksum()
+        assert model_checksum(state_a.model) != model_checksum(state_b.model)
         for curve in (state_a.loss_curve, state_b.loss_curve):
             smoothed = np.convolve(curve, np.ones(8) / 8, mode="valid")
             assert smoothed[-1] < smoothed[0]
@@ -290,17 +297,17 @@ class TestGlocal:
         graphs = attribute_graphs(random_graph_sequence(3, 6, 6))
         state = glocalkd_train(graphs, self.small_config(epochs=1))
         state.student = copy.deepcopy(state.teacher)
-        for g in graphs:
-            assert glocalkd_score(state, g) == pytest.approx(0.0, abs=1e-20)
+        np.testing.assert_array_equal(glocalkd_scores(state, graphs), 0.0)
 
     def test_lambda_zero_score_is_graph_term_alone(self):
         graphs = attribute_graphs(random_graph_sequence(6, 5, 6))
         state = glocalkd_train(graphs, self.small_config(lam=0.0, epochs=3))
-        for g in graphs:
+        scores = glocalkd_scores(state, graphs)
+        for g, score in zip(graphs, scores):
             _, t_emb = numpy_gine_forward(state.teacher, g)
             _, s_emb = numpy_gine_forward(state.student, g)
             expected = float(np.sum((s_emb - t_emb) ** 2))
-            assert glocalkd_score(state, g) == pytest.approx(expected, rel=1e-12)
+            assert score == pytest.approx(expected, rel=1e-12)
 
     def test_training_reduces_mean_loss(self):
         graphs = attribute_graphs(random_graph_sequence(12, 50, 8))
@@ -313,7 +320,7 @@ class TestGlocal:
         rng = np.random.default_rng(cfg.seed)
         reference = init_gine(rng, hidden=cfg.hidden, n_layers=cfg.layers)
         state = glocalkd_train(graphs, cfg)
-        assert state.teacher.checksum() == reference.checksum()
+        assert model_checksum(state.teacher) == model_checksum(reference)
         for pt, pr in zip(state.teacher.parameters(), reference.parameters()):
             assert np.array_equal(pt.data, pr.data)
 
@@ -376,3 +383,128 @@ class TestGlocal:
     def test_empty_list_rejected(self):
         with pytest.raises(DataError):
             glocalkd_train([], self.small_config())
+
+
+def mixed_graphs():
+    """Different vertex counts, an edgeless graph, a one-direction (Pearson-
+    like) graph, a both-direction (CCM-like) graph and random digraphs."""
+    one_way = digraph(5, [(0, 1, 0.3), (0, 2, 0.9), (1, 3, 0.5), (2, 4, 0.7), (3, 4, 0.2)])
+    both_ways = digraph(
+        4, [(0, 1, 0.4), (1, 0, 0.8), (1, 2, 0.6), (2, 1, 0.1), (2, 3, 0.5), (3, 0, 0.3)]
+    )
+    raw = [one_way, digraph(3, []), both_ways, digraph(1, [])]
+    raw += random_graph_sequence(31, 4, 9)
+    return attribute_graphs(raw)
+
+
+def relative_gap(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_batch_matches_numpy_reference_per_graph(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        model = init_gine(rng, hidden=6, n_layers=3)
+        graphs = mixed_graphs()
+        order = rng.permutation(len(graphs))
+        batch = gnn._Batch([graphs[i] for i in order])
+        per_layer, emb = gnn._forward(model, batch)
+        assert emb.shape == (len(graphs), model.embedding_dim)
+        assert per_layer[-1].shape == (sum(g.n for g in graphs), model.hidden)
+        for row, i in enumerate(order):
+            ref_layers, ref_emb = numpy_gine_forward(model, graphs[i])
+            lo, hi = batch.offsets[row], batch.offsets[row + 1]
+            np.testing.assert_allclose(emb.data[row], ref_emb, rtol=0, atol=1e-12)
+            for mine, ref in zip(per_layer, ref_layers):
+                np.testing.assert_allclose(mine.data[lo:hi], ref, rtol=0, atol=1e-12)
+
+    def test_batch_holds_sparse_block_diagonal_matrices(self):
+        graphs = mixed_graphs()
+        batch = gnn._Batch(graphs)
+        n_msgs = 2 * sum(len(g.edges) for g in graphs)
+        n_nodes = sum(g.n for g in graphs)
+        assert batch.gather.format == batch.scatter.format == batch.pool.format == "csr"
+        assert batch.gather.shape == (n_msgs, n_nodes) and batch.gather.nnz == n_msgs
+        assert batch.scatter.shape == (n_nodes, n_msgs) and batch.scatter.nnz == n_msgs
+        assert batch.pool.shape == (len(graphs), n_nodes) and batch.pool.nnz == n_nodes
+        # every message stays inside its own graph's block
+        for row, (lo, hi) in enumerate(zip(batch.offsets[:-1], batch.offsets[1:])):
+            np.testing.assert_allclose(batch.pool[row].toarray()[0, lo:hi], 1.0 / graphs[row].n)
+        src = batch.gather.indices
+        tgt = batch.scatter.tocsc().indices
+        assert np.array_equal(
+            np.searchsorted(batch.offsets, src, side="right"),
+            np.searchsorted(batch.offsets, tgt, side="right"),
+        )
+
+    def test_vertexless_graph_rejected(self):
+        (g,) = attribute_graphs([digraph(0, [])])
+        with pytest.raises(DataError, match="vertices"):
+            ocgin_scores(ocgin_train([g], OcginConfig(epochs=1)), [g])
+
+
+def oracle_configs():
+    return [
+        dict(lr=0.003, batch_size=16, layers=2, hidden=5, epochs=25, seed=7),
+        dict(lr=0.001, batch_size=7, layers=3, hidden=6, epochs=12, seed=3),
+        dict(lr=0.01, batch_size=50, layers=1, hidden=4, epochs=40, seed=5, patience=5),
+    ]
+
+
+class TestAgainstPerGraphOracle:
+    """Batched training and scoring against the per-graph one-hot oracle."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_ocgin_scores_and_loss_curve(self, case):
+        graphs = attribute_graphs(random_graph_sequence(400 + case, 30, 9))
+        config = OcginConfig(weight_decay=1e-4, **oracle_configs()[case])
+        state = ocgin_train(graphs, config)
+        ref = reference_ocgin_train(graphs, config)
+        assert len(state.loss_curve) == len(ref.loss_curve)
+        assert relative_gap(state.loss_curve, ref.loss_curve) <= 1e-10
+        assert relative_gap(state.center, ref.center) <= 1e-10
+        scores = ocgin_scores(state, graphs, config.batch_size)
+        assert relative_gap(scores, reference_ocgin_scores(ref, graphs)) <= 1e-10
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_glocalkd_scores_and_loss_curve(self, case):
+        graphs = attribute_graphs(random_graph_sequence(500 + case, 30, 9))
+        config = GlocalConfig(lam=0.1 + 0.4 * case, **oracle_configs()[case])
+        state = glocalkd_train(graphs, config)
+        ref = reference_glocalkd_train(graphs, config)
+        assert len(state.loss_curve) == len(ref.loss_curve)
+        assert relative_gap(state.loss_curve, ref.loss_curve) <= 1e-10
+        scores = glocalkd_scores(state, graphs, config.batch_size)
+        assert relative_gap(scores, reference_glocalkd_scores(ref, graphs)) <= 1e-10
+
+    def test_early_stop_epoch_matches(self):
+        graphs = attribute_graphs(random_graph_sequence(600, 20, 7))
+        config = OcginConfig(
+            lr=0.003, batch_size=8, layers=2, hidden=4, epochs=200, patience=3, min_delta=1e-3
+        )
+        state = ocgin_train(graphs, config)
+        ref = reference_ocgin_train(graphs, config)
+        assert len(state.loss_curve) < config.epochs
+        assert len(state.loss_curve) == len(ref.loss_curve)
+
+
+class TestScoreChunks:
+    @pytest.mark.parametrize("size", [1, 3, 7, 100])
+    def test_chunked_scores_equal_one_chunk(self, size):
+        graphs = mixed_graphs() + attribute_graphs(random_graph_sequence(700, 12, 8))
+        oc = ocgin_train(graphs, OcginConfig(lr=0.003, layers=2, hidden=5, epochs=3))
+        kd = glocalkd_train(graphs, GlocalConfig(lr=0.003, layers=2, hidden=5, epochs=3))
+        whole = len(graphs)
+        assert relative_gap(ocgin_scores(oc, graphs, size), ocgin_scores(oc, graphs, whole)) <= 1e-12
+        assert relative_gap(
+            glocalkd_scores(kd, graphs, size), glocalkd_scores(kd, graphs, whole)
+        ) <= 1e-12
+
+    def test_empty_graph_list_scores_empty(self):
+        graphs = attribute_graphs(random_graph_sequence(701, 3, 5))
+        oc = ocgin_train(graphs, OcginConfig(layers=1, hidden=3, epochs=1))
+        kd = glocalkd_train(graphs, GlocalConfig(layers=1, hidden=3, epochs=1))
+        assert ocgin_scores(oc, []).shape == (0,)
+        assert glocalkd_scores(kd, []).shape == (0,)
