@@ -26,13 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .corrnet import WeightedDigraph
+from .corrnet import EDGE_DTYPE, WeightedDigraph, stack_edges
 
 MAGIC = b"FCGR"
 VERSION = 1
 _HEAD = struct.Struct("<4sIQ")
 _REC_HEAD = struct.Struct("<10sIQ")
-_EDGE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
+_CHECK_RECORDS = 256  # records whose edges are validated in one pass; bounds its memory
 
 
 def sidecar_path(path) -> Path:
@@ -65,14 +65,17 @@ def write_graphs(path, graphs: list[WeightedDigraph], params: dict) -> None:
                     len(g.edges),
                 )
             )
-            f.write(np.array(g.edges, dtype=_EDGE).tobytes())
+            f.write(np.array(g.edges, dtype=EDGE_DTYPE).tobytes())
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         json.dump(params, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
+def read_graphs(path, edge_blocks: bool = False) -> tuple[list[WeightedDigraph], dict]:
     """Graphs and construction parameters of an archive.
+
+    Each graph's edges are a list of (s, t, w) tuples or, with
+    `edge_blocks`, the record's `EDGE_DTYPE` array as read.
 
     Every record is checked: vertex indices below its vertex count, no
     self-loops or duplicate edges, finite positive weights, dates
@@ -107,12 +110,15 @@ def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
                     f"{path}: record {as_of} has {n} vertices, "
                     f"the first record has {graphs[0].n_vertices}"
                 )
-            if _EDGE.itemsize * edge_count > size - f.tell():
+            if EDGE_DTYPE.itemsize * edge_count > size - f.tell():
                 raise DataError(f"{path}: truncated edge block")
-            block = np.frombuffer(f.read(_EDGE.itemsize * edge_count), dtype=_EDGE)
-            _check_edges(path, as_of, n, block)
-            edges = zip(block["s"].tolist(), block["t"].tolist(), block["w"].tolist())
-            graphs.append(WeightedDigraph(n_vertices=n, edges=list(edges), as_of_date=as_of))
+            block = np.frombuffer(f.read(EDGE_DTYPE.itemsize * edge_count), dtype=EDGE_DTYPE)
+            graphs.append(WeightedDigraph(n_vertices=n, edges=block, as_of_date=as_of))
+    for lo in range(0, len(graphs), _CHECK_RECORDS):
+        stack_edges(graphs[lo : lo + _CHECK_RECORDS], f"{path}: record")
+    if not edge_blocks:
+        for g in graphs:
+            g.edges = list(zip(g.edges["s"].tolist(), g.edges["t"].tolist(), g.edges["w"].tolist()))
     side = sidecar_path(path)
     params = {}
     if side.exists():
@@ -133,15 +139,3 @@ def _check_tickers(where, params: dict, n: int) -> None:
     if tickers is not None and (not isinstance(tickers, list) or len(tickers) != n):
         raise DataError(f"{where}: tickers are not a list of {n} names, one per graph vertex")
 
-
-def _check_edges(path, as_of: date, n: int, block: np.ndarray) -> None:
-    s, t, w = block["s"], block["t"], block["w"]
-    where = f"{path}: record {as_of}"
-    if (s >= n).any() or (t >= n).any():
-        raise DataError(f"{where}: vertex index out of range for {n} vertices")
-    if (s == t).any():
-        raise DataError(f"{where}: self-loop")
-    if np.unique(s.astype(np.uint64) * n + t).size < len(block):
-        raise DataError(f"{where}: duplicate edge")
-    if not (np.isfinite(w) & (w > 0.0)).all():
-        raise DataError(f"{where}: non-finite or non-positive edge weight")

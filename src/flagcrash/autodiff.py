@@ -7,10 +7,13 @@ Only the handful of ops needed for GINE message passing and the two
 anomaly losses are provided; shapes are 0-d, 1-d, or 2-d and never
 broadcast implicitly.  The one sparse op, `sparse_matmul`, multiplies a
 tensor by a constant `scipy.sparse` matrix (message gather, scatter and
-pooling over a batch of graphs).
+pooling over a batch of graphs).  Inside `no_grad()` no op records a
+tape, for forward passes that only score.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -77,9 +80,24 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+_recording = True  # False inside `no_grad`
+
+
+@contextmanager
+def no_grad():
+    """Within the block, ops record no tape: their outputs never require
+    grad and keep no parents, so intermediates are freed as they go."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _wrap(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

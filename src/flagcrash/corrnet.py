@@ -66,13 +66,51 @@ class CorrelationMatrix:
     kind: str  # "pearson" | "ccm"
 
 
+EDGE_DTYPE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
+"""One directed weighted edge (source, target, weight), as graph archives store it."""
+
+
 @dataclass
 class WeightedDigraph:
-    """Directed graph with weights in (0, 1]; zero entries are absent edges."""
+    """Directed graph with weights in (0, 1]; zero entries are absent edges.
+
+    `edges` is a list of (source, target, weight) tuples or, as
+    `archive.read_graphs(..., edge_blocks=True)` returns it, an
+    `EDGE_DTYPE` array of the same edges.
+    """
 
     n_vertices: int
     edges: list[tuple[int, int, float]] = field(default_factory=list)
     as_of_date: date | None = None
+
+
+def stack_edges(graphs: list[WeightedDigraph], where: str) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of `graphs` as one `EDGE_DTYPE` array, and each edge's graph index.
+
+    `graphs` is not empty and every graph has `graphs[0].n_vertices`
+    vertices.  Raises DataError, naming `where` and the date of the first
+    graph at fault, on a vertex index out of range, a self-loop, an edge
+    given twice, or a weight that is not finite and positive.
+    """
+    blocks = [np.asarray(g.edges, dtype=EDGE_DTYPE).reshape(-1) for g in graphs]
+    # joining raw bytes is much faster than np.concatenate of structured arrays
+    e = np.frombuffer(b"".join([b.tobytes() for b in blocks]), dtype=EDGE_DTYPE)
+    window = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    s, t, w = e["s"], e["t"], e["w"]
+    n = graphs[0].n_vertices
+    key = np.stack([window, s, t])[:, np.lexsort((t, s, window))]
+    repeated = (key[:, 1:] == key[:, :-1]).all(axis=0)
+    faults = [
+        (f"vertex index out of range for {n} vertices", window[(s >= n) | (t >= n)]),
+        ("self-loop", window[s == t]),
+        ("duplicate edge", key[0, 1:][repeated]),
+        ("non-finite or non-positive edge weight", window[~(np.isfinite(w) & (w > 0.0))]),
+    ]
+    found = [(int(at.min()), i) for i, (_, at) in enumerate(faults) if at.size]
+    if found:
+        first, i = min(found)
+        raise DataError(f"{where} {graphs[first].as_of_date}: {faults[i][0]}")
+    return e, window
 
 
 def _window_slice(returns: ReturnMatrix, window: WindowSpec) -> tuple[np.ndarray, date]:

@@ -16,8 +16,9 @@ union of its graphs: stacked node and message features plus constant
 sparse block-diagonal gather, scatter and mean-pool matrices, so one
 autodiff tape covers a whole training batch and graphs of different
 sizes can share it.  The one-class center, the teacher's targets and
-both scores are computed over chunks of `batch_size` graphs, so memory
-grows with the batch, not with the length of the series.
+both scores are computed over chunks of `batch_size` graphs under
+`autodiff.no_grad`, so memory grows with the batch, not with the length
+of the series, and no tape is kept for a pass that only scores.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def gine_forward(model: GineModel, g: AttributedGraph) -> tuple[list[Tensor], Te
 
 def _embeddings(model: GineModel, graphs: list[AttributedGraph], size: int) -> np.ndarray:
     """(T, L*h) graph embeddings, computed `size` graphs at a time."""
-    parts = [_forward(model, b)[1].data for b in _chunks(graphs, size)]
+    with ad.no_grad():
+        parts = [_forward(model, b)[1].data for b in _chunks(graphs, size)]
     return np.concatenate([np.zeros((0, model.embedding_dim)), *parts])
 
 
@@ -325,10 +327,11 @@ def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> Gloca
 
     teacher_nodes: list[np.ndarray] = []
     teacher_embs = []
-    for batch in _chunks(graphs, config.batch_size):
-        per_layer, emb = _forward(teacher, batch)
-        teacher_nodes.extend(np.split(per_layer[-1].data, batch.offsets[1:-1]))
-        teacher_embs.append(emb.data)
+    with ad.no_grad():
+        for batch in _chunks(graphs, config.batch_size):
+            per_layer, emb = _forward(teacher, batch)
+            teacher_nodes.extend(np.split(per_layer[-1].data, batch.offsets[1:-1]))
+            teacher_embs.append(emb.data)
     teacher_emb = np.concatenate(teacher_embs)
 
     def batch_loss(idx) -> Tensor:
@@ -357,8 +360,9 @@ def glocalkd_scores(
     computed `batch_size` graphs at a time."""
     scores = [np.zeros(0)]
     for batch in _chunks(graphs, batch_size):
-        teacher_layers, teacher_emb = _forward(state.teacher, batch)
-        student_layers, student_emb = _forward(state.student, batch)
+        with ad.no_grad():
+            teacher_layers, teacher_emb = _forward(state.teacher, batch)
+            student_layers, student_emb = _forward(state.student, batch)
         node_sq = np.sum((student_layers[-1].data - teacher_layers[-1].data) ** 2, axis=1)
         node_err = np.add.reduceat(node_sq, batch.offsets[:-1]) / batch.sizes
         graph_err = np.sum((student_emb.data - teacher_emb.data) ** 2, axis=1)

@@ -1,30 +1,67 @@
 """Persistent homology of directed flag complexes in dimensions 0 and 1.
 
-A weighted digraph is filtered by ascending edge weight; the directed
-flag complex admits an ordered tuple (v_a, v_b, v_c) as a 2-simplex
-exactly when the three directed edges (v_a,v_b), (v_a,v_c), (v_b,v_c)
-are present.  Simplices above dimension 2 cannot affect H0/H1 and are
-never built.  Homology is computed over GF(2) by column reduction of the
-boundary matrix, one dimension block at a time with the clearing
-optimization: an edge that already shows up as the pivot of a reduced
-triangle column is a doomed cycle-creator and is never reduced itself.
+A weighted digraph is filtered by ascending edge weight: vertices enter
+at 0, each edge at its weight, and the ordered triple (a, b, c) enters as
+a 2-simplex at the largest weight of its directed edges (a,b), (a,c),
+(b,c).  Ties follow one total order: edges by (weight, source, target),
+triangles by (value, a, b, c).  Simplices above dimension 2 cannot
+affect H0/H1 and are never built.
+
+The engine works on a chunk of windows that share one vertex count, on
+stacked numpy arrays.  One lexsort on (window, weight, source, target)
+ranks every edge; one boolean product over the (window, a, b, c)
+adjacency cube finds every directed triangle; a triangle's value and its
+youngest facet come from the ranks of its edges.  H0 is Kruskal
+union-find in filtration order, run in lockstep over the chunk's windows.
+H1 reduces each window's edge coboundaries over GF(2) (Python ints as bit
+columns over the window's triangles) in reverse filtration order, the
+cohomology dual of boundary reduction, which yields the same pairs
+(de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011).  Two kinds of edge are never reduced: Kruskal tree
+edges, which kill H0 classes (clearing), and the edge of an apparent
+pair, a triangle's youngest facet whose oldest cofacet is that triangle
+(Bauer, "Ripser", 2021).  In a flag complex most triangles pair this way,
+at zero length.
+
+Bars are listed as a boundary reduction in filtration order lists them:
+H1 bars by death, then H0 bars by edge.  Norms summed in list order are
+therefore the same floats whichever reducer made the diagram.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from datetime import date
 
-from .corrnet import WeightedDigraph
+import numpy as np
+
+from .corrnet import WeightedDigraph, stack_edges
 from .errors import DataError
 
-Simplex = tuple[tuple[int, ...], int, float]  # (vertex tuple, dimension, value)
+CHUNK_TRIPLES = 1 << 19
+"""Vertex triples (windows x n^3) one chunk may enumerate; this bounds the
+adjacency cube and the triangle arrays, so memory does not grow with the
+number of windows."""
 
 
 @dataclass
 class Filtration:
+    """The edges and directed triangles of windows that share a vertex count.
+
+    Window i owns edges `edge_start[i]:edge_start[i + 1]`, sorted by
+    (weight, source, target), and triangles `tri_start[i]:tri_start[i + 1]`,
+    sorted by (value, a, b, c).  Triangle (a, b, c) is stored as the edge
+    indices of its facets (b, c), (a, c), (a, b); its value is the weight
+    of the largest index among them.
+    """
+
     n_vertices: int
-    simplices: list[Simplex]  # sorted by (value, dimension, tuple)
+    edge_start: np.ndarray  # (W + 1,)
+    edges: np.ndarray  # (E, 2) source, target
+    weights: np.ndarray  # (E,)
+    tri_start: np.ndarray  # (W + 1,)
+    facets: np.ndarray  # (K, 3)
 
 
 @dataclass
@@ -47,101 +84,180 @@ class TdaFeature:
 
 
 def build_filtration(g: WeightedDigraph) -> Filtration:
-    """Vertices at 0, edges at their weight, directed 2-cliques at the max
-    of their three edge weights."""
-    weights: dict[tuple[int, int], float] = {}
-    succ: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
-    for s, t, w in g.edges:
-        if s == t:
-            raise DataError(f"self-loop on vertex {s}")
-        if (s, t) in weights:
-            raise DataError(f"duplicate edge ({s}, {t})")
-        if not 0.0 < w:
-            raise DataError(f"edge ({s}, {t}) has non-positive weight {w}")
-        weights[(s, t)] = w
-        succ[s].add(t)
-
-    simplices: list[Simplex] = [((v,), 0, 0.0) for v in range(g.n_vertices)]
-    for (a, b), w_ab in weights.items():
-        simplices.append(((a, b), 1, w_ab))
-        for c in succ[a] & succ[b]:
-            value = max(w_ab, weights[(a, c)], weights[(b, c)])
-            simplices.append(((a, b, c), 2, value))
-    simplices.sort(key=lambda s: (s[2], s[1], s[0]))
-    return Filtration(n_vertices=g.n_vertices, simplices=simplices)
+    """The one-window filtration of g: edges at their weight, directed
+    2-cliques at the max of their three edge weights; vertices, all at 0,
+    are implicit."""
+    return _build([g])
 
 
 def persistent_homology(f: Filtration) -> PersistenceDiagram:
-    """GF(2) boundary reduction of the filtration, reported for dims 0, 1.
+    """The dimension 0 and 1 diagram of a one-window filtration.
 
     Zero-length pairs are discarded; essential classes carry only a birth.
     """
-    index: dict[tuple[int, ...], int] = {}
-    values: list[float] = []
-    edges_at: list[int] = []
-    tris_at: list[int] = []
-    for i, (tup, dim, value) in enumerate(f.simplices):
-        index[tup] = i
-        values.append(value)
-        if dim == 1:
-            edges_at.append(i)
-        elif dim == 2:
-            tris_at.append(i)
+    (diagram,) = _diagrams(f)
+    return diagram
 
-    finite: list[tuple[float, float, int]] = []
-    cleared: set[int] = set()
 
-    # dimension-2 block: columns over edge rows
-    pivot_of: dict[int, frozenset[int]] = {}
-    for j in tris_at:
-        a, b, c = f.simplices[j][0]
-        col = {index[(b, c)], index[(a, c)], index[(a, b)]}
-        while col:
-            piv = max(col)
-            ruling = pivot_of.get(piv)
-            if ruling is None:
-                break
-            col ^= ruling
-        if col:
-            piv = max(col)
-            pivot_of[piv] = frozenset(col)
-            cleared.add(piv)
-            if values[piv] != values[j]:
-                finite.append((values[piv], values[j], 1))
-        # a zero column would create an H2 class: out of reported range
+def window_chunks(graphs: list[WeightedDigraph]) -> list[list[WeightedDigraph]]:
+    """Consecutive graphs with one vertex count, at most
+    `CHUNK_TRIPLES // n**3` (and at least one) to a chunk."""
+    chunks = []
+    for n, run in itertools.groupby(graphs, key=lambda g: g.n_vertices):
+        run = list(run)
+        size = max(1, CHUNK_TRIPLES // max(n, 1) ** 3)
+        chunks.extend(run[lo : lo + size] for lo in range(0, len(run), size))
+    return chunks
 
-    # dimension-1 block: columns over vertex rows
-    h1_essential_births: list[float] = []
-    vertex_pivot: dict[int, frozenset[int]] = {}
-    for j in edges_at:
-        if j in cleared:
-            continue
-        a, b = f.simplices[j][0]
-        col = {index[(a,)], index[(b,)]}
-        while col:
-            piv = max(col)
-            ruling = vertex_pivot.get(piv)
-            if ruling is None:
-                break
-            col ^= ruling
-        if col:
-            piv = max(col)
-            vertex_pivot[piv] = frozenset(col)
-            if values[piv] != values[j]:
-                finite.append((values[piv], values[j], 0))
-        else:
-            h1_essential_births.append(values[j])
 
-    essential = [
-        (0.0, 0)
-        for v in range(f.n_vertices)
-        if index[(v,)] not in vertex_pivot
-    ]
-    essential.extend((b, 1) for b in h1_essential_births)
-    max_filtration = max(values) if values else 0.0
-    return PersistenceDiagram(
-        finite=finite, essential=essential, max_filtration=max_filtration
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+
+
+def _build(graphs: list[WeightedDigraph]) -> Filtration:
+    """The filtration of graphs that share one vertex count."""
+    e, window = stack_edges(graphs, "graph")
+    e = e[np.lexsort((e["t"], e["s"], e["w"], window))]
+    edges = np.stack([e["s"], e["t"]], axis=1).astype(np.intp)
+    weights = np.ascontiguousarray(e["w"])
+
+    # directed triangles, over the vertices that carry an edge in this chunk
+    labels, local = np.unique(edges, return_inverse=True)
+    local = local.reshape(edges.shape)
+    rank = np.full((len(graphs), len(labels), len(labels)), -1, dtype=np.intp)
+    rank[window, local[:, 0], local[:, 1]] = np.arange(len(e))
+    adj = rank >= 0
+    tw, a, b, c = np.nonzero(adj[:, :, :, None] & adj[:, :, None, :] & adj[:, None, :, :])
+    facets = np.stack([rank[tw, b, c], rank[tw, a, c], rank[tw, a, b]], axis=1)
+    # every edge of a (window, weight) tie names the tie by its first edge; a
+    # stable sort on the youngest facet's tie keeps (a, b, c) order within a value
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = (window[1:] != window[:-1]) | (weights[1:] != weights[:-1])
+    tie = np.maximum.accumulate(np.where(first, np.arange(len(e)), 0))
+    facets = facets[np.argsort(tie[facets.max(axis=1, initial=-1)], kind="stable")]
+    return Filtration(
+        n_vertices=graphs[0].n_vertices,
+        edge_start=_offsets(np.bincount(window, minlength=len(graphs))),
+        edges=edges,
+        weights=weights,
+        tri_start=_offsets(np.bincount(tw, minlength=len(graphs))),
+        facets=facets,
     )
+
+
+def _kruskal(f: Filtration) -> np.ndarray:
+    """Whether each edge joins two components when edges enter in filtration
+    order: union-find by component labels, every window in lockstep, step r
+    taking each window's r-th edge until the window is connected."""
+    counts = np.diff(f.edge_start)
+    comp = np.tile(np.arange(f.n_vertices), (len(counts), 1))
+    joins_left = np.full(len(counts), f.n_vertices - 1)
+    tree = np.zeros(len(f.edges), dtype=bool)
+    for r in range(counts.max(initial=0)):
+        live = np.flatnonzero((counts > r) & (joins_left > 0))
+        if not live.size:
+            break
+        idx = f.edge_start[live] + r
+        u = comp[live, f.edges[idx, 0]]
+        v = comp[live, f.edges[idx, 1]]
+        join = u != v
+        tree[idx[join]] = True
+        live, u, v = live[join], u[join], v[join]
+        joins_left[live] -= 1
+        rows = comp[live]
+        comp[live] = np.where(rows == v[:, None], u[:, None], rows)
+    return tree
+
+
+def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
+    """Persistence pairs and essential edges of one window's H1.
+
+    `todo` lists the edges to reduce, youngest first.  Edge e's cofacets
+    are `cofacets[cof_start[e]:cof_start[e + 1]]`, as ranks among the
+    window's k triangles, oldest first; `partner[r]` is the edge that
+    triangle r forms an apparent pair with, or -1.  A column is an edge's
+    coboundary as a Python int (bit r for triangle r); its pivot is its
+    oldest triangle.
+    """
+
+    def column(edge: int) -> int:
+        bits = bytearray((k + 7) // 8)
+        for r in cofacets[cof_start[edge] : cof_start[edge + 1]].tolist():
+            bits[r >> 3] |= 1 << (r & 7)
+        return int.from_bytes(bits, "little")
+
+    pivots: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []  # (triangle rank, edge)
+    essential: list[int] = []
+    for edge in todo:
+        col = column(edge)
+        while col:
+            low = (col & -col).bit_length() - 1
+            other = pivots.get(low)
+            if other is None:
+                apparent_edge = partner[low]
+                if apparent_edge < 0:
+                    pivots[low] = col
+                    pairs.append((low, edge))
+                    break
+                # that edge is younger than `edge`, and its column, never
+                # reduced, is its coboundary
+                other = pivots[low] = column(apparent_edge)
+            col ^= other
+        else:
+            essential.append(edge)
+    return pairs, essential
+
+
+def _diagrams(f: Filtration) -> list[PersistenceDiagram]:
+    """The diagram of every window of a filtration."""
+    n_edges, n_tris = len(f.edges), len(f.facets)
+    tree = _kruskal(f)
+    # each edge's cofacets, oldest first
+    cofacets = np.argsort(f.facets.reshape(-1), kind="stable") // 3
+    n_cofacets = np.bincount(f.facets.reshape(-1), minlength=n_edges)
+    cof_start = _offsets(n_cofacets)
+    youngest = f.facets.max(axis=1, initial=-1)
+    oldest = np.full(n_edges, n_tris)
+    has = n_cofacets > 0
+    oldest[has] = cofacets[cof_start[:-1][has]]
+    apparent = oldest[youngest] == np.arange(n_tris)
+    partner = np.where(apparent, youngest, -1)
+    reduce = ~tree
+    reduce[youngest[apparent]] = False
+    tri_window = np.repeat(np.arange(len(f.tri_start) - 1), np.diff(f.tri_start))
+    cofacets -= f.tri_start[tri_window[cofacets]]  # rank within the window
+    cof_start = cof_start.tolist()
+
+    weights = f.weights.tolist()
+    tree_idx = np.flatnonzero(tree)
+    tree_at = np.searchsorted(tree_idx, f.edge_start).tolist()
+    tree_weights = f.weights[tree_idx].tolist()
+    todo_idx = np.flatnonzero(reduce)
+    todo_at = np.searchsorted(todo_idx, f.edge_start).tolist()
+    todo_idx = todo_idx.tolist()
+    edge_start, tri_start = f.edge_start.tolist(), f.tri_start.tolist()
+
+    out = []
+    for i in range(len(edge_start) - 1):
+        t0 = tri_start[i]
+        k = tri_start[i + 1] - t0
+        todo = todo_idx[todo_at[i] : todo_at[i + 1]][::-1]
+        pairs, h1_essential = _reduce_cocycles(todo, cofacets, cof_start, partner[t0 : t0 + k], k)
+        bars = ((weights[e], weights[youngest[t0 + low]], 1) for low, e in sorted(pairs))
+        finite = [bar for bar in bars if bar[0] != bar[1]]
+        finite.extend((0.0, w, 0) for w in tree_weights[tree_at[i] : tree_at[i + 1]])
+        essential = [(0.0, 0)] * (f.n_vertices - (tree_at[i + 1] - tree_at[i]))
+        essential.extend((weights[e], 1) for e in sorted(h1_essential))
+        has_edges = edge_start[i + 1] > edge_start[i]
+        out.append(
+            PersistenceDiagram(
+                finite=finite,
+                essential=essential,
+                max_filtration=weights[edge_start[i + 1] - 1] if has_edges else 0.0,
+            )
+        )
+    return out
 
 
 def diagram_norm(
@@ -173,19 +289,13 @@ def diagram_norm(
 def tda_features(
     graphs: list[WeightedDigraph], essential: str = "drop"
 ) -> list[TdaFeature]:
-    """The (L1-H0, L2-H0, L1-H1, L2-H1) vector of every graph in order."""
+    """The (L1-H0, L2-H0, L1-H1, L2-H1) vector of every graph in order,
+    computed one chunk of windows at a time."""
+    if any(g.as_of_date is None for g in graphs):
+        raise DataError("tda_features requires dated graphs")
     out = []
-    for g in graphs:
-        if g.as_of_date is None:
-            raise DataError("tda_features requires dated graphs")
-        diagram = persistent_homology(build_filtration(g))
-        out.append(
-            TdaFeature(
-                as_of_date=g.as_of_date,
-                l1_h0=diagram_norm(diagram, 1, 0, essential),
-                l2_h0=diagram_norm(diagram, 2, 0, essential),
-                l1_h1=diagram_norm(diagram, 1, 1, essential),
-                l2_h1=diagram_norm(diagram, 2, 1, essential),
-            )
-        )
+    for chunk in window_chunks(graphs):
+        for g, diagram in zip(chunk, _diagrams(_build(chunk))):
+            norms = [diagram_norm(diagram, p, dim, essential) for dim in (0, 1) for p in (1, 2)]
+            out.append(TdaFeature(g.as_of_date, *norms))
     return out

@@ -41,7 +41,7 @@ from .ingest import (
     read_returns_csv,
     write_returns_csv,
 )
-from .ph import tda_features
+from .ph import tda_features, window_chunks
 
 
 @dataclass
@@ -230,9 +230,10 @@ def stage_graphs(
 
 
 def stage_tda(graphs_path, essential, out_path, jobs: int = 1) -> None:
-    graphs, _ = archive.read_graphs(graphs_path)
+    graphs, _ = archive.read_graphs(graphs_path, edge_blocks=True)
     fn = partial(tda_features, essential=essential)
-    feats = [f for (f,) in corrnet.parallel_map(fn, [[g] for g in graphs], jobs)]
+    chunks = corrnet.parallel_map(fn, window_chunks(graphs), jobs)
+    feats = [f for chunk in chunks for f in chunk]
     tables.write_feature_csv(
         out_path,
         [f.as_of_date for f in feats],

@@ -16,6 +16,7 @@ from scipy.spatial.distance import cdist
 from flagcrash import autodiff as ad
 from flagcrash import gnn
 from flagcrash.corrnet import WeightedDigraph
+from flagcrash.ph import PersistenceDiagram
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,70 @@ def brute_force_diagram(g: WeightedDigraph):
             if ess:
                 essential[(levels[s], p)] += ess
     return finite, essential
+
+
+# ---------------------------------------------------------------------------
+# The simplex-list boundary reducer that the cohomology engine replaced
+
+
+def reference_persistence(g: WeightedDigraph) -> PersistenceDiagram:
+    """GF(2) boundary reduction of the whole 2-skeleton, one column at a time.
+
+    Simplices are sorted by (value, dimension, vertex tuple); triangle
+    columns over edge rows are reduced first, and an edge that becomes a
+    triangle column's pivot is cleared from the edge block.  Bars come out
+    in the order the reduction finds them: H1 by death, then H0 by edge.
+    """
+    weights: dict[tuple[int, int], float] = {}
+    succ: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
+    for s, t, w in g.edges:
+        weights[(s, t)] = w
+        succ[s].add(t)
+    simplices = [((v,), 0, 0.0) for v in range(g.n_vertices)]
+    for (a, b), w_ab in weights.items():
+        simplices.append(((a, b), 1, w_ab))
+        for c in succ[a] & succ[b]:
+            simplices.append(((a, b, c), 2, max(w_ab, weights[(a, c)], weights[(b, c)])))
+    simplices.sort(key=lambda s: (s[2], s[1], s[0]))
+
+    index = {tup: i for i, (tup, _, _) in enumerate(simplices)}
+    values = [value for _, _, value in simplices]
+
+    def reduce(col: set[int], pivot_of: dict[int, frozenset[int]]) -> int | None:
+        while col:
+            piv = max(col)
+            ruling = pivot_of.get(piv)
+            if ruling is None:
+                pivot_of[piv] = frozenset(col)
+                return piv
+            col ^= ruling
+        return None
+
+    finite: list[tuple[float, float, int]] = []
+    cleared: set[int] = set()
+    edge_pivots: dict[int, frozenset[int]] = {}
+    for j, (tup, dim, _) in enumerate(simplices):
+        if dim == 2:
+            a, b, c = tup
+            piv = reduce({index[(b, c)], index[(a, c)], index[(a, b)]}, edge_pivots)
+            if piv is not None:
+                cleared.add(piv)
+                if values[piv] != values[j]:
+                    finite.append((values[piv], values[j], 1))
+    h1_births: list[float] = []
+    vertex_pivots: dict[int, frozenset[int]] = {}
+    for j, (tup, dim, _) in enumerate(simplices):
+        if dim == 1 and j not in cleared:
+            piv = reduce({index[(tup[0],)], index[(tup[1],)]}, vertex_pivots)
+            if piv is None:
+                h1_births.append(values[j])
+            elif values[piv] != values[j]:
+                finite.append((values[piv], values[j], 0))
+    essential = [(0.0, 0) for v in range(g.n_vertices) if index[(v,)] not in vertex_pivots]
+    essential.extend((b, 1) for b in h1_births)
+    return PersistenceDiagram(
+        finite=finite, essential=essential, max_filtration=max(values, default=0.0)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from flagcrash.archive import read_graphs, sidecar_path, write_graphs
 from flagcrash.cli import main
-from flagcrash.corrnet import WeightedDigraph
+from flagcrash.corrnet import EDGE_DTYPE, WeightedDigraph
 from flagcrash.errors import DataError
 from flagcrash.tables import (
     read_feature_csv,
@@ -124,6 +124,17 @@ class TestArchiveValidation:
         assert all(type(v) is int for s, t, _ in graphs[0].edges for v in (s, t))
         assert all(type(w) is float for *_, w in graphs[0].edges)
 
+    def test_edge_blocks_hold_the_same_edges(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes([GOOD, ("2020-01-03", 3, [])]))
+        graphs, _ = read_graphs(path)
+        blocks, _ = read_graphs(path, edge_blocks=True)
+        assert [g.as_of_date for g in blocks] == [g.as_of_date for g in graphs]
+        for g, b in zip(graphs, blocks):
+            assert b.n_vertices == g.n_vertices
+            assert b.edges.dtype == EDGE_DTYPE
+            assert b.edges.tolist() == g.edges
+
     def test_writer_matches_hand_written_layout(self, tmp_path):
         graphs = [WeightedDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)], date(2020, 1, 2))]
         write_graphs(tmp_path / "g.bin", graphs, {})
@@ -181,6 +192,14 @@ class TestArchiveValidation:
         path.write_bytes(fcgr_bytes(CORRUPT[name]))
         out = tmp_path / "out.csv"
         assert main(command + ["--graphs", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT))
+    def test_tda_exits_3_on_every_corrupt_archive(self, tmp_path, name):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes(CORRUPT[name]))
+        out = tmp_path / "out.csv"
+        assert main(["tda", "--graphs", str(path), "--out", str(out)]) == 3
         assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from flagcrash.autodiff import (
     concat_cols,
     matmul,
     mean_rows,
+    no_grad,
     relu,
     scalar_mul,
     sparse_matmul,
@@ -199,6 +200,36 @@ def test_sub_composition():
     squared_norm(sub(a, b)).backward()
     assert np.allclose(a.grad, [6.0, -2.0])
     assert np.allclose(b.grad, [-6.0, 2.0])
+
+
+class TestNoGrad:
+    def ops(self, w):
+        x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+        gather = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))
+        h = relu(add(matmul(x, w), scalar_mul(Tensor(0.5, requires_grad=True), x)))
+        return [h, sparse_matmul(gather, h), concat_cols([h, h]), mean_rows(sub(h, x))]
+
+    def test_outputs_made_inside_have_no_tape(self):
+        w = Tensor(np.array([[0.3, -0.1], [0.2, 0.4]]), requires_grad=True)
+        taped = self.ops(w)
+        with no_grad():
+            plain = self.ops(w)
+        for t in taped:
+            assert t.requires_grad and t._parents
+        for t, p in zip(taped, plain):
+            assert not p.requires_grad
+            assert p._parents == () and p._backward is None
+            assert np.array_equal(t.data, p.data)
+
+    def test_recording_resumes_after_the_block_and_after_an_error(self):
+        w = Tensor(np.eye(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not matmul(w, w).requires_grad
+                raise RuntimeError
+        assert matmul(w, w)._parents == (w, w)
 
 
 class TestAdam:

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 from datetime import date
 
@@ -501,6 +502,28 @@ class TestScoreChunks:
         assert relative_gap(
             glocalkd_scores(kd, graphs, size), glocalkd_scores(kd, graphs, whole)
         ) <= 1e-12
+
+    def test_scoring_keeps_no_tape_and_equals_taped_scores(self, monkeypatch):
+        graphs = mixed_graphs() + attribute_graphs(random_graph_sequence(702, 9, 8))
+        oc = ocgin_train(graphs, OcginConfig(lr=0.003, layers=2, hidden=5, epochs=2))
+        kd = glocalkd_train(graphs, GlocalConfig(lr=0.003, layers=2, hidden=5, epochs=2))
+        taped = []
+        forward = gnn._forward
+
+        def spy(model, batch):
+            per_layer, emb = forward(model, batch)
+            taped.append(bool(emb._parents))
+            return per_layer, emb
+
+        monkeypatch.setattr(gnn, "_forward", spy)
+        plain = [ocgin_scores(oc, graphs, 4), glocalkd_scores(kd, graphs, 4)]
+        assert taped and not any(taped)
+        taped.clear()
+        monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+        with_tape = [ocgin_scores(oc, graphs, 4), glocalkd_scores(kd, graphs, 4)]
+        assert any(taped)
+        for got, want in zip(plain, with_tape):
+            assert np.array_equal(got, want)
 
     def test_empty_graph_list_scores_empty(self):
         graphs = attribute_graphs(random_graph_sequence(701, 3, 5))

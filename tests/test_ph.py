@@ -1,11 +1,15 @@
+import time
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcrash.corrnet import WeightedDigraph
 from flagcrash.errors import DataError
+from flagcrash import ph
 from flagcrash.ph import (
     PersistenceDiagram,
     build_filtration,
@@ -17,6 +21,7 @@ from flagcrash.ph import (
 from oracles import (
     brute_force_diagram,
     random_digraph,
+    reference_persistence,
     union_find_merge_weights,
 )
 
@@ -34,37 +39,49 @@ def reduction_multisets(g):
     return Counter(d.finite), Counter(d.essential)
 
 
+def triangles(f):
+    """(vertex triple, value) of every triangle in filtration order."""
+    out = []
+    for bc, ac, ab in f.facets.tolist():
+        (a, b), (a2, c), (b2, c2) = f.edges[[ab, ac, bc]].tolist()
+        assert (a2, b2, c2) == (a, b, c)
+        out.append(((a, b, c), f.weights[max(bc, ac, ab)].item()))
+    return out
+
+
 class TestBuildFiltration:
     def test_transitive_triangle_has_one_2_simplex(self):
         f = build_filtration(graph(3, [(0, 1, 0.1), (0, 2, 0.2), (1, 2, 0.3)]))
-        tris = [s for s in f.simplices if s[1] == 2]
-        assert tris == [((0, 1, 2), 2, 0.3)]
+        assert triangles(f) == [((0, 1, 2), 0.3)]
 
     def test_directed_3_cycle_has_no_2_simplex(self):
         f = build_filtration(graph(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)]))
-        assert all(s[1] != 2 for s in f.simplices)
+        assert triangles(f) == []
 
     def test_empty_edge_set_vertices_only(self):
         f = build_filtration(graph(4, []))
-        assert f.simplices == [((v,), 0, 0.0) for v in range(4)]
+        assert f.n_vertices == 4
+        assert f.edges.shape == (0, 2) and f.facets.shape == (0, 3)
+        assert f.edge_start.tolist() == [0, 0] and f.tri_start.tolist() == [0, 0]
 
     def test_sorted_and_faces_precede(self):
         rng = np.random.default_rng(3)
         g = random_digraph(rng, 8)
         f = build_filtration(g)
-        keys = [(v, d, t) for t, d, v in f.simplices]
-        assert keys == sorted(keys)
-        position = {s[0]: i for i, s in enumerate(f.simplices)}
-        for tup, dim, _ in f.simplices:
-            for drop in range(dim + 1):
-                face = tup[:drop] + tup[drop + 1 :]
-                if face:
-                    assert position[face] < position[tup]
+        edges = [(w, s, t) for (s, t), w in zip(f.edges.tolist(), f.weights.tolist())]
+        assert edges == sorted((w, s, t) for s, t, w in g.edges)
+        tris = triangles(f)
+        assert [(v, tup) for tup, v in tris] == sorted((v, tup) for tup, v in tris)
+        for (tup, value), facets in zip(tris, f.facets.tolist()):
+            # every facet is an edge of the graph, entering no later than the triangle
+            assert all(f.weights[e] <= value for e in facets)
+            assert value == max(f.weights[e] for e in facets)
 
     def test_vertices_at_zero(self):
-        f = build_filtration(graph(2, [(0, 1, 0.4)]))
-        assert f.simplices[0] == ((0,), 0, 0.0)
-        assert f.simplices[1] == ((1,), 0, 0.0)
+        # vertices are implicit at 0: every H0 bar is born there
+        d = persistent_homology(build_filtration(graph(2, [(0, 1, 0.4)])))
+        assert d.finite == [(0.0, 0.4, 0)]
+        assert d.essential == [(0.0, 0)]
 
     def test_rejects_self_loop_and_duplicate(self):
         with pytest.raises(DataError, match="self-loop"):
@@ -214,3 +231,154 @@ class TestTdaFeatures:
         feats = tda_features([graph(2, [(0, 1, 0.3)])])
         assert feats[0].values() == pytest.approx((0.3, 0.3, 0.0, 0.0))
         assert feats[0].as_of_date == date(2020, 1, 6)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 1, 0.5)], "self-loop"),
+            ([(0, 1, 0.5), (0, 1, 0.25)], "duplicate"),
+            ([(0, 1, 0.0)], "non-positive"),
+            ([(0, 1, -0.5)], "non-positive"),
+            ([(0, 1, float("nan"))], "non-positive"),
+            ([(0, 3, 0.5)], "out of range"),
+        ],
+        ids=["self-loop", "duplicate", "zero", "negative", "nan", "vertex-index"],
+    )
+    def test_bad_edges_rejected_naming_the_graph(self, edges, message):
+        good = graph(3, [(0, 1, 0.5)])
+        bad = WeightedDigraph(3, edges, date(2020, 1, 7))
+        with pytest.raises(DataError, match=f"2020-01-07: .*{message}"):
+            tda_features([good, bad])
+
+    def test_undated_graph_rejected(self):
+        with pytest.raises(DataError, match="dated"):
+            tda_features([graph(2, [(0, 1, 0.3)]), WeightedDigraph(2, [(0, 1, 0.3)])])
+
+    def test_mixed_vertex_counts_group_in_order(self):
+        rng = np.random.default_rng(8)
+        graphs = []
+        for i, n in enumerate([4, 4, 6, 4, 1, 0, 6, 6]):
+            edges = [
+                (s, t, round(float(rng.uniform(0.05, 1.0)), 1) or 0.1)
+                for s in range(n)
+                for t in range(n)
+                if s != t and rng.random() < 0.6
+            ]
+            graphs.append(WeightedDigraph(n, edges, date(2020, 1, 1) + timedelta(days=i)))
+        assert [len(c) for c in ph.window_chunks(graphs)] == [2, 1, 1, 1, 1, 2]
+        assert tda_features(graphs, "cap") == [tda_features([g], "cap")[0] for g in graphs]
+
+
+# ---------------------------------------------------------------------------
+# the batched engine against the simplex-list reducer and the rank oracle
+
+
+@st.composite
+def digraphs(draw, n):
+    """A digraph on n vertices: no edges, all n(n-1) edges, or a random
+    subset; weights from a few levels (forced ties) or continuous."""
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    shape = draw(st.sampled_from(["empty", "complete", "random"]))
+    if shape == "empty":
+        pairs = []
+    elif shape == "random":
+        pairs = [p for p in pairs if draw(st.booleans())]
+    if draw(st.booleans()):
+        levels = draw(st.integers(1, 3))
+        weight = st.integers(1, levels).map(lambda k: k / levels)
+    else:
+        weight = st.floats(0.01, 1.0)
+    return [(s, t, draw(weight)) for s, t in pairs]
+
+
+@st.composite
+def graph_sequences(draw, max_vertices):
+    """Graphs of one or two vertex counts (1 and 0 included), dated in order."""
+    counts = draw(st.lists(st.integers(0, max_vertices), min_size=1, max_size=2))
+    out = []
+    for i in range(draw(st.integers(1, 9))):
+        n = draw(st.sampled_from(counts))
+        out.append(WeightedDigraph(n, draw(digraphs(n)), date(2019, 1, 1) + timedelta(days=i)))
+    return out
+
+
+def batched_diagrams(graphs):
+    return [d for chunk in ph.window_chunks(graphs) for d in ph._diagrams(ph._build(chunk))]
+
+
+def assert_same_diagrams(got, want):
+    assert got.finite == want.finite
+    assert got.essential == want.essential
+    assert got.max_filtration == want.max_filtration
+
+
+class TestBatchedEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_sequences(7), st.sampled_from([1, 2 * 7**3 + 1, ph.CHUNK_TRIPLES]))
+    def test_one_batched_call_equals_reference_per_graph(self, graphs, chunk_triples):
+        # small budgets cut sequences into chunks of 1 to 2 windows, so runs
+        # of 3 or more are not a multiple of the chunk size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ph, "CHUNK_TRIPLES", chunk_triples)
+            diagrams = batched_diagrams(graphs)
+            features = {e: tda_features(graphs, e) for e in ("drop", "cap")}
+        assert len(diagrams) == len(graphs)
+        for i, (g, d) in enumerate(zip(graphs, diagrams)):
+            want = reference_persistence(g)
+            assert_same_diagrams(d, want)
+            assert_same_diagrams(persistent_homology(build_filtration(g)), want)
+            for essential, feats in features.items():
+                norms = tuple(
+                    diagram_norm(want, p, dim, essential) for dim in (0, 1) for p in (1, 2)
+                )
+                assert feats[i].values() == norms  # bitwise
+                assert feats[i].as_of_date == g.as_of_date
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_sequences(5))
+    def test_batched_multisets_equal_rank_oracle(self, graphs):
+        for g, d in zip(graphs, batched_diagrams(graphs)):
+            finite, essential = brute_force_diagram(g)
+            assert Counter(d.finite) == finite
+            assert Counter(d.essential) == essential
+
+    def test_long_tie_heavy_sequence_equals_reference(self):
+        # 600 ten-vertex graphs: one chunk of CHUNK_TRIPLES // 1000 windows
+        # and a shorter last chunk
+        rng = np.random.default_rng(2112)
+        graphs = []
+        for i in range(600):
+            g = random_digraph(rng, 10)
+            g.n_vertices = 10
+            g.edges = [(s, t, round(w, 1) or 0.1) for s, t, w in g.edges]
+            g.as_of_date = date(2000, 1, 1) + timedelta(days=i)
+            graphs.append(g)
+        assert [len(c) for c in ph.window_chunks(graphs)] == [524, 76]
+        feats = tda_features(graphs, "cap")
+        for g, d, f in zip(graphs, batched_diagrams(graphs), feats):
+            want = reference_persistence(g)
+            assert_same_diagrams(d, want)
+            assert f.values() == tuple(
+                diagram_norm(want, p, dim, "cap") for dim in (0, 1) for p in (1, 2)
+            )
+
+    def test_dense_39_vertex_graph_ten_times_faster_than_reference(self):
+        rng = np.random.default_rng(39)
+        edges = [
+            (s, t, float(rng.uniform(0.05, 1.0)))
+            for s in range(39)
+            for t in range(39)
+            if s != t and rng.random() < 0.96
+        ]
+        assert len(edges) >= 1400
+        g = graph(39, edges)
+        fast = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            got = persistent_homology(build_filtration(g))
+            fast.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        want = reference_persistence(g)
+        slow = time.perf_counter() - t0
+        assert_same_diagrams(got, want)
+        assert slow > 10 * min(fast)
