@@ -12,7 +12,9 @@ Layout (all little-endian):
         edges       edge_count * (u32 src, u32 tgt, f64 weight)
 
 A JSON sidecar at `<path>.json` carries the construction parameters
-(window width, correlation kind, embedding settings, tickers).
+(window width, correlation kind, embedding settings, tickers).  Archives
+written from a `WindowSeries` list each record's edges in row-major
+(source, target) order; `read_series` accepts any order.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .corrnet import EDGE_DTYPE, WeightedDigraph, stack_edges
+from .corrnet import EDGE_DTYPE, WeightedDigraph, WindowSeries, matrix_from_digraph
 
 MAGIC = b"FCGR"
 VERSION = 1
 _HEAD = struct.Struct("<4sIQ")
 _REC_HEAD = struct.Struct("<10sIQ")
-_CHECK_RECORDS = 256  # records whose edges are validated in one pass; bounds its memory
 
 
 def sidecar_path(path) -> Path:
@@ -65,22 +66,39 @@ def write_graphs(path, graphs: list[WeightedDigraph], params: dict) -> None:
                     len(g.edges),
                 )
             )
-            f.write(np.array(g.edges, dtype=EDGE_DTYPE).tobytes())
+            f.write(np.asarray(g.edges, dtype=EDGE_DTYPE).tobytes())
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         json.dump(params, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def read_graphs(path, edge_blocks: bool = False) -> tuple[list[WeightedDigraph], dict]:
-    """Graphs and construction parameters of an archive.
+def read_series(path) -> WindowSeries:
+    """The window series of an archive: its kind and tickers come from the
+    sidecar, when it lists them, and the kind defaults to "ccm".
 
-    Each graph's edges are a list of (s, t, w) tuples or, with
-    `edge_blocks`, the record's `EDGE_DTYPE` array as read.
+    On top of `read_graphs`' checks, every record's edges are checked:
+    vertex indices below its vertex count, no self-loops or duplicate
+    edges, finite positive weights.  An archive without records raises
+    DataError, as no stage can use it.
+    """
+    graphs, params = read_graphs(path)
+    if not graphs:
+        raise DataError(f"{path}: archive holds no graphs")
+    return WindowSeries(
+        weights=matrix_from_digraph(graphs, f"{path}: record"),
+        dates=[g.as_of_date for g in graphs],
+        kind=params.get("correlation", "ccm"),
+        tickers=params.get("tickers"),
+    )
 
-    Every record is checked: vertex indices below its vertex count, no
-    self-loops or duplicate edges, finite positive weights, dates
-    strictly increasing across records, and one vertex count shared by
-    every record and by the sidecar's tickers, when it lists them.
+
+def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
+    """The records of an archive, each one's edges an `EDGE_DTYPE` array in
+    stored order, and its construction parameters.
+
+    Checked here: the layout, dates strictly increasing across records,
+    and one vertex count shared by every record and by the sidecar's
+    tickers, when it lists them.  `read_series` also checks the edges.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -114,11 +132,6 @@ def read_graphs(path, edge_blocks: bool = False) -> tuple[list[WeightedDigraph],
                 raise DataError(f"{path}: truncated edge block")
             block = np.frombuffer(f.read(EDGE_DTYPE.itemsize * edge_count), dtype=EDGE_DTYPE)
             graphs.append(WeightedDigraph(n_vertices=n, edges=block, as_of_date=as_of))
-    for lo in range(0, len(graphs), _CHECK_RECORDS):
-        stack_edges(graphs[lo : lo + _CHECK_RECORDS], f"{path}: record")
-    if not edge_blocks:
-        for g in graphs:
-            g.edges = list(zip(g.edges["s"].tolist(), g.edges["t"].tolist(), g.edges["w"].tolist()))
     side = sidecar_path(path)
     params = {}
     if side.exists():

@@ -9,11 +9,13 @@ import argparse
 import sys
 from datetime import date
 
+from .archive import read_series
 from .corrnet import CcmParams
 from .errors import ConfigError, DataError, StageError
 from .evaluation import load_events
 from .ingest import serialize_price_csv
 from .pipeline import (
+    check_pca_dim,
     load_config,
     run_pipeline,
     stage_evaluate,
@@ -25,6 +27,7 @@ from .pipeline import (
     stage_tda,
 )
 from .synth import make_synthetic, parse_episode_spec
+from .tables import read_scores_csv
 
 
 def _parse_date(text: str) -> date:
@@ -130,16 +133,17 @@ def _dispatch(args: argparse.Namespace) -> None:
         )
         print(f"wrote {args.out} (+ {args.out}.json)")
     elif args.command == "tda":
-        stage_tda(args.graphs, args.essential, args.out, jobs=args.jobs)
+        stage_tda(read_series(args.graphs), args.essential, args.out, jobs=args.jobs)
         print(f"wrote {args.out}")
     elif args.command == "pca":
-        stage_pca(args.graphs, args.dim, args.out)
+        check_pca_dim(args.dim)
+        stage_pca(read_series(args.graphs), args.dim, args.out)
         print(f"wrote {args.out}")
     elif args.command == "gnn":
         stage_gnn(
-            args.graphs, args.model, args.out, lr=args.lr,
+            read_series(args.graphs), args.model, args.out, lr=args.lr,
             weight_decay=args.weight_decay, lam=args.lam, layers=args.layers,
-            hidden=args.hidden, batch=args.batch, epochs=args.epochs, seed=args.seed,
+            hidden=args.hidden, batch_size=args.batch, epochs=args.epochs, seed=args.seed,
             checkpoint_path=args.checkpoint,
         )
         print(f"wrote {args.out}")
@@ -150,7 +154,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         events = load_events(args.events)
         method = args.method_name or str(args.scores)
         report = stage_evaluate(
-            args.scores, events, args.percentile, args.lookback, method,
+            *read_scores_csv(args.scores), events, args.percentile, args.lookback, method,
             args.out, args.chart,
         )
         print(

@@ -1,9 +1,11 @@
-"""Per-window correlation matrices and their weighted digraphs.
+"""Per-window correlation matrices and the window series built from them.
 
 Two correlation kinds are supported: plain Pearson on the windowed return
 slices, and cross-map skill from delay embeddings (the nonlinear coupling
 measure).  Negative entries are clipped to zero before graph construction,
-and the diagonal is always zero.
+and the diagonal is always zero.  A run holds its graphs as one
+`WindowSeries` array; `WeightedDigraph` edge lists are the form graphs
+take at the archive boundary and in hand-built inputs.
 """
 
 from __future__ import annotations
@@ -59,15 +61,27 @@ class CcmParams:
 
 
 @dataclass
-class CorrelationMatrix:
-    values: np.ndarray  # (N, N)
-    window: WindowSpec
-    as_of_date: date
+class WindowSeries:
+    """The directed adjacency of every sliding window, in date order.
+
+    `weights[i, s, t]` is the weight of edge s -> t in window i: entries
+    above 0 are edges and every other entry is +0.0.  A Pearson window
+    keeps one edge s -> t with s < t per correlated pair, so its lower
+    triangle is zero; a cross-map window keeps both directions.
+    """
+
+    weights: np.ndarray  # (T, n, n) float64
+    dates: list[date]
     kind: str  # "pearson" | "ccm"
+    tickers: list[str] | None = None
+
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 EDGE_DTYPE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
 """One directed weighted edge (source, target, weight), as graph archives store it."""
+_CHECK_GRAPHS = 256  # graphs whose edges are checked in one pass; bounds its memory
 
 
 @dataclass
@@ -75,8 +89,8 @@ class WeightedDigraph:
     """Directed graph with weights in (0, 1]; zero entries are absent edges.
 
     `edges` is a list of (source, target, weight) tuples or, as
-    `archive.read_graphs(..., edge_blocks=True)` returns it, an
-    `EDGE_DTYPE` array of the same edges.
+    `graph_series` and `archive.read_graphs` return it, an `EDGE_DTYPE`
+    array of the same edges.
     """
 
     n_vertices: int
@@ -113,18 +127,17 @@ def stack_edges(graphs: list[WeightedDigraph], where: str) -> tuple[np.ndarray, 
     return e, window
 
 
-def _window_slice(returns: ReturnMatrix, window: WindowSpec) -> tuple[np.ndarray, date]:
+def _window_slice(returns: ReturnMatrix, window: WindowSpec) -> np.ndarray:
     window.validate(returns.returns.shape[0])
-    lo, hi = window.start_index, window.start_index + window.width
-    return returns.returns[lo:hi], returns.dates[hi - 1]
+    return returns.returns[window.start_index : window.start_index + window.width]
 
 
-def pearson_corr(returns: ReturnMatrix, window: WindowSpec) -> CorrelationMatrix:
-    """Sample Pearson correlation of each pair of windowed return slices.
+def pearson_corr(returns: ReturnMatrix, window: WindowSpec) -> np.ndarray:
+    """(N, N) sample Pearson correlation of each pair of windowed return slices.
 
     Zero-variance slices correlate 0 with everything; the diagonal is 0.
     """
-    block, as_of = _window_slice(returns, window)
+    block = _window_slice(returns, window)
     centered = block - block.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
     degenerate = norms == 0.0
@@ -135,7 +148,7 @@ def pearson_corr(returns: ReturnMatrix, window: WindowSpec) -> CorrelationMatrix
     corr[degenerate, :] = 0.0
     corr[:, degenerate] = 0.0
     np.fill_diagonal(corr, 0.0)
-    return CorrelationMatrix(values=corr, window=window, as_of_date=as_of, kind="pearson")
+    return corr
 
 
 def _shadow_points(x: np.ndarray, e_dim: int, tau: int) -> np.ndarray:
@@ -187,16 +200,16 @@ def _pearson_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ccm_corr(
     returns: ReturnMatrix, window: WindowSpec, params: CcmParams = CcmParams()
-) -> CorrelationMatrix:
-    """Cross-map skill matrix: values[i][j] reconstructs series j from the
-    delay embedding of series i.
+) -> np.ndarray:
+    """(N, N) cross-map skill matrix: entry [i][j] reconstructs series j
+    from the delay embedding of series i.
 
     For each shadow point of series i, the E+1 nearest shadow neighbors
     (excluding itself) vote with exponentially decaying weights; the skill
     is the Pearson correlation between those cross-map estimates of series
     j and series j itself.  Non-finite skills clamp to 0.
     """
-    block, as_of = _window_slice(returns, window)
+    block = _window_slice(returns, window)
     params.validate(window.width)
     n = block.shape[1]
     e_dim, tau = params.embedding_dim, params.lag
@@ -210,42 +223,7 @@ def ccm_corr(
         preds = np.einsum("kl,klj->kj", weights, targets[order])
         values[i, :] = _pearson_columns(preds, targets)
     np.fill_diagonal(values, 0.0)
-    return CorrelationMatrix(values=values, window=window, as_of_date=as_of, kind="ccm")
-
-
-def threshold_nonnegative(c: CorrelationMatrix) -> CorrelationMatrix:
-    """Replace negative entries with zero; kind and window are preserved."""
-    return CorrelationMatrix(
-        values=np.maximum(c.values, 0.0),
-        window=c.window,
-        as_of_date=c.as_of_date,
-        kind=c.kind,
-    )
-
-
-def to_digraph(c: CorrelationMatrix) -> WeightedDigraph:
-    """Thresholded matrix -> weighted digraph.
-
-    A symmetric (pearson) matrix yields one canonical edge i->j with i<j
-    per unordered pair; a cross-map matrix keeps both directions.
-    """
-    vals = c.values
-    if (vals < 0.0).any():
-        raise DataError("to_digraph requires a thresholded matrix (no negatives)")
-    n = vals.shape[0]
-    edges: list[tuple[int, int, float]] = []
-    if c.kind == "pearson":
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = vals[i, j]
-                if w > 0.0:
-                    edges.append((i, j, float(w)))
-    else:
-        for i in range(n):
-            for j in range(n):
-                if i != j and vals[i, j] > 0.0:
-                    edges.append((i, j, float(vals[i, j])))
-    return WeightedDigraph(n_vertices=n, edges=edges, as_of_date=c.as_of_date)
+    return values
 
 
 def window_specs(n_rows: int, width: int) -> list[WindowSpec]:
@@ -261,12 +239,18 @@ def correlation_series(
     kind: str = "ccm",
     ccm_params: CcmParams = CcmParams(),
     jobs: int = 1,
-) -> list[CorrelationMatrix]:
-    """Thresholded correlation matrix of every sliding window."""
+) -> WindowSeries:
+    """The thresholded correlation digraph of every sliding window."""
     if kind not in ("pearson", "ccm"):
         raise DataError(f"unknown correlation kind {kind!r}")
     specs = window_specs(returns.returns.shape[0], width)
-    return parallel_map(partial(_one_window, returns, kind, ccm_params), specs, jobs)
+    corr = pearson_corr if kind == "pearson" else partial(ccm_corr, params=ccm_params)
+    weights = np.stack(parallel_map(partial(corr, returns), specs, jobs))
+    weights[~(weights > 0.0)] = 0.0
+    if kind == "pearson":
+        weights[:, np.tri(weights.shape[1], dtype=bool)] = 0.0
+    dates = [returns.dates[spec.start_index + width - 1] for spec in specs]
+    return WindowSeries(weights, dates, kind, list(returns.tickers))
 
 
 def parallel_map(fn, items: list, jobs: int) -> list:
@@ -285,25 +269,31 @@ def parallel_map(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _one_window(
-    returns: ReturnMatrix, kind: str, ccm_params: CcmParams, spec: WindowSpec
-) -> CorrelationMatrix:
-    if kind == "pearson":
-        c = pearson_corr(returns, spec)
-    else:
-        c = ccm_corr(returns, spec, ccm_params)
-    return threshold_nonnegative(c)
+def graph_series(series: WindowSeries) -> list[WeightedDigraph]:
+    """Each window as a digraph whose edges are an `EDGE_DTYPE` array in
+    row-major (source, target) order, the order graph archives store."""
+    out = []
+    for day, w in zip(series.dates, series.weights):
+        s, t = np.nonzero(w)
+        e = np.empty(len(s), dtype=EDGE_DTYPE)
+        e["s"], e["t"], e["w"] = s, t, w[s, t]
+        out.append(WeightedDigraph(len(w), e, day))
+    return out
 
 
-def graph_series(matrices: list[CorrelationMatrix]) -> list[WeightedDigraph]:
-    return [to_digraph(c) for c in matrices]
+def matrix_from_digraph(graphs: list[WeightedDigraph], where: str = "graph") -> np.ndarray:
+    """The (T, n, n) adjacency of digraphs that share `graphs[0]`'s vertex
+    count n, as `WindowSeries.weights` holds it.
 
-
-def matrix_from_digraph(g: WeightedDigraph, kind: str) -> np.ndarray:
-    """Rebuild the thresholded correlation matrix a digraph was built from."""
-    vals = np.zeros((g.n_vertices, g.n_vertices))
-    for s, t, w in g.edges:
-        vals[s, t] = w
-        if kind == "pearson":
-            vals[t, s] = w
-    return vals
+    `stack_edges` checks every chunk of graphs, naming `where`, before its
+    edges are scattered; an array too large to allocate raises DataError.
+    """
+    n = graphs[0].n_vertices if graphs else 0
+    try:
+        out = np.zeros((len(graphs), n, n))
+    except (MemoryError, ValueError):
+        raise DataError(f"{where}: {len(graphs)} graphs of {n} vertices are too large") from None
+    for lo in range(0, len(graphs), _CHECK_GRAPHS):
+        e, window = stack_edges(graphs[lo : lo + _CHECK_GRAPHS], where)
+        out[lo + window, e["s"], e["t"]] = e["w"]
+    return out

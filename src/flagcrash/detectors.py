@@ -46,7 +46,8 @@ def mahalanobis_scores(
     matrices) stay well-defined.  A zero-trace covariance (all rows equal)
     scores everything 0.
     """
-    x = np.asarray(vectors, dtype=np.float64)
+    # row-major whatever the input's layout, which changes the covariance's rounding
+    x = np.ascontiguousarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"expected a 2-d matrix, got shape {x.shape}")
     t_rows, dim = x.shape

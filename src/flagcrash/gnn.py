@@ -11,28 +11,28 @@ Message passing treats every directed edge as a bidirectional channel
 carrying the same edge feature both ways, so nodes whose correlations
 point one way still receive messages.
 
-Graphs go through the network in mini-batches.  A batch is the disjoint
-union of its graphs: stacked node and message features plus constant
-sparse block-diagonal gather, scatter and mean-pool matrices, so one
-autodiff tape covers a whole training batch and graphs of different
-sizes can share it.  The one-class center, the teacher's targets and
+The models take a list of attributed graphs or, as a run passes them, a
+series' (T, n, n) adjacency array, whose nonzero entries are the edges
+in row-major (source, target) order; a batch of the array is built from
+its slice of it.  A batch is the disjoint union of its graphs: stacked
+node and message features plus constant sparse block-diagonal gather,
+scatter and mean-pool matrices, so one autodiff tape covers a whole
+training batch and graphs of different sizes can share it.  The
+one-class center, the teacher's targets and
 both scores are computed over chunks of `batch_size` graphs under
-`autodiff.no_grad`, so memory grows with the batch, not with the length
-of the series, and no tape is kept for a pass that only scores.
+`autodiff.no_grad`, and no tape is kept for a pass that only scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step
-from .corrnet import WeightedDigraph
+from .corrnet import EDGE_DTYPE, WeightedDigraph
 from .errors import DataError
 
 
@@ -40,31 +40,30 @@ from .errors import DataError
 class AttributedGraph:
     n: int
     x: np.ndarray  # (n, m) node features
-    edges: list[tuple[int, int]]
-    y: np.ndarray  # (|E|, k) edge features
-    as_of_date: date | None = None
+    edges: np.ndarray  # (E, 2) source, target
+    y: np.ndarray  # (E, k) edge features
 
-    @cached_property
-    def message_ends(self) -> np.ndarray:
-        """(2, 2E) source and target vertex of every message: edge i
-        delivers s -> t as message i and t -> s as message E + i."""
-        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        return np.concatenate([ends, ends[:, ::-1]]).T
+
+Graphs = list[AttributedGraph] | np.ndarray  # or a (T, n, n) adjacency array
+
+
+def _node_features(n_nodes: int, edges: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(1, weighted degree) of every vertex; bincount adds in input order,
+    so each degree sums its edges in edge order."""
+    x = np.ones((n_nodes, 2))
+    x[:, 1] = np.bincount(edges.reshape(-1), weights=np.repeat(y, 2), minlength=n_nodes)
+    return x
 
 
 def attribute_graphs(graphs: list[WeightedDigraph]) -> list[AttributedGraph]:
     """Node features (1, weighted degree); edge feature (weight,)."""
     out = []
     for g in graphs:
-        edges = [(s, t) for s, t, _ in g.edges]
-        y = np.array([w for *_, w in g.edges], dtype=np.float64).reshape(-1, 1)
-        x = np.ones((g.n_vertices, 2))
-        # bincount adds in input order, so each degree sums its edges in edge order
-        ends = np.array(edges, dtype=np.intp).reshape(-1)  # s0, t0, s1, t1, ...
-        x[:, 1] = np.bincount(ends, weights=np.repeat(y, 2), minlength=g.n_vertices)
-        out.append(
-            AttributedGraph(n=g.n_vertices, x=x, edges=edges, y=y, as_of_date=g.as_of_date)
-        )
+        e = np.asarray(g.edges, dtype=EDGE_DTYPE).reshape(-1)
+        edges = np.stack([e["s"], e["t"]], axis=1).astype(np.intp)
+        y = e["w"].reshape(-1, 1)
+        x = _node_features(g.n_vertices, edges, y)
+        out.append(AttributedGraph(n=g.n_vertices, x=x, edges=edges, y=y))
     return out
 
 
@@ -129,37 +128,56 @@ def init_gine(
 
 
 class _Batch:
-    """Disjoint union of graphs: stacked node features (N, m) and message
-    features (2E, k), with constant sparse block-diagonal gather (2E x N),
-    scatter (N x 2E) and mean-pool (B x N) matrices."""
+    """Disjoint union of the graphs `idx` of `graphs`, in that order:
+    stacked node features (N, m) and message features (2E, k), with
+    constant sparse block-diagonal gather (2E x N), scatter (N x 2E) and
+    mean-pool (B x N) matrices."""
 
-    def __init__(self, graphs: list[AttributedGraph]):
-        self.sizes = np.array([g.n for g in graphs], dtype=np.intp)
+    def __init__(self, graphs: Graphs, idx):
+        if isinstance(graphs, np.ndarray):
+            adjacency = graphs[idx]
+            graph, s, t = np.nonzero(adjacency)
+            n = adjacency.shape[1]
+            edges = np.stack([graph * n + s, graph * n + t], axis=1)  # global vertex indices
+            y = adjacency[graph, s, t].reshape(-1, 1)
+            x = _node_features(len(adjacency) * n, edges, y)
+            self.sizes = np.full(len(adjacency), n)
+        else:
+            chosen = [graphs[i] for i in idx]
+            self.sizes = np.array([g.n for g in chosen], dtype=np.intp)
+            starts = np.cumsum(self.sizes) - self.sizes
+            parts = [np.reshape(g.edges, (-1, 2)) + lo for g, lo in zip(chosen, starts)]
+            edges = np.concatenate(parts)
+            graph = np.repeat(np.arange(len(chosen)), [len(e) for e in parts])
+            x, y = (np.concatenate([getattr(g, k) for g in chosen]) for k in ("x", "y"))
         if not self.sizes.all():
             raise DataError("cannot embed a graph without vertices")
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         n_nodes = int(self.offsets[-1])
-        src, tgt = np.concatenate(
-            [g.message_ends + off for g, off in zip(graphs, self.offsets)], axis=1
-        )
-        n_msgs = src.size
-        self.x = Tensor(np.concatenate([g.x for g in graphs]))
+        n_msgs = 2 * len(edges)
+        self.x = Tensor(x)
         self.has_edges = n_msgs > 0
         if self.has_edges:
+            # each graph's edges deliver s -> t as its first messages, then t -> s
+            order = np.argsort(np.concatenate([graph, graph]), kind="stable")
+            src, tgt = np.concatenate([edges, edges[:, ::-1]])[order].T
             ones, one_per_row = np.ones(n_msgs), np.arange(n_msgs + 1)
             self.gather = sp.csr_matrix((ones, src, one_per_row), shape=(n_msgs, n_nodes))
             by_target = sp.csr_matrix((ones, tgt, one_per_row), shape=(n_msgs, n_nodes))
             self.scatter = by_target.T.tocsr()
-            self.y = Tensor(np.concatenate([y for g in graphs for y in (g.y, g.y)]))
+            self.y = Tensor(np.concatenate([y, y])[order])
         self.pool = sp.csr_matrix(
             (np.repeat(1.0 / self.sizes, self.sizes), np.arange(n_nodes), self.offsets),
-            shape=(len(graphs), n_nodes),
+            shape=(len(self.sizes), n_nodes),
         )
 
 
-def _chunks(graphs: list[AttributedGraph], size: int):
+def _chunks(graphs: Graphs, size: int):
     """Batches of at most `size` consecutive graphs, in graph order."""
-    return (_Batch(graphs[lo : lo + size]) for lo in range(0, len(graphs), size))
+    return (
+        _Batch(graphs, range(lo, min(lo + size, len(graphs))))
+        for lo in range(0, len(graphs), size)
+    )
 
 
 def _forward(model: GineModel, batch: _Batch) -> tuple[list[Tensor], Tensor]:
@@ -187,15 +205,15 @@ def gine_forward(model: GineModel, g: AttributedGraph) -> tuple[list[Tensor], Te
         raise DataError(
             f"graph node features have dim {g.x.shape[1]}, model expects {model.node_dim}"
         )
-    if g.edges and g.y.shape[1] != model.edge_dim:
+    if len(g.edges) and g.y.shape[1] != model.edge_dim:
         raise DataError(
             f"graph edge features have dim {g.y.shape[1]}, model expects {model.edge_dim}"
         )
-    per_layer, emb = _forward(model, _Batch([g]))
+    per_layer, emb = _forward(model, _Batch([g], [0]))
     return per_layer, ad.matmul(Tensor(np.ones(1)), emb)  # (1, L*h) -> (L*h,)
 
 
-def _embeddings(model: GineModel, graphs: list[AttributedGraph], size: int) -> np.ndarray:
+def _embeddings(model: GineModel, graphs: Graphs, size: int) -> np.ndarray:
     """(T, L*h) graph embeddings, computed `size` graphs at a time."""
     with ad.no_grad():
         parts = [_forward(model, b)[1].data for b in _chunks(graphs, size)]
@@ -238,6 +256,12 @@ def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
     return min(losses[-patience:]) > best_before - min_delta
 
 
+def _check_sizes(config) -> None:
+    for name in ("batch_size", "layers", "hidden"):
+        if getattr(config, name) < 1:
+            raise DataError(f"{name} must be at least 1, got {getattr(config, name)}")
+
+
 def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]:
     """Adam on the batch mean of `batch_loss(idx)`, the summed loss of the
     graphs at `idx`, over shuffled mini-batches of graphs 0..n-1; returns
@@ -259,17 +283,18 @@ def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]
     return losses
 
 
-def ocgin_train(graphs: list[AttributedGraph], config: OcginConfig) -> OcginState:
+def ocgin_train(graphs: Graphs, config: OcginConfig) -> OcginState:
     """Minimize mean squared distance of graph embeddings to the frozen
     center (the mean embedding at initialization)."""
-    if not graphs:
+    if not len(graphs):
         raise DataError("ocgin_train needs a non-empty graph list")
+    _check_sizes(config)
     rng = np.random.default_rng(config.seed)
     model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
     center = np.mean(_embeddings(model, graphs, config.batch_size), axis=0)
 
     def batch_loss(idx) -> Tensor:
-        emb = _forward(model, _Batch([graphs[i] for i in idx]))[1]
+        emb = _forward(model, _Batch(graphs, idx))[1]
         return ad.squared_norm(ad.sub(emb, Tensor(np.tile(center, (len(idx), 1)))))
 
     losses = _fit(
@@ -279,7 +304,7 @@ def ocgin_train(graphs: list[AttributedGraph], config: OcginConfig) -> OcginStat
 
 
 def ocgin_scores(
-    state: OcginState, graphs: list[AttributedGraph], batch_size: int = 50
+    state: OcginState, graphs: Graphs, batch_size: int = 50
 ) -> np.ndarray:
     """Squared distance of each graph embedding to the center, computed
     `batch_size` graphs at a time."""
@@ -312,13 +337,14 @@ class GlocalState:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> GlocalState:
+def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
     """Train a student to mimic a frozen random teacher; the mimicry error
     (lambda * node term + graph term) is the anomaly score."""
-    if not graphs:
+    if not len(graphs):
         raise DataError("glocalkd_train needs a non-empty graph list")
     if config.lam < 0:
         raise DataError(f"lambda must be nonnegative, got {config.lam}")
+    _check_sizes(config)
     rng = np.random.default_rng(config.seed)
     teacher = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
     for t in teacher.parameters():
@@ -336,7 +362,7 @@ def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> Gloca
 
     def batch_loss(idx) -> Tensor:
         """Sum over the batch of lambda/n * node term + graph term."""
-        batch = _Batch([graphs[i] for i in idx])
+        batch = _Batch(graphs, idx)
         per_layer, emb = _forward(student, batch)
         target = np.concatenate([teacher_nodes[i] for i in idx])
         node_diff = ad.sub(per_layer[-1], Tensor(target))
@@ -354,7 +380,7 @@ def glocalkd_train(graphs: list[AttributedGraph], config: GlocalConfig) -> Gloca
 
 
 def glocalkd_scores(
-    state: GlocalState, graphs: list[AttributedGraph], batch_size: int = 50
+    state: GlocalState, graphs: Graphs, batch_size: int = 50
 ) -> np.ndarray:
     """lambda * final-layer node mimicry error / n + graph embedding error,
     computed `batch_size` graphs at a time."""

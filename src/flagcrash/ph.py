@@ -7,9 +7,9 @@ a 2-simplex at the largest weight of its directed edges (a,b), (a,c),
 triangles by (value, a, b, c).  Simplices above dimension 2 cannot
 affect H0/H1 and are never built.
 
-The engine works on a chunk of windows that share one vertex count, on
-stacked numpy arrays.  One lexsort on (window, weight, source, target)
-ranks every edge; one boolean product over the (window, a, b, c)
+The engine works on a chunk of consecutive windows of a series'
+(W, n, n) adjacency array.  One lexsort on (window, weight, source,
+target) ranks every edge; one boolean product over the (window, a, b, c)
 adjacency cube finds every directed triangle; a triangle's value and its
 youngest facet come from the ranks of its edges.  H0 is Kruskal
 union-find in filtration order, run in lockstep over the chunk's windows.
@@ -30,13 +30,11 @@ therefore the same floats whichever reducer made the diagram.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
-from .corrnet import WeightedDigraph, stack_edges
+from .corrnet import WeightedDigraph, matrix_from_digraph
 from .errors import DataError
 
 CHUNK_TRIPLES = 1 << 19
@@ -47,7 +45,7 @@ number of windows."""
 
 @dataclass
 class Filtration:
-    """The edges and directed triangles of windows that share a vertex count.
+    """The edges and directed triangles of a chunk of windows.
 
     Window i owns edges `edge_start[i]:edge_start[i + 1]`, sorted by
     (weight, source, target), and triangles `tri_start[i]:tri_start[i + 1]`,
@@ -71,23 +69,11 @@ class PersistenceDiagram:
     max_filtration: float  # largest simplex value, used by the capping variant
 
 
-@dataclass
-class TdaFeature:
-    as_of_date: date
-    l1_h0: float
-    l2_h0: float
-    l1_h1: float
-    l2_h1: float
-
-    def values(self) -> tuple[float, float, float, float]:
-        return (self.l1_h0, self.l2_h0, self.l1_h1, self.l2_h1)
-
-
 def build_filtration(g: WeightedDigraph) -> Filtration:
     """The one-window filtration of g: edges at their weight, directed
     2-cliques at the max of their three edge weights; vertices, all at 0,
     are implicit."""
-    return _build([g])
+    return _build(matrix_from_digraph([g]))
 
 
 def persistent_homology(f: Filtration) -> PersistenceDiagram:
@@ -99,48 +85,44 @@ def persistent_homology(f: Filtration) -> PersistenceDiagram:
     return diagram
 
 
-def window_chunks(graphs: list[WeightedDigraph]) -> list[list[WeightedDigraph]]:
-    """Consecutive graphs with one vertex count, at most
+def window_chunks(adjacency: np.ndarray) -> list[np.ndarray]:
+    """Consecutive windows of a (T, n, n) adjacency array, at most
     `CHUNK_TRIPLES // n**3` (and at least one) to a chunk."""
-    chunks = []
-    for n, run in itertools.groupby(graphs, key=lambda g: g.n_vertices):
-        run = list(run)
-        size = max(1, CHUNK_TRIPLES // max(n, 1) ** 3)
-        chunks.extend(run[lo : lo + size] for lo in range(0, len(run), size))
-    return chunks
+    size = max(1, CHUNK_TRIPLES // max(adjacency.shape[1], 1) ** 3)
+    return [adjacency[lo : lo + size] for lo in range(0, len(adjacency), size)]
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
-def _build(graphs: list[WeightedDigraph]) -> Filtration:
-    """The filtration of graphs that share one vertex count."""
-    e, window = stack_edges(graphs, "graph")
-    e = e[np.lexsort((e["t"], e["s"], e["w"], window))]
-    edges = np.stack([e["s"], e["t"]], axis=1).astype(np.intp)
-    weights = np.ascontiguousarray(e["w"])
+def _build(adjacency: np.ndarray) -> Filtration:
+    """The filtration of a (W, n, n) adjacency chunk."""
+    window, source, target = np.nonzero(adjacency)
+    weights = adjacency[window, source, target]
+    order = np.lexsort((target, source, weights, window))
+    window, weights = window[order], weights[order]
+    edges = np.stack([source[order], target[order]], axis=1)
 
-    # directed triangles, over the vertices that carry an edge in this chunk
-    labels, local = np.unique(edges, return_inverse=True)
-    local = local.reshape(edges.shape)
-    rank = np.full((len(graphs), len(labels), len(labels)), -1, dtype=np.intp)
-    rank[window, local[:, 0], local[:, 1]] = np.arange(len(e))
+    # directed triangles
+    rank = np.full(adjacency.shape, -1, dtype=np.intp)
+    rank[window, edges[:, 0], edges[:, 1]] = np.arange(len(edges))
     adj = rank >= 0
     tw, a, b, c = np.nonzero(adj[:, :, :, None] & adj[:, :, None, :] & adj[:, None, :, :])
     facets = np.stack([rank[tw, b, c], rank[tw, a, c], rank[tw, a, b]], axis=1)
     # every edge of a (window, weight) tie names the tie by its first edge; a
     # stable sort on the youngest facet's tie keeps (a, b, c) order within a value
-    first = np.ones(len(e), dtype=bool)
+    first = np.ones(len(edges), dtype=bool)
     first[1:] = (window[1:] != window[:-1]) | (weights[1:] != weights[:-1])
-    tie = np.maximum.accumulate(np.where(first, np.arange(len(e)), 0))
+    tie = np.maximum.accumulate(np.where(first, np.arange(len(edges)), 0))
     facets = facets[np.argsort(tie[facets.max(axis=1, initial=-1)], kind="stable")]
+    n_windows = len(adjacency)
     return Filtration(
-        n_vertices=graphs[0].n_vertices,
-        edge_start=_offsets(np.bincount(window, minlength=len(graphs))),
+        n_vertices=adjacency.shape[1],
+        edge_start=_offsets(np.bincount(window, minlength=n_windows)),
         edges=edges,
         weights=weights,
-        tri_start=_offsets(np.bincount(tw, minlength=len(graphs))),
+        tri_start=_offsets(np.bincount(tw, minlength=n_windows)),
         facets=facets,
     )
 
@@ -286,16 +268,12 @@ def diagram_norm(
     return float(sum(x * x for x in lengths)) ** 0.5
 
 
-def tda_features(
-    graphs: list[WeightedDigraph], essential: str = "drop"
-) -> list[TdaFeature]:
-    """The (L1-H0, L2-H0, L1-H1, L2-H1) vector of every graph in order,
-    computed one chunk of windows at a time."""
-    if any(g.as_of_date is None for g in graphs):
-        raise DataError("tda_features requires dated graphs")
-    out = []
-    for chunk in window_chunks(graphs):
-        for g, diagram in zip(chunk, _diagrams(_build(chunk))):
-            norms = [diagram_norm(diagram, p, dim, essential) for dim in (0, 1) for p in (1, 2)]
-            out.append(TdaFeature(g.as_of_date, *norms))
-    return out
+def tda_features(adjacency: np.ndarray, essential: str = "drop") -> np.ndarray:
+    """The (T, 4) norms L1-H0, L2-H0, L1-H1, L2-H1 of every window of a
+    (T, n, n) adjacency array, computed one chunk of windows at a time."""
+    rows = [
+        [diagram_norm(d, p, dim, essential) for dim in (0, 1) for p in (1, 2)]
+        for chunk in window_chunks(adjacency)
+        for d in _diagrams(_build(chunk))
+    ]
+    return np.array(rows).reshape(-1, 4)

@@ -1,8 +1,10 @@
 """Configuration loading and end-to-end pipeline orchestration.
 
-Every stage reads and writes files through the same functions the
-standalone CLI commands use, so a pipeline run is exactly reproducible by
-chaining the individual commands on the intermediate files.
+Past ingest and graph building, each `stage_*` function takes its input
+in memory, writes its output file and returns its result.  A run hands
+the window series, feature tables and scores from stage to stage in
+memory; the standalone commands read them from the files a run writes,
+so chaining the commands reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -93,8 +95,7 @@ class PipelineConfig:
                 if name not in known:
                     raise ConfigError(f"unknown {what} {name!r}")
         for dim in self.pca_dims:
-            if dim != "raw" and not dim.isdigit():
-                raise ConfigError(f"pca dim must be 'raw' or an integer, got {dim!r}")
+            check_pca_dim(dim)
         if not Path(self.prices_path).exists():
             raise ConfigError(f"prices file {self.prices_path} does not exist")
         if (
@@ -105,6 +106,12 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()[:12]
+
+
+def check_pca_dim(dim: str) -> None:
+    """Raise ConfigError unless `dim` is "raw" or a decimal integer."""
+    if dim != "raw" and not (dim.isascii() and dim.isdigit()):
+        raise ConfigError(f"pca dim must be 'raw' or an integer, got {dim!r}")
 
 
 def _split(text: str) -> tuple[str, ...]:
@@ -156,13 +163,13 @@ _GNN_GRIDS = {
     "ocgin": (
         ("ocgin_lr", "lr", "lr", "g"),
         ("ocgin_weight_decay", "weight_decay", "wd", "g"),
-        ("ocgin_batch", "batch", "batch", ""),
+        ("ocgin_batch", "batch_size", "batch", ""),
         ("ocgin_layers", "layers", "layers", ""),
     ),
     "glocalkd": (
         ("glocal_lr", "lr", "lr", "g"),
         ("glocal_lambda", "lam", "lambda", "g"),
-        ("glocal_batch", "batch", "batch", ""),
+        ("glocal_batch", "batch_size", "batch", ""),
         ("glocal_layers", "layers", "layers", ""),
     ),
 }
@@ -198,7 +205,9 @@ def load_config(path) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# standalone stages (file in, file out)
+# stages
+
+FeatureTable = tuple[list[date], list[str], np.ndarray]  # dates, columns, values
 
 
 def stage_ingest(prices_path, start, end, min_coverage, out_path) -> None:
@@ -210,15 +219,14 @@ def stage_ingest(prices_path, start, end, min_coverage, out_path) -> None:
 
 def stage_graphs(
     returns_path, window, kind, ccm_params: CcmParams, out_path, jobs: int = 1
-) -> None:
+) -> corrnet.WindowSeries:
     returns = read_returns_csv(returns_path)
-    matrices = corrnet.correlation_series(
+    series = corrnet.correlation_series(
         returns, width=window, kind=kind, ccm_params=ccm_params, jobs=jobs
     )
-    graphs = corrnet.graph_series(matrices)
     archive.write_graphs(
         out_path,
-        graphs,
+        corrnet.graph_series(series),
         params={
             "window": window,
             "correlation": kind,
@@ -227,41 +235,36 @@ def stage_graphs(
             "tickers": returns.tickers,
         },
     )
+    return series
 
 
-def stage_tda(graphs_path, essential, out_path, jobs: int = 1) -> None:
-    graphs, _ = archive.read_graphs(graphs_path, edge_blocks=True)
+def stage_tda(series: corrnet.WindowSeries, essential, out_path, jobs: int = 1) -> FeatureTable:
     fn = partial(tda_features, essential=essential)
-    chunks = corrnet.parallel_map(fn, window_chunks(graphs), jobs)
-    feats = [f for chunk in chunks for f in chunk]
-    tables.write_feature_csv(
-        out_path,
-        [f.as_of_date for f in feats],
-        ["l1_h0", "l2_h0", "l1_h1", "l2_h1"],
-        [f.values() for f in feats],
-    )
+    values = np.concatenate(corrnet.parallel_map(fn, window_chunks(series.weights), jobs))
+    table = (series.dates, ["l1_h0", "l2_h0", "l1_h1", "l2_h1"], values)
+    tables.write_feature_csv(out_path, *table)
+    return table
 
 
-def stage_pca(graphs_path, dim: str, out_path) -> None:
-    graphs, params = archive.read_graphs(graphs_path)
-    kind = params.get("correlation", "ccm")
-    dates = [g.as_of_date for g in graphs]
-    data = np.stack(
-        [corrnet.matrix_from_digraph(g, kind).reshape(-1) for g in graphs]
-    )
+def stage_pca(series: corrnet.WindowSeries, dim: str, out_path) -> FeatureTable:
+    """Each window's flattened correlation matrix, raw or projected on its
+    top `dim` principal components; a Pearson matrix is mirrored first."""
+    w = series.weights
+    if series.kind == "pearson":
+        w = w + w.transpose(0, 2, 1)
+    data = w.reshape(len(w), -1)
     if dim == "raw":
         values = data
     else:
-        model = fit_pca(data, int(dim))
-        values = project_matrix(model, data)
-    columns = [f"c{i + 1}" for i in range(values.shape[1])]
-    tables.write_feature_csv(out_path, dates, columns, values)
+        values = project_matrix(fit_pca(data, int(dim)), data)
+    table = (series.dates, [f"c{i + 1}" for i in range(values.shape[1])], values)
+    tables.write_feature_csv(out_path, *table)
+    return table
 
 
-def score_table(features_path, methods, lof_k) -> list[AnomalySeries]:
+def score_table(dates, values, methods, lof_k) -> list[AnomalySeries]:
     """Series of every method in `methods` (LOF once per `lof_k` entry)
-    over one feature table, which is read once."""
-    dates, _, values = tables.read_feature_csv(features_path)
+    over one feature table."""
     out = []
     for method in methods:
         if method == "mahalanobis":
@@ -274,48 +277,44 @@ def score_table(features_path, methods, lof_k) -> list[AnomalySeries]:
 
 
 def stage_score(features_path, method: str, lof_k: int, out_path) -> None:
-    (series,) = score_table(features_path, [method], [lof_k])
+    dates, _, values = tables.read_feature_csv(features_path)
+    (series,) = score_table(dates, values, [method], [lof_k])
     tables.write_scores_csv(out_path, series.dates, series.scores)
 
 
 def stage_gnn(
-    graphs_path,
+    series: corrnet.WindowSeries,
     model: str,
     out_path,
-    lr: float = 0.001,
     weight_decay: float = 1e-4,
     lam: float = 0.1,
-    layers: int = 3,
-    hidden: int = 10,
-    batch: int = 50,
-    epochs: int = 150,
-    seed: int = 7,
     checkpoint_path=None,
-) -> None:
-    graphs, _ = archive.read_graphs(graphs_path)
-    attributed = gnn.attribute_graphs(graphs)
-    dates = [g.as_of_date for g in graphs]
-    common = dict(
-        lr=lr, batch_size=batch, layers=layers, hidden=hidden, epochs=epochs, seed=seed
-    )
+    **train,
+) -> np.ndarray:
+    """Train `model` on the series and write the score of every window;
+    `train` sets the model config's shared fields (lr, batch_size, layers,
+    hidden, epochs, seed) and `weight_decay` or `lam` its own."""
     if model == "ocgin":
-        config = gnn.OcginConfig(weight_decay=weight_decay, **common)
-        state = gnn.ocgin_train(attributed, config)
-        scores = gnn.ocgin_scores(state, attributed, batch)
+        config = gnn.OcginConfig(weight_decay=weight_decay, **train)
+        state = gnn.ocgin_train(series.weights, config)
+        scores = gnn.ocgin_scores(state, series.weights, config.batch_size)
     elif model == "glocalkd":
-        state = gnn.glocalkd_train(attributed, gnn.GlocalConfig(lam=lam, **common))
-        scores = gnn.glocalkd_scores(state, attributed, batch)
+        config = gnn.GlocalConfig(lam=lam, **train)
+        state = gnn.glocalkd_train(series.weights, config)
+        scores = gnn.glocalkd_scores(state, series.weights, config.batch_size)
     else:
         raise ConfigError(f"unknown gnn model {model!r}")
     if checkpoint_path is not None:
         from .checkpoint import save_checkpoint
 
         save_checkpoint(state, checkpoint_path)
-    tables.write_scores_csv(out_path, dates, scores)
+    tables.write_scores_csv(out_path, series.dates, scores)
+    return scores
 
 
 def stage_evaluate(
-    scores_path,
+    dates,
+    scores,
     events: EventList,
     percentile: float,
     lookback: int,
@@ -323,7 +322,6 @@ def stage_evaluate(
     report_path,
     chart_path=None,
 ) -> dict:
-    dates, scores = tables.read_scores_csv(scores_path)
     series = AnomalySeries(dates=dates, scores=scores, method_tag=method)
     flags = threshold_anomalies(series, percentile)
     report = metrics(flags, dates, events, lookback, method=method)
@@ -345,8 +343,8 @@ def stage_evaluate(
 # full pipeline
 
 
-def _run_gnn_task(kwargs: dict) -> None:
-    stage_gnn(**kwargs)
+def _gnn_task(series: corrnet.WindowSeries, kwargs: dict) -> np.ndarray:
+    return stage_gnn(series, **kwargs)
 
 
 def _slug(method: str) -> str:
@@ -393,42 +391,39 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
         )
 
         stage = "graphs"
-        graphs_bin = run_dir / "graphs.bin"
-        stage_graphs(
+        series = stage_graphs(
             returns_csv, config.window, config.correlation, config.ccm_params,
-            graphs_bin, jobs=jobs,
+            run_dir / "graphs.bin", jobs=jobs,
         )
 
-        feature_files: dict[str, Path] = {}
+        features: dict[str, FeatureTable] = {}
         if config.tda_norms:
             stage = "tda"
-            tda_csv = run_dir / "tda.csv"
-            stage_tda(graphs_bin, config.essential, tda_csv, jobs=jobs)
-            dates, columns, values = tables.read_feature_csv(tda_csv)
+            dates, columns, values = stage_tda(
+                series, config.essential, run_dir / "tda.csv", jobs=jobs
+            )
             for norm in config.tda_norms:
                 sel = [f"{norm}_h0", f"{norm}_h1"]
-                idx = [columns.index(c) for c in sel]
-                branch_csv = run_dir / f"tda_{norm}.csv"
-                tables.write_feature_csv(branch_csv, dates, sel, values[:, idx])
-                feature_files[f"tda-{norm}"] = branch_csv
+                table = (dates, sel, values[:, [columns.index(c) for c in sel]])
+                tables.write_feature_csv(run_dir / f"tda_{norm}.csv", *table)
+                features[f"tda-{norm}"] = table
         if config.pca_dims:
             stage = "pca"
             for dim in config.pca_dims:
-                branch_csv = run_dir / f"pca_{dim}.csv"
-                stage_pca(graphs_bin, dim, branch_csv)
-                feature_files[f"pca-{dim}"] = branch_csv
+                features[f"pca-{dim}"] = stage_pca(series, dim, run_dir / f"pca_{dim}.csv")
 
         stage = "score"
-        score_files: dict[str, Path] = {}
-        for branch, feature_csv in feature_files.items():
-            for series in score_table(feature_csv, config.detectors, config.lof_k):
-                method = f"{branch}+{series.method_tag}"
-                out = run_dir / f"scores_{_slug(method)}.csv"
-                tables.write_scores_csv(out, series.dates, series.scores)
-                score_files[method] = out
+        scores: dict[str, tuple[list[date], np.ndarray]] = {}
+        for branch, (dates, _, values) in features.items():
+            for one in score_table(dates, values, config.detectors, config.lof_k):
+                method = f"{branch}+{one.method_tag}"
+                tables.write_scores_csv(
+                    run_dir / f"scores_{_slug(method)}.csv", one.dates, one.scores
+                )
+                scores[method] = (one.dates, one.scores)
 
         stage = "gnn"
-        tasks = []
+        methods, tasks = [], []
         for model, axes in _GNN_GRIDS.items():
             if model not in config.gnn_models:
                 continue
@@ -437,21 +432,21 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
                 method = " ".join(
                     [model] + [f"{k}={v:{spec}}" for k, v, spec in zip(labels, point, specs)]
                 )
-                out = run_dir / f"scores_{_slug(method)}.csv"
-                score_files[method] = out
+                methods.append(method)
                 tasks.append(dict(
-                    graphs_path=graphs_bin, model=model, out_path=out,
+                    model=model, out_path=run_dir / f"scores_{_slug(method)}.csv",
                     hidden=config.hidden, epochs=config.epochs, seed=config.seed,
                     **dict(zip(keywords, point)),
                 ))
-        corrnet.parallel_map(_run_gnn_task, tasks, jobs)
+        results = corrnet.parallel_map(partial(_gnn_task, series), tasks, jobs)
+        scores.update((m, (series.dates, r)) for m, r in zip(methods, results))
 
         stage = "evaluate"
         rows = []
-        for method, scores_csv in sorted(score_files.items()):
+        for method, (dates, values) in sorted(scores.items()):
             slug = _slug(method)
             report = stage_evaluate(
-                scores_csv, events, config.percentile, config.lookback, method,
+                dates, values, events, config.percentile, config.lookback, method,
                 run_dir / f"report_{slug}.json", run_dir / f"chart_{slug}.svg",
             )
             rows.append(

@@ -8,7 +8,6 @@ repr so reruns hash identically.
 from __future__ import annotations
 
 from datetime import date, datetime
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,13 +27,6 @@ def write_feature_csv(path, dates: list[date], columns: list[str], values) -> No
             f.write(d.isoformat() + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
-@lru_cache(maxsize=1 << 14)
-def _parse_date(text: str) -> date:
-    # memoised: every table of a run repeats the same few thousand dates,
-    # and strptime dominates reading a narrow table
-    return datetime.strptime(text, "%Y-%m-%d").date()
-
-
 def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
@@ -52,7 +44,7 @@ def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:
         if len(cells) != len(columns) + 1:
             raise DataError(f"{path} line {lineno}: column count mismatch")
         try:
-            dates.append(_parse_date(cells[0]))
+            dates.append(datetime.strptime(cells[0], "%Y-%m-%d").date())
         except ValueError:
             raise DataError(f"{path} line {lineno}: bad date {cells[0]!r}") from None
         rows.append([float(c) for c in cells[1:]])

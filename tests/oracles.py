@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 from flagcrash import autodiff as ad
 from flagcrash import gnn
-from flagcrash.corrnet import WeightedDigraph
+from flagcrash.corrnet import WeightedDigraph, WindowSeries, matrix_from_digraph
 from flagcrash.ph import PersistenceDiagram
 
 
@@ -273,6 +273,11 @@ def random_digraph(rng: np.random.Generator, max_vertices: int) -> WeightedDigra
     return WeightedDigraph(
         n_vertices=n, edges=edges, as_of_date=date(2020, 1, 1)
     )
+
+
+def series_of(graphs: list[WeightedDigraph], kind: str = "ccm") -> WindowSeries:
+    """The window series of dated digraphs that share one vertex count."""
+    return WindowSeries(matrix_from_digraph(graphs), [g.as_of_date for g in graphs], kind)
 
 
 def random_graph_sequence(seed: int, count: int, max_vertices: int):

@@ -1,14 +1,24 @@
 import json
 import struct
-from datetime import date
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flagcrash.archive import read_graphs, sidecar_path, write_graphs
+from flagcrash.archive import read_graphs, read_series, sidecar_path, write_graphs
 from flagcrash.cli import main
-from flagcrash.corrnet import EDGE_DTYPE, WeightedDigraph
+from flagcrash.corrnet import (
+    EDGE_DTYPE,
+    WeightedDigraph,
+    correlation_series,
+    graph_series,
+)
 from flagcrash.errors import DataError
+from flagcrash.ingest import ReturnMatrix
 from flagcrash.tables import (
     read_feature_csv,
     read_scores_csv,
@@ -17,6 +27,14 @@ from flagcrash.tables import (
 )
 
 from oracles import random_graph_sequence
+
+
+def small_series(kind):
+    """The 6-window, 4-ticker correlation series of a seeded random panel."""
+    rng = np.random.default_rng(5)
+    dates = [date(2020, 1, 1) + timedelta(days=i) for i in range(30)]
+    returns = ReturnMatrix(dates, ["a", "b", "c", "d"], rng.normal(size=(30, 4)))
+    return correlation_series(returns, width=25, kind=kind)
 
 
 class TestGraphArchive:
@@ -32,13 +50,30 @@ class TestGraphArchive:
         for a, b in zip(graphs, back):
             assert a.n_vertices == b.n_vertices
             assert a.as_of_date == b.as_of_date
-            assert a.edges == b.edges
+            assert b.edges.tolist() == a.edges  # random digraphs list edges row-major
+
+    @pytest.mark.parametrize("kind", ["pearson", "ccm"])
+    def test_series_reads_back_bitwise(self, tmp_path, kind):
+        series = small_series(kind)
+        path = tmp_path / "graphs.bin"
+        params = {"correlation": kind, "tickers": series.tickers}
+        write_graphs(path, graph_series(series), params)
+        back = read_series(path)
+        assert back.weights.tobytes() == series.weights.tobytes()
+        assert (back.dates, back.kind, back.tickers) == (series.dates, kind, series.tickers)
+        # the series' nonzero entries are the records' edges, in record order
+        graphs, _ = read_graphs(path)
+        for g, w in zip(graphs, series.weights):
+            assert [(s, t) for s, t, _ in g.edges.tolist()] == list(zip(*np.nonzero(w)))
 
     def test_empty_graph_list(self, tmp_path):
         path = tmp_path / "empty.bin"
         write_graphs(path, [], {})
         back, _ = read_graphs(path)
         assert back == []
+        # no stage can use a series without windows
+        with pytest.raises(DataError, match=f"{path}: archive holds no graphs"):
+            read_series(path)
 
     def test_sidecar_written(self, tmp_path):
         path = tmp_path / "g.bin"
@@ -110,6 +145,7 @@ CORRUPT = {
     "decreasing-date": [GOOD, ("2020-01-01", 3, [])],
     "bad-date": [("2020-13-45", 3, [])],
     "mixed-vertex-count": [GOOD, ("2020-01-03", 4, []), ("2020-01-06", 3, [])],
+    "too-many-vertices": [("2020-01-02", 2**31, [])],
 }
 
 
@@ -120,20 +156,23 @@ class TestArchiveValidation:
         graphs, params = read_graphs(path)
         assert params == {}
         assert [g.as_of_date for g in graphs] == [date(2020, 1, 2), date(2020, 1, 3)]
-        assert graphs[0].edges == [(0, 1, 0.5), (1, 2, 0.25)]
-        assert all(type(v) is int for s, t, _ in graphs[0].edges for v in (s, t))
-        assert all(type(w) is float for *_, w in graphs[0].edges)
+        assert graphs[0].edges.dtype == EDGE_DTYPE
+        assert graphs[0].edges.tolist() == [(0, 1, 0.5), (1, 2, 0.25)]
+        series = read_series(path)
+        assert series.kind == "ccm" and series.tickers is None
+        assert np.array_equal(series.weights[0], [[0, 0.5, 0], [0, 0, 0.25], [0, 0, 0]])
+        assert not series.weights[1].any()
 
     def test_edge_blocks_hold_the_same_edges(self, tmp_path):
+        # a hand-written record may list its edges in any order
         path = tmp_path / "g.bin"
-        path.write_bytes(fcgr_bytes([GOOD, ("2020-01-03", 3, [])]))
-        graphs, _ = read_graphs(path)
-        blocks, _ = read_graphs(path, edge_blocks=True)
-        assert [g.as_of_date for g in blocks] == [g.as_of_date for g in graphs]
-        for g, b in zip(graphs, blocks):
-            assert b.n_vertices == g.n_vertices
-            assert b.edges.dtype == EDGE_DTYPE
-            assert b.edges.tolist() == g.edges
+        edges = [(2, 0, 0.75), (1, 2, 0.25), (0, 1, 0.5)]
+        path.write_bytes(fcgr_bytes([("2020-01-02", 3, edges)]))
+        (g,), _ = read_graphs(path)
+        assert g.edges.dtype == EDGE_DTYPE and g.edges.tolist() == edges
+        (w,) = read_series(path).weights
+        assert [(s, t, w[s, t]) for s, t, _ in edges] == edges
+        assert np.count_nonzero(w) == len(edges)
 
     def test_writer_matches_hand_written_layout(self, tmp_path):
         graphs = [WeightedDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)], date(2020, 1, 2))]
@@ -145,7 +184,7 @@ class TestArchiveValidation:
         path = tmp_path / "g.bin"
         path.write_bytes(fcgr_bytes(CORRUPT[name]))
         with pytest.raises(DataError):
-            read_graphs(path)
+            read_series(path)
 
     def test_edge_count_beyond_file_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
@@ -201,6 +240,33 @@ class TestArchiveValidation:
         out = tmp_path / "out.csv"
         assert main(["tda", "--graphs", str(path), "--out", str(out)]) == 3
         assert not out.exists()
+
+
+VALID = small_series("ccm")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_archive_loads_or_raises_data_error(data):
+    """A truncated archive, or one with flipped bytes, beside its intact
+    sidecar either loads or raises DataError, and the CLI then exits 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graphs.bin"
+        write_graphs(path, graph_series(VALID), {"correlation": "ccm", "tickers": VALID.tickers})
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+            for at, mask in data.draw(st.lists(flips, min_size=1, max_size=8), label="flips"):
+                blob[at] ^= mask
+        path.write_bytes(bytes(blob))
+        try:
+            read_series(path)
+        except DataError:
+            out = Path(tmp) / "out.csv"
+            assert main(["pca", "--graphs", str(path), "--out", str(out)]) == 3
+            assert not out.exists()
 
 
 class TestFeatureTables:

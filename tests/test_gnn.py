@@ -7,7 +7,7 @@ import pytest
 
 from flagcrash import autodiff as ad
 from flagcrash import gnn
-from flagcrash.corrnet import WeightedDigraph
+from flagcrash.corrnet import WeightedDigraph, graph_series
 from flagcrash.errors import DataError
 from flagcrash.gnn import (
     AttributedGraph,
@@ -25,6 +25,7 @@ from flagcrash.gnn import (
 from oracles import (
     model_checksum,
     random_graph_sequence,
+    series_of,
     reference_glocalkd_scores,
     reference_glocalkd_train,
     reference_ocgin_scores,
@@ -90,7 +91,7 @@ class TestAttributeGraphs:
     def test_edgeless(self):
         (g,) = attribute_graphs([digraph(3, [])])
         np.testing.assert_array_equal(g.x, [[1.0, 0.0]] * 3)
-        assert g.edges == [] and g.y.shape == (0, 1)
+        assert g.edges.shape == (0, 2) and g.y.shape == (0, 1)
 
     def test_single_edge(self):
         (g,) = attribute_graphs([digraph(2, [(0, 1, 0.5)])])
@@ -160,7 +161,7 @@ class TestGineForward:
         rng = np.random.default_rng(3)
         model = init_gine(rng)
         bad = AttributedGraph(
-            n=2, x=np.ones((2, 3)), edges=[], y=np.zeros((0, 1)), as_of_date=None
+            n=2, x=np.ones((2, 3)), edges=np.zeros((0, 2), dtype=np.intp), y=np.zeros((0, 1))
         )
         with pytest.raises(DataError):
             gine_forward(model, bad)
@@ -410,7 +411,7 @@ class TestBatchedForward:
         model = init_gine(rng, hidden=6, n_layers=3)
         graphs = mixed_graphs()
         order = rng.permutation(len(graphs))
-        batch = gnn._Batch([graphs[i] for i in order])
+        batch = gnn._Batch(graphs, order)
         per_layer, emb = gnn._forward(model, batch)
         assert emb.shape == (len(graphs), model.embedding_dim)
         assert per_layer[-1].shape == (sum(g.n for g in graphs), model.hidden)
@@ -423,7 +424,7 @@ class TestBatchedForward:
 
     def test_batch_holds_sparse_block_diagonal_matrices(self):
         graphs = mixed_graphs()
-        batch = gnn._Batch(graphs)
+        batch = gnn._Batch(graphs, range(len(graphs)))
         n_msgs = 2 * sum(len(g.edges) for g in graphs)
         n_nodes = sum(g.n for g in graphs)
         assert batch.gather.format == batch.scatter.format == batch.pool.format == "csr"
@@ -531,3 +532,51 @@ class TestScoreChunks:
         kd = glocalkd_train(graphs, GlocalConfig(layers=1, hidden=3, epochs=1))
         assert ocgin_scores(oc, []).shape == (0,)
         assert glocalkd_scores(kd, []).shape == (0,)
+
+
+def adjacency_series(seed, count, n, kind):
+    """A window series of `count` random digraphs on n vertices; a Pearson
+    series keeps only edges s -> t with s < t, as correlation_series does."""
+    graphs = random_graph_sequence(seed, count, n)
+    for g in graphs:
+        g.n_vertices = n
+        if kind == "pearson":
+            g.edges = [(s, t, w) for s, t, w in g.edges if s < t]
+    graphs[1].edges = []
+    return series_of(graphs, kind)
+
+
+class TestAdjacencyBatches:
+    """A run passes the series' adjacency array; its batches, training and
+    scores must equal those of the same graphs as an attributed list."""
+
+    @pytest.mark.parametrize("kind", ["pearson", "ccm"])
+    def test_batch_equals_attributed_batch(self, kind):
+        series = adjacency_series(800, 12, 7, kind)
+        listed = attribute_graphs(graph_series(series))
+        order = np.random.default_rng(1).permutation(len(series))
+        a, b = gnn._Batch(series.weights, order), gnn._Batch(listed, order)
+        for name in ("sizes", "offsets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("x", "y"):
+            assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+        for name in ("gather", "scatter", "pool"):
+            m, m2 = getattr(a, name), getattr(b, name)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(m, part), getattr(m2, part))
+
+    @pytest.mark.parametrize("kind", ["pearson", "ccm"])
+    def test_training_and_scores_equal_attributed(self, kind):
+        series = adjacency_series(801, 20, 6, kind)
+        listed = attribute_graphs(graph_series(series))
+        oc_config = OcginConfig(lr=0.003, batch_size=7, layers=2, hidden=4, epochs=4)
+        kd_config = GlocalConfig(lr=0.003, batch_size=7, layers=2, hidden=4, epochs=4)
+
+        def outcome(graphs):
+            oc = ocgin_train(graphs, oc_config)
+            kd = glocalkd_train(graphs, kd_config)
+            scores = [ocgin_scores(oc, graphs, 7), glocalkd_scores(kd, graphs, 7)]
+            return [oc.loss_curve, kd.loss_curve, *scores]
+
+        for mine, theirs in zip(outcome(series.weights), outcome(listed)):
+            assert np.array_equal(mine, theirs)

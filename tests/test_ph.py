@@ -22,6 +22,7 @@ from oracles import (
     brute_force_diagram,
     random_digraph,
     reference_persistence,
+    series_of,
     union_find_merge_weights,
 )
 
@@ -221,16 +222,15 @@ class TestNorms:
 
 class TestTdaFeatures:
     def test_empty_sequence(self):
-        assert tda_features([]) == []
+        assert tda_features(series_of([]).weights).shape == (0, 4)
 
     def test_edgeless_graph_all_zero(self):
-        feats = tda_features([graph(5, [])])
-        assert feats[0].values() == (0.0, 0.0, 0.0, 0.0)
+        feats = tda_features(series_of([graph(5, [])]).weights)
+        assert tuple(feats[0]) == (0.0, 0.0, 0.0, 0.0)
 
     def test_two_vertex_edge_feature(self):
-        feats = tda_features([graph(2, [(0, 1, 0.3)])])
-        assert feats[0].values() == pytest.approx((0.3, 0.3, 0.0, 0.0))
-        assert feats[0].as_of_date == date(2020, 1, 6)
+        feats = tda_features(series_of([graph(2, [(0, 1, 0.3)])]).weights)
+        assert tuple(feats[0]) == pytest.approx((0.3, 0.3, 0.0, 0.0))
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -245,28 +245,30 @@ class TestTdaFeatures:
         ids=["self-loop", "duplicate", "zero", "negative", "nan", "vertex-index"],
     )
     def test_bad_edges_rejected_naming_the_graph(self, edges, message):
+        # digraphs are checked before they become a series' adjacency array
         good = graph(3, [(0, 1, 0.5)])
         bad = WeightedDigraph(3, edges, date(2020, 1, 7))
         with pytest.raises(DataError, match=f"2020-01-07: .*{message}"):
-            tda_features([good, bad])
+            series_of([good, bad])
 
-    def test_undated_graph_rejected(self):
-        with pytest.raises(DataError, match="dated"):
-            tda_features([graph(2, [(0, 1, 0.3)]), WeightedDigraph(2, [(0, 1, 0.3)])])
-
-    def test_mixed_vertex_counts_group_in_order(self):
+    def test_chunks_cover_the_series_in_order(self, monkeypatch):
         rng = np.random.default_rng(8)
         graphs = []
-        for i, n in enumerate([4, 4, 6, 4, 1, 0, 6, 6]):
+        for i in range(8):
             edges = [
                 (s, t, round(float(rng.uniform(0.05, 1.0)), 1) or 0.1)
-                for s in range(n)
-                for t in range(n)
+                for s in range(4)
+                for t in range(4)
                 if s != t and rng.random() < 0.6
             ]
-            graphs.append(WeightedDigraph(n, edges, date(2020, 1, 1) + timedelta(days=i)))
-        assert [len(c) for c in ph.window_chunks(graphs)] == [2, 1, 1, 1, 1, 2]
-        assert tda_features(graphs, "cap") == [tda_features([g], "cap")[0] for g in graphs]
+            graphs.append(WeightedDigraph(4, edges, date(2020, 1, 1) + timedelta(days=i)))
+        series = series_of(graphs)
+        monkeypatch.setattr(ph, "CHUNK_TRIPLES", 3 * 4**3)
+        chunks = ph.window_chunks(series.weights)
+        assert [len(c) for c in chunks] == [3, 3, 2]
+        assert np.array_equal(np.concatenate(chunks), series.weights)
+        want = [tda_features(series_of([g]).weights, "cap")[0] for g in graphs]
+        assert np.array_equal(tda_features(series.weights, "cap"), want)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +295,17 @@ def digraphs(draw, n):
 
 @st.composite
 def graph_sequences(draw, max_vertices):
-    """Graphs of one or two vertex counts (1 and 0 included), dated in order."""
-    counts = draw(st.lists(st.integers(0, max_vertices), min_size=1, max_size=2))
+    """Graphs of one vertex count (1 and 0 included), dated in order."""
+    n = draw(st.integers(0, max_vertices))
     out = []
     for i in range(draw(st.integers(1, 9))):
-        n = draw(st.sampled_from(counts))
         out.append(WeightedDigraph(n, draw(digraphs(n)), date(2019, 1, 1) + timedelta(days=i)))
     return out
 
 
 def batched_diagrams(graphs):
-    return [d for chunk in ph.window_chunks(graphs) for d in ph._diagrams(ph._build(chunk))]
+    chunks = ph.window_chunks(series_of(graphs).weights)
+    return [d for chunk in chunks for d in ph._diagrams(ph._build(chunk))]
 
 
 def assert_same_diagrams(got, want):
@@ -321,7 +323,7 @@ class TestBatchedEngine:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ph, "CHUNK_TRIPLES", chunk_triples)
             diagrams = batched_diagrams(graphs)
-            features = {e: tda_features(graphs, e) for e in ("drop", "cap")}
+            features = {e: tda_features(series_of(graphs).weights, e) for e in ("drop", "cap")}
         assert len(diagrams) == len(graphs)
         for i, (g, d) in enumerate(zip(graphs, diagrams)):
             want = reference_persistence(g)
@@ -331,8 +333,7 @@ class TestBatchedEngine:
                 norms = tuple(
                     diagram_norm(want, p, dim, essential) for dim in (0, 1) for p in (1, 2)
                 )
-                assert feats[i].values() == norms  # bitwise
-                assert feats[i].as_of_date == g.as_of_date
+                assert tuple(feats[i].tolist()) == norms  # bitwise
 
     @settings(max_examples=60, deadline=None)
     @given(graph_sequences(5))
@@ -353,12 +354,12 @@ class TestBatchedEngine:
             g.edges = [(s, t, round(w, 1) or 0.1) for s, t, w in g.edges]
             g.as_of_date = date(2000, 1, 1) + timedelta(days=i)
             graphs.append(g)
-        assert [len(c) for c in ph.window_chunks(graphs)] == [524, 76]
-        feats = tda_features(graphs, "cap")
+        assert [len(c) for c in ph.window_chunks(series_of(graphs).weights)] == [524, 76]
+        feats = tda_features(series_of(graphs).weights, "cap")
         for g, d, f in zip(graphs, batched_diagrams(graphs), feats):
             want = reference_persistence(g)
             assert_same_diagrams(d, want)
-            assert f.values() == tuple(
+            assert tuple(f.tolist()) == tuple(
                 diagram_norm(want, p, dim, "cap") for dim in (0, 1) for p in (1, 2)
             )
 

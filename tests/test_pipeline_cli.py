@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
+from flagcrash.archive import write_graphs
 from flagcrash.cli import main
 from flagcrash.errors import ConfigError
 from flagcrash.pipeline import PipelineConfig, load_config, run_pipeline
@@ -163,7 +165,7 @@ class TestStageCommands:
         ]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, capsys):
         assert main([
             "ingest", "--prices", str(tmp_path / "missing.csv"),
             "--start", "2010-01-01", "--end", "2010-02-01",
@@ -180,6 +182,41 @@ class TestStageCommands:
             malformed = tmp_path / "malformed.ini"
             malformed.write_text(text)
             assert main(["run", "--config", str(malformed)]) == 2
+        # an archive without records: one message, naming it, from every stage
+        empty = tmp_path / "empty.bin"
+        write_graphs(empty, [], {})
+        out = tmp_path / "out.csv"
+        for command in (["pca", "--dim", "abc"], ["pca", "--dim", "\u00b2"]):
+            assert main(command + ["--graphs", str(empty), "--out", str(out)]) == 2
+        messages = set()
+        for command in (["pca"], ["tda"], ["gnn", "--model", "ocgin"]):
+            capsys.readouterr()
+            assert main(command + ["--graphs", str(empty), "--out", str(out)]) == 3
+            messages.add(capsys.readouterr().err)
+        assert messages == {f"data error: {empty}: archive holds no graphs\n"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--batch", "ocgin_batch"), ("--layers", "ocgin_layers"), ("--hidden", "hidden")],
+    )
+    def test_gnn_size_below_one_rejected(self, synth_files, tmp_path, flag, key):
+        prices, events = synth_files
+        text = config_text(prices, events, tmp_path / "runs", gnn_models="ocgin")
+        text = text.replace("tda_norms = l1", "tda_norms =")
+        text = text.replace("pca_dims = raw", "pca_dims =")
+        text = re.sub(rf"^{key} = .*$", f"{key} = 0", text, flags=re.M)
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        (failed,) = (tmp_path / "runs").glob("*/FAILED")
+        assert "stage: gnn" in failed.read_text()
+        graphs = failed.parent / "graphs.bin"
+        out = tmp_path / "out.csv"
+        for model in ("ocgin", "glocalkd"):
+            command = ["gnn", "--graphs", str(graphs), "--model", model, flag, "0"]
+            assert main(command + ["--epochs", "1", "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestRunPipeline:
@@ -218,28 +255,49 @@ class TestRunPipeline:
 
     def test_stage_isolation_files_reproduce_pipeline(self, synth_files, tmp_path):
         prices, events = synth_files
-        cfg_path = tmp_path / "pipeline.ini"
-        cfg_path.write_text(
-            config_text(prices, events, tmp_path / "runs")
+        base = (
+            config_text(prices, events, tmp_path / "runs", gnn_models="ocgin,glocalkd")
             .replace("methods = mahalanobis", "methods = mahalanobis,lof")
             .replace("lof_k = 5", "lof_k = 5,20")
+            .replace("pca_dims = raw", "pca_dims = raw,3")
+            .replace(
+                "epochs = 8",
+                "epochs = 3\nglocal_lr = 0.003\nglocal_batch = 64\n"
+                "glocal_layers = 2\nglocal_lambda = 0.5",
+            )
         )
-        config = load_config(cfg_path)
-        run_dir = run_pipeline(config)
-        # feed the pipeline's own intermediates to the standalone commands
-        scores = tmp_path / "standalone_scores.csv"
-        for table, branch in (("tda_l1", "tda-l1"), ("pca_raw", "pca-raw")):
-            for flags, method in [
-                (["--method", "mahalanobis"], "mahalanobis"),
-                (["--method", "lof", "--lof-k", "5"], "lof-k5"),
-                (["--method", "lof", "--lof-k", "20"], "lof-k20"),
+        gnn_flags = ["--lr", "0.003", "--batch", "64", "--layers", "2", "--hidden", "5",
+                     "--epochs", "3", "--seed", "7"]
+        out = tmp_path / "standalone.csv"
+        for kind in ("pearson", "ccm"):
+            cfg_path = tmp_path / f"{kind}.ini"
+            cfg_path.write_text(base.replace("correlation = pearson", f"correlation = {kind}"))
+            run_dir = run_pipeline(load_config(cfg_path))
+            # feed the pipeline's own intermediates to the standalone commands
+            graphs = ["--graphs", str(run_dir / "graphs.bin")]
+            for command, piped in [
+                (["tda"], "tda.csv"),
+                (["pca", "--dim", "raw"], "pca_raw.csv"),
+                (["pca", "--dim", "3"], "pca_3.csv"),
+                (["gnn", "--model", "ocgin", "--weight-decay", "0.0001", *gnn_flags],
+                 "scores_ocgin_lr_0.003_wd_0.0001_batch_64_layers_2.csv"),
+                (["gnn", "--model", "glocalkd", "--lambda", "0.5", *gnn_flags],
+                 "scores_glocalkd_lr_0.003_lambda_0.5_batch_64_layers_2.csv"),
             ]:
-                assert main([
-                    "score", "--features", str(run_dir / f"{table}.csv"),
-                    *flags, "--out", str(scores),
-                ]) == 0
-                piped = run_dir / f"scores_{branch}+{method}.csv"
-                assert scores.read_bytes() == piped.read_bytes()
+                assert main(command + graphs + ["--out", str(out)]) == 0
+                assert out.read_bytes() == (run_dir / piped).read_bytes(), (kind, piped)
+            for table, branch in (("tda_l1", "tda-l1"), ("pca_raw", "pca-raw")):
+                for flags, method in [
+                    (["--method", "mahalanobis"], "mahalanobis"),
+                    (["--method", "lof", "--lof-k", "5"], "lof-k5"),
+                    (["--method", "lof", "--lof-k", "20"], "lof-k20"),
+                ]:
+                    assert main([
+                        "score", "--features", str(run_dir / f"{table}.csv"),
+                        *flags, "--out", str(out),
+                    ]) == 0
+                    piped = run_dir / f"scores_{branch}+{method}.csv"
+                    assert out.read_bytes() == piped.read_bytes(), (kind, piped.name)
 
     def test_single_branch_yields_single_report(self, synth_files, tmp_path):
         prices, events = synth_files
