@@ -208,18 +208,6 @@ def relu(x: Tensor) -> Tensor:
     return _wrap(out_data, (x,), backward)
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Mean over rows: (n, m) -> (m,); 1-d input averages to a scalar."""
-    n = x.data.shape[0]
-    out_data = x.data.mean(axis=0)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g / n, x.data.shape).copy())
-
-    return _wrap(out_data, (x,), backward)
-
-
 def concat_cols(xs: list[Tensor]) -> Tensor:
     """Concatenate 1-d tensors end to end (or 2-d tensors side by side)."""
     if not xs:

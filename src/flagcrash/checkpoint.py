@@ -14,6 +14,7 @@ Arrays appear in a fixed order: for each layer (epsilon, edge_proj, w1,
 w2), models concatenated teacher-then-student for distillation, then the
 center vector for the one-class model.  A JSON sidecar at `<path>.json`
 records the model kind and dimensions needed to rebuild the layout.
+`tests/oracles.py` holds a reference reader of this format.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import DataError
-from .gnn import GineLayer, GineModel, GlocalState, OcginState
+from .gnn import GineModel, GlocalState, OcginState
 
 MAGIC = b"FCMD"
 VERSION = 1
@@ -44,47 +44,6 @@ def _write_arrays(f, arrays: list[np.ndarray]) -> None:
         f.write(struct.pack("<I", arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
         f.write(arr.tobytes(order="C"))
-
-
-def _read_arrays(f, path) -> list[np.ndarray]:
-    head = f.read(_HEAD.size)
-    if len(head) < _HEAD.size:
-        raise DataError(f"{path}: truncated checkpoint header")
-    magic, version, count = _HEAD.unpack(head)
-    if magic != MAGIC:
-        raise DataError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    arrays = []
-    for _ in range(count):
-        (ndim,) = struct.unpack("<I", f.read(4))
-        shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
-        n = int(np.prod(shape)) if shape else 1
-        raw = f.read(8 * n)
-        if len(raw) < 8 * n:
-            raise DataError(f"{path}: truncated array block")
-        arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    return arrays
-
-
-def _rebuild_model(meta: dict, arrays: list[np.ndarray]) -> GineModel:
-    layers = []
-    for i in range(meta["layers"]):
-        eps, proj, w1, w2 = arrays[4 * i : 4 * i + 4]
-        layers.append(
-            GineLayer(
-                epsilon=Tensor(eps, requires_grad=True),
-                edge_proj=Tensor(proj, requires_grad=True),
-                w1=Tensor(w1, requires_grad=True),
-                w2=Tensor(w2, requires_grad=True),
-            )
-        )
-    return GineModel(
-        layers=layers,
-        node_dim=meta["node_dim"],
-        edge_dim=meta["edge_dim"],
-        hidden=meta["hidden"],
-    )
 
 
 def save_checkpoint(state: OcginState | GlocalState, path) -> None:
@@ -115,33 +74,3 @@ def save_checkpoint(state: OcginState | GlocalState, path) -> None:
     with open(str(path) + ".json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def load_checkpoint(path) -> OcginState | GlocalState:
-    path = Path(path)
-    side = Path(str(path) + ".json")
-    if not side.exists():
-        raise DataError(f"checkpoint sidecar {side} is missing")
-    with open(side, "r", encoding="utf-8") as f:
-        meta = json.load(f)
-    with open(path, "rb") as f:
-        arrays = _read_arrays(f, path)
-    per_model = 4 * meta["layers"]
-    if meta["kind"] == "ocgin":
-        if len(arrays) != per_model + 1:
-            raise DataError(f"{path}: expected {per_model + 1} arrays, got {len(arrays)}")
-        return OcginState(
-            model=_rebuild_model(meta, arrays[:per_model]), center=arrays[-1]
-        )
-    if meta["kind"] == "glocalkd":
-        if len(arrays) != 2 * per_model:
-            raise DataError(f"{path}: expected {2 * per_model} arrays, got {len(arrays)}")
-        teacher = _rebuild_model(meta, arrays[:per_model])
-        for t in teacher.parameters():
-            t.requires_grad = False
-        return GlocalState(
-            teacher=teacher,
-            student=_rebuild_model(meta, arrays[per_model:]),
-            lam=meta["lambda"],
-        )
-    raise DataError(f"{path}: unknown checkpoint kind {meta['kind']!r}")

@@ -12,9 +12,11 @@ from datetime import date
 from .archive import read_series
 from .corrnet import CcmParams
 from .errors import ConfigError, DataError, StageError
-from .evaluation import load_events
+from .evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE, load_events
+from .gnn import GlocalConfig, OcginConfig
 from .ingest import serialize_price_csv
 from .pipeline import (
+    PipelineConfig,
     check_pca_dim,
     load_config,
     run_pipeline,
@@ -48,21 +50,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--end", required=True)
-    p.add_argument("--min-coverage", type=float, default=1.0)
+    p.add_argument("--min-coverage", type=float, default=PipelineConfig.min_coverage)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("graphs", help="sliding-window correlation graphs")
     p.add_argument("--returns", required=True)
-    p.add_argument("--window", type=int, default=25)
-    p.add_argument("--corr", choices=["ccm", "pearson"], default="ccm")
-    p.add_argument("--ccm-e", type=int, default=2)
-    p.add_argument("--ccm-tau", type=int, default=1)
+    p.add_argument("--window", type=int, default=PipelineConfig.window)
+    p.add_argument("--corr", choices=["ccm", "pearson"], default=PipelineConfig.correlation)
+    p.add_argument("--ccm-e", type=int, default=CcmParams.embedding_dim)
+    p.add_argument("--ccm-tau", type=int, default=CcmParams.lag)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tda", help="persistence-norm features of each graph")
     p.add_argument("--graphs", required=True)
-    p.add_argument("--essential", choices=["drop", "cap"], default="drop")
+    p.add_argument("--essential", choices=["drop", "cap"], default=PipelineConfig.essential)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
 
@@ -74,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gnn", help="train a graph model and score every graph")
     p.add_argument("--graphs", required=True)
     p.add_argument("--model", choices=["ocgin", "glocalkd"], required=True)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--hidden", type=int, default=10)
-    p.add_argument("--batch", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--lr", type=float, default=OcginConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=OcginConfig.weight_decay)
+    p.add_argument("--lambda", dest="lam", type=float, default=GlocalConfig.lam)
+    p.add_argument("--layers", type=int, default=OcginConfig.layers)
+    p.add_argument("--hidden", type=int, default=OcginConfig.hidden)
+    p.add_argument("--batch", type=int, default=OcginConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=OcginConfig.epochs)
+    p.add_argument("--seed", type=int, default=OcginConfig.seed)
     p.add_argument("--checkpoint", default=None, help="optional model checkpoint path")
     p.add_argument("--out", required=True)
 
@@ -94,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="flag anomalies and match labeled events")
     p.add_argument("--scores", required=True)
     p.add_argument("--events", required=True, help="CSV path or 'tsx60'/'djia'")
-    p.add_argument("--percentile", type=float, default=97.5)
-    p.add_argument("--lookback", type=int, default=50)
+    p.add_argument("--percentile", type=float, default=DEFAULT_PERCENTILE)
+    p.add_argument("--lookback", type=int, default=DEFAULT_LOOKBACK)
     p.add_argument("--method-name", default=None)
     p.add_argument("--chart", default=None, help="optional SVG output path")
     p.add_argument("--out", required=True)
@@ -140,11 +142,11 @@ def _dispatch(args: argparse.Namespace) -> None:
         stage_pca(read_series(args.graphs), args.dim, args.out)
         print(f"wrote {args.out}")
     elif args.command == "gnn":
+        own = {"weight_decay": args.weight_decay} if args.model == "ocgin" else {"lam": args.lam}
         stage_gnn(
-            read_series(args.graphs), args.model, args.out, lr=args.lr,
-            weight_decay=args.weight_decay, lam=args.lam, layers=args.layers,
+            read_series(args.graphs), args.model, args.out, lr=args.lr, layers=args.layers,
             hidden=args.hidden, batch_size=args.batch, epochs=args.epochs, seed=args.seed,
-            checkpoint_path=args.checkpoint,
+            checkpoint_path=args.checkpoint, **own,
         )
         print(f"wrote {args.out}")
     elif args.command == "score":
@@ -185,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except StageError as exc:

@@ -15,28 +15,10 @@ from datetime import date
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .ingest import ReturnMatrix
-
-DEFAULT_WINDOW = 25
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Contiguous block of return rows: [start_index, start_index + width)."""
-
-    start_index: int
-    width: int = DEFAULT_WINDOW
-
-    def validate(self, n_rows: int) -> None:
-        if self.width < 3:
-            raise DataError(f"window width must be >= 3, got {self.width}")
-        if self.start_index < 0 or self.start_index + self.width > n_rows:
-            raise DataError(
-                f"window [{self.start_index}, {self.start_index + self.width}) "
-                f"out of range for {n_rows} return rows"
-            )
 
 
 @dataclass(frozen=True)
@@ -127,17 +109,12 @@ def stack_edges(graphs: list[WeightedDigraph], where: str) -> tuple[np.ndarray, 
     return e, window
 
 
-def _window_slice(returns: ReturnMatrix, window: WindowSpec) -> np.ndarray:
-    window.validate(returns.returns.shape[0])
-    return returns.returns[window.start_index : window.start_index + window.width]
+def pearson_corr(block: np.ndarray) -> np.ndarray:
+    """(N, N) sample Pearson correlation of each pair of columns of a
+    (width, N) block of return rows.
 
-
-def pearson_corr(returns: ReturnMatrix, window: WindowSpec) -> np.ndarray:
-    """(N, N) sample Pearson correlation of each pair of windowed return slices.
-
-    Zero-variance slices correlate 0 with everything; the diagonal is 0.
+    Zero-variance columns correlate 0 with everything; the diagonal is 0.
     """
-    block = _window_slice(returns, window)
     centered = block - block.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
     degenerate = norms == 0.0
@@ -198,19 +175,16 @@ def _pearson_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
-def ccm_corr(
-    returns: ReturnMatrix, window: WindowSpec, params: CcmParams = CcmParams()
-) -> np.ndarray:
-    """(N, N) cross-map skill matrix: entry [i][j] reconstructs series j
-    from the delay embedding of series i.
+def ccm_corr(block: np.ndarray, params: CcmParams = CcmParams()) -> np.ndarray:
+    """(N, N) cross-map skill matrix of a (width, N) block of return rows:
+    entry [i][j] reconstructs column j from the delay embedding of column i.
 
     For each shadow point of series i, the E+1 nearest shadow neighbors
     (excluding itself) vote with exponentially decaying weights; the skill
     is the Pearson correlation between those cross-map estimates of series
-    j and series j itself.  Non-finite skills clamp to 0.
+    j and series j itself.  Non-finite skills clamp to 0.  `params` must
+    pass `params.validate(width)`.
     """
-    block = _window_slice(returns, window)
-    params.validate(window.width)
     n = block.shape[1]
     e_dim, tau = params.embedding_dim, params.lag
     first = (e_dim - 1) * tau
@@ -226,39 +200,41 @@ def ccm_corr(
     return values
 
 
-def window_specs(n_rows: int, width: int) -> list[WindowSpec]:
-    """All stride-1 windows over `n_rows` return rows."""
-    if n_rows < width:
-        raise DataError(f"{n_rows} return rows cannot hold a window of width {width}")
-    return [WindowSpec(s, width) for s in range(n_rows - width + 1)]
-
-
 def correlation_series(
     returns: ReturnMatrix,
-    width: int = DEFAULT_WINDOW,
+    width: int,
     kind: str = "ccm",
     ccm_params: CcmParams = CcmParams(),
     jobs: int = 1,
 ) -> WindowSeries:
-    """The thresholded correlation digraph of every sliding window."""
+    """The thresholded correlation digraph of every stride-1 window of
+    `width` return rows, dated by its last row."""
     if kind not in ("pearson", "ccm"):
         raise DataError(f"unknown correlation kind {kind!r}")
-    specs = window_specs(returns.returns.shape[0], width)
+    if width < 3:
+        raise DataError(f"window width must be >= 3, got {width}")
+    rows = returns.returns.shape[0]
+    if rows < width:
+        raise DataError(f"{rows} return rows cannot hold a window of width {width}")
+    if kind == "ccm":
+        ccm_params.validate(width)
     corr = pearson_corr if kind == "pearson" else partial(ccm_corr, params=ccm_params)
-    weights = np.stack(parallel_map(partial(corr, returns), specs, jobs))
+    # block i is the (width, N) view returns[i : i + width]
+    blocks = sliding_window_view(returns.returns, width, axis=0).transpose(0, 2, 1)
+    weights = np.stack(parallel_map(corr, blocks, jobs))
     weights[~(weights > 0.0)] = 0.0
     if kind == "pearson":
         weights[:, np.tri(weights.shape[1], dtype=bool)] = 0.0
-    dates = [returns.dates[spec.start_index + width - 1] for spec in specs]
-    return WindowSeries(weights, dates, kind, list(returns.tickers))
+    return WindowSeries(weights, returns.dates[width - 1 :], kind, list(returns.tickers))
 
 
-def parallel_map(fn, items: list, jobs: int) -> list:
+def parallel_map(fn, items, jobs: int) -> list:
     """`[fn(x) for x in items]`, fanned out over `jobs` worker processes.
 
-    With more than one job, `fn` and every item must pickle; results keep
-    the order of `items`.  Each worker gets about eight chunks, so uneven
-    items still balance while per-chunk pickling stays small.
+    `items` is a list, or an array whose rows are the items.  With more
+    than one job, `fn` and every item must pickle; results keep the order
+    of `items`.  Each worker gets about eight chunks, so uneven items
+    still balance while per-chunk pickling stays small.
     """
     if jobs <= 1:
         return [fn(x) for x in items]

@@ -44,7 +44,7 @@ class Event:
                 return date(int(parts[0]), int(parts[1]), 15)
             if len(parts) == 3:
                 return date(int(parts[0]), int(parts[1]), int(parts[2]))
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
         raise DataError(f"cannot parse event date {spec!r} (want YYYY-MM[-DD])")
 
@@ -85,8 +85,10 @@ def parse_events_csv(source) -> EventList:
     """`date,label` rows; dates may be YYYY-MM or YYYY-MM-DD."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in csv.reader(source) if row and any(c.strip() for c in row)]
+    except csv.Error as exc:  # a NUL byte before Python 3.11, an over-long field
+        raise DataError(f"events CSV: {exc}") from None
     if not rows:
         raise DataError("events CSV is empty")
     start = 1 if rows[0][0].strip().lower() == "date" else 0

@@ -15,6 +15,7 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import DataError
+from .tables import read_feature_csv
 
 
 @dataclass
@@ -204,23 +205,5 @@ def write_returns_csv(rm: ReturnMatrix, path) -> None:
 
 
 def read_returns_csv(path) -> ReturnMatrix:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise DataError(f"returns CSV {path} is empty")
-    header = lines[0].split(",")
-    if header[0].lower() != "date":
-        raise DataError(f"returns CSV {path}: header must start with 'date'")
-    tickers = header[1:]
-    dates = []
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(tickers) + 1:
-            raise DataError(f"returns CSV {path}, line {lineno}: column count mismatch")
-        dates.append(_parse_date(cells[0], f"{path} line {lineno}"))
-        rows.append([float(c) for c in cells[1:]])
-    returns = np.array(rows, dtype=np.float64)
-    if not np.isfinite(returns).all():
-        raise DataError(f"returns CSV {path} contains non-finite values")
-    return ReturnMatrix(dates=dates, tickers=tickers, returns=returns)
+    """Read what `write_returns_csv` writes; the tickers are the value columns."""
+    return ReturnMatrix(*read_feature_csv(path))

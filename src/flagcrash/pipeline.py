@@ -286,20 +286,18 @@ def stage_gnn(
     series: corrnet.WindowSeries,
     model: str,
     out_path,
-    weight_decay: float = 1e-4,
-    lam: float = 0.1,
     checkpoint_path=None,
     **train,
 ) -> np.ndarray:
     """Train `model` on the series and write the score of every window;
-    `train` sets the model config's shared fields (lr, batch_size, layers,
-    hidden, epochs, seed) and `weight_decay` or `lam` its own."""
+    `train` sets fields of the model's config (`gnn.OcginConfig` or
+    `gnn.GlocalConfig`), and the config's defaults hold for the rest."""
     if model == "ocgin":
-        config = gnn.OcginConfig(weight_decay=weight_decay, **train)
+        config = gnn.OcginConfig(**train)
         state = gnn.ocgin_train(series.weights, config)
         scores = gnn.ocgin_scores(state, series.weights, config.batch_size)
     elif model == "glocalkd":
-        config = gnn.GlocalConfig(lam=lam, **train)
+        config = gnn.GlocalConfig(**train)
         state = gnn.glocalkd_train(series.weights, config)
         scores = gnn.glocalkd_scores(state, series.weights, config.batch_size)
     else:

@@ -1,8 +1,10 @@
 """Small CSV readers/writers shared by the pipeline stages.
 
-Feature tables are `date,<col...>` with one row per graph date; score
-tables are `date,score`.  Floats are written with shortest round-trip
-repr so reruns hash identically.
+Every date-indexed table is `date,<col...>`: a returns table has one
+column per ticker and one row per return date, a feature table one row
+per graph date, and a score table is `date,score`.  Feature and score
+tables write floats with shortest round-trip repr so reruns hash
+identically (`ingest.write_returns_csv` writes 12 significant digits).
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:
             dates.append(datetime.strptime(cells[0], "%Y-%m-%d").date())
         except ValueError:
             raise DataError(f"{path} line {lineno}: bad date {cells[0]!r}") from None
-        rows.append([float(c) for c in cells[1:]])
+        try:
+            rows.append([float(c) for c in cells[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path} line {lineno}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     values = np.array(rows, dtype=np.float64)
     if not np.isfinite(values).all():
         raise DataError(f"{path} contains non-finite values")

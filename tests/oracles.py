@@ -7,15 +7,20 @@ library's reduction/score code paths.
 
 from __future__ import annotations
 
+import json
+import struct
 from collections import Counter
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from flagcrash import autodiff as ad
 from flagcrash import gnn
+from flagcrash.checkpoint import MAGIC, VERSION
 from flagcrash.corrnet import WeightedDigraph, WindowSeries, matrix_from_digraph
+from flagcrash.errors import DataError
 from flagcrash.ph import PersistenceDiagram
 
 
@@ -369,6 +374,18 @@ class OneHotGraph:
             self.y_both = ad.Tensor(np.vstack([g.y, g.y]))
 
 
+def mean_rows(x: ad.Tensor) -> ad.Tensor:
+    """Mean over rows: (n, m) -> (m,); 1-d input averages to a scalar."""
+    n = x.data.shape[0]
+    out_data = x.data.mean(axis=0)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g / n, x.data.shape).copy())
+
+    return ad._wrap(out_data, (x,), backward)
+
+
 def onehot_forward(model, gt: OneHotGraph):
     """Per-layer (n, h) node tensors and the (L*h,) graph embedding."""
     h = gt.x
@@ -382,7 +399,7 @@ def onehot_forward(model, gt: OneHotGraph):
             combined = ad.add(combined, ad.matmul(gt.scatter, messages))
         h = ad.matmul(ad.relu(ad.matmul(combined, layer.w1)), layer.w2)
         per_layer.append(h)
-    return per_layer, ad.concat_cols([ad.mean_rows(h) for h in per_layer])
+    return per_layer, ad.concat_cols([mean_rows(h) for h in per_layer])
 
 
 def _reference_fit(params, term, rng, n, config, weight_decay):
@@ -477,3 +494,81 @@ def reference_glocalkd_scores(state, graphs):
 def model_checksum(model) -> float:
     """Sum of every parameter entry and its square: equal models, equal sums."""
     return float(sum(np.sum(t.data) + np.sum(t.data**2) for t in model.parameters()))
+
+
+# ---------------------------------------------------------------------------
+# Reference reader of the model checkpoint format that
+# `flagcrash.checkpoint.save_checkpoint` writes (layout in its docstring)
+
+_CHECKPOINT_HEAD = struct.Struct("<4sIQ")  # magic, version, array count
+
+
+def _read_arrays(f, path) -> list[np.ndarray]:
+    head = f.read(_CHECKPOINT_HEAD.size)
+    if len(head) < _CHECKPOINT_HEAD.size:
+        raise DataError(f"{path}: truncated checkpoint header")
+    magic, version, count = _CHECKPOINT_HEAD.unpack(head)
+    if magic != MAGIC:
+        raise DataError(f"{path}: not a model checkpoint (bad magic {magic!r})")
+    if version != VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    arrays = []
+    for _ in range(count):
+        (ndim,) = struct.unpack("<I", f.read(4))
+        shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
+        n = int(np.prod(shape)) if shape else 1
+        raw = f.read(8 * n)
+        if len(raw) < 8 * n:
+            raise DataError(f"{path}: truncated array block")
+        arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+    return arrays
+
+
+def _rebuild_model(meta: dict, arrays: list[np.ndarray]) -> gnn.GineModel:
+    layers = []
+    for i in range(meta["layers"]):
+        eps, proj, w1, w2 = arrays[4 * i : 4 * i + 4]
+        layers.append(
+            gnn.GineLayer(
+                epsilon=ad.Tensor(eps, requires_grad=True),
+                edge_proj=ad.Tensor(proj, requires_grad=True),
+                w1=ad.Tensor(w1, requires_grad=True),
+                w2=ad.Tensor(w2, requires_grad=True),
+            )
+        )
+    return gnn.GineModel(
+        layers=layers,
+        node_dim=meta["node_dim"],
+        edge_dim=meta["edge_dim"],
+        hidden=meta["hidden"],
+    )
+
+
+def load_checkpoint(path) -> gnn.OcginState | gnn.GlocalState:
+    path = Path(path)
+    side = Path(str(path) + ".json")
+    if not side.exists():
+        raise DataError(f"checkpoint sidecar {side} is missing")
+    with open(side, "r", encoding="utf-8") as f:
+        meta = json.load(f)
+    with open(path, "rb") as f:
+        arrays = _read_arrays(f, path)
+    per_model = 4 * meta["layers"]
+    if meta["kind"] == "ocgin":
+        if len(arrays) != per_model + 1:
+            raise DataError(f"{path}: expected {per_model + 1} arrays, got {len(arrays)}")
+        return gnn.OcginState(
+            model=_rebuild_model(meta, arrays[:per_model]), center=arrays[-1]
+        )
+    if meta["kind"] == "glocalkd":
+        if len(arrays) != 2 * per_model:
+            raise DataError(f"{path}: expected {2 * per_model} arrays, got {len(arrays)}")
+        teacher = _rebuild_model(meta, arrays[:per_model])
+        for t in teacher.parameters():
+            t.requires_grad = False
+        return gnn.GlocalState(
+            teacher=teacher,
+            student=_rebuild_model(meta, arrays[per_model:]),
+            lam=meta["lambda"],
+        )
+    raise DataError(f"{path}: unknown checkpoint kind {meta['kind']!r}")

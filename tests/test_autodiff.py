@@ -9,7 +9,6 @@ from flagcrash.autodiff import (
     add,
     concat_cols,
     matmul,
-    mean_rows,
     no_grad,
     relu,
     scalar_mul,
@@ -18,6 +17,7 @@ from flagcrash.autodiff import (
     sub,
 )
 
+from oracles import mean_rows
 
 def finite_difference_grad(loss_fn, params, h=1e-5):
     """Central-difference gradient of a scalar loss over a list of Tensors.

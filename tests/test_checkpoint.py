@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flagcrash.checkpoint import load_checkpoint, save_checkpoint
+from flagcrash.checkpoint import save_checkpoint
 from flagcrash.errors import DataError
 from flagcrash.gnn import (
     GlocalConfig,
@@ -13,7 +13,7 @@ from flagcrash.gnn import (
     ocgin_train,
 )
 
-from oracles import model_checksum, random_graph_sequence
+from oracles import load_checkpoint, model_checksum, random_graph_sequence
 
 
 @pytest.fixture(scope="module")

@@ -7,13 +7,11 @@ from flagcrash import corrnet
 from flagcrash.corrnet import (
     CcmParams,
     WeightedDigraph,
-    WindowSpec,
     ccm_corr,
     correlation_series,
     graph_series,
     matrix_from_digraph,
     pearson_corr,
-    window_specs,
 )
 from flagcrash.errors import DataError
 from flagcrash.ingest import ReturnMatrix
@@ -36,54 +34,74 @@ def series_of_matrix(monkeypatch):
     def make(values, kind="ccm"):
         values = np.asarray(values, dtype=float)
         name = "pearson_corr" if kind == "pearson" else "ccm_corr"
-        monkeypatch.setattr(corrnet, name, lambda returns, spec, **params: values.copy())
-        return correlation_series(as_returns(np.zeros((3, len(values)))), width=3, kind=kind)
+        monkeypatch.setattr(corrnet, name, lambda block, **params: values.copy())
+        # five rows: the shortest window the default CcmParams accept
+        return correlation_series(as_returns(np.zeros((5, len(values)))), width=5, kind=kind)
 
     return make
+
+
+@pytest.fixture
+def no_window(monkeypatch):
+    """Fail the test if `correlation_series` computes any window."""
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a window was computed")
+
+    monkeypatch.setattr(corrnet, "pearson_corr", computed)
+    monkeypatch.setattr(corrnet, "ccm_corr", computed)
+
+
+def thresholded(values, kind):
+    values = values.copy()
+    values[~(values > 0.0)] = 0.0
+    if kind == "pearson":
+        values[:, np.tri(values.shape[1], dtype=bool)] = 0.0
+    return values
 
 
 class TestPearson:
     def test_identical_slices_correlate_one(self):
         z = np.array([1.0, -2.0, 0.5, 3.0])
-        c = pearson_corr(as_returns(np.stack([z, z], axis=1)), WindowSpec(0, 4))
+        c = pearson_corr(np.stack([z, z], axis=1))
         assert c[0, 1] == pytest.approx(1.0)
         assert c[0, 0] == 0.0
 
     def test_negated_slice_correlates_minus_one(self):
         z = np.array([1.0, -2.0, 0.5, 3.0])
-        c = pearson_corr(as_returns(np.stack([z, -z], axis=1)), WindowSpec(0, 4))
+        c = pearson_corr(np.stack([z, -z], axis=1))
         assert c[0, 1] == pytest.approx(-1.0)
 
     def test_hand_computed_point_eight(self):
         # x=[1,2,3,4], y=[1,2,4,3]: cov-sum 4, var-sums 5 and 5 -> r = 4/5
         x = [1.0, 2.0, 3.0, 4.0]
         y = [1.0, 2.0, 4.0, 3.0]
-        c = pearson_corr(as_returns(np.stack([x, y], axis=1)), WindowSpec(0, 4))
+        c = pearson_corr(np.stack([x, y], axis=1))
         assert c[0, 1] == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_variance_slice_scores_zero(self):
         block = np.stack([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0]], axis=1)
-        c = pearson_corr(as_returns(block), WindowSpec(0, 4))
+        c = pearson_corr(block)
         assert c[0, 1] == 0.0 and c[1, 0] == 0.0
 
-    def test_window_out_of_range(self):
-        with pytest.raises(DataError, match="out of range"):
-            pearson_corr(as_returns(np.zeros((10, 2))), WindowSpec(5, 10))
+    def test_window_out_of_range(self, no_window):
+        with pytest.raises(DataError, match="10 return rows cannot hold a window of width 11"):
+            correlation_series(as_returns(np.zeros((10, 2))), width=11, kind="pearson")
 
     def test_symmetric_and_bounded_on_random_input(self):
         rng = np.random.default_rng(11)
-        c = pearson_corr(as_returns(rng.normal(size=(30, 6))), WindowSpec(2, 25))
+        c = pearson_corr(rng.normal(size=(30, 6))[2:27])
         assert np.allclose(c, c.T)
         assert (np.abs(c) <= 1.0).all()
 
     def test_invariance_shift_and_positive_rescale(self):
         rng = np.random.default_rng(5)
         block = rng.normal(size=(25, 4))
-        base = pearson_corr(as_returns(block), WindowSpec(0, 25))
+        base = pearson_corr(block)
         shifted = block.copy()
         shifted[:, 2] += 7.5
         shifted[:, 1] *= 3.25
-        out = pearson_corr(as_returns(shifted), WindowSpec(0, 25))
+        out = pearson_corr(shifted)
         np.testing.assert_allclose(out, base, atol=1e-12)
 
 
@@ -92,7 +110,7 @@ class TestCcm:
         # Recurring shadow points hit the zero-distance collapse: the
         # cross-map reproduces the series exactly.
         base = np.array([0.3, 1.1, -0.7, 0.2] * 7)[:25]
-        c = ccm_corr(as_returns(np.stack([base, base], axis=1)), WindowSpec(0, 25))
+        c = ccm_corr(np.stack([base, base], axis=1))
         assert c[0, 1] == pytest.approx(1.0, abs=1e-6)
         assert c[1, 0] == pytest.approx(1.0, abs=1e-6)
         assert c[0, 0] == 0.0
@@ -104,7 +122,7 @@ class TestCcm:
         for seed in range(1000):
             rng = np.random.default_rng(seed)
             block = rng.normal(size=(25, 2))
-            v = ccm_corr(as_returns(block), WindowSpec(0, 25))
+            v = ccm_corr(block)
             skills.extend([abs(v[0, 1]), abs(v[1, 0])])
         skills = np.array(skills)
         assert np.percentile(skills, 99) < 0.66
@@ -125,22 +143,22 @@ class TestCcm:
             return np.stack([xs, ys], axis=1)
 
         block = coupled(300, beta=0.2)
-        v = ccm_corr(as_returns(block), WindowSpec(0, 300))
+        v = ccm_corr(block)
         assert v[0, 1] > 0.6
         assert v[0, 1] > v[1, 0] + 0.3
 
     def test_invariance_under_constant_shift(self):
         rng = np.random.default_rng(42)
         block = rng.normal(size=(25, 3))
-        base = ccm_corr(as_returns(block), WindowSpec(0, 25))
+        base = ccm_corr(block)
         shifted = block.copy()
         shifted[:, 1] += 5.0
-        out = ccm_corr(as_returns(shifted), WindowSpec(0, 25))
+        out = ccm_corr(shifted)
         np.testing.assert_allclose(out, base, atol=1e-12)
 
-    def test_window_too_short_for_embedding(self):
+    def test_window_too_short_for_embedding(self, no_window):
         with pytest.raises(DataError, match="embedding"):
-            ccm_corr(as_returns(np.zeros((10, 2))), WindowSpec(0, 4), CcmParams(4, 2))
+            correlation_series(as_returns(np.zeros((10, 2))), 4, "ccm", CcmParams(4, 2))
 
 
 class TestThreshold:
@@ -215,10 +233,26 @@ class TestToDigraph:
 
 
 class TestSeries:
-    def test_window_specs_cover_all_offsets(self):
-        specs = window_specs(30, 25)
-        assert len(specs) == 6
-        assert specs[0].start_index == 0 and specs[-1].start_index == 5
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["pearson", "ccm"])
+    def test_windows_cover_all_offsets(self, kind, jobs):
+        # every window is the per-block function of returns[s : s + width], bit for bit
+        rng = np.random.default_rng(4)
+        returns = as_returns(rng.normal(size=(34, 4)))
+        params = CcmParams(3, 2)
+        series = correlation_series(returns, 25, kind, params, jobs=jobs)
+        blocks = [returns.returns[s : s + 25] for s in range(10)]
+        if kind == "pearson":
+            expected = np.stack([pearson_corr(b) for b in blocks])
+        else:
+            expected = np.stack([ccm_corr(b, params) for b in blocks])
+        assert series.weights.tobytes() == thresholded(expected, kind).tobytes()
+        assert series.dates == returns.dates[24:]
+
+    @pytest.mark.parametrize("kind", ["pearson", "ccm"])
+    def test_width_below_three_rejected(self, no_window, kind):
+        with pytest.raises(DataError, match="window width must be >= 3, got 2"):
+            correlation_series(as_returns(np.zeros((10, 2))), width=2, kind=kind)
 
     def test_correlation_series_dates_and_threshold(self):
         rng = np.random.default_rng(2)

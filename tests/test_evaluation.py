@@ -238,3 +238,15 @@ class TestEventFiles:
     def test_nonincreasing_events_rejected(self):
         with pytest.raises(DataError):
             EventList([Event("2020-05", "a"), Event("2020-04", "b")])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("date,label\n" + "9" * 30 + "-01,huge\n", "cannot parse event date"),
+            ("date,label\n2020-01-15," + "x" * 200_000 + "\n", "field larger"),
+        ],
+        ids=["year-overflows", "field-too-long"],
+    )
+    def test_unreadable_event_rows_rejected(self, text, message):
+        with pytest.raises(DataError, match=message):
+            parse_events_csv(text)
