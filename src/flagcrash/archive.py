@@ -42,11 +42,14 @@ def sidecar_path(path) -> Path:
 
 def write_graphs(path, graphs: list[WeightedDigraph], params: dict) -> None:
     """Write an archive and its sidecar; nothing is written when a graph has
-    no date, the vertex counts differ, or `params["tickers"]` does not name
-    one ticker per vertex."""
+    no date, the dates do not strictly increase, the vertex counts differ,
+    or `params["tickers"]` does not name one ticker per vertex."""
     path = Path(path)
     if any(g.as_of_date is None for g in graphs):
         raise DataError("cannot archive a graph without a date")
+    late = next((b for a, b in zip(graphs, graphs[1:]) if b.as_of_date <= a.as_of_date), None)
+    if late is not None:
+        raise DataError(f"cannot archive graphs whose dates do not increase, at {late.as_of_date}")
     if graphs:
         n = graphs[0].n_vertices
         odd = next((g for g in graphs if g.n_vertices != n), None)

@@ -39,6 +39,13 @@ def _parse_date(text: str) -> date:
         raise ConfigError(f"bad date {text!r}, want YYYY-MM-DD") from None
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagcrash",
@@ -59,13 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", choices=["ccm", "pearson"], default=PipelineConfig.correlation)
     p.add_argument("--ccm-e", type=int, default=CcmParams.embedding_dim)
     p.add_argument("--ccm-tau", type=int, default=CcmParams.lag)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tda", help="persistence-norm features of each graph")
     p.add_argument("--graphs", required=True)
     p.add_argument("--essential", choices=["drop", "cap"], default=PipelineConfig.essential)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("pca", help="flattened-matrix features, optionally reduced")
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("synth", help="synthetic stressed price panel")
     p.add_argument("--stocks", type=int, default=20)

@@ -2,14 +2,18 @@
 
 Two correlation kinds are supported: plain Pearson on the windowed return
 slices, and cross-map skill from delay embeddings (the nonlinear coupling
-measure).  Negative entries are clipped to zero before graph construction,
-and the diagonal is always zero.  A run holds its graphs as one
-`WindowSeries` array; `WeightedDigraph` edge lists are the form graphs
-take at the archive boundary and in hand-built inputs.
+measure of convergent cross mapping), computed for every ticker's shadow
+manifold of a window at once.  `correlation_series` maps either over the
+windows, in worker processes when asked.  Negative entries are clipped to
+zero before graph construction, and the diagonal is always zero.  A run
+holds its graphs as one `WindowSeries` array; `WeightedDigraph` edge
+lists are the form graphs take at the archive boundary and in hand-built
+inputs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
@@ -128,76 +132,42 @@ def pearson_corr(block: np.ndarray) -> np.ndarray:
     return corr
 
 
-def _shadow_points(x: np.ndarray, e_dim: int, tau: int) -> np.ndarray:
-    """Delay embedding: row k is (x[k], x[k-tau], ..., x[k-(E-1)tau])."""
-    w = x.shape[0]
-    first = (e_dim - 1) * tau
-    idx = np.arange(first, w)
-    cols = [x[idx - j * tau] for j in range(e_dim)]
-    return np.stack(cols, axis=1)
-
-
-def _neighbor_weights(shadow: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor indices and exponential simplex weights per point.
-
-    Self-matches are excluded.  When the nearest distance is zero the
-    weight collapses uniformly onto the zero-distance neighbors.
-    """
-    m = shadow.shape[0]
-    diff = shadow[:, None, :] - shadow[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dists, np.inf)
-    order = np.argsort(dists, axis=1, kind="stable")[:, :n_neighbors]
-    d = np.take_along_axis(dists, order, axis=1)
-    d1 = d[:, 0]
-    weights = np.empty_like(d)
-    zero_first = d1 == 0.0
-    if zero_first.any():
-        zmask = d[zero_first] == 0.0
-        weights[zero_first] = zmask / zmask.sum(axis=1, keepdims=True)
-    reg = ~zero_first
-    if reg.any():
-        u = np.exp(-d[reg] / d1[reg, None])
-        weights[reg] = u / u.sum(axis=1, keepdims=True)
-    assert weights.shape == (m, n_neighbors)
-    return order, weights
-
-
-def _pearson_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Pearson correlation of two equal-shape matrices."""
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    num = (ac * bc).sum(axis=0)
-    den = np.sqrt((ac**2).sum(axis=0) * (bc**2).sum(axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
-    r[~np.isfinite(r)] = 0.0
-    return np.clip(r, -1.0, 1.0)
-
-
 def ccm_corr(block: np.ndarray, params: CcmParams = CcmParams()) -> np.ndarray:
     """(N, N) cross-map skill matrix of a (width, N) block of return rows:
     entry [i][j] reconstructs column j from the delay embedding of column i.
 
     For each shadow point of series i, the E+1 nearest shadow neighbors
-    (excluding itself) vote with exponentially decaying weights; the skill
-    is the Pearson correlation between those cross-map estimates of series
-    j and series j itself.  Non-finite skills clamp to 0.  `params` must
-    pass `params.validate(width)`.
+    (excluding itself) vote with exponentially decaying weights, or
+    uniformly over the zero-distance neighbors when the nearest distance
+    is zero; the skill is the Pearson correlation between those cross-map
+    estimates of series j and series j itself.  Non-finite skills clamp
+    to 0.  `params` must pass `params.validate(width)`.
     """
-    n = block.shape[1]
     e_dim, tau = params.embedding_dim, params.lag
     first = (e_dim - 1) * tau
-    targets = block[first:, :]  # y values aligned with shadow rows
-    values = np.zeros((n, n))
-    for i in range(n):
-        shadow = _shadow_points(block[:, i], e_dim, tau)
-        order, weights = _neighbor_weights(shadow, e_dim + 1)
-        # predictions for every candidate target series at once: (m, N)
-        preds = np.einsum("kl,klj->kj", weights, targets[order])
-        values[i, :] = _pearson_columns(preds, targets)
-    np.fill_diagonal(values, 0.0)
-    return values
+    targets = block[first:]  # (m, N): y values aligned with shadow rows
+    m = len(targets)
+    # (N, m, E): row k of series i is (x[first+k], x[first+k-tau], ..., x[k])
+    shadow = sliding_window_view(block.T, first + 1, axis=1)[..., ::-tau]
+    dists = np.sqrt(((shadow[:, :, None] - shadow[:, None]) ** 2).sum(axis=3))
+    dists[:, np.eye(m, dtype=bool)] = np.inf
+    order = np.argsort(dists, axis=2, kind="stable")[..., : e_dim + 1]
+    d = np.take_along_axis(dists, order, axis=2)  # (N, m, E+1)
+    d1 = d[..., :1]
+    zero = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.exp(-d / d1)
+        weights = np.where(
+            d1 == 0.0, zero / zero.sum(axis=2, keepdims=True), u / u.sum(axis=2, keepdims=True)
+        )
+        preds = np.einsum("ikl,iklj->ikj", weights, targets[order])  # (N, m, N)
+        pc = preds - preds.mean(axis=1, keepdims=True)
+        tc = targets - targets.mean(axis=0)
+        skill = (pc * tc).sum(axis=1) / np.sqrt((pc**2).sum(axis=1) * (tc**2).sum(axis=0))
+    skill[~np.isfinite(skill)] = 0.0
+    skill = np.clip(skill, -1.0, 1.0)
+    np.fill_diagonal(skill, 0.0)
+    return skill
 
 
 def correlation_series(
@@ -229,19 +199,22 @@ def correlation_series(
 
 
 def parallel_map(fn, items, jobs: int) -> list:
-    """`[fn(x) for x in items]`, fanned out over `jobs` worker processes.
+    """`[fn(x) for x in items]`, fanned out over at most `jobs` worker processes.
 
-    `items` is a list, or an array whose rows are the items.  With more
-    than one job, `fn` and every item must pickle; results keep the order
-    of `items`.  Each worker gets about eight chunks, so uneven items
-    still balance while per-chunk pickling stays small.
+    `items` is a list, or an array whose rows are the items.  The pool has
+    no more workers than items or CPUs, since it starts every worker at
+    once; with one worker the map runs in this process.  Otherwise `fn`
+    and every item must pickle; results keep the order of `items`.  Each
+    worker gets about eight chunks, so uneven items still balance while
+    per-chunk pickling stays small.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 
-    chunksize = max(1, -(-len(items) // (8 * jobs)))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunksize = max(1, -(-len(items) // (8 * workers)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 

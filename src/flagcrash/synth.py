@@ -101,10 +101,9 @@ def parse_episode_spec(text: str) -> list[Episode]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise DataError(f"bad episode spec {chunk!r}, want start:length:coupling")
-        episodes.append(
-            Episode(start=int(parts[0]), length=int(parts[1]), coupling=float(parts[2]))
-        )
+        try:
+            start, length, coupling = chunk.split(":")
+            episodes.append(Episode(int(start), int(length), float(coupling)))
+        except ValueError:
+            raise DataError(f"bad episode spec {chunk!r}, want start:length:coupling") from None
     return episodes

@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 from flagcrash import autodiff as ad
 from flagcrash import gnn
 from flagcrash.checkpoint import MAGIC, VERSION
-from flagcrash.corrnet import WeightedDigraph, WindowSeries, matrix_from_digraph
+from flagcrash.corrnet import CcmParams, WeightedDigraph, WindowSeries, matrix_from_digraph
 from flagcrash.errors import DataError
 from flagcrash.ph import PersistenceDiagram
 
@@ -257,6 +257,82 @@ def union_find_merge_weights(g: WeightedDigraph):
             merges.append(w)
     components = len({find(v) for v in range(g.n_vertices)})
     return Counter(merges), components
+
+
+# ---------------------------------------------------------------------------
+# Cross-map skill one ticker at a time (the reference for `corrnet.ccm_corr`)
+
+
+def _shadow_points(x: np.ndarray, e_dim: int, tau: int) -> np.ndarray:
+    """Delay embedding: row k is (x[k], x[k-tau], ..., x[k-(E-1)tau])."""
+    w = x.shape[0]
+    first = (e_dim - 1) * tau
+    idx = np.arange(first, w)
+    cols = [x[idx - j * tau] for j in range(e_dim)]
+    return np.stack(cols, axis=1)
+
+
+def _neighbor_weights(shadow: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-neighbor indices and exponential simplex weights per point.
+
+    Self-matches are excluded.  When the nearest distance is zero the
+    weight collapses uniformly onto the zero-distance neighbors.
+    """
+    m = shadow.shape[0]
+    diff = shadow[:, None, :] - shadow[None, :, :]
+    dists = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dists, np.inf)
+    order = np.argsort(dists, axis=1, kind="stable")[:, :n_neighbors]
+    d = np.take_along_axis(dists, order, axis=1)
+    d1 = d[:, 0]
+    weights = np.empty_like(d)
+    zero_first = d1 == 0.0
+    if zero_first.any():
+        zmask = d[zero_first] == 0.0
+        weights[zero_first] = zmask / zmask.sum(axis=1, keepdims=True)
+    reg = ~zero_first
+    if reg.any():
+        u = np.exp(-d[reg] / d1[reg, None])
+        weights[reg] = u / u.sum(axis=1, keepdims=True)
+    assert weights.shape == (m, n_neighbors)
+    return order, weights
+
+
+def _pearson_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise Pearson correlation of two equal-shape matrices."""
+    ac = a - a.mean(axis=0)
+    bc = b - b.mean(axis=0)
+    num = (ac * bc).sum(axis=0)
+    den = np.sqrt((ac**2).sum(axis=0) * (bc**2).sum(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / den
+    r[~np.isfinite(r)] = 0.0
+    return np.clip(r, -1.0, 1.0)
+
+
+def reference_ccm_corr(block: np.ndarray, params: CcmParams = CcmParams()) -> np.ndarray:
+    """(N, N) cross-map skill matrix of a (width, N) block of return rows:
+    entry [i][j] reconstructs column j from the delay embedding of column i.
+
+    For each shadow point of series i, the E+1 nearest shadow neighbors
+    (excluding itself) vote with exponentially decaying weights; the skill
+    is the Pearson correlation between those cross-map estimates of series
+    j and series j itself.  Non-finite skills clamp to 0.  `params` must
+    pass `params.validate(width)`.
+    """
+    n = block.shape[1]
+    e_dim, tau = params.embedding_dim, params.lag
+    first = (e_dim - 1) * tau
+    targets = block[first:, :]  # y values aligned with shadow rows
+    values = np.zeros((n, n))
+    for i in range(n):
+        shadow = _shadow_points(block[:, i], e_dim, tau)
+        order, weights = _neighbor_weights(shadow, e_dim + 1)
+        # predictions for every candidate target series at once: (m, N)
+        preds = np.einsum("kl,klj->kj", weights, targets[order])
+        values[i, :] = _pearson_columns(preds, targets)
+    np.fill_diagonal(values, 0.0)
+    return values
 
 
 # ---------------------------------------------------------------------------

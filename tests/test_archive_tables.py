@@ -102,19 +102,24 @@ class TestGraphArchive:
             write_graphs(tmp_path / "x.bin", [WeightedDigraph(2, [], None)], {})
 
     @pytest.mark.parametrize(
-        "sizes, params, message",
+        "sizes, days, params, message",
         [
-            ((3, 4, 3), {}, "different vertex counts"),
-            ((3, 3), {"tickers": ["a", "b"]}, "tickers"),
-            ((3, 3), {"tickers": "abc"}, "tickers"),
-            ((3, 3, None), {}, "date"),
+            ((3, 4, 3), (1, 2, 3), {}, "different vertex counts"),
+            ((3, 3), (1, 2), {"tickers": ["a", "b"]}, "tickers"),
+            ((3, 3), (1, 2), {"tickers": "abc"}, "tickers"),
+            ((3, 3, 3), (1, 2, None), {}, "date"),
+            ((3, 3, 3), (1, 2, 2), {}, "dates do not increase, at 2020-01-02"),
+            ((3, 3, 3), (1, 3, 2), {}, "dates do not increase, at 2020-01-02"),
         ],
-        ids=["mixed-vertex-count", "short-tickers", "tickers-not-list", "late-undated"],
+        ids=[
+            "mixed-vertex-count", "short-tickers", "tickers-not-list", "late-undated",
+            "repeated-date", "decreasing-date",
+        ],
     )
-    def test_bad_archive_writes_no_file(self, tmp_path, sizes, params, message):
+    def test_bad_archive_writes_no_file(self, tmp_path, sizes, days, params, message):
         graphs = [
-            WeightedDigraph(n or 3, [(0, 1, 0.5)], date(2020, 1, 1 + i) if n else None)
-            for i, n in enumerate(sizes)
+            WeightedDigraph(n, [(0, 1, 0.5)], date(2020, 1, day) if day else None)
+            for n, day in zip(sizes, days)
         ]
         path = tmp_path / "x.bin"
         with pytest.raises(DataError, match=message):

@@ -170,3 +170,36 @@ def test_header_only_table_is_a_data_error(good, tmp_path, kind):
     bad.write_text(good[kind].read_text().split("\n")[0] + "\n")
     for argv in reader_commands(kind, bad, good, tmp_path / "out"):
         assert run_cli(argv) == (3, f"data error: {bad}: no data rows\n")
+
+
+@pytest.mark.parametrize("row", [4, 6], ids=["repeated-date", "decreasing-date"])
+def test_returns_dates_must_increase(good, tmp_path, row):
+    # the archive reader rejects such dates, so `graphs` must not write them
+    lines = good["returns"].read_text().split("\n")
+    lines[row] = ",".join([lines[3].split(",")[0]] + lines[row].split(",")[1:])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    out = tmp_path / "g.bin"
+    code, err = run_cli(["graphs", "--returns", bad, "--corr", "pearson", "--window", "3",
+                         "--out", out])
+    assert code == 3 and "dates do not increase" in err and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_malformed_episode_spec_exits_3(tmp_path):
+    code, err = run_cli(["synth", "--episodes", "a:b:c", "--out-prices", tmp_path / "p.csv",
+                         "--out-events", tmp_path / "e.csv"])
+    assert (code, err) == (3, "data error: bad episode spec 'a:b:c', want start:length:coupling\n")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["graphs", "--returns", "r.csv", "--out", "g.bin"],
+    ["tda", "--graphs", "g.bin", "--out", "tda.csv"],
+    ["run", "--config", "run.ini"],
+], ids=["graphs", "tda", "run"])
+def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(command + ["--jobs", jobs])
+    assert exit_.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err

@@ -2,6 +2,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flagcrash import corrnet
 from flagcrash.corrnet import (
@@ -16,6 +18,8 @@ from flagcrash.corrnet import (
 from flagcrash.errors import DataError
 from flagcrash.ingest import ReturnMatrix
 from flagcrash.pipeline import stage_pca
+
+from oracles import reference_ccm_corr
 
 
 def as_returns(arr) -> ReturnMatrix:
@@ -105,7 +109,40 @@ class TestPearson:
         np.testing.assert_allclose(out, base, atol=1e-12)
 
 
+@st.composite
+def ccm_blocks(draw):
+    """A (width, N) block of return rows and the CcmParams it is mapped with:
+    1-40 tickers, E 2-4, tau 1-3, widths from the shortest the parameters
+    accept up to 60, sometimes rounded (ties, zero nearest distances),
+    with constant columns, or laid out column-major."""
+    e_dim, lag = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    shortest = (e_dim - 1) * lag + e_dim + 2
+    width, n = draw(st.integers(shortest, 60)), draw(st.integers(1, 40))
+    block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(width, n))
+    if draw(st.booleans()):
+        block = np.round(block, draw(st.integers(0, 1)))
+    block[:, draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.5
+    if draw(st.booleans()):
+        block = np.asfortranarray(block)
+    return block, CcmParams(e_dim, lag)
+
+
+def one_factor_block(n=39, width=25, loading=1.5, seed=0):
+    """A window of a one-factor panel, whose CCM graph is nearly complete."""
+    rng = np.random.default_rng(seed)
+    return loading * rng.normal(size=(width, 1)) + rng.normal(size=(width, n))
+
+
 class TestCcm:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ccm_blocks())
+    @example(case=(one_factor_block(), CcmParams()))
+    def test_matches_reference_bit_for_bit(self, case):
+        block, params = case
+        params.validate(len(block))
+        got, expected = ccm_corr(block, params), reference_ccm_corr(block, params)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_identical_periodic_series_skill_exactly_one(self):
         # Recurring shadow points hit the zero-distance collapse: the
         # cross-map reproduces the series exactly.
@@ -266,6 +303,32 @@ class TestSeries:
         # one canonical edge s -> t, s < t, per correlated pair
         assert not np.tril(series.weights).any()
         assert np.tril(correlation_series(returns, width=25, kind="ccm").weights, -1).any()
+
+    @pytest.mark.parametrize(
+        "jobs, items, cpus, workers",
+        [(5000, 50, 4, 4), (5000, 3, 4, 3), (2, 50, 4, 2), (5000, 50, None, None), (8, 1, 4, None)],
+    )
+    def test_parallel_map_caps_its_workers(self, monkeypatch, jobs, items, cpus, workers):
+        # the pool forks every worker up front: at most one per item and per CPU
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, xs, chunksize):
+                return map(fn, xs)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(corrnet.os, "cpu_count", lambda: cpus)
+        assert corrnet.parallel_map(abs, list(range(-items, 0)), jobs) == list(range(items, 0, -1))
+        assert started == ([] if workers is None else [workers])
 
     def test_parallel_map_matches_serial(self):
         rng = np.random.default_rng(3)

@@ -68,3 +68,9 @@ def test_parse_episode_spec():
     assert parse_episode_spec("") == []
     with pytest.raises(DataError):
         parse_episode_spec("10:20")
+
+
+@pytest.mark.parametrize("spec", ["a:b:c", "1:x:0.5", "1:2:abc", "1.5:2:0.5"])
+def test_malformed_episode_spec_is_a_data_error(spec):
+    with pytest.raises(DataError, match=f"bad episode spec '{spec}'"):
+        parse_episode_spec(f"10:20:0.8,{spec}")
