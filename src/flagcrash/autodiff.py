@@ -5,10 +5,14 @@ its parents and a backward closure on the output.  `Tensor.backward()`
 topologically sorts the tape and accumulates gradients into the leaves.
 Only the handful of ops needed for GINE message passing and the two
 anomaly losses are provided; shapes are 0-d, 1-d, or 2-d and never
-broadcast implicitly.  The one sparse op, `sparse_matmul`, multiplies a
-tensor by a constant `scipy.sparse` matrix (message gather, scatter and
-pooling over a batch of graphs).  Inside `no_grad()` no op records a
-tape, for forward passes that only score.
+broadcast implicitly.  `sparse_matmul` multiplies a tensor by a constant
+`scipy.sparse` matrix (mean pooling over a batch of graphs), and
+`gine_aggregate` is one whole GINE aggregation with a hand-written
+backward: it keeps a boolean relu mask where five composed ops would
+keep four (messages x hidden) float arrays.  An op hands
+`_accumulate` the gradients it allocated itself as `fresh`, and the
+first of them becomes the tensor's gradient without a copy.  Inside
+`no_grad()` no op records a tape, for forward passes that only score.
 """
 
 from __future__ import annotations
@@ -38,9 +42,17 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` to the gradient.  A `fresh` g was allocated by the
+        calling op for this tensor alone, so the first one becomes the
+        gradient itself; any other g (one shared between parents, or a
+        slice) is copied, since later accumulation writes into it."""
         if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+            owned = fresh and type(g) is np.ndarray and g.dtype == np.float64
+            if owned and g.shape == self.data.shape:
+                self.grad = g
+            else:
+                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
         else:
             self.grad += g
 
@@ -71,7 +83,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), fresh=True)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -130,7 +142,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 ga = b.data @ g
             else:  # (k,) @ (k,) -> ()
                 ga = g * b.data
-            a._accumulate(ga)
+            a._accumulate(ga, fresh=True)
         if b.requires_grad:
             if a_2d and b_2d:
                 gb = a.data.T @ g
@@ -140,7 +152,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.outer(a.data, g)
             else:
                 gb = g * a.data
-            b._accumulate(gb)
+            b._accumulate(gb, fresh=True)
 
     return _wrap(out_data, (a, b), backward)
 
@@ -153,9 +165,57 @@ def sparse_matmul(a, x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(a.T @ g)
+            x._accumulate(np.asarray(a.T @ g), fresh=True)
 
     return _wrap(out_data, (x,), backward)
+
+
+def gine_aggregate(h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, scatter) -> Tensor:
+    """One GINE aggregation as one op: `(h + eps*h) + S relu(G h + y p)`.
+
+    `gather` G (M x N, CSR) and `scatter` S (N x M, CSC) are constant
+    one-hot matrices with one 1 per message, at its source and its target
+    vertex, so `G h` and `S^T g` are row gathers by their `indices`.  `y`
+    is the constant (M, k) message feature array and `edge_proj` p is
+    (k, d).  The forward sums in the order of the tape it replaces
+    (gather, plus y p, relu, scatter, added to h + eps*h) and keeps only
+    the relu mask; the backward is gm = (S^T g) * mask, then
+    gh = (1 + eps) g + G^T gm, gp = y^T gm and geps = <g, h>.  A gather
+    or scatter of another format, shape or entry count raises ValueError.
+    """
+    n_msgs, n_nodes = len(y), len(h.data)
+    layout = (gather.format, gather.shape, gather.nnz, scatter.format, scatter.shape, scatter.nnz)
+    if layout != ("csr", (n_msgs, n_nodes), n_msgs, "csc", (n_nodes, n_msgs), n_msgs):
+        raise ValueError(
+            f"gine_aggregate: need a CSR gather ({n_msgs} x {n_nodes}) and a CSC scatter "
+            f"with one entry per message; got (format, shape, entries) x 2 = {layout}"
+        )
+    eps = float(epsilon.data.reshape(()))
+    out_data = h.data + eps * h.data
+    mask = None
+    if len(y):
+        messages = np.take(h.data, gather.indices, axis=0)
+        messages += y @ edge_proj.data
+        mask = messages > 0.0
+        np.maximum(messages, 0.0, out=messages)
+        out_data += scatter @ messages
+
+    def backward(g: np.ndarray) -> None:
+        if epsilon.requires_grad:
+            epsilon._accumulate(np.sum(g * h.data).reshape(epsilon.data.shape), fresh=True)
+        gm = None
+        if mask is not None and (h.requires_grad or edge_proj.requires_grad):
+            gm = np.take(g, scatter.indices, axis=0)
+            gm *= mask
+            if edge_proj.requires_grad:
+                edge_proj._accumulate(y.T @ gm, fresh=True)
+        if h.requires_grad:
+            gh = (1.0 + eps) * g
+            if gm is not None:
+                gh += gather.T @ gm
+            h._accumulate(gh, fresh=True)
+
+    return _wrap(out_data, (h, epsilon, edge_proj), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -182,9 +242,9 @@ def scalar_mul(s, x: Tensor) -> Tensor:
 
         def backward(g: np.ndarray) -> None:
             if s.requires_grad:
-                s._accumulate(np.sum(g * x.data).reshape(s.data.shape))
+                s._accumulate(np.sum(g * x.data).reshape(s.data.shape), fresh=True)
             if x.requires_grad:
-                x._accumulate(s_val * g)
+                x._accumulate(s_val * g, fresh=True)
 
         return _wrap(out_data, (s, x), backward)
 
@@ -193,7 +253,7 @@ def scalar_mul(s, x: Tensor) -> Tensor:
 
     def backward_const(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(c * g)
+            x._accumulate(c * g, fresh=True)
 
     return _wrap(out_data, (x,), backward_const)
 
@@ -203,7 +263,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * (x.data > 0.0))
+            x._accumulate(g * (x.data > 0.0), fresh=True)
 
     return _wrap(out_data, (x,), backward)
 
@@ -234,7 +294,7 @@ def squared_norm(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(2.0 * float(g) * x.data)
+            x._accumulate(2.0 * float(g) * x.data, fresh=True)
 
     return _wrap(out_data, (x,), backward)
 

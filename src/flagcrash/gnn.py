@@ -14,13 +14,15 @@ point one way still receive messages.
 The models take a list of attributed graphs or, as a run passes them, a
 series' (T, n, n) adjacency array, whose nonzero entries are the edges
 in row-major (source, target) order; a batch of the array is built from
-its slice of it.  A batch is the disjoint union of its graphs: stacked
-node and message features plus constant sparse block-diagonal gather,
-scatter and mean-pool matrices, so one autodiff tape covers a whole
-training batch and graphs of different sizes can share it.  The
-one-class center, the teacher's targets and
-both scores are computed over chunks of `batch_size` graphs under
-`autodiff.no_grad`, and no tape is kept for a pass that only scores.
+its slice of it, and both kinds go through the same batch layout.  A
+batch is the disjoint union of its graphs: stacked node and message
+features plus constant sparse block-diagonal one-hot gather and scatter
+matrices and a mean-pool matrix, so one autodiff tape covers a whole
+training batch and graphs of different sizes can share it.  Each layer's
+aggregation is one `autodiff.gine_aggregate` op.  The one-class center,
+the teacher's targets and both scores are computed over chunks of
+`batch_size` graphs under `autodiff.no_grad`, and no tape is kept for a
+pass that only scores.
 """
 
 from __future__ import annotations
@@ -129,43 +131,53 @@ def init_gine(
 
 class _Batch:
     """Disjoint union of the graphs `idx` of `graphs`, in that order:
-    stacked node features (N, m) and message features (2E, k), with
+    stacked node features x (N, m) and message features y (2E, k), and
     constant sparse block-diagonal gather (2E x N), scatter (N x 2E) and
-    mean-pool (B x N) matrices."""
+    mean-pool (B x N) matrices.  Gather and scatter are one-hot, with one
+    entry per message: gather is a CSR matrix of message sources, one
+    entry per row, and scatter the transpose (a CSC view, no copy) of
+    such a matrix of message targets.  Each graph's edges deliver s -> t
+    as its first messages, then t -> s, so every message's position
+    follows from the per-graph edge counts, with no sort."""
 
     def __init__(self, graphs: Graphs, idx):
         if isinstance(graphs, np.ndarray):
             adjacency = graphs[idx]
-            graph, s, t = np.nonzero(adjacency)
             n = adjacency.shape[1]
-            edges = np.stack([graph * n + s, graph * n + t], axis=1)  # global vertex indices
-            y = adjacency[graph, s, t].reshape(-1, 1)
-            x = _node_features(len(adjacency) * n, edges, y)
             self.sizes = np.full(len(adjacency), n)
+            # row-major positions graph * n^2 + s * n + t of the nonzero weights
+            flat = np.flatnonzero(adjacency)
+            y = adjacency.reshape(-1)[flat].reshape(-1, 1)
+            s, t = np.divmod(flat, n)  # s = graph * n + source, the global source
+            t += s - s % n
+            counts = np.count_nonzero(adjacency.reshape(len(adjacency), -1), axis=1)
+            x = _node_features(len(adjacency) * n, np.stack([s, t], axis=1), y)
         else:
             chosen = [graphs[i] for i in idx]
             self.sizes = np.array([g.n for g in chosen], dtype=np.intp)
             starts = np.cumsum(self.sizes) - self.sizes
             parts = [np.reshape(g.edges, (-1, 2)) + lo for g, lo in zip(chosen, starts)]
-            edges = np.concatenate(parts)
-            graph = np.repeat(np.arange(len(chosen)), [len(e) for e in parts])
+            s, t = np.concatenate(parts).T
+            counts = np.array([len(e) for e in parts], dtype=np.intp)
             x, y = (np.concatenate([getattr(g, k) for g in chosen]) for k in ("x", "y"))
         if not self.sizes.all():
             raise DataError("cannot embed a graph without vertices")
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
         n_nodes = int(self.offsets[-1])
-        n_msgs = 2 * len(edges)
         self.x = Tensor(x)
-        self.has_edges = n_msgs > 0
-        if self.has_edges:
-            # each graph's edges deliver s -> t as its first messages, then t -> s
-            order = np.argsort(np.concatenate([graph, graph]), kind="stable")
-            src, tgt = np.concatenate([edges, edges[:, ::-1]])[order].T
-            ones, one_per_row = np.ones(n_msgs), np.arange(n_msgs + 1)
-            self.gather = sp.csr_matrix((ones, src, one_per_row), shape=(n_msgs, n_nodes))
-            by_target = sp.csr_matrix((ones, tgt, one_per_row), shape=(n_msgs, n_nodes))
-            self.scatter = by_target.T.tocsr()
-            self.y = Tensor(np.concatenate([y, y])[order])
+        # graph b's messages start at 2 e_b, e_b the edges of the graphs before
+        # it, so its edge j (counted over the batch) sends s -> t at j + e_b
+        # and t -> s at j + e_b + E_b
+        first = np.arange(len(s)) + np.repeat(np.cumsum(counts) - counts, counts)
+        second = first + np.repeat(counts, counts)
+        n_msgs = 2 * len(s)
+        src, tgt = np.empty(n_msgs, np.int32), np.empty(n_msgs, np.int32)
+        src[first], src[second], tgt[first], tgt[second] = s, t, t, s
+        self.y = np.empty((n_msgs, y.shape[1]))
+        self.y[first] = self.y[second] = y
+        ones, one_per_row = np.ones(n_msgs), np.arange(n_msgs + 1, dtype=np.int32)
+        self.gather = sp.csr_matrix((ones, src, one_per_row), shape=(n_msgs, n_nodes))
+        self.scatter = sp.csr_matrix((ones, tgt, one_per_row), shape=(n_msgs, n_nodes)).T
         self.pool = sp.csr_matrix(
             (np.repeat(1.0 / self.sizes, self.sizes), np.arange(n_nodes), self.offsets),
             shape=(len(self.sizes), n_nodes),
@@ -185,14 +197,9 @@ def _forward(model: GineModel, batch: _Batch) -> tuple[list[Tensor], Tensor]:
     h = batch.x
     per_layer: list[Tensor] = []
     for layer in model.layers:
-        combined = ad.add(h, ad.scalar_mul(layer.epsilon, h))  # (1 + eps) * h
-        if batch.has_edges:
-            messages = ad.relu(
-                ad.add(
-                    ad.sparse_matmul(batch.gather, h), ad.matmul(batch.y, layer.edge_proj)
-                )
-            )
-            combined = ad.add(combined, ad.sparse_matmul(batch.scatter, messages))
+        combined = ad.gine_aggregate(
+            h, layer.epsilon, layer.edge_proj, batch.y, batch.gather, batch.scatter
+        )
         h = ad.matmul(ad.relu(ad.matmul(combined, layer.w1)), layer.w2)
         per_layer.append(h)
     graph_emb = ad.concat_cols([ad.sparse_matmul(batch.pool, h) for h in per_layer])

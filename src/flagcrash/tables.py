@@ -2,9 +2,10 @@
 
 Every date-indexed table is `date,<col...>`: a returns table has one
 column per ticker and one row per return date, a feature table one row
-per graph date, and a score table is `date,score`.  Feature and score
-tables write floats with shortest round-trip repr so reruns hash
-identically (`ingest.write_returns_csv` writes 12 significant digits).
+per graph date, and a score table is `date,score`; the reader rejects
+dates that do not strictly increase.  Feature and score tables write
+floats with shortest round-trip repr so reruns hash identically
+(`ingest.write_returns_csv` writes 12 significant digits).
 """
 
 from __future__ import annotations
@@ -46,9 +47,12 @@ def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:
         if len(cells) != len(columns) + 1:
             raise DataError(f"{path} line {lineno}: column count mismatch")
         try:
-            dates.append(datetime.strptime(cells[0], "%Y-%m-%d").date())
+            day = datetime.strptime(cells[0], "%Y-%m-%d").date()
         except ValueError:
             raise DataError(f"{path} line {lineno}: bad date {cells[0]!r}") from None
+        if dates and day <= dates[-1]:
+            raise DataError(f"{path} line {lineno}: dates do not increase, {day} after {dates[-1]}")
+        dates.append(day)
         try:
             rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:

@@ -12,8 +12,10 @@ import struct
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from flagcrash import autodiff as ad
@@ -420,6 +422,66 @@ def reference_lof(points: np.ndarray, k: int) -> np.ndarray:
     mean_reach = np.where(neighbor_mask, reach, 0.0).sum(axis=1) / counts
     lrd = 1.0 / (mean_reach + 1e-10)
     return np.where(neighbor_mask, lrd[None, :], 0.0).sum(axis=1) / counts / lrd
+
+
+# ---------------------------------------------------------------------------
+# Batched GINE before the fused aggregation op: the batch layout built by a
+# stable argsort of the messages and a CSC-to-CSR conversion of the scatter
+# matrix, and the aggregation as five tape nodes.  `gnn._Batch` must give
+# the same matrices and bitwise the same features, and
+# `autodiff.gine_aggregate` the same values and gradients to rounding.
+
+
+def reference_batch(graphs, idx) -> SimpleNamespace:
+    """sizes, offsets, x and y tensors, and gather (2E x N), scatter
+    (N x 2E) and pool (B x N) CSR matrices of the graphs `idx`."""
+    b = SimpleNamespace()
+    if isinstance(graphs, np.ndarray):
+        adjacency = graphs[idx]
+        graph, s, t = np.nonzero(adjacency)
+        n = adjacency.shape[1]
+        edges = np.stack([graph * n + s, graph * n + t], axis=1)
+        y = adjacency[graph, s, t].reshape(-1, 1)
+        x = gnn._node_features(len(adjacency) * n, edges, y)
+        b.sizes = np.full(len(adjacency), n)
+    else:
+        chosen = [graphs[i] for i in idx]
+        b.sizes = np.array([g.n for g in chosen], dtype=np.intp)
+        starts = np.cumsum(b.sizes) - b.sizes
+        parts = [np.reshape(g.edges, (-1, 2)) + lo for g, lo in zip(chosen, starts)]
+        edges = np.concatenate(parts)
+        graph = np.repeat(np.arange(len(chosen)), [len(e) for e in parts])
+        x, y = (np.concatenate([getattr(g, k) for g in chosen]) for k in ("x", "y"))
+    b.offsets = np.concatenate([[0], np.cumsum(b.sizes)])
+    n_nodes = int(b.offsets[-1])
+    n_msgs = 2 * len(edges)
+    b.x = ad.Tensor(x)
+    b.has_edges = n_msgs > 0
+    if b.has_edges:
+        # each graph's edges deliver s -> t as its first messages, then t -> s
+        order = np.argsort(np.concatenate([graph, graph]), kind="stable")
+        src, tgt = np.concatenate([edges, edges[:, ::-1]])[order].T
+        ones, one_per_row = np.ones(n_msgs), np.arange(n_msgs + 1)
+        b.gather = sp.csr_matrix((ones, src, one_per_row), shape=(n_msgs, n_nodes))
+        by_target = sp.csr_matrix((ones, tgt, one_per_row), shape=(n_msgs, n_nodes))
+        b.scatter = by_target.T.tocsr()
+        b.y = ad.Tensor(np.concatenate([y, y])[order])
+    b.pool = sp.csr_matrix(
+        (np.repeat(1.0 / b.sizes, b.sizes), np.arange(n_nodes), b.offsets),
+        shape=(len(b.sizes), n_nodes),
+    )
+    return b
+
+
+def reference_gine_aggregate(h, epsilon, edge_proj, y, gather, scatter) -> ad.Tensor:
+    """(1 + eps) * h + scatter @ relu(gather @ h + y @ edge_proj) on the tape."""
+    combined = ad.add(h, ad.scalar_mul(epsilon, h))
+    if len(y):
+        messages = ad.relu(
+            ad.add(ad.sparse_matmul(gather, h), ad.matmul(ad.Tensor(y), edge_proj))
+        )
+        combined = ad.add(combined, ad.sparse_matmul(scatter, messages))
+    return combined
 
 
 # ---------------------------------------------------------------------------

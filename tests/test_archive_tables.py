@@ -343,10 +343,18 @@ class TestFeatureDates:
                 read_feature_csv(table)
 
     def test_accepts_what_strptime_accepts(self, tmp_path):
-        path = write_table(tmp_path / "f.csv", ["2010-1-5,1.0", "2010-01-05,2.0"])
+        # dates must increase, so the unpadded and the padded text are two days
+        rows = ["2010-1-5,1.0", "2010-01-06,2.0", "2010-1-07,3.0"]
+        path = write_table(tmp_path / "f.csv", rows)
         for _ in range(2):
             dates, _, _ = read_feature_csv(path)
-            assert dates == [date(2010, 1, 5), date(2010, 1, 5)]
+            assert dates == [date(2010, 1, 5), date(2010, 1, 6), date(2010, 1, 7)]
+
+    @pytest.mark.parametrize("second", ["2010-01-05", "2010-1-5", "2010-01-04"])
+    def test_dates_must_increase(self, tmp_path, second):
+        path = write_table(tmp_path / "f.csv", ["2010-01-05,1.0", f"{second},2.0"])
+        with pytest.raises(DataError, match=r"f\.csv line 3: dates do not increase, 2010-01-0"):
+            read_feature_csv(path)
 
     @pytest.mark.parametrize(
         "row, message",

@@ -97,6 +97,28 @@ def test_accumulation_tensor_used_twice():
     assert np.allclose(w.grad, 8.0 * w.data)
 
 
+def test_shared_gradients_are_not_aliased():
+    # add hands one g to both parents and concat_cols hands out slices of
+    # its g; neither may become a tensor's own gradient, because later
+    # contributions are added into that array in place
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    doubled, both = add(a, a), add(a, b)
+    total = add(doubled, both)  # 3a + b
+    joined = concat_cols([total, b])
+    squared_norm(joined).backward()
+    e = 3.0 * a.data + b.data
+    np.testing.assert_allclose(a.grad, 6.0 * e, rtol=1e-14)
+    np.testing.assert_allclose(b.grad, 2.0 * e + 2.0 * b.data, rtol=1e-14)
+    np.testing.assert_allclose(doubled.grad, 2.0 * e, rtol=1e-14)
+    np.testing.assert_allclose(both.grad, 2.0 * e, rtol=1e-14)
+    tensors = [a, b, doubled, both, total, joined]
+    for i, s in enumerate(tensors):
+        for t in tensors[i + 1 :]:
+            assert not np.shares_memory(s.grad, t.grad)
+
+
 def test_scalar_mul_by_tensor_grads_both_sides():
     s = Tensor(2.0, requires_grad=True)
     x = Tensor([1.0, 3.0], requires_grad=True)

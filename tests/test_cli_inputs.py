@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagcrash import corrnet
 from flagcrash.cli import build_parser, main
 from flagcrash.corrnet import CcmParams
 from flagcrash.evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE
@@ -172,18 +173,48 @@ def test_header_only_table_is_a_data_error(good, tmp_path, kind):
         assert run_cli(argv) == (3, f"data error: {bad}: no data rows\n")
 
 
-@pytest.mark.parametrize("row", [4, 6], ids=["repeated-date", "decreasing-date"])
-def test_returns_dates_must_increase(good, tmp_path, row):
-    # the archive reader rejects such dates, so `graphs` must not write them
-    lines = good["returns"].read_text().split("\n")
+@pytest.fixture
+def no_window(monkeypatch):
+    """Fail the test if any correlation window is computed."""
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a window was computed")
+
+    monkeypatch.setattr(corrnet, "pearson_corr", computed)
+    monkeypatch.setattr(corrnet, "ccm_corr", computed)
+
+
+def out_of_order(good, tmp_path, kind, row):
+    """`good[kind]` with the date of file line 4 also on line row + 1."""
+    lines = good[kind].read_text().split("\n")
     lines[row] = ",".join([lines[3].split(",")[0]] + lines[row].split(",")[1:])
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines))
+    return bad
+
+
+@pytest.mark.parametrize("row", [4, 6], ids=["repeated-date", "decreasing-date"])
+def test_returns_dates_must_increase(good, tmp_path, row, no_window):
+    # the archive reader rejects such dates, so `graphs` must not write them;
+    # the returns reader stops before any window is computed
+    bad = out_of_order(good, tmp_path, "returns", row)
     out = tmp_path / "g.bin"
     code, err = run_cli(["graphs", "--returns", bad, "--corr", "pearson", "--window", "3",
                          "--out", out])
-    assert code == 3 and "dates do not increase" in err and err.count("\n") == 1, err
+    assert code == 3 and err.startswith(f"data error: {bad} line {row + 1}: "), err
+    assert "dates do not increase" in err and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("row", [4, 6], ids=["repeated-date", "decreasing-date"])
+@pytest.mark.parametrize("kind", ["features", "scores"])
+def test_table_dates_must_increase(good, tmp_path, kind, row):
+    bad = out_of_order(good, tmp_path, kind, row)
+    for argv in reader_commands(kind, bad, good, tmp_path / "out"):
+        code, err = run_cli(argv)
+        assert code == 3 and err.startswith(f"data error: {bad} line {row + 1}: "), err
+        assert "dates do not increase" in err and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == [bad]
 
 
 def test_malformed_episode_spec_exits_3(tmp_path):

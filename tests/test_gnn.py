@@ -4,6 +4,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from flagcrash import autodiff as ad
 from flagcrash import gnn
@@ -26,6 +28,8 @@ from oracles import (
     model_checksum,
     random_graph_sequence,
     series_of,
+    reference_batch,
+    reference_gine_aggregate,
     reference_glocalkd_scores,
     reference_glocalkd_train,
     reference_ocgin_scores,
@@ -427,7 +431,13 @@ class TestBatchedForward:
         batch = gnn._Batch(graphs, range(len(graphs)))
         n_msgs = 2 * sum(len(g.edges) for g in graphs)
         n_nodes = sum(g.n for g in graphs)
-        assert batch.gather.format == batch.scatter.format == batch.pool.format == "csr"
+        # one-hot gather rows and scatter columns: one entry per message
+        assert (batch.gather.format, batch.scatter.format, batch.pool.format) == (
+            "csr", "csc", "csr"
+        )
+        for one_hot in (batch.gather, batch.scatter):
+            assert np.array_equal(one_hot.indptr, np.arange(n_msgs + 1))
+            assert np.array_equal(one_hot.data, np.ones(n_msgs))
         assert batch.gather.shape == (n_msgs, n_nodes) and batch.gather.nnz == n_msgs
         assert batch.scatter.shape == (n_nodes, n_msgs) and batch.scatter.nnz == n_msgs
         assert batch.pool.shape == (len(graphs), n_nodes) and batch.pool.nnz == n_nodes
@@ -435,7 +445,7 @@ class TestBatchedForward:
         for row, (lo, hi) in enumerate(zip(batch.offsets[:-1], batch.offsets[1:])):
             np.testing.assert_allclose(batch.pool[row].toarray()[0, lo:hi], 1.0 / graphs[row].n)
         src = batch.gather.indices
-        tgt = batch.scatter.tocsc().indices
+        tgt = batch.scatter.indices
         assert np.array_equal(
             np.searchsorted(batch.offsets, src, side="right"),
             np.searchsorted(batch.offsets, tgt, side="right"),
@@ -558,8 +568,7 @@ class TestAdjacencyBatches:
         a, b = gnn._Batch(series.weights, order), gnn._Batch(listed, order)
         for name in ("sizes", "offsets"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("x", "y"):
-            assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+        assert np.array_equal(a.x.data, b.x.data) and np.array_equal(a.y, b.y)
         for name in ("gather", "scatter", "pool"):
             m, m2 = getattr(a, name), getattr(b, name)
             for part in ("data", "indices", "indptr"):
@@ -580,3 +589,176 @@ class TestAdjacencyBatches:
 
         for mine, theirs in zip(outcome(series.weights), outcome(listed)):
             assert np.array_equal(mine, theirs)
+
+
+@st.composite
+def mixed_batch(draw):
+    """Graphs as a (T, n, n) adjacency array or as an attributed list, and
+    the order `idx` of the ones batched.  Each graph is edgeless, one-way
+    (edges s -> t with s < t only, like Pearson graphs) or both-way (like
+    CCM graphs); array graphs share one vertex count, listed graphs have
+    their own, one vertex included, their edges in a random order and one
+    or two edge features."""
+    as_array = draw(st.booleans(), label="as_array")
+    count = draw(st.integers(1, 6), label="count")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(1, 6), label="n")
+    sizes = [n if as_array else draw(st.integers(1, 6)) for _ in range(count)]
+    kinds = draw(st.lists(st.sampled_from(["edgeless", "one-way", "both-way"]),
+                          min_size=count, max_size=count), label="kinds")
+    weights = []
+    for size, kind in zip(sizes, kinds):
+        w = np.round(rng.uniform(0.05, 1.0, (size, size)), int(rng.integers(1, 4)))
+        w[rng.random((size, size)) < rng.uniform(0.0, 0.8)] = 0.0
+        np.fill_diagonal(w, 0.0)
+        if kind == "edgeless":
+            w[:] = 0.0
+        elif kind == "one-way":
+            w = np.triu(w, 1)
+        weights.append(w)
+    order = draw(st.permutations(range(count)), label="order")
+    idx = order[: draw(st.integers(1, count), label="batched")]
+    if as_array:
+        return np.stack(weights), idx
+    edge_dim = draw(st.integers(1, 2), label="edge_dim")
+    graphs = []
+    for w in weights:
+        s, t = np.nonzero(w)
+        shuffled = rng.permutation(len(s))
+        edges = [(int(a), int(b), float(w[a, b])) for a, b in zip(s[shuffled], t[shuffled])]
+        (g,) = attribute_graphs([digraph(len(w), edges)])
+        if edge_dim == 2:
+            g.y = np.hstack([g.y, rng.normal(size=(len(edges), 1))])
+        graphs.append(g)
+    return graphs, idx
+
+
+# every graph kind in one batch, in a shuffled order
+MIXED_CASE = (mixed_graphs(), [5, 2, 7, 0, 3, 1, 6, 4])
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBatchLayout:
+    """`_Batch` computes message positions from edge counts; the reference
+    sorts the messages.  Both must give the same batch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_batch())
+    @example(case=MIXED_CASE)
+    def test_matches_reference_batch(self, case):
+        graphs, idx = case
+        mine, ref = gnn._Batch(graphs, idx), reference_batch(graphs, idx)
+        assert np.array_equal(mine.sizes, ref.sizes)
+        assert np.array_equal(mine.offsets, ref.offsets)
+        assert np.array_equal(bits(mine.x.data), bits(ref.x.data))
+        assert np.array_equal(mine.pool.toarray(), ref.pool.toarray())
+        n_nodes = int(ref.offsets[-1])
+        if not ref.has_edges:
+            assert len(mine.y) == 0
+            assert mine.gather.shape == (0, n_nodes) and mine.scatter.shape == (n_nodes, 0)
+            return
+        assert np.array_equal(bits(mine.y), bits(ref.y.data))
+        assert np.array_equal(mine.gather.toarray(), ref.gather.toarray())
+        assert np.array_equal(mine.scatter.toarray(), ref.scatter.toarray())
+
+
+def aggregate_case(case, seed):
+    """A batch of `case`, the reference batch, and random h weights,
+    epsilon, edge projection and loss target for a d-wide aggregation."""
+    graphs, idx = case
+    batch, ref = gnn._Batch(graphs, idx), reference_batch(graphs, idx)
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    w = ad.Tensor(rng.normal(size=(2, d)), requires_grad=True)
+    eps = ad.Tensor(np.asarray(rng.normal(scale=0.5)), requires_grad=True)
+    proj = ad.Tensor(rng.normal(size=(batch.y.shape[1], d)), requires_grad=True)
+    target = rng.normal(size=(len(batch.x.data), d))
+    return batch, ref, (w, eps, proj), target
+
+
+def aggregate_loss(aggregate, x, params, y, gather, scatter, target):
+    """Squared distance to `target` of the aggregation of h = x w, and h."""
+    w, eps, proj = params
+    h = ad.matmul(x, w)
+    out = aggregate(h, eps, proj, y, gather, scatter)
+    return ad.squared_norm(ad.sub(out, ad.Tensor(target))), h, out
+
+
+class TestFusedAggregate:
+    """`autodiff.gine_aggregate` against the five-node tape it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=mixed_batch(), seed=st.integers(0, 2**32 - 1))
+    @example(case=MIXED_CASE, seed=0)
+    def test_values_and_gradients_match_the_tape(self, case, seed):
+        batch, ref, params, target = aggregate_case(case, seed)
+        ref_y = ref.y.data if ref.has_edges else np.zeros((0, batch.y.shape[1]))
+        runs = [
+            (ad.gine_aggregate, batch.x, batch.y, batch.gather, batch.scatter),
+            (reference_gine_aggregate, ref.x, ref_y, getattr(ref, "gather", None),
+             getattr(ref, "scatter", None)),
+        ]
+        results = []
+        for aggregate, x, y, gather, scatter in runs:
+            for p in params:
+                p.zero_grad()
+            loss, h, out = aggregate_loss(aggregate, x, params, y, gather, scatter, target)
+            loss.backward()
+            results.append([out.data, h.grad] + [grad_or_zeros(p) for p in params])
+        for mine, theirs in zip(*results):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixed_batch(), seed=st.integers(0, 2**32 - 1))
+    def test_gradients_match_finite_differences(self, case, seed):
+        batch, _, (_, eps, proj), target = aggregate_case(case, seed)
+        h = ad.Tensor(np.random.default_rng(seed).normal(size=target.shape), requires_grad=True)
+        # keep every pre-activation clear of the relu kink by more than the step
+        pre = batch.gather @ h.data + batch.y @ proj.data
+        assume(np.all(np.abs(pre) > 1e-4))
+
+        def loss():
+            out = ad.gine_aggregate(h, eps, proj, batch.y, batch.gather, batch.scatter)
+            return ad.squared_norm(ad.sub(out, ad.Tensor(target)))
+
+        loss().backward()
+        analytic = [grad_or_zeros(p) for p in (h, eps, proj)]
+        numeric = finite_difference(lambda: float(loss().data), [h, eps, proj])
+        assert max_rel_error(analytic, numeric) < 1e-6
+
+    def test_other_layouts_rejected(self):
+        graphs = mixed_graphs()
+        idx = range(len(graphs))
+        batch, ref = gnn._Batch(graphs, idx), reference_batch(graphs, idx)
+        h = ad.Tensor(np.ones((len(batch.x.data), 2)))
+        eps, proj = ad.Tensor(np.asarray(0.1)), ad.Tensor(np.ones((1, 2)))
+        extra = batch.gather.tolil()
+        extra[0, (batch.gather.indices[0] + 1) % len(h.data)] = 1.0
+        layouts = {
+            "csr scatter": (batch.gather, ref.scatter),
+            "csc gather": (batch.gather.tocsc(), batch.scatter),
+            "an entry too many": (extra.tocsr(), batch.scatter),
+            "one message short": (batch.gather[1:], batch.scatter[:, 1:]),
+        }
+        for name, (gather, scatter) in layouts.items():
+            with pytest.raises(ValueError, match="one entry per message"):
+                ad.gine_aggregate(h, eps, proj, batch.y, gather, scatter)
+
+    def test_keeps_only_the_relu_mask(self):
+        graphs = mixed_graphs()
+        batch = gnn._Batch(graphs, range(len(graphs)))
+        rng = np.random.default_rng(4)
+        h = ad.Tensor(rng.normal(size=(len(batch.x.data), 3)), requires_grad=True)
+        eps = ad.Tensor(np.asarray(0.3), requires_grad=True)
+        proj = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        args = (h, eps, proj, batch.y, batch.gather, batch.scatter)
+        out = ad.gine_aggregate(*args)
+        assert out._parents == (h, eps, proj)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray) and a.shape == (len(batch.y), 3)]
+        assert [a.dtype for a in arrays] == [np.bool_]
+        with ad.no_grad():
+            assert ad.gine_aggregate(*args)._backward is None
