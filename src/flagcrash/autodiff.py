@@ -9,7 +9,9 @@ broadcast implicitly.  `sparse_matmul` multiplies a tensor by a constant
 `scipy.sparse` matrix (mean pooling over a batch of graphs), and
 `gine_aggregate` is one whole GINE aggregation with a hand-written
 backward: it keeps a boolean relu mask where five composed ops would
-keep four (messages x hidden) float arrays.  An op hands
+keep four (messages x hidden) float arrays, and writes its
+(messages x hidden) temporaries into two module-level buffers that are
+reused across calls.  An op hands
 `_accumulate` the gradients it allocated itself as `fresh`, and the
 first of them becomes the tensor's gradient without a copy.  Inside
 `no_grad()` no op records a tape, for forward passes that only score.
@@ -170,6 +172,18 @@ def sparse_matmul(a, x: Tensor) -> Tensor:
     return _wrap(out_data, (x,), backward)
 
 
+_scratch = [np.empty(0), np.empty(0)]  # gine_aggregate's reused message buffers
+
+
+def _scratch_array(slot: int, rows: int, cols: int) -> np.ndarray:
+    """An uninitialised (rows, cols) float64 view of scratch buffer `slot`,
+    grown on demand.  It is overwritten by the next call for that slot, so
+    no view of it may outlive the op that asked for it."""
+    if _scratch[slot].size < rows * cols:
+        _scratch[slot] = np.empty(rows * cols)
+    return _scratch[slot][: rows * cols].reshape(rows, cols)
+
+
 def gine_aggregate(h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, scatter) -> Tensor:
     """One GINE aggregation as one op: `(h + eps*h) + S relu(G h + y p)`.
 
@@ -182,6 +196,10 @@ def gine_aggregate(h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, sca
     the relu mask; the backward is gm = (S^T g) * mask, then
     gh = (1 + eps) g + G^T gm, gp = y^T gm and geps = <g, h>.  A gather
     or scatter of another format, shape or entry count raises ValueError.
+    The gathered messages, the `y p` products and `S^T g` are written into
+    the `_scratch` buffers, so that no step first-touches fresh (M, d)
+    pages; what the op returns or keeps (the output, the gradients, the
+    mask) is allocated fresh.
     """
     n_msgs, n_nodes = len(y), len(h.data)
     layout = (gather.format, gather.shape, gather.nnz, scatter.format, scatter.shape, scatter.nnz)
@@ -193,9 +211,11 @@ def gine_aggregate(h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, sca
     eps = float(epsilon.data.reshape(()))
     out_data = h.data + eps * h.data
     mask = None
+    shape = (n_msgs, h.data.shape[1])
     if len(y):
-        messages = np.take(h.data, gather.indices, axis=0)
-        messages += y @ edge_proj.data
+        # mode="clip": under the default "raise", `take` copies through a temporary
+        messages = np.take(h.data, gather.indices, axis=0, out=_scratch_array(0, *shape), mode="clip")
+        messages += np.matmul(y, edge_proj.data, out=_scratch_array(1, *shape))
         mask = messages > 0.0
         np.maximum(messages, 0.0, out=messages)
         out_data += scatter @ messages
@@ -205,7 +225,7 @@ def gine_aggregate(h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, sca
             epsilon._accumulate(np.sum(g * h.data).reshape(epsilon.data.shape), fresh=True)
         gm = None
         if mask is not None and (h.requires_grad or edge_proj.requires_grad):
-            gm = np.take(g, scatter.indices, axis=0)
+            gm = np.take(g, scatter.indices, axis=0, out=_scratch_array(0, *shape), mode="clip")
             gm *= mask
             if edge_proj.requires_grad:
                 edge_proj._accumulate(y.T @ gm, fresh=True)

@@ -41,10 +41,18 @@ def mahalanobis_scores(
 ) -> AnomalySeries:
     """Covariance-normalized distance of each row to the sample mean.
 
-    The sample covariance gets a trace-scaled ridge, eps * (trace/d) * I
-    with eps = 1e-6, so near-singular feature sets (flattened correlation
-    matrices) stay well-defined.  A zero-trace covariance (all rows equal)
-    scores everything 0.
+    The sample covariance C gets a trace-scaled ridge, lam * I with
+    lam = eps * trace(C) / d and eps = 1e-6, so near-singular feature sets
+    (flattened correlation matrices) stay well-defined.  All rows equal
+    score everything 0.  The centered rows Xc are first scaled by the
+    power of two that puts their largest magnitude in [0.5, 1): the scores
+    are scale-free and the scaling exact, so only the range of the sums
+    changes, and neither tiny nor huge spreads under- or overflow them.
+    With more rows than columns (T > d) the d x d system (C + lam I) is
+    solved against the rows.  Otherwise the scores come from the T x T
+    Gram matrix G = Xc Xc^T through the Woodbury identity,
+    score^2 = (T-1) * diag(A^-1 G) with A = G + lam (T-1) I, at
+    O(T^2 d + T^3) instead of O(T d^2 + d^3).
     """
     # row-major whatever the input's layout, which changes the covariance's rounding
     x = np.ascontiguousarray(vectors, dtype=np.float64)
@@ -57,17 +65,23 @@ def mahalanobis_scores(
         raise DataError("need at least 2 vectors")
     if len(dates) != t_rows:
         raise DataError("dates/vectors length mismatch")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = (centered.T @ centered) / (t_rows - 1)
-    trace = float(np.trace(cov))
-    if trace == 0.0:
-        scores = np.zeros(t_rows)
-    else:
+    if (x == x[0]).all():
+        # the rounded mean need not equal the rows, which would leave them a spread
+        return AnomalySeries(dates=list(dates), scores=np.zeros(t_rows), method_tag=method_tag)
+    centered = x - x.mean(axis=0)
+    np.ldexp(centered, -np.frexp(np.abs(centered).max())[1], out=centered)
+    if t_rows > dim:
+        cov = (centered.T @ centered) / (t_rows - 1)
+        trace = float(np.trace(cov))
         ridged = cov + (RIDGE_EPS * trace / dim) * np.eye(dim)
         solved = np.linalg.solve(ridged, centered.T)  # (d, T)
-        scores = np.sqrt(np.einsum("td,dt->t", centered, solved))
-    return AnomalySeries(dates=list(dates), scores=scores, method_tag=method_tag)
+        squared = np.einsum("td,dt->t", centered, solved)
+    else:
+        gram = centered @ centered.T
+        trace = float(np.trace(gram))  # (T-1) trace(C), so the ridge is lam (T-1)
+        ridged = gram + (RIDGE_EPS * trace / dim) * np.eye(t_rows)
+        squared = (t_rows - 1) * np.linalg.solve(ridged, gram).diagonal()
+    return AnomalySeries(dates=list(dates), scores=np.sqrt(squared), method_tag=method_tag)
 
 
 def lof_scores(

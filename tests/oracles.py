@@ -425,6 +425,28 @@ def reference_lof(points: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Mahalanobis through the d x d ridged covariance at every shape, unscaled:
+# the production arithmetic before the T x T Gram path and the power-of-two
+# scaling.  Production scores must equal it bit for bit when T > d.
+
+
+def reference_mahalanobis(vectors: np.ndarray, ridge_eps: float = 1e-6) -> np.ndarray:
+    x = np.ascontiguousarray(vectors, dtype=np.float64)
+    t_rows, dim = x.shape
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cov = (centered.T @ centered) / (t_rows - 1)
+    trace = float(np.trace(cov))
+    if trace == 0.0:
+        scores = np.zeros(t_rows)
+    else:
+        ridged = cov + (ridge_eps * trace / dim) * np.eye(dim)
+        solved = np.linalg.solve(ridged, centered.T)  # (d, T)
+        scores = np.sqrt(np.einsum("td,dt->t", centered, solved))
+    return scores
+
+
+# ---------------------------------------------------------------------------
 # Batched GINE before the fused aggregation op: the batch layout built by a
 # stable argsort of the messages and a CSC-to-CSR conversion of the scatter
 # matrix, and the aggregation as five tape nodes.  `gnn._Batch` must give

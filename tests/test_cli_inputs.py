@@ -217,6 +217,22 @@ def test_table_dates_must_increase(good, tmp_path, kind, row):
         assert list(tmp_path.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("unit", ["1e-160", "1e200"], ids=["subnormal-spread", "huge-spread"])
+def test_mahalanobis_scores_tables_of_extreme_spread(tmp_path, unit):
+    # such rows' covariance under- or overflows unless they are rescaled
+    # first: a singular-matrix traceback, or a rejection as non-finite
+    rows = ["1,0,0", "0,0,0", "0,1,0", "0,0,1", "1,1,0"]
+    scores = []
+    for name, one in [("unit", "1"), ("extreme", unit)]:
+        table, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-scores.csv"
+        table.write_text("date,f0,f1,f2\n" + "".join(
+            f"2020-01-0{i + 1},{r.replace('1', one)}\n" for i, r in enumerate(rows)))
+        assert run_cli(["score", "--features", table, "--method", "mahalanobis",
+                        "--out", out]) == (0, "")
+        scores.append([float(line.split(",")[1]) for line in out.read_text().split()[1:]])
+    assert scores[1] == pytest.approx(scores[0], rel=1e-9)
+
+
 def test_malformed_episode_spec_exits_3(tmp_path):
     code, err = run_cli(["synth", "--episodes", "a:b:c", "--out-prices", tmp_path / "p.csv",
                          "--out-events", tmp_path / "e.csv"])

@@ -1,13 +1,14 @@
 from datetime import date, timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from flagcrash.detectors import LOF_BLOCK_ROWS, lof_scores, mahalanobis_scores
+from flagcrash.detectors import LOF_BLOCK_ROWS, RIDGE_EPS, lof_scores, mahalanobis_scores
 from flagcrash.errors import DataError
 
-from oracles import brute_force_lof, reference_lof
+from oracles import brute_force_lof, reference_lof, reference_mahalanobis
 
 
 def dates_for(n):
@@ -75,6 +76,103 @@ class TestMahalanobis:
             )
             np.testing.assert_allclose(s, direct, rtol=1e-9, atol=1e-12)
             assert list(np.argsort(s)) == list(np.argsort(direct))
+
+
+def exact_mahalanobis(x: np.ndarray) -> np.ndarray:
+    """sqrt(x^T (C + lam I)^-1 x) per centered row, with C, lam and the
+    solve in exact rational arithmetic; only the square root rounds."""
+    t, d = x.shape
+    rows = [[Fraction(v) for v in r] for r in x]
+    mean = [sum(col) / t for col in zip(*rows)]
+    xc = [[v - m for v, m in zip(r, mean)] for r in rows]
+    cov = [[sum(r[i] * r[j] for r in xc) / (t - 1) for j in range(d)] for i in range(d)]
+    lam = Fraction(RIDGE_EPS) * sum(cov[i][i] for i in range(d)) / d
+    # Gauss-Jordan on [C + lam I | Xc^T]
+    aug = [cov[i][:] + [r[i] for r in xc] for i in range(d)]
+    for i in range(d):
+        aug[i][i] += lam
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return np.sqrt([float(sum(xc[k][i] * aug[i][d + k] for i in range(d))) for k in range(t)])
+
+
+def correlation_table(rng, t, n):
+    """Flattened correlation matrices of t sliding windows over n series,
+    as `pca --dim raw` scores them (the diagonal columns are constant)."""
+    returns = rng.normal(size=(t + 24, n))
+    return np.stack([np.corrcoef(returns[i:i + 25], rowvar=False).ravel() for i in range(t)])
+
+
+class TestMahalanobisPaths:
+    """More rows than columns: the d x d solve, bitwise the reference.
+    Otherwise: the T x T Gram system, the reference to rounding."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_more_rows_than_columns_is_the_reference(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        t = int(rng.integers(3, 150))
+        x = rng.normal(size=(t, int(rng.integers(1, t)))) * 10.0 ** int(rng.integers(-6, 7))
+        if seed % 3 == 0:
+            x[:, ::2] = np.round(x[:, ::2])  # repeated values, constant columns
+            x[:, 0] = 1.0
+        s = mahalanobis_scores(dates_for(t), x).scores
+        assert np.array_equal(s, reference_mahalanobis(x))
+
+    def test_correlation_table_is_the_reference(self):
+        x = correlation_table(np.random.default_rng(9), 400, 12)
+        s = mahalanobis_scores(dates_for(400), x).scores
+        assert np.array_equal(s, reference_mahalanobis(x))
+
+    @pytest.mark.parametrize("t,d", [(2, 5), (2, 2), (30, 30), (12, 40), (50, 1521)])
+    def test_gram_path_matches_the_reference(self, t, d):
+        rng = np.random.default_rng(t * d)
+        x = correlation_table(rng, t, 39) if d == 1521 else rng.normal(size=(t, d))
+        s = mahalanobis_scores(dates_for(t), x).scores
+        np.testing.assert_allclose(s, reference_mahalanobis(x), rtol=1e-8)
+
+    def test_gram_path_with_duplicate_rows(self):
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=(8, 30))
+        x = base[[0, 1, 1, 2, 3, 3, 3, 4, 5, 6, 7, 0]]
+        s = mahalanobis_scores(dates_for(12), x).scores
+        np.testing.assert_allclose(s, reference_mahalanobis(x), rtol=1e-8)
+        np.testing.assert_allclose(s[[2, 5, 6, 11]], s[[1, 4, 4, 0]], rtol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (7, 4), (3, 10), (6, 6)])
+    @pytest.mark.parametrize("value", [0.1, 1.0, -3e-200, 7e250])
+    def test_equal_rows_score_zero(self, shape, value):
+        # for 0.1 the rounded column mean differs from 0.1, so the rows keep
+        # a spread of one ulp that the normalisation would blow up
+        s = mahalanobis_scores(dates_for(shape[0]), np.full(shape, value)).scores
+        assert not s.any()
+
+    def test_tiny_table_against_exact_arithmetic(self):
+        x = np.random.default_rng(5).normal(size=(6, 12))
+        s = mahalanobis_scores(dates_for(6), x).scores
+        np.testing.assert_allclose(s, exact_mahalanobis(x), rtol=1e-7)
+
+    @pytest.mark.parametrize("t,d", [(40, 6), (6, 40)])
+    @pytest.mark.parametrize("power", [-900, -560, 560, 900])
+    def test_power_of_two_scaling_is_exact(self, t, d, power):
+        x = np.random.default_rng(t).normal(size=(t, d))
+        scaled = np.ldexp(x, power)
+        a = mahalanobis_scores(dates_for(t), x).scores
+        assert np.array_equal(mahalanobis_scores(dates_for(t), scaled).scores, a)
+
+    @pytest.mark.parametrize("t,d", [(5, 3), (3, 5)])
+    @pytest.mark.parametrize("factor", [1e-160, 1e-300, 1e200])
+    def test_extreme_spread_scores_like_unit_spread(self, t, d, factor):
+        # the covariance of such rows under- or overflows without the scaling
+        x = np.random.default_rng(d).integers(-3, 4, size=(t, d)).astype(float)
+        s = mahalanobis_scores(dates_for(t), x * factor).scores
+        np.testing.assert_allclose(s, mahalanobis_scores(dates_for(t), x).scores, rtol=1e-8)
 
 
 class TestLof:

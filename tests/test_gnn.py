@@ -747,6 +747,35 @@ class TestFusedAggregate:
             with pytest.raises(ValueError, match="one entry per message"):
                 ad.gine_aggregate(h, eps, proj, batch.y, gather, scatter)
 
+    def test_reused_buffers_leave_earlier_results_alone(self):
+        # the op writes its (messages x width) temporaries into buffers shared
+        # by every call: widths 2 then 10, a larger batch then a smaller one
+        graphs = mixed_graphs()
+        big, small = gnn._Batch(graphs, range(len(graphs))), gnn._Batch(graphs, [2, 0])
+        calls = [(big, 2), (big, 10), (small, 10), (small, 2)]
+
+        def call(batch, width, seed):
+            rng = np.random.default_rng(seed)
+            h = ad.Tensor(rng.normal(size=(len(batch.x.data), width)), requires_grad=True)
+            eps = ad.Tensor(np.asarray(0.2), requires_grad=True)
+            proj = ad.Tensor(rng.normal(size=(1, width)), requires_grad=True)
+            out = ad.gine_aggregate(h, eps, proj, batch.y, batch.gather, batch.scatter)
+            ad.squared_norm(ad.sub(out, ad.Tensor(rng.normal(size=out.shape)))).backward()
+            return [out.data, h.grad, eps.grad, proj.grad]
+
+        kept, copies = [], []
+        for seed, (batch, width) in enumerate(calls):
+            kept.append(call(batch, width, seed))
+            copies.append([bits(a).copy() for a in kept[-1]])
+        for arrays, saved in zip(kept, copies):
+            assert all(np.array_equal(bits(a), b) for a, b in zip(arrays, saved))
+        for i, arrays in enumerate(kept):
+            for a in arrays:
+                assert not any(np.shares_memory(a, buf) for buf in ad._scratch)
+                assert not any(np.shares_memory(a, b) for other in kept[i + 1:] for b in other)
+        again = call(*calls[0], 0)
+        assert all(np.array_equal(bits(a), b) for a, b in zip(again, copies[0]))
+
     def test_keeps_only_the_relu_mask(self):
         graphs = mixed_graphs()
         batch = gnn._Batch(graphs, range(len(graphs)))
