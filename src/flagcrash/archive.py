@@ -13,8 +13,8 @@ Layout (all little-endian):
 
 A JSON sidecar at `<path>.json` carries the construction parameters
 (window width, correlation kind, embedding settings, tickers).  Archives
-written from a `WindowSeries` list each record's edges in row-major
-(source, target) order; `read_series` accepts any order.
+are written from and read into a `WindowSeries` array, each record's
+edges in row-major (source, target) order; `read_series` accepts any order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .corrnet import EDGE_DTYPE, WeightedDigraph, WindowSeries, matrix_from_digraph
+from .corrnet import EDGE_DTYPE, WindowSeries, load_edges, window_edges
 
 MAGIC = b"FCGR"
 VERSION = 1
@@ -40,36 +40,20 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def write_graphs(path, graphs: list[WeightedDigraph], params: dict) -> None:
-    """Write an archive and its sidecar; nothing is written when a graph has
-    no date, the dates do not strictly increase, the vertex counts differ,
-    or `params["tickers"]` does not name one ticker per vertex."""
-    path = Path(path)
-    if any(g.as_of_date is None for g in graphs):
-        raise DataError("cannot archive a graph without a date")
-    late = next((b for a, b in zip(graphs, graphs[1:]) if b.as_of_date <= a.as_of_date), None)
+def write_graphs(path, series: WindowSeries, params: dict) -> None:
+    """Write an archive of `series`, one record per window, and its sidecar;
+    nothing is written when the dates do not strictly increase or
+    `params["tickers"]` does not name one ticker per vertex."""
+    late = next((b for a, b in zip(series.dates, series.dates[1:]) if b <= a), None)
     if late is not None:
-        raise DataError(f"cannot archive graphs whose dates do not increase, at {late.as_of_date}")
-    if graphs:
-        n = graphs[0].n_vertices
-        odd = next((g for g in graphs if g.n_vertices != n), None)
-        if odd is not None:
-            raise DataError(
-                f"cannot archive graphs of different vertex counts: {odd.as_of_date} "
-                f"has {odd.n_vertices}, the first graph has {n}"
-            )
-        _check_tickers(path, params, n)
+        raise DataError(f"cannot archive graphs whose dates do not increase, at {late}")
+    _check_tickers(path, params, series.weights.shape[1])
     with open(path, "wb") as f:
-        f.write(_HEAD.pack(MAGIC, VERSION, len(graphs)))
-        for g in graphs:
-            f.write(
-                _REC_HEAD.pack(
-                    g.as_of_date.isoformat().encode("ascii"),
-                    g.n_vertices,
-                    len(g.edges),
-                )
-            )
-            f.write(np.asarray(g.edges, dtype=EDGE_DTYPE).tobytes())
+        f.write(_HEAD.pack(MAGIC, VERSION, len(series)))
+        for day, w in zip(series.dates, series.weights):
+            e = window_edges(w)
+            f.write(_REC_HEAD.pack(day.isoformat().encode("ascii"), len(w), len(e)))
+            f.write(e)
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         json.dump(params, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -79,25 +63,25 @@ def read_series(path) -> WindowSeries:
     """The window series of an archive: its kind and tickers come from the
     sidecar, when it lists them, and the kind defaults to "ccm".
 
-    On top of `read_graphs`' checks, every record's edges are checked:
-    vertex indices below its vertex count, no self-loops or duplicate
-    edges, finite positive weights.  An archive without records raises
-    DataError, as no stage can use it.
+    On top of `read_graphs`' checks, `corrnet.load_edges` checks every
+    record's edges.  An archive without records raises DataError, as no
+    stage can use it.
     """
-    graphs, params = read_graphs(path)
-    if not graphs:
+    dates, n, edges, counts, params = read_graphs(path)
+    if not dates:
         raise DataError(f"{path}: archive holds no graphs")
     return WindowSeries(
-        weights=matrix_from_digraph(graphs, f"{path}: record"),
-        dates=[g.as_of_date for g in graphs],
+        weights=load_edges(n, edges, counts, dates, f"{path}: record"),
+        dates=dates,
         kind=params.get("correlation", "ccm"),
         tickers=params.get("tickers"),
     )
 
 
-def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
-    """The records of an archive, each one's edges an `EDGE_DTYPE` array in
-    stored order, and its construction parameters.
+def read_graphs(path) -> tuple[list[date], int, np.ndarray, list[int], dict]:
+    """The records' dates, their vertex count (0 without records), their
+    edges back to back in one `EDGE_DTYPE` array in stored order, each
+    one's edge count, and the archive's construction parameters.
 
     Checked here: the layout, dates strictly increasing across records,
     and one vertex count shared by every record and by the sidecar's
@@ -114,40 +98,44 @@ def read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
             raise DataError(f"{path}: not a graph archive (bad magic {magic!r})")
         if version != VERSION:
             raise DataError(f"{path}: unsupported archive version {version}")
-        graphs: list[WeightedDigraph] = []
+        # no archive of this size holds more edges; pages never read into stay unmapped
+        edges = np.empty((size - _HEAD.size) // EDGE_DTYPE.itemsize, dtype=EDGE_DTYPE)
+        dates: list[date] = []
+        counts: list[int] = []
+        n = filled = 0
         for _ in range(count):
             rec = f.read(_REC_HEAD.size)
             if len(rec) < _REC_HEAD.size:
                 raise DataError(f"{path}: truncated record header")
-            date_bytes, n, edge_count = _REC_HEAD.unpack(rec)
+            date_bytes, n_rec, edge_count = _REC_HEAD.unpack(rec)
             try:
                 as_of = date.fromisoformat(date_bytes.decode("ascii"))
             except ValueError:
                 raise DataError(f"{path}: bad record date {date_bytes!r}") from None
-            if graphs and as_of <= graphs[-1].as_of_date:
+            if dates and as_of <= dates[-1]:
                 raise DataError(f"{path}: record dates not increasing at {as_of}")
-            if graphs and n != graphs[0].n_vertices:
+            if dates and n_rec != n:
                 raise DataError(
-                    f"{path}: record {as_of} has {n} vertices, "
-                    f"the first record has {graphs[0].n_vertices}"
+                    f"{path}: record {as_of} has {n_rec} vertices, the first record has {n}"
                 )
-            if EDGE_DTYPE.itemsize * edge_count > size - f.tell():
+            if f.readinto(edges[filled : filled + edge_count]) < EDGE_DTYPE.itemsize * edge_count:
                 raise DataError(f"{path}: truncated edge block")
-            block = np.frombuffer(f.read(EDGE_DTYPE.itemsize * edge_count), dtype=EDGE_DTYPE)
-            graphs.append(WeightedDigraph(n_vertices=n, edges=block, as_of_date=as_of))
+            filled += edge_count
+            dates.append(as_of)
+            counts.append(edge_count)
+            n = n_rec
     side = sidecar_path(path)
     params = {}
     if side.exists():
-        with open(side, "r", encoding="utf-8") as f:
-            try:
-                params = json.load(f)
-            except ValueError as exc:
-                raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
+        try:
+            params = json.loads(side.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
         if not isinstance(params, dict):
             raise DataError(f"{side}: sidecar is not a JSON object")
-        if graphs:
-            _check_tickers(side, params, graphs[0].n_vertices)
-    return graphs, params
+        if dates:
+            _check_tickers(side, params, n)
+    return dates, n, edges[:filled], counts, params
 
 
 def _check_tickers(where, params: dict, n: int) -> None:

@@ -146,7 +146,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         print(f"wrote {args.out}")
     elif args.command == "pca":
         check_pca_dim(args.dim)
-        stage_pca(read_series(args.graphs), args.dim, args.out)
+        stage_pca(read_series(args.graphs), {args.dim: args.out})
         print(f"wrote {args.out}")
     elif args.command == "gnn":
         own = {"weight_decay": args.weight_decay} if args.model == "ocgin" else {"lam": args.lam}

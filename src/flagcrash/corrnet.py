@@ -6,9 +6,9 @@ measure of convergent cross mapping), computed for every ticker's shadow
 manifold of a window at once.  `correlation_series` maps either over the
 windows, in worker processes when asked.  Negative entries are clipped to
 zero before graph construction, and the diagonal is always zero.  A run
-holds its graphs as one `WindowSeries` array; `WeightedDigraph` edge
-lists are the form graphs take at the archive boundary and in hand-built
-inputs.
+holds its graphs as one `WindowSeries` array, which graph archives are
+written from and read into; `WeightedDigraph` edge lists are the form
+hand-built graphs take.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ class WeightedDigraph:
     """Directed graph with weights in (0, 1]; zero entries are absent edges.
 
     `edges` is a list of (source, target, weight) tuples or, as
-    `graph_series` and `archive.read_graphs` return it, an `EDGE_DTYPE`
-    array of the same edges.
+    `graph_series` returns it, an `EDGE_DTYPE` array of the same edges.
     """
 
     n_vertices: int
@@ -84,33 +83,39 @@ class WeightedDigraph:
     as_of_date: date | None = None
 
 
-def stack_edges(graphs: list[WeightedDigraph], where: str) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of `graphs` as one `EDGE_DTYPE` array, and each edge's graph index.
+def load_edges(n: int, edges: np.ndarray, counts, dates: list[date], where: str) -> np.ndarray:
+    """The (T, n, n) `WindowSeries.weights` of T windows whose `EDGE_DTYPE`
+    edges lie back to back in `edges`, `counts[i]` of them window i's.
 
-    `graphs` is not empty and every graph has `graphs[0].n_vertices`
-    vertices.  Raises DataError, naming `where` and the date of the first
-    graph at fault, on a vertex index out of range, a self-loop, an edge
-    given twice, or a weight that is not finite and positive.
-    """
-    blocks = [np.asarray(g.edges, dtype=EDGE_DTYPE).reshape(-1) for g in graphs]
-    # joining raw bytes is much faster than np.concatenate of structured arrays
-    e = np.frombuffer(b"".join([b.tobytes() for b in blocks]), dtype=EDGE_DTYPE)
-    window = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-    s, t, w = e["s"], e["t"], e["w"]
-    n = graphs[0].n_vertices
-    key = np.stack([window, s, t])[:, np.lexsort((t, s, window))]
-    repeated = (key[:, 1:] == key[:, :-1]).all(axis=0)
-    faults = [
-        (f"vertex index out of range for {n} vertices", window[(s >= n) | (t >= n)]),
-        ("self-loop", window[s == t]),
-        ("duplicate edge", key[0, 1:][repeated]),
-        ("non-finite or non-positive edge weight", window[~(np.isfinite(w) & (w > 0.0))]),
-    ]
-    found = [(int(at.min()), i) for i, (_, at) in enumerate(faults) if at.size]
-    if found:
-        first, i = min(found)
-        raise DataError(f"{where} {graphs[first].as_of_date}: {faults[i][0]}")
-    return e, window
+    Each chunk of windows is checked before its scatter.  Raises DataError,
+    naming `where` and the date of the first window at fault, on a vertex
+    index out of range, a self-loop, an edge given twice, a weight that is
+    not finite and positive, or an array too large to allocate."""
+    try:
+        out = np.zeros((len(counts), n, n))
+    except (MemoryError, ValueError):
+        raise DataError(f"{where}: {len(counts)} graphs of {n} vertices are too large") from None
+    bounds = np.cumsum([0, *counts])
+    for lo in range(0, len(counts), _CHECK_GRAPHS):
+        hi = min(lo + _CHECK_GRAPHS, len(counts))
+        e = edges[bounds[lo] : bounds[hi]]
+        window = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        s, t, w = e["s"], e["t"], e["w"]
+        inside = (s < n) & (t < n)
+        # an edge out of range faults its window before any duplicate could
+        key = np.sort(((window * n + s) * n + t)[inside])
+        faults = [
+            (f"vertex index out of range for {n} vertices", window[~inside]),
+            ("self-loop", window[s == t]),
+            ("duplicate edge", key[1:][key[1:] == key[:-1]] // (n * n)),
+            ("non-finite or non-positive edge weight", window[~(np.isfinite(w) & (w > 0.0))]),
+        ]
+        found = [(int(at.min()), i) for i, (_, at) in enumerate(faults) if at.size]
+        if found:
+            first, i = min(found)
+            raise DataError(f"{where} {dates[first]}: {faults[i][0]}")
+        out[window, s, t] = w
+    return out
 
 
 def pearson_corr(block: np.ndarray) -> np.ndarray:
@@ -218,31 +223,25 @@ def parallel_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
+def window_edges(w: np.ndarray) -> np.ndarray:
+    """The edges of an (n, n) window as an `EDGE_DTYPE` array in row-major
+    (source, target) order, the order graph archives store."""
+    s, t = np.nonzero(w)
+    e = np.empty(len(s), dtype=EDGE_DTYPE)
+    e["s"], e["t"], e["w"] = s, t, w[s, t]
+    return e
+
+
 def graph_series(series: WindowSeries) -> list[WeightedDigraph]:
-    """Each window as a digraph whose edges are an `EDGE_DTYPE` array in
-    row-major (source, target) order, the order graph archives store."""
-    out = []
-    for day, w in zip(series.dates, series.weights):
-        s, t = np.nonzero(w)
-        e = np.empty(len(s), dtype=EDGE_DTYPE)
-        e["s"], e["t"], e["w"] = s, t, w[s, t]
-        out.append(WeightedDigraph(len(w), e, day))
-    return out
+    """Each window as a digraph whose edges are its `window_edges`."""
+    windows = zip(series.dates, series.weights)
+    return [WeightedDigraph(len(w), window_edges(w), day) for day, w in windows]
 
 
-def matrix_from_digraph(graphs: list[WeightedDigraph], where: str = "graph") -> np.ndarray:
+def matrix_from_digraph(graphs: list[WeightedDigraph]) -> np.ndarray:
     """The (T, n, n) adjacency of digraphs that share `graphs[0]`'s vertex
-    count n, as `WindowSeries.weights` holds it.
-
-    `stack_edges` checks every chunk of graphs, naming `where`, before its
-    edges are scattered; an array too large to allocate raises DataError.
-    """
+    count n, checked as an archive's records are."""
+    blocks = [np.asarray(g.edges, dtype=EDGE_DTYPE).reshape(-1) for g in graphs]
     n = graphs[0].n_vertices if graphs else 0
-    try:
-        out = np.zeros((len(graphs), n, n))
-    except (MemoryError, ValueError):
-        raise DataError(f"{where}: {len(graphs)} graphs of {n} vertices are too large") from None
-    for lo in range(0, len(graphs), _CHECK_GRAPHS):
-        e, window = stack_edges(graphs[lo : lo + _CHECK_GRAPHS], where)
-        out[lo + window, e["s"], e["t"]] = e["w"]
-    return out
+    edges = np.concatenate([np.empty(0, EDGE_DTYPE), *blocks])
+    return load_edges(n, edges, [len(b) for b in blocks], [g.as_of_date for g in graphs], "graph")

@@ -44,10 +44,10 @@ def mahalanobis_scores(
     The sample covariance C gets a trace-scaled ridge, lam * I with
     lam = eps * trace(C) / d and eps = 1e-6, so near-singular feature sets
     (flattened correlation matrices) stay well-defined.  All rows equal
-    score everything 0.  The centered rows Xc are first scaled by the
-    power of two that puts their largest magnitude in [0.5, 1): the scores
-    are scale-free and the scaling exact, so only the range of the sums
-    changes, and neither tiny nor huge spreads under- or overflow them.
+    score everything 0.  The rows, and then the centered rows Xc, are each
+    scaled by the power of two that puts their largest magnitude in
+    [0.5, 1): the scaling is exact and the scores scale-free, so neither the
+    column means nor tiny or huge spreads under- or overflow the sums.
     With more rows than columns (T > d) the d x d system (C + lam I) is
     solved against the rows.  Otherwise the scores come from the T x T
     Gram matrix G = Xc Xc^T through the Woodbury identity,
@@ -68,7 +68,8 @@ def mahalanobis_scores(
     if (x == x[0]).all():
         # the rounded mean need not equal the rows, which would leave them a spread
         return AnomalySeries(dates=list(dates), scores=np.zeros(t_rows), method_tag=method_tag)
-    centered = x - x.mean(axis=0)
+    centered = np.ldexp(x, -np.frexp(max(x.max(), -x.min()))[1])
+    centered -= centered.mean(axis=0)
     np.ldexp(centered, -np.frexp(np.abs(centered).max())[1], out=centered)
     if t_rows > dim:
         cov = (centered.T @ centered) / (t_rows - 1)

@@ -22,6 +22,10 @@ class PcaModel:
     components: np.ndarray  # (d, D)
     explained_variance: np.ndarray  # (d,)
 
+    def top(self, d: int) -> PcaModel:
+        """The model of the first d components."""
+        return PcaModel(self.mean, self.components[:d], self.explained_variance[:d])
+
 
 def fit_pca(data: np.ndarray, d: int) -> PcaModel:
     """SVD of the centered data matrix; deterministic sign convention.

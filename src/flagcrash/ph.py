@@ -263,9 +263,10 @@ def diagram_norm(
             for birth, dm in d.essential
             if dm == dim and d.max_filtration > birth
         )
-    if p == 1:
-        return float(sum(lengths))
-    return float(sum(x * x for x in lengths)) ** 0.5
+    total = 0.0  # summed in bar order, as `sum` of floats is not from Python 3.12 on
+    for x in lengths:
+        total += x * x if p == 2 else x
+    return float(total) if p == 1 else float(total) ** 0.5
 
 
 def tda_features(adjacency: np.ndarray, essential: str = "drop") -> np.ndarray:

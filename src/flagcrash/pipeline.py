@@ -226,7 +226,7 @@ def stage_graphs(
     )
     archive.write_graphs(
         out_path,
-        corrnet.graph_series(series),
+        series,
         params={
             "window": window,
             "correlation": kind,
@@ -246,20 +246,26 @@ def stage_tda(series: corrnet.WindowSeries, essential, out_path, jobs: int = 1) 
     return table
 
 
-def stage_pca(series: corrnet.WindowSeries, dim: str, out_path) -> FeatureTable:
+def stage_pca(series: corrnet.WindowSeries, out_paths: dict) -> dict[str, FeatureTable]:
     """Each window's flattened correlation matrix, raw or projected on its
-    top `dim` principal components; a Pearson matrix is mirrored first."""
+    top d principal components, for each dim ("raw" or d) of `out_paths`,
+    written to the dim's path; a Pearson matrix is mirrored first.  One fit
+    at the largest d serves every d: a thin SVD's components do not depend on d."""
     w = series.weights
     if series.kind == "pearson":
         w = w + w.transpose(0, 2, 1)
     data = w.reshape(len(w), -1)
-    if dim == "raw":
-        values = data
-    else:
-        values = project_matrix(fit_pca(data, int(dim)), data)
-    table = (series.dates, [f"c{i + 1}" for i in range(values.shape[1])], values)
-    tables.write_feature_csv(out_path, *table)
-    return table
+    numeric = [int(dim) for dim in out_paths if dim != "raw"]
+    if numeric:
+        # the first d out of range fails, as it did when each d had a fit of its own
+        bad = [d for d in numeric if not 1 <= d <= min(data.shape)]
+        model = fit_pca(data, bad[0] if bad else max(numeric))
+    out = {}
+    for dim, path in out_paths.items():
+        values = data if dim == "raw" else project_matrix(model.top(int(dim)), data)
+        out[dim] = (series.dates, [f"c{i + 1}" for i in range(values.shape[1])], values)
+        tables.write_feature_csv(path, *out[dim])
+    return out
 
 
 def score_table(dates, values, methods, lof_k) -> list[AnomalySeries]:
@@ -407,8 +413,8 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
                 features[f"tda-{norm}"] = table
         if config.pca_dims:
             stage = "pca"
-            for dim in config.pca_dims:
-                features[f"pca-{dim}"] = stage_pca(series, dim, run_dir / f"pca_{dim}.csv")
+            paths = {dim: run_dir / f"pca_{dim}.csv" for dim in config.pca_dims}
+            features.update((f"pca-{dim}", t) for dim, t in stage_pca(series, paths).items())
 
         stage = "score"
         scores: dict[str, tuple[list[date], np.ndarray]] = {}

@@ -374,6 +374,131 @@ def random_graph_sequence(seed: int, count: int, max_vertices: int):
 
 
 # ---------------------------------------------------------------------------
+# The graph archive through per-window digraphs: the writer and reader that
+# the array-native `archive.write_graphs` and `archive.read_series` replaced,
+# the references for their bytes, arrays and error messages
+
+_EDGE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
+_ARCHIVE_HEAD = struct.Struct("<4sIQ")
+_RECORD_HEAD = struct.Struct("<10sIQ")
+
+
+def reference_write_graphs(path, series: WindowSeries, params: dict) -> None:
+    """`graph_series` then the list writer: one record per digraph."""
+    path = Path(path)
+    graphs = []
+    for day, w in zip(series.dates, series.weights):
+        s, t = np.nonzero(w)
+        e = np.empty(len(s), dtype=_EDGE)
+        e["s"], e["t"], e["w"] = s, t, w[s, t]
+        graphs.append(WeightedDigraph(len(w), e, day))
+    late = next((b for a, b in zip(graphs, graphs[1:]) if b.as_of_date <= a.as_of_date), None)
+    if late is not None:
+        raise DataError(f"cannot archive graphs whose dates do not increase, at {late.as_of_date}")
+    tickers = params.get("tickers")
+    if graphs and tickers is not None and (
+        not isinstance(tickers, list) or len(tickers) != graphs[0].n_vertices
+    ):
+        raise DataError(f"{path}: tickers are not a list of {graphs[0].n_vertices} names, "
+                        "one per graph vertex")
+    with open(path, "wb") as f:
+        f.write(_ARCHIVE_HEAD.pack(b"FCGR", 1, len(graphs)))
+        for g in graphs:
+            f.write(_RECORD_HEAD.pack(g.as_of_date.isoformat().encode("ascii"), g.n_vertices,
+                                      len(g.edges)))
+            f.write(np.asarray(g.edges, dtype=_EDGE).tobytes())
+    with open(str(path) + ".json", "w", encoding="utf-8") as f:
+        json.dump(params, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _reference_read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
+    path = Path(path)
+    size = path.stat().st_size
+    with open(path, "rb") as f:
+        head = f.read(_ARCHIVE_HEAD.size)
+        if len(head) < _ARCHIVE_HEAD.size:
+            raise DataError(f"{path}: truncated graph archive header")
+        magic, version, count = _ARCHIVE_HEAD.unpack(head)
+        if magic != b"FCGR":
+            raise DataError(f"{path}: not a graph archive (bad magic {magic!r})")
+        if version != 1:
+            raise DataError(f"{path}: unsupported archive version {version}")
+        graphs: list[WeightedDigraph] = []
+        for _ in range(count):
+            rec = f.read(_RECORD_HEAD.size)
+            if len(rec) < _RECORD_HEAD.size:
+                raise DataError(f"{path}: truncated record header")
+            date_bytes, n, edge_count = _RECORD_HEAD.unpack(rec)
+            try:
+                as_of = date.fromisoformat(date_bytes.decode("ascii"))
+            except ValueError:
+                raise DataError(f"{path}: bad record date {date_bytes!r}") from None
+            if graphs and as_of <= graphs[-1].as_of_date:
+                raise DataError(f"{path}: record dates not increasing at {as_of}")
+            if graphs and n != graphs[0].n_vertices:
+                raise DataError(f"{path}: record {as_of} has {n} vertices, "
+                                f"the first record has {graphs[0].n_vertices}")
+            if _EDGE.itemsize * edge_count > size - f.tell():
+                raise DataError(f"{path}: truncated edge block")
+            block = np.frombuffer(f.read(_EDGE.itemsize * edge_count), dtype=_EDGE)
+            graphs.append(WeightedDigraph(n_vertices=n, edges=block, as_of_date=as_of))
+    side = Path(str(path) + ".json")
+    params = {}
+    if side.exists():
+        try:
+            params = json.loads(side.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
+        if not isinstance(params, dict):
+            raise DataError(f"{side}: sidecar is not a JSON object")
+        tickers = params.get("tickers")
+        n = graphs[0].n_vertices if graphs else None
+        if graphs and tickers is not None and (not isinstance(tickers, list) or len(tickers) != n):
+            raise DataError(f"{side}: tickers are not a list of {n} names, one per graph vertex")
+    return graphs, params
+
+
+def _reference_stack_edges(graphs: list[WeightedDigraph], where: str):
+    """Every edge of `graphs` and its graph index, checked by one lexsort."""
+    e = np.concatenate([np.asarray(g.edges, dtype=_EDGE).reshape(-1) for g in graphs])
+    window = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
+    s, t, w = e["s"], e["t"], e["w"]
+    n = graphs[0].n_vertices
+    key = np.stack([window, s, t])[:, np.lexsort((t, s, window))]
+    repeated = (key[:, 1:] == key[:, :-1]).all(axis=0)
+    faults = [
+        (f"vertex index out of range for {n} vertices", window[(s >= n) | (t >= n)]),
+        ("self-loop", window[s == t]),
+        ("duplicate edge", key[0, 1:][repeated]),
+        ("non-finite or non-positive edge weight", window[~(np.isfinite(w) & (w > 0.0))]),
+    ]
+    found = [(int(at.min()), i) for i, (_, at) in enumerate(faults) if at.size]
+    if found:
+        first, i = min(found)
+        raise DataError(f"{where} {graphs[first].as_of_date}: {faults[i][0]}")
+    return e, window
+
+
+def reference_read_series(path) -> WindowSeries:
+    """The list reader, then each chunk of 256 digraphs checked and scattered."""
+    graphs, params = _reference_read_graphs(path)
+    if not graphs:
+        raise DataError(f"{path}: archive holds no graphs")
+    n = graphs[0].n_vertices
+    where = f"{path}: record"
+    try:
+        weights = np.zeros((len(graphs), n, n))
+    except (MemoryError, ValueError):
+        raise DataError(f"{where}: {len(graphs)} graphs of {n} vertices are too large") from None
+    for lo in range(0, len(graphs), 256):
+        e, window = _reference_stack_edges(graphs[lo : lo + 256], where)
+        weights[lo + window, e["s"], e["t"]] = e["w"]
+    return WindowSeries(weights, [g.as_of_date for g in graphs],
+                        params.get("correlation", "ccm"), params.get("tickers"))
+
+
+# ---------------------------------------------------------------------------
 # Literal LOF reference (O(T^2), straight from the definitions)
 
 

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from flagcrash.archive import read_graphs, read_series, sidecar_path, write_graphs
 from flagcrash.cli import main
-from flagcrash.corrnet import (
-    EDGE_DTYPE,
-    WeightedDigraph,
-    correlation_series,
-    graph_series,
-)
+from flagcrash.corrnet import EDGE_DTYPE, WeightedDigraph, WindowSeries, correlation_series
 from flagcrash.errors import DataError
 from flagcrash.ingest import ReturnMatrix
 from flagcrash.tables import (
@@ -26,7 +21,20 @@ from flagcrash.tables import (
     write_scores_csv,
 )
 
-from oracles import random_graph_sequence
+from oracles import (
+    random_graph_sequence,
+    reference_read_series,
+    reference_write_graphs,
+    series_of,
+)
+
+
+def read_or_message(read, path):
+    """`read(path)`, or the message of the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
 
 
 def small_series(kind):
@@ -43,41 +51,42 @@ class TestGraphArchive:
         for g in graphs:  # an archive holds one vertex count
             g.n_vertices = 12
         path = tmp_path / "graphs.bin"
-        write_graphs(path, graphs, {"window": 25, "correlation": "ccm"})
-        back, params = read_graphs(path)
+        write_graphs(path, series_of(graphs), {"window": 25, "correlation": "ccm"})
+        dates, n, edges, counts, params = read_graphs(path)
         assert params == {"window": 25, "correlation": "ccm"}
-        assert len(back) == len(graphs)
-        for a, b in zip(graphs, back):
-            assert a.n_vertices == b.n_vertices
-            assert a.as_of_date == b.as_of_date
-            assert b.edges.tolist() == a.edges  # random digraphs list edges row-major
+        assert (dates, n) == ([g.as_of_date for g in graphs], 12)
+        assert counts == [len(g.edges) for g in graphs]
+        # random digraphs list edges row-major
+        assert edges.tolist() == [e for g in graphs for e in g.edges]
 
     @pytest.mark.parametrize("kind", ["pearson", "ccm"])
     def test_series_reads_back_bitwise(self, tmp_path, kind):
         series = small_series(kind)
         path = tmp_path / "graphs.bin"
         params = {"correlation": kind, "tickers": series.tickers}
-        write_graphs(path, graph_series(series), params)
+        write_graphs(path, series, params)
         back = read_series(path)
         assert back.weights.tobytes() == series.weights.tobytes()
         assert (back.dates, back.kind, back.tickers) == (series.dates, kind, series.tickers)
         # the series' nonzero entries are the records' edges, in record order
-        graphs, _ = read_graphs(path)
-        for g, w in zip(graphs, series.weights):
-            assert [(s, t) for s, t, _ in g.edges.tolist()] == list(zip(*np.nonzero(w)))
+        _, _, edges, counts, _ = read_graphs(path)
+        assert counts == np.count_nonzero(series.weights, axis=(1, 2)).tolist()
+        assert [(s, t) for s, t, _ in edges.tolist()] == [
+            (s, t) for w in series.weights for s, t in zip(*np.nonzero(w))
+        ]
 
     def test_empty_graph_list(self, tmp_path):
         path = tmp_path / "empty.bin"
-        write_graphs(path, [], {})
-        back, _ = read_graphs(path)
-        assert back == []
+        write_graphs(path, WindowSeries(np.zeros((0, 3, 3)), [], "ccm"), {})
+        dates, n, edges, counts, _ = read_graphs(path)
+        assert (dates, n, len(edges), len(counts)) == ([], 0, 0, 0)
         # no stage can use a series without windows
         with pytest.raises(DataError, match=f"{path}: archive holds no graphs"):
             read_series(path)
 
     def test_sidecar_written(self, tmp_path):
         path = tmp_path / "g.bin"
-        write_graphs(path, [], {"k": 1})
+        write_graphs(path, WindowSeries(np.zeros((0, 3, 3)), [], "ccm"), {"k": 1})
         assert sidecar_path(path).exists()
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -91,39 +100,29 @@ class TestGraphArchive:
             WeightedDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)], date(2020, 1, 2))
         ]
         path = tmp_path / "t.bin"
-        write_graphs(path, graphs, {})
+        write_graphs(path, series_of(graphs), {})
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(DataError, match="truncated"):
             read_graphs(path)
 
-    def test_undated_graph_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="date"):
-            write_graphs(tmp_path / "x.bin", [WeightedDigraph(2, [], None)], {})
-
     @pytest.mark.parametrize(
-        "sizes, days, params, message",
+        "days, params, message",
         [
-            ((3, 4, 3), (1, 2, 3), {}, "different vertex counts"),
-            ((3, 3), (1, 2), {"tickers": ["a", "b"]}, "tickers"),
-            ((3, 3), (1, 2), {"tickers": "abc"}, "tickers"),
-            ((3, 3, 3), (1, 2, None), {}, "date"),
-            ((3, 3, 3), (1, 2, 2), {}, "dates do not increase, at 2020-01-02"),
-            ((3, 3, 3), (1, 3, 2), {}, "dates do not increase, at 2020-01-02"),
+            ((1, 2), {"tickers": ["a", "b"]}, "tickers"),
+            ((1, 2), {"tickers": "abc"}, "tickers"),
+            ((1, 2, 2), {}, "dates do not increase, at 2020-01-02"),
+            ((1, 3, 2), {}, "dates do not increase, at 2020-01-02"),
         ],
-        ids=[
-            "mixed-vertex-count", "short-tickers", "tickers-not-list", "late-undated",
-            "repeated-date", "decreasing-date",
-        ],
+        ids=["short-tickers", "tickers-not-list", "repeated-date", "decreasing-date"],
     )
-    def test_bad_archive_writes_no_file(self, tmp_path, sizes, days, params, message):
-        graphs = [
-            WeightedDigraph(n, [(0, 1, 0.5)], date(2020, 1, day) if day else None)
-            for n, day in zip(sizes, days)
-        ]
+    def test_bad_archive_writes_no_file(self, tmp_path, days, params, message):
+        weights = np.zeros((len(days), 3, 3))
+        weights[:, 0, 1] = 0.5
+        series = WindowSeries(weights, [date(2020, 1, day) for day in days], "ccm")
         path = tmp_path / "x.bin"
         with pytest.raises(DataError, match=message):
-            write_graphs(path, graphs, params)
+            write_graphs(path, series, params)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -151,6 +150,12 @@ CORRUPT = {
     "bad-date": [("2020-13-45", 3, [])],
     "mixed-vertex-count": [GOOD, ("2020-01-03", 4, []), ("2020-01-06", 3, [])],
     "too-many-vertices": [("2020-01-02", 2**31, [])],
+    # faults in two windows, each with two kinds of fault
+    "two-windows": [
+        GOOD,
+        ("2020-01-03", 3, [(0, 1, 0.5), (2, 1, -1.0), (0, 1, float("nan"))]),
+        ("2020-01-06", 3, [(1, 1, 0.5), (0, 9, 0.5)]),
+    ],
 }
 
 
@@ -158,11 +163,10 @@ class TestArchiveValidation:
     def test_hand_written_archive_reads_back(self, tmp_path):
         path = tmp_path / "g.bin"
         path.write_bytes(fcgr_bytes([GOOD, ("2020-01-03", 3, [])]))
-        graphs, params = read_graphs(path)
-        assert params == {}
-        assert [g.as_of_date for g in graphs] == [date(2020, 1, 2), date(2020, 1, 3)]
-        assert graphs[0].edges.dtype == EDGE_DTYPE
-        assert graphs[0].edges.tolist() == [(0, 1, 0.5), (1, 2, 0.25)]
+        dates, n, edges, counts, params = read_graphs(path)
+        assert dates == [date(2020, 1, 2), date(2020, 1, 3)]
+        assert (n, counts, params) == (3, [2, 0], {})
+        assert edges.dtype == EDGE_DTYPE and edges.tolist() == [(0, 1, 0.5), (1, 2, 0.25)]
         series = read_series(path)
         assert series.kind == "ccm" and series.tickers is None
         assert np.array_equal(series.weights[0], [[0, 0.5, 0], [0, 0, 0.25], [0, 0, 0]])
@@ -173,23 +177,27 @@ class TestArchiveValidation:
         path = tmp_path / "g.bin"
         edges = [(2, 0, 0.75), (1, 2, 0.25), (0, 1, 0.5)]
         path.write_bytes(fcgr_bytes([("2020-01-02", 3, edges)]))
-        (g,), _ = read_graphs(path)
-        assert g.edges.dtype == EDGE_DTYPE and g.edges.tolist() == edges
+        _, _, stored, _, _ = read_graphs(path)
+        assert stored.dtype == EDGE_DTYPE and stored.tolist() == edges
         (w,) = read_series(path).weights
         assert [(s, t, w[s, t]) for s, t, _ in edges] == edges
         assert np.count_nonzero(w) == len(edges)
+        assert w.tobytes() == reference_read_series(path).weights.tobytes()
 
     def test_writer_matches_hand_written_layout(self, tmp_path):
         graphs = [WeightedDigraph(3, [(0, 1, 0.5), (1, 2, 0.25)], date(2020, 1, 2))]
-        write_graphs(tmp_path / "g.bin", graphs, {})
+        write_graphs(tmp_path / "g.bin", series_of(graphs), {})
         assert (tmp_path / "g.bin").read_bytes() == fcgr_bytes([GOOD])
 
     @pytest.mark.parametrize("name", sorted(CORRUPT))
     def test_corrupt_record_rejected(self, tmp_path, name):
+        # each archive fails with the message of the first window and fault
+        # that the reference reader names
         path = tmp_path / "g.bin"
         path.write_bytes(fcgr_bytes(CORRUPT[name]))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as err:
             read_series(path)
+        assert str(err.value) == read_or_message(reference_read_series, path)
 
     def test_edge_count_beyond_file_rejected(self, tmp_path):
         path = tmp_path / "g.bin"
@@ -250,14 +258,48 @@ class TestArchiveValidation:
 VALID = small_series("ccm")
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["pearson", "ccm"]),
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_archive_bytes_and_arrays_match_the_reference(kind, count, n, density, seed):
+    """Random series, some of their windows edgeless, are written to the
+    reference writer's bytes and read back bitwise."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 1.0, (count, n, n))
+    weights[rng.random((count, n, n)) >= density] = 0.0
+    weights[:, np.eye(n, dtype=bool)] = 0.0
+    if kind == "pearson":
+        weights[:, np.tri(n, dtype=bool)] = 0.0
+    weights[rng.random(count) < 0.3] = 0.0
+    gaps = np.cumsum(rng.integers(1, 4, count)).tolist()
+    dates = [date(2021, 3, 1) + timedelta(days=gap) for gap in gaps]
+    series = WindowSeries(weights, dates, kind, [f"t{i}" for i in range(n)])
+    params = {"correlation": kind, "tickers": series.tickers}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = Path(tmp) / "graphs.bin", Path(tmp) / "reference.bin"
+        write_graphs(path, series, params)
+        reference_write_graphs(ref, series, params)
+        assert path.read_bytes() == ref.read_bytes()
+        assert sidecar_path(path).read_bytes() == sidecar_path(ref).read_bytes()
+        back = read_series(path)
+        assert back.weights.tobytes() == weights.tobytes()
+        assert (back.dates, back.kind, back.tickers) == (dates, kind, series.tickers)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_damaged_archive_loads_or_raises_data_error(data):
     """A truncated archive, or one with flipped bytes, beside its intact
-    sidecar either loads or raises DataError, and the CLI then exits 3."""
+    sidecar either loads into the reference reader's array or raises
+    DataError with its message, and the CLI then exits 3."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graphs.bin"
-        write_graphs(path, graph_series(VALID), {"correlation": "ccm", "tickers": VALID.tickers})
+        write_graphs(path, VALID, {"correlation": "ccm", "tickers": VALID.tickers})
         blob = bytearray(path.read_bytes())
         if data.draw(st.booleans(), label="truncate"):
             blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
@@ -266,12 +308,19 @@ def test_damaged_archive_loads_or_raises_data_error(data):
             for at, mask in data.draw(st.lists(flips, min_size=1, max_size=8), label="flips"):
                 blob[at] ^= mask
         path.write_bytes(bytes(blob))
+        expected = read_or_message(reference_read_series, path)
         try:
-            read_series(path)
-        except DataError:
+            back = read_series(path)
+        except DataError as exc:
+            assert str(exc) == expected
             out = Path(tmp) / "out.csv"
             assert main(["pca", "--graphs", str(path), "--out", str(out)]) == 3
             assert not out.exists()
+        else:
+            assert back.weights.tobytes() == expected.weights.tobytes()
+            assert (back.dates, back.kind, back.tickers) == (
+                expected.dates, expected.kind, expected.tickers
+            )
 
 
 class TestFeatureTables:

@@ -11,6 +11,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +232,18 @@ def test_mahalanobis_scores_tables_of_extreme_spread(tmp_path, unit):
                         "--out", out]) == (0, "")
         scores.append([float(line.split(",")[1]) for line in out.read_text().split()[1:]])
     assert scores[1] == pytest.approx(scores[0], rel=1e-9)
+
+
+def test_mahalanobis_scores_rows_near_the_float64_limit(tmp_path):
+    # the column mean of these rows overflows unless they are scaled first
+    table, out = tmp_path / "near-limit.csv", tmp_path / "scores.csv"
+    rows = ["1e308,0", "1e308,1", "0,2", "0,0"]
+    table.write_text("date,f0,f1\n" + "".join(
+        f"2020-01-0{i + 1},{r}\n" for i, r in enumerate(rows)))
+    assert run_cli(["score", "--features", table, "--method", "mahalanobis",
+                    "--out", out]) == (0, "")
+    scores = [float(line.split(",")[1]) for line in out.read_text().split()[1:]]
+    assert len(scores) == 4 and np.isfinite(scores).all()
 
 
 def test_malformed_episode_spec_exits_3(tmp_path):

@@ -265,7 +265,7 @@ class TestToDigraph:
             )
             np.testing.assert_array_equal(matrix_from_digraph(graphs), series.weights)
             # PCA sees the full matrix: a Pearson window is mirrored
-            _, _, flat = stage_pca(series, "raw", tmp_path / "pca.csv")
+            _, _, flat = stage_pca(series, {"raw": tmp_path / "pca.csv"})["raw"]
             np.testing.assert_array_equal(flat[0], matrix.reshape(-1))
 
 

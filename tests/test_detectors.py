@@ -166,6 +166,12 @@ class TestMahalanobisPaths:
         a = mahalanobis_scores(dates_for(t), x).scores
         assert np.array_equal(mahalanobis_scores(dates_for(t), scaled).scores, a)
 
+    def test_rows_near_the_float64_limit(self):
+        # the column mean of these rows overflows unless they are scaled first
+        x = np.array([[1e308, 0.0], [1e308, 1.0], [0.0, 2.0], [0.0, 0.0]])
+        s = mahalanobis_scores(dates_for(4), x).scores
+        np.testing.assert_allclose(s, exact_mahalanobis(x), rtol=1e-12)
+
     @pytest.mark.parametrize("t,d", [(5, 3), (3, 5)])
     @pytest.mark.parametrize("factor", [1e-160, 1e-300, 1e200])
     def test_extreme_spread_scores_like_unit_spread(self, t, d, factor):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import time
 from collections import Counter
 from datetime import date, timedelta
@@ -198,6 +200,21 @@ class TestNorms:
         d = self.diagram([])
         assert diagram_norm(d, 1, 0) == 0.0
         assert diagram_norm(d, 2, 1) == 0.0
+
+    @pytest.mark.parametrize("lengths", [
+        [0.1] * 10,  # 0.9999999999999999 summed in order, 1.0 compensated
+        [1e16, 1.0, 1.0],
+        [0.3, 1e-17, 0.7, 2.5e-16, 0.1, 0.2],
+    ], ids=["ten-tenths", "absorbed", "mixed"])
+    def test_norms_sum_in_bar_order(self, lengths):
+        # the same floats on every Python: `sum` of floats is compensated
+        # from 3.12 on, so it is not the oracle
+        d = self.diagram([(0.0, x, 1) for x in lengths] + [(0.0, 0.5, 0)])
+        l1 = functools.reduce(operator.add, lengths, 0.0)
+        l2 = functools.reduce(operator.add, [x * x for x in lengths], 0.0)
+        assert diagram_norm(d, 1, 1) == l1 and diagram_norm(d, 2, 1) == l2**0.5
+        if lengths == [0.1] * 10:
+            assert diagram_norm(d, 1, 1) == 0.9999999999999999
 
     def test_essential_dropped_by_default_capped_on_request(self):
         d = self.diagram([(0.0, 0.3, 1)], essential=[(0.2, 1)], max_f=0.9)

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from flagcrash.archive import write_graphs
 from flagcrash.cli import main
+from flagcrash.corrnet import WindowSeries
 from flagcrash.errors import ConfigError
 from flagcrash.pipeline import PipelineConfig, load_config, run_pipeline
 from flagcrash.tables import read_feature_csv, read_scores_csv
@@ -184,7 +186,7 @@ class TestStageCommands:
             assert main(["run", "--config", str(malformed)]) == 2
         # an archive without records: one message, naming it, from every stage
         empty = tmp_path / "empty.bin"
-        write_graphs(empty, [], {})
+        write_graphs(empty, WindowSeries(np.zeros((0, 3, 3)), [], "ccm"), {})
         out = tmp_path / "out.csv"
         for command in (["pca", "--dim", "abc"], ["pca", "--dim", "\u00b2"]):
             assert main(command + ["--graphs", str(empty), "--out", str(out)]) == 2
@@ -198,24 +200,36 @@ class TestStageCommands:
 
     @pytest.mark.parametrize(
         "flag, key",
-        [("--batch", "ocgin_batch"), ("--layers", "ocgin_layers"), ("--hidden", "hidden")],
+        [("--batch", "ocgin_batch"), ("--layers", "ocgin_layers"), ("--hidden", "hidden"),
+         ("--dim", "pca_dims")],
     )
-    def test_gnn_size_below_one_rejected(self, synth_files, tmp_path, flag, key):
+    def test_gnn_size_below_one_rejected(self, synth_files, tmp_path, capsys, flag, key):
         prices, events = synth_files
         text = config_text(prices, events, tmp_path / "runs", gnn_models="ocgin")
         text = text.replace("tda_norms = l1", "tda_norms =")
         text = text.replace("pca_dims = raw", "pca_dims =")
-        text = re.sub(rf"^{key} = .*$", f"{key} = 0", text, flags=re.M)
+        # a run fits PCA once, at its largest dim, yet the first dim out of
+        # range still fails it, with the message of that dim's own fit
+        value = "raw,3,0,500" if key == "pca_dims" else "0"
+        text = re.sub(rf"^{key} =.*$", f"{key} = {value}", text, flags=re.M)
         cfg_path = tmp_path / "pipeline.ini"
         cfg_path.write_text(text)
+        capsys.readouterr()
         assert main(["run", "--config", str(cfg_path)]) == 4
         (failed,) = (tmp_path / "runs").glob("*/FAILED")
-        assert "stage: gnn" in failed.read_text()
         graphs = failed.parent / "graphs.bin"
         out = tmp_path / "out.csv"
-        for model in ("ocgin", "glocalkd"):
-            command = ["gnn", "--graphs", str(graphs), "--model", model, flag, "0"]
-            assert main(command + ["--epochs", "1", "--out", str(out)]) == 3
+        if key == "pca_dims":
+            cause = "target dimension 0 out of range [1, 64]"
+            assert capsys.readouterr().err == f"stage 'pca' failed: {cause}\n"
+            assert failed.read_text() == f"stage: pca\ncause: {cause}\n"
+            assert main(["pca", "--graphs", str(graphs), "--dim", "0", "--out", str(out)]) == 3
+            assert capsys.readouterr().err == f"data error: {cause}\n"
+        else:
+            assert "stage: gnn" in failed.read_text()
+            for model in ("ocgin", "glocalkd"):
+                command = ["gnn", "--graphs", str(graphs), "--model", model, flag, "0"]
+                assert main(command + ["--epochs", "1", "--out", str(out)]) == 3
         assert not out.exists()
 
 
