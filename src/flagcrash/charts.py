@@ -1,13 +1,16 @@
 """Self-contained SVG bar charts of monthly anomaly counts.
 
 No plotting dependency: the chart is a fixed-size SVG with one bar per
-calendar month across the covered span and numbered vertical markers at
-the event months.
+calendar month, from the earliest month among the counts, the events and
+the span through the latest, and numbered vertical markers at the event
+months.  Months are keyed by `evaluation.month_key`.
 """
 
 from __future__ import annotations
 
 from datetime import date
+
+from .evaluation import month_key
 
 WIDTH = 960
 HEIGHT = 280
@@ -15,19 +18,6 @@ MARGIN_LEFT = 46
 MARGIN_RIGHT = 14
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 36
-
-
-def _month_range(first: str, last: str) -> list[str]:
-    y0, m0 = (int(p) for p in first.split("-"))
-    y1, m1 = (int(p) for p in last.split("-"))
-    months = []
-    y, m = y0, m0
-    while (y, m) <= (y1, m1):
-        months.append(f"{y:04d}-{m:02d}")
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return months
 
 
 def monthly_counts_svg(
@@ -43,19 +33,14 @@ def monthly_counts_svg(
     show as gaps rather than being dropped.
     """
     count_map = dict(counts)
-    months_present = sorted(
-        set(count_map) | {f"{d.year:04d}-{d.month:02d}" for _, d in event_dates}
-    )
-    if span is not None:
-        lo, hi = span
-        months_present = sorted(
-            set(months_present)
-            | {f"{lo.year:04d}-{lo.month:02d}", f"{hi.year:04d}-{hi.month:02d}"}
-        )
-    if not months_present:
-        months = []
-    else:
-        months = _month_range(months_present[0], months_present[-1])
+    # the axis runs from the earliest month of the counts, the events and
+    # the span through the latest, as month numbers year * 12 + month - 1
+    keys = [*count_map, *(month_key(d) for _, d in event_dates), *map(month_key, span or ())]
+    numbers = [int(k[:4]) * 12 + int(k[5:]) - 1 for k in keys]
+    months = [
+        month_key(date(i // 12, i % 12 + 1, 1))
+        for i in range(min(numbers, default=0), max(numbers, default=-1) + 1)
+    ]
     n = max(len(months), 1)
     max_count = max(count_map.values(), default=1)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -100,10 +85,10 @@ def monthly_counts_svg(
                 f'font-size="10">{m[:4] if m.endswith("-01") else m}</text>'
             )
     for idx, (label, d) in enumerate(event_dates, start=1):
-        key = f"{d.year:04d}-{d.month:02d}"
-        if key not in month_pos:
+        pos = month_pos.get(month_key(d))
+        if pos is None:
             continue
-        x = x_of(month_pos[key] + 0.5)
+        x = x_of(pos + 0.5)
         parts.append(
             f'<line x1="{x:.2f}" y1="{MARGIN_TOP}" x2="{x:.2f}" '
             f'y2="{MARGIN_TOP + plot_h}" stroke="#cc3333" stroke-dasharray="4,3"/>'

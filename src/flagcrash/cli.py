@@ -20,16 +20,16 @@ from .pipeline import (
     check_pca_dim,
     load_config,
     run_pipeline,
+    score_table,
     stage_evaluate,
     stage_gnn,
     stage_graphs,
     stage_ingest,
     stage_pca,
-    stage_score,
     stage_tda,
 )
 from .synth import make_synthetic, parse_episode_spec
-from .tables import read_scores_csv
+from .tables import read_feature_csv, read_scores_csv, write_scores_csv
 
 
 def _parse_date(text: str) -> date:
@@ -157,7 +157,9 @@ def _dispatch(args: argparse.Namespace) -> None:
         )
         print(f"wrote {args.out}")
     elif args.command == "score":
-        stage_score(args.features, args.method, args.lof_k, args.out)
+        dates, _, values = read_feature_csv(args.features)
+        (series,) = score_table(dates, values, [args.method], [args.lof_k])
+        write_scores_csv(args.out, series.dates, series.scores)
         print(f"wrote {args.out}")
     elif args.command == "evaluate":
         events = load_events(args.events)

@@ -5,13 +5,19 @@ trading days up to and including the event's anchor (the last trading day
 on or before its date).  Business days are the trading days actually
 present in the score series; no exchange calendar is consulted.  Events
 given at month granularity resolve to the 15th before anchoring.
+
+Matching runs on two boolean masks over the trading days: the flagged
+days, and the days inside some event's window.  An event is signaled when
+its window's slice of the flag mask holds a flag; a flag counts toward
+precision when the window mask covers its day.  `month_key` is the one
+`YYYY-MM` key of the monthly histogram and of its chart.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -126,12 +132,6 @@ def threshold_anomalies(
     return [d for d, s in zip(series.dates, series.scores) if s > cutoff]
 
 
-def _event_anchor_index(trading_days: list[date], event_date: date) -> int | None:
-    """Index of the last trading day <= event_date, or None if before all."""
-    pos = bisect_right(trading_days, event_date)
-    return pos - 1 if pos > 0 else None
-
-
 def signal_events(
     flags: list[date],
     trading_days: list[date],
@@ -148,43 +148,29 @@ def signal_events(
     if any(b < a for a, b in zip(trading_days, trading_days[1:])):
         raise DataError("trading days must be sorted")
     day_index = {d: i for i, d in enumerate(trading_days)}
-    flag_indices = []
+    flagged = np.zeros(len(trading_days), dtype=bool)  # days holding a flag
+    covered = np.zeros(len(trading_days), dtype=bool)  # days in some event's window
     for f in flags:
         if f not in day_index:
             raise DataError(f"flag date {f.isoformat()} is not a trading day")
-        flag_indices.append(day_index[f])
-    flag_indices.sort()
+        flagged[day_index[f]] = True
 
     per_event = []
-    windows = []
     for event in events.events:
-        resolved = event.resolved_date()
-        anchor = _event_anchor_index(trading_days, resolved)
-        if anchor is None:
-            per_event.append(
-                {
-                    "label": event.label,
-                    "date": event.date_spec,
-                    "signaled": False,
-                    "unsignalable": True,
-                }
-            )
-            continue
-        lo = anchor - (lookback - 1)
-        hit = bisect_left(flag_indices, lo) < bisect_right(flag_indices, anchor)
-        windows.append((lo, anchor))
+        # the anchor is the last trading day on or before the event; -1 when
+        # the event precedes them all, which leaves its window empty
+        anchor = bisect_right(trading_days, event.resolved_date()) - 1
+        window = slice(max(anchor - lookback + 1, 0), anchor + 1)
+        covered[window] = True
         per_event.append(
             {
                 "label": event.label,
                 "date": event.date_spec,
-                "signaled": bool(hit),
-                "unsignalable": False,
+                "signaled": bool(flagged[window].any()),
+                "unsignalable": anchor < 0,
             }
         )
-    attributed = [
-        any(lo <= day_index[f] <= hi for lo, hi in windows) for f in flags
-    ]
-    return per_event, attributed
+    return per_event, [bool(covered[day_index[f]]) for f in flags]
 
 
 def metrics(
@@ -217,7 +203,11 @@ def metrics(
     )
 
 
+def month_key(d: date) -> str:
+    """The `YYYY-MM` key of the calendar month holding `d`."""
+    return f"{d.year:04d}-{d.month:02d}"
+
+
 def monthly_counts(flags: list[date]) -> list[tuple[str, int]]:
     """Calendar-month histogram of flagged dates, sorted by month."""
-    counts = Counter(f"{d.year:04d}-{d.month:02d}" for d in flags)
-    return sorted(counts.items())
+    return sorted(Counter(map(month_key, flags)).items())

@@ -1,8 +1,8 @@
 """Price panel ingestion: CSV parsing, date-range alignment, log returns.
 
 Input format is a wide CSV, `date,<ticker1>,<ticker2>,...`, one row per
-trading day, adjusted close prices.  Empty or unparseable cells are
-treated as missing; non-positive prices are rejected outright.
+trading day, adjusted close prices.  Empty, unparseable or non-finite
+cells are treated as missing; non-positive prices are rejected outright.
 """
 
 from __future__ import annotations
@@ -48,6 +48,15 @@ def _parse_date(text: str, context: str) -> date:
         raise DataError(f"{context}: cannot parse date {text!r} as YYYY-MM-DD") from None
 
 
+def _price(cell: str) -> float:
+    """The cell's price, or NaN (missing) when it is empty, unparseable or not finite."""
+    try:
+        v = float(cell.strip())  # str.strip also drops the \x1c-\x1f that float keeps
+    except ValueError:
+        return np.nan
+    return v if math.isfinite(v) else np.nan
+
+
 def parse_price_csv(source) -> PriceTable:
     """Parse a price CSV from a string or text stream into a PriceTable.
 
@@ -77,7 +86,7 @@ def parse_price_csv(source) -> PriceTable:
         seen.add(t)
 
     n = len(tickers)
-    rows: list[tuple[date, list[float], list[bool]]] = []
+    rows: list[tuple[date, list[float]]] = []
     seen_dates: set[date] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -89,37 +98,16 @@ def parse_price_csv(source) -> PriceTable:
         if d in seen_dates:
             raise DataError(f"duplicate date {d.isoformat()} in price CSV")
         seen_dates.add(d)
-        vals = []
-        miss = []
-        for ticker, cell in zip(tickers, cells[1:]):
-            cell = cell.strip()
-            if not cell:
-                vals.append(np.nan)
-                miss.append(True)
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                vals.append(np.nan)
-                miss.append(True)
-                continue
-            if not math.isfinite(v):
-                vals.append(np.nan)
-                miss.append(True)
-                continue
+        vals = [_price(cell) for cell in cells[1:]]
+        for ticker, v in zip(tickers, vals):
             if v <= 0.0:
-                raise DataError(
-                    f"non-positive price {v} at ({d.isoformat()}, {ticker})"
-                )
-            vals.append(v)
-            miss.append(False)
-        rows.append((d, vals, miss))
+                raise DataError(f"non-positive price {v} at ({d.isoformat()}, {ticker})")
+        rows.append((d, vals))
 
     rows.sort(key=lambda r: r[0])
     dates = [r[0] for r in rows]
     prices = np.array([r[1] for r in rows], dtype=np.float64)
-    missing = np.array([r[2] for r in rows], dtype=bool)
-    return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=missing)
+    return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=np.isnan(prices))
 
 
 def serialize_price_csv(table: PriceTable) -> str:

@@ -4,7 +4,10 @@ Past ingest and graph building, each `stage_*` function takes its input
 in memory, writes its output file and returns its result.  A run hands
 the window series, feature tables and scores from stage to stage in
 memory; the standalone commands read them from the files a run writes,
-so chaining the commands reproduces the run byte for byte.
+so chaining the commands reproduces the run byte for byte.  Scoring has no
+stage of its own: `score_table` serves both a run and `flagcrash score`.
+A run keeps one (method, family, precision, recall, f_score) row per
+method, and one writer turns those rows into results.csv and summary.csv.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ class PipelineConfig:
                     raise ConfigError(f"unknown {what} {name!r}")
         for dim in self.pca_dims:
             check_pca_dim(dim)
+        if any(k < 1 for k in self.lof_k):
+            raise ConfigError(f"lof_k must be >= 1, got {min(self.lof_k)}")
         if not Path(self.prices_path).exists():
             raise ConfigError(f"prices file {self.prices_path} does not exist")
         if (
@@ -109,9 +114,9 @@ class PipelineConfig:
 
 
 def check_pca_dim(dim: str) -> None:
-    """Raise ConfigError unless `dim` is "raw" or a decimal integer."""
-    if dim != "raw" and not (dim.isascii() and dim.isdigit()):
-        raise ConfigError(f"pca dim must be 'raw' or an integer, got {dim!r}")
+    """Raise ConfigError unless `dim` is "raw" or a decimal integer >= 1."""
+    if dim != "raw" and not (dim.isascii() and dim.isdigit() and int(dim) >= 1):
+        raise ConfigError(f"pca dim must be 'raw' or an integer >= 1, got {dim!r}")
 
 
 def _split(text: str) -> tuple[str, ...]:
@@ -282,12 +287,6 @@ def score_table(dates, values, methods, lof_k) -> list[AnomalySeries]:
     return out
 
 
-def stage_score(features_path, method: str, lof_k: int, out_path) -> None:
-    dates, _, values = tables.read_feature_csv(features_path)
-    (series,) = score_table(dates, values, [method], [lof_k])
-    tables.write_scores_csv(out_path, series.dates, series.scores)
-
-
 def stage_gnn(
     series: corrnet.WindowSeries,
     model: str,
@@ -364,6 +363,14 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_rows(path: Path, names: str, rows) -> None:
+    """One CSV row per (name, name, precision, recall, f_score) tuple."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{names},precision,recall,f_score\n")
+        for a, b, *values in rows:
+            f.write(",".join([a, b, *(f"{v:.6f}" for v in values)]) + "\n")
 
 
 def _make_run_dir(config: PipelineConfig) -> Path:
@@ -446,45 +453,26 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
         scores.update((m, (series.dates, r)) for m, r in zip(methods, results))
 
         stage = "evaluate"
-        rows = []
+        rows = []  # (method, family, precision, recall, f_score), in method order
         for method, (dates, values) in sorted(scores.items()):
             slug = _slug(method)
             report = stage_evaluate(
                 dates, values, events, config.percentile, config.lookback, method,
                 run_dir / f"report_{slug}.json", run_dir / f"chart_{slug}.svg",
             )
-            rows.append(
-                {
-                    "method": method,
-                    "family": method.split("+")[0].split(" ")[0],
-                    "precision": report["precision"],
-                    "recall": report["recall"],
-                    "f_score": report["f_score"],
-                }
-            )
+            family = method.split("+")[0].split(" ")[0]
+            rows.append((method, family, report["precision"], report["recall"], report["f_score"]))
 
         stage = "report"
-        results_csv = run_dir / "results.csv"
-        with open(results_csv, "w", encoding="utf-8") as f:
-            f.write("method,family,precision,recall,f_score\n")
-            for r in rows:
-                f.write(
-                    f"{r['method']},{r['family']},{r['precision']:.6f},"
-                    f"{r['recall']:.6f},{r['f_score']:.6f}\n"
-                )
-        best: dict[str, dict] = {}
-        for r in rows:
-            cur = best.get(r["family"])
-            if cur is None or r["f_score"] > cur["f_score"]:
-                best[r["family"]] = r
-        with open(run_dir / "summary.csv", "w", encoding="utf-8") as f:
-            f.write("family,best_method,precision,recall,f_score\n")
-            for family in sorted(best):
-                r = best[family]
-                f.write(
-                    f"{family},{r['method']},{r['precision']:.6f},"
-                    f"{r['recall']:.6f},{r['f_score']:.6f}\n"
-                )
+        best: dict[str, tuple] = {}
+        for row in rows:  # a family's first best row wins a tie
+            if row[1] not in best or row[4] > best[row[1]][4]:
+                best[row[1]] = row
+        _write_rows(run_dir / "results.csv", "method,family", rows)
+        _write_rows(
+            run_dir / "summary.csv", "family,best_method",
+            [(family, method, *values) for family, (method, _, *values) in sorted(best.items())],
+        )
 
         manifest = {
             "config_hash": config.config_hash(),

@@ -7,8 +7,11 @@ library's reduction/score code paths.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
@@ -23,6 +26,8 @@ from flagcrash import gnn
 from flagcrash.checkpoint import MAGIC, VERSION
 from flagcrash.corrnet import CcmParams, WeightedDigraph, WindowSeries, matrix_from_digraph
 from flagcrash.errors import DataError
+from flagcrash.evaluation import EventList
+from flagcrash.ingest import PriceTable, _parse_date
 from flagcrash.ph import PersistenceDiagram
 
 
@@ -857,3 +862,144 @@ def load_checkpoint(path) -> gnn.OcginState | gnn.GlocalState:
             lam=meta["lambda"],
         )
     raise DataError(f"{path}: unknown checkpoint kind {meta['kind']!r}")
+
+
+# ---------------------------------------------------------------------------
+# price parsing and event matching as first written
+
+
+def reference_parse_price_csv(source) -> PriceTable:
+    """`ingest.parse_price_csv` with its per-cell loop: three branches mark a
+    cell missing (empty, unparseable, non-finite), one rejects a price <= 0.
+
+    Rows are sorted by date.  Raises DataError on a malformed header,
+    duplicate dates, or any non-positive price.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
+    lines = [ln for ln in lines if ln.strip()]
+    if not lines:
+        raise DataError("price CSV is empty")
+
+    header = lines[0].split(",")
+    if header[0].strip().lower() != "date":
+        raise DataError(f"price CSV header must start with 'date', got {header[0]!r}")
+    tickers = [h.strip() for h in header[1:]]
+    if not tickers:
+        raise DataError("price CSV header has no ticker columns")
+    for i, t in enumerate(tickers):
+        if not t:
+            raise DataError(f"price CSV header column {i + 2} is empty")
+    seen: set[str] = set()
+    for t in tickers:
+        if t in seen:
+            raise DataError(f"price CSV header has duplicate ticker {t!r}")
+        seen.add(t)
+
+    n = len(tickers)
+    rows: list[tuple[date, list[float], list[bool]]] = []
+    seen_dates: set[date] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != n + 1:
+            raise DataError(
+                f"line {lineno}: expected {n + 1} columns, got {len(cells)}"
+            )
+        d = _parse_date(cells[0], f"line {lineno}")
+        if d in seen_dates:
+            raise DataError(f"duplicate date {d.isoformat()} in price CSV")
+        seen_dates.add(d)
+        vals = []
+        miss = []
+        for ticker, cell in zip(tickers, cells[1:]):
+            cell = cell.strip()
+            if not cell:
+                vals.append(np.nan)
+                miss.append(True)
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                vals.append(np.nan)
+                miss.append(True)
+                continue
+            if not math.isfinite(v):
+                vals.append(np.nan)
+                miss.append(True)
+                continue
+            if v <= 0.0:
+                raise DataError(
+                    f"non-positive price {v} at ({d.isoformat()}, {ticker})"
+                )
+            vals.append(v)
+            miss.append(False)
+        rows.append((d, vals, miss))
+
+    rows.sort(key=lambda r: r[0])
+    dates = [r[0] for r in rows]
+    prices = np.array([r[1] for r in rows], dtype=np.float64)
+    missing = np.array([r[2] for r in rows], dtype=bool)
+    return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=missing)
+
+
+def _reference_anchor_index(trading_days: list[date], event_date: date) -> int | None:
+    """Index of the last trading day <= event_date, or None if before all."""
+    pos = bisect_right(trading_days, event_date)
+    return pos - 1 if pos > 0 else None
+
+
+def reference_signal_events(
+    flags: list[date],
+    trading_days: list[date],
+    events: EventList,
+    lookback: int,
+) -> tuple[list[dict], list[bool]]:
+    """`evaluation.signal_events` by bisection over the sorted flag indices,
+    then a scan of every event window for each flag.
+
+    Flag dates must appear in `trading_days`.  An event dated before the
+    first trading day is reported unsignalable (and not signaled).
+    """
+    if lookback < 1:
+        raise DataError(f"lookback must be >= 1, got {lookback}")
+    if any(b < a for a, b in zip(trading_days, trading_days[1:])):
+        raise DataError("trading days must be sorted")
+    day_index = {d: i for i, d in enumerate(trading_days)}
+    flag_indices = []
+    for f in flags:
+        if f not in day_index:
+            raise DataError(f"flag date {f.isoformat()} is not a trading day")
+        flag_indices.append(day_index[f])
+    flag_indices.sort()
+
+    per_event = []
+    windows = []
+    for event in events.events:
+        resolved = event.resolved_date()
+        anchor = _reference_anchor_index(trading_days, resolved)
+        if anchor is None:
+            per_event.append(
+                {
+                    "label": event.label,
+                    "date": event.date_spec,
+                    "signaled": False,
+                    "unsignalable": True,
+                }
+            )
+            continue
+        lo = anchor - (lookback - 1)
+        hit = bisect_left(flag_indices, lo) < bisect_right(flag_indices, anchor)
+        windows.append((lo, anchor))
+        per_event.append(
+            {
+                "label": event.label,
+                "date": event.date_spec,
+                "signaled": bool(hit),
+                "unsignalable": False,
+            }
+        )
+    attributed = [
+        any(lo <= day_index[f] <= hi for lo, hi in windows) for f in flags
+    ]
+    return per_event, attributed

@@ -2,6 +2,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcrash.detectors import AnomalySeries
 from flagcrash.errors import DataError
@@ -15,6 +17,8 @@ from flagcrash.evaluation import (
     signal_events,
     threshold_anomalies,
 )
+
+from oracles import reference_signal_events
 
 
 def weekdays(start: date, n: int) -> list[date]:
@@ -195,6 +199,60 @@ class TestMetrics:
         base = metrics([self.days[90]], self.days, events, 50)
         more = metrics([self.days[90], self.days[299]], self.days, events, 50)
         assert more.precision <= base.precision
+
+
+@st.composite
+def matching_case(draw):
+    """Trading days with gaps (and repeats), flags on them in any order, and
+    events from before the first day to after the last, some given by month."""
+    gaps = draw(st.lists(st.integers(min_value=0, max_value=6), max_size=60))
+    start = date(2015, 1, 1) + timedelta(days=draw(st.integers(min_value=0, max_value=60)))
+    days = [start + timedelta(days=sum(gaps[: i + 1])) for i in range(len(gaps))]
+    flags = draw(st.lists(st.sampled_from(days), max_size=12)) if days else []
+    offsets = draw(st.lists(st.integers(min_value=-120, max_value=sum(gaps) + 120), max_size=6))
+    specs = {}
+    for offset, monthly in zip(offsets, draw(st.lists(st.booleans(), min_size=len(offsets),
+                                                      max_size=len(offsets)))):
+        event = Event((start + timedelta(days=offset)).isoformat()[: 7 if monthly else 10], "")
+        specs.setdefault(event.resolved_date(), event)
+    events = [Event(e.date_spec, f"e{i}") for i, (_, e) in enumerate(sorted(specs.items()))]
+    return days, flags, EventList(events), draw(st.integers(min_value=1, max_value=30))
+
+
+@settings(max_examples=500, deadline=None)
+@given(matching_case())
+def test_matching_agrees_with_reference(case):
+    """Day masks give the per-event records, attributions and scores of the
+    bisection over sorted flag indices."""
+    days, flags, events, lookback = case
+    per_event, attributed = signal_events(flags, days, events, lookback)
+    want_events, want_attributed = reference_signal_events(flags, days, events, lookback)
+    assert per_event == want_events and attributed == want_attributed
+    assert all(type(v) is bool for e in per_event for v in (e["signaled"], e["unsignalable"]))
+    assert all(type(v) is bool for v in attributed)
+    if events.events:
+        report = metrics(flags, days, events, lookback)
+        recall = sum(e["signaled"] for e in want_events) / len(want_events)
+        precision = sum(want_attributed) / len(flags) if flags else 0.0
+        assert (report.recall, report.precision) == (recall, precision)
+        assert report.per_event == want_events
+
+
+@pytest.mark.parametrize(
+    "flags, days, lookback",
+    [
+        ([], [date(2015, 1, 5)], 0),
+        ([], [date(2015, 1, 6), date(2015, 1, 5)], 5),
+        ([date(2015, 1, 7), date(2015, 1, 3)], [date(2015, 1, 5), date(2015, 1, 7)], 5),
+    ],
+)
+def test_matching_rejects_as_reference(flags, days, lookback):
+    events = EventList([Event("2015-01-06", "a")])
+    with pytest.raises(DataError) as want:
+        reference_signal_events(flags, days, events, lookback)
+    with pytest.raises(DataError) as got:
+        signal_events(flags, days, events, lookback)
+    assert str(got.value) == str(want.value)
 
 
 class TestMonthlyCounts:

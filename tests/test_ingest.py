@@ -16,6 +16,8 @@ from flagcrash.ingest import (
     write_returns_csv,
 )
 
+from oracles import reference_parse_price_csv
+
 CSV_3x2 = """date,AAA,BBB
 2020-01-02,10.0,20.0
 2020-01-03,10.5,19.5
@@ -192,3 +194,42 @@ def test_returns_csv_roundtrip(tmp_path):
     back = read_returns_csv(p)
     assert back.dates == rm.dates and back.tickers == rm.tickers
     np.testing.assert_allclose(back.returns, rm.returns, rtol=1e-11)
+
+
+# cells of every kind the parser tells apart: prices, missing cells (empty,
+# whitespace, NaN, infinite, overflowing, unparseable) and non-positive prices
+CELLS = [
+    "", " ", " \t ", "\x1c", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400",
+    "-1e400", "abc", "1x", "1e-320", "1.5", " 2.25 ", "\x1c3\x1f", "7", "1_000",
+]
+NON_POSITIVE = ["0", "00", "-0", "0.0", "-0.0", "-2.5", "-1e-300"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_matches_per_cell_reference(data):
+    """Prices, missing mask and error message all match the per-cell loop."""
+    n_cols = data.draw(st.integers(min_value=1, max_value=3))
+    # half the panels may hold non-positive prices, and so mostly fail
+    bad = data.draw(st.booleans())
+    cell = st.sampled_from(CELLS + NON_POSITIVE) if bad else st.sampled_from(CELLS)
+    cell = cell | st.floats(**({} if bad else {"min_value": 5e-324})).map(repr)
+    # dates from a small pool, so rows also come unsorted or duplicated
+    days = st.integers(min_value=0, max_value=25).map(lambda i: date(2020, 1, 2 + i).isoformat())
+    rows = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), max_size=5))
+    dates = data.draw(st.lists(days, min_size=len(rows), max_size=len(rows)))
+    text = "date," + ",".join(f"T{j}" for j in range(n_cols)) + "\n" + "".join(
+        ",".join([d, *r]) + "\n" for d, r in zip(dates, rows)
+    )
+    try:
+        want = reference_parse_price_csv(text)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            parse_price_csv(text)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_price_csv(text)
+    assert got.dates == want.dates and got.tickers == want.tickers
+    assert got.prices.dtype == want.prices.dtype and got.missing.dtype == want.missing.dtype
+    assert np.array_equal(got.prices, want.prices, equal_nan=True)
+    assert np.array_equal(got.missing, want.missing)

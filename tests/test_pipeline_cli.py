@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,9 +209,11 @@ class TestStageCommands:
         text = config_text(prices, events, tmp_path / "runs", gnn_models="ocgin")
         text = text.replace("tda_norms = l1", "tda_norms =")
         text = text.replace("pca_dims = raw", "pca_dims =")
-        # a run fits PCA once, at its largest dim, yet the first dim out of
-        # range still fails it, with the message of that dim's own fit
-        value = "raw,3,0,500" if key == "pca_dims" else "0"
+        # a dim below 1 is a config error (test_dims_below_one_rejected_at_load);
+        # one above the table's rank fails at stage pca.  A run fits PCA once,
+        # at its largest dim, yet the first dim out of range still fails it,
+        # with the message of that dim's own fit
+        value = "raw,3,200,500" if key == "pca_dims" else "0"
         text = re.sub(rf"^{key} =.*$", f"{key} = {value}", text, flags=re.M)
         cfg_path = tmp_path / "pipeline.ini"
         cfg_path.write_text(text)
@@ -220,17 +223,39 @@ class TestStageCommands:
         graphs = failed.parent / "graphs.bin"
         out = tmp_path / "out.csv"
         if key == "pca_dims":
-            cause = "target dimension 0 out of range [1, 64]"
+            cause = "target dimension 200 out of range [1, 64]"
             assert capsys.readouterr().err == f"stage 'pca' failed: {cause}\n"
             assert failed.read_text() == f"stage: pca\ncause: {cause}\n"
-            assert main(["pca", "--graphs", str(graphs), "--dim", "0", "--out", str(out)]) == 3
+            assert main(["pca", "--graphs", str(graphs), "--dim", "200", "--out", str(out)]) == 3
             assert capsys.readouterr().err == f"data error: {cause}\n"
+            assert main(["pca", "--graphs", str(graphs), "--dim", "0", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: pca dim must be 'raw' or an integer >= 1, got '0'\n"
+            )
         else:
             assert "stage: gnn" in failed.read_text()
             for model in ("ocgin", "glocalkd"):
                 command = ["gnn", "--graphs", str(graphs), "--model", model, flag, "0"]
                 assert main(command + ["--epochs", "1", "--out", str(out)]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("pca_dims", "0", "pca dim must be 'raw' or an integer >= 1, got '0'"),
+         ("pca_dims", "raw,3,00", "pca dim must be 'raw' or an integer >= 1, got '00'"),
+         ("lof_k", "0", "lof_k must be >= 1, got 0"),
+         ("lof_k", "5,-3", "lof_k must be >= 1, got -3")],
+    )
+    def test_dims_below_one_rejected_at_load(self, synth_files, tmp_path, capsys, key, value,
+                                             message):
+        prices, events = synth_files
+        text = config_text(prices, events, tmp_path / "runs")
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(re.sub(rf"^{key} =.*$", f"{key} = {value}", text, flags=re.M))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "runs").exists()
 
 
 class TestRunPipeline:
@@ -287,7 +312,20 @@ class TestRunPipeline:
             cfg_path = tmp_path / f"{kind}.ini"
             cfg_path.write_text(base.replace("correlation = pearson", f"correlation = {kind}"))
             run_dir = run_pipeline(load_config(cfg_path))
+            assert main([
+                "ingest", "--prices", str(prices), "--start", "2010-01-01",
+                "--end", "2011-12-31", "--min-coverage", "1.0", "--out", str(out),
+            ]) == 0
+            assert out.read_bytes() == (run_dir / "returns.csv").read_bytes(), kind
             # feed the pipeline's own intermediates to the standalone commands
+            archive = tmp_path / "standalone.bin"
+            assert main([
+                "graphs", "--returns", str(run_dir / "returns.csv"), "--window", "25",
+                "--corr", kind, "--out", str(archive),
+            ]) == 0
+            for suffix in ("", ".json"):
+                piped = run_dir / f"graphs.bin{suffix}"
+                assert Path(f"{archive}{suffix}").read_bytes() == piped.read_bytes(), kind
             graphs = ["--graphs", str(run_dir / "graphs.bin")]
             for command, piped in [
                 (["tda"], "tda.csv"),
@@ -312,6 +350,32 @@ class TestRunPipeline:
                     ]) == 0
                     piped = run_dir / f"scores_{branch}+{method}.csv"
                     assert out.read_bytes() == piped.read_bytes(), (kind, piped.name)
+            # summary.csv names each family's first best method in method order
+            families: dict[str, list] = {}
+            for path in run_dir.glob("report_*.json"):
+                r = json.loads(path.read_text())
+                families.setdefault(r["method"].split("+")[0].split(" ")[0], []).append(r)
+            best = {
+                family: max(sorted(rs, key=lambda r: r["method"]), key=lambda r: r["f_score"])
+                for family, rs in families.items()
+            }
+            summary = (run_dir / "summary.csv").read_text().splitlines()[1:]
+            assert [line.split(",")[:2] for line in summary] == [
+                [family, best[family]["method"]] for family in sorted(best)
+            ]
+            report, chart = tmp_path / "standalone.json", tmp_path / "standalone.svg"
+            for method, slug in [
+                ("tda-l1+lof-k5", "tda-l1+lof-k5"),
+                ("ocgin lr=0.003 wd=0.0001 batch=64 layers=2",
+                 "ocgin_lr_0.003_wd_0.0001_batch_64_layers_2"),
+            ]:
+                assert main([
+                    "evaluate", "--scores", str(run_dir / f"scores_{slug}.csv"),
+                    "--events", str(events), "--method-name", method,
+                    "--chart", str(chart), "--out", str(report),
+                ]) == 0
+                assert report.read_bytes() == (run_dir / f"report_{slug}.json").read_bytes()
+                assert chart.read_bytes() == (run_dir / f"chart_{slug}.svg").read_bytes()
 
     def test_single_branch_yields_single_report(self, synth_files, tmp_path):
         prices, events = synth_files
