@@ -146,9 +146,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 ga = g * b.data
             a._accumulate(ga, fresh=True)
         if b.requires_grad:
-            if a_2d and b_2d:
-                gb = a.data.T @ g
-            elif a_2d:
+            if a_2d:  # (n,k) @ (k,m) or (n,k) @ (k,)
                 gb = a.data.T @ g
             elif b_2d:
                 gb = np.outer(a.data, g)

@@ -39,11 +39,16 @@ def _parse_date(text: str) -> date:
         raise ConfigError(f"bad date {text!r}, want YYYY-MM-DD") from None
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _at_least(low: int):
+    """argparse type of an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:  # argparse reports "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", choices=["ccm", "pearson"], default=PipelineConfig.correlation)
     p.add_argument("--ccm-e", type=int, default=CcmParams.embedding_dim)
     p.add_argument("--ccm-tau", type=int, default=CcmParams.lag)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tda", help="persistence-norm features of each graph")
     p.add_argument("--graphs", required=True)
     p.add_argument("--essential", choices=["drop", "cap"], default=PipelineConfig.essential)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("pca", help="flattened-matrix features, optionally reduced")
@@ -90,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=OcginConfig.hidden)
     p.add_argument("--batch", type=int, default=OcginConfig.batch_size)
     p.add_argument("--epochs", type=int, default=OcginConfig.epochs)
-    p.add_argument("--seed", type=int, default=OcginConfig.seed)
+    p.add_argument("--seed", type=_at_least(0), default=OcginConfig.seed)
     p.add_argument("--checkpoint", default=None, help="optional model checkpoint path")
     p.add_argument("--out", required=True)
 
@@ -111,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
 
     p = sub.add_parser("synth", help="synthetic stressed price panel")
     p.add_argument("--stocks", type=int, default=20)
@@ -121,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma list of start:length:coupling (return-row indices)",
     )
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_at_least(0), default=7)
     p.add_argument("--out-prices", required=True)
     p.add_argument("--out-events", required=True)
     return parser

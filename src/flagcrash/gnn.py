@@ -20,9 +20,10 @@ features plus constant sparse block-diagonal one-hot gather and scatter
 matrices and a mean-pool matrix, so one autodiff tape covers a whole
 training batch and graphs of different sizes can share it.  Each layer's
 aggregation is one `autodiff.gine_aggregate` op.  The one-class center,
-the teacher's targets and both scores are computed over chunks of
-`batch_size` graphs under `autodiff.no_grad`, and no tape is kept for a
-pass that only scores.
+the teacher's targets and both scores come from one pass, `_no_grad_pass`,
+over chunks of `batch_size` consecutive graphs under `autodiff.no_grad`:
+each chunk's batch is built once for every model it runs, and no tape is
+kept.
 """
 
 from __future__ import annotations
@@ -184,14 +185,6 @@ class _Batch:
         )
 
 
-def _chunks(graphs: Graphs, size: int):
-    """Batches of at most `size` consecutive graphs, in graph order."""
-    return (
-        _Batch(graphs, range(lo, min(lo + size, len(graphs))))
-        for lo in range(0, len(graphs), size)
-    )
-
-
 def _forward(model: GineModel, batch: _Batch) -> tuple[list[Tensor], Tensor]:
     """Per-layer (N, h) node embeddings and the (B, L*h) graph embeddings."""
     h = batch.x
@@ -220,11 +213,24 @@ def gine_forward(model: GineModel, g: AttributedGraph) -> tuple[list[Tensor], Te
     return per_layer, ad.matmul(Tensor(np.ones(1)), emb)  # (1, L*h) -> (L*h,)
 
 
-def _embeddings(model: GineModel, graphs: Graphs, size: int) -> np.ndarray:
-    """(T, L*h) graph embeddings, computed `size` graphs at a time."""
+def _no_grad_pass(
+    models: list[GineModel], graphs: Graphs, size: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The node count of every graph, and each model's final-layer node
+    embeddings (N, h) and graph embeddings (T, L*h), in graph order.  Each
+    batch of `size` consecutive graphs is built once and run through every
+    model without a tape."""
+    sizes = [np.zeros(0, np.intp)]
+    parts = [([np.zeros((0, m.hidden))], [np.zeros((0, m.embedding_dim))]) for m in models]
     with ad.no_grad():
-        parts = [_forward(model, b)[1].data for b in _chunks(graphs, size)]
-    return np.concatenate([np.zeros((0, model.embedding_dim)), *parts])
+        for lo in range(0, len(graphs), size):
+            batch = _Batch(graphs, range(lo, min(lo + size, len(graphs))))
+            sizes.append(batch.sizes)
+            for model, (nodes, embs) in zip(models, parts):
+                per_layer, emb = _forward(model, batch)
+                nodes.append(per_layer[-1].data)
+                embs.append(emb.data)
+    return np.concatenate(sizes), [(np.concatenate(n), np.concatenate(e)) for n, e in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +257,6 @@ class OcginState:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def _epoch_batches(rng, n, batch_size):
-    perm = rng.permutation(n)
-    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
 def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
     if len(losses) <= patience:
         return False
@@ -277,7 +278,9 @@ def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]
     losses: list[float] = []
     for _ in range(config.epochs):
         epoch_loss = 0.0
-        for idx in _epoch_batches(rng, n, config.batch_size):
+        perm = rng.permutation(n)
+        for lo in range(0, n, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
             for p in params:
                 p.zero_grad()
             loss = ad.scalar_mul(1.0 / len(idx), batch_loss(idx))
@@ -298,7 +301,8 @@ def ocgin_train(graphs: Graphs, config: OcginConfig) -> OcginState:
     _check_sizes(config)
     rng = np.random.default_rng(config.seed)
     model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
-    center = np.mean(_embeddings(model, graphs, config.batch_size), axis=0)
+    _, [(_, embs)] = _no_grad_pass([model], graphs, config.batch_size)
+    center = np.mean(embs, axis=0)
 
     def batch_loss(idx) -> Tensor:
         emb = _forward(model, _Batch(graphs, idx))[1]
@@ -315,7 +319,8 @@ def ocgin_scores(
 ) -> np.ndarray:
     """Squared distance of each graph embedding to the center, computed
     `batch_size` graphs at a time."""
-    diffs = _embeddings(state.model, graphs, batch_size) - state.center
+    _, [(_, embs)] = _no_grad_pass([state.model], graphs, batch_size)
+    diffs = embs - state.center
     return np.sum(diffs * diffs, axis=1)
 
 
@@ -358,14 +363,8 @@ def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
         t.requires_grad = False
     student = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
 
-    teacher_nodes: list[np.ndarray] = []
-    teacher_embs = []
-    with ad.no_grad():
-        for batch in _chunks(graphs, config.batch_size):
-            per_layer, emb = _forward(teacher, batch)
-            teacher_nodes.extend(np.split(per_layer[-1].data, batch.offsets[1:-1]))
-            teacher_embs.append(emb.data)
-    teacher_emb = np.concatenate(teacher_embs)
+    sizes, [(nodes, teacher_emb)] = _no_grad_pass([teacher], graphs, config.batch_size)
+    teacher_nodes = np.split(nodes, np.cumsum(sizes)[:-1])
 
     def batch_loss(idx) -> Tensor:
         """Sum over the batch of lambda/n * node term + graph term."""
@@ -391,13 +390,10 @@ def glocalkd_scores(
 ) -> np.ndarray:
     """lambda * final-layer node mimicry error / n + graph embedding error,
     computed `batch_size` graphs at a time."""
-    scores = [np.zeros(0)]
-    for batch in _chunks(graphs, batch_size):
-        with ad.no_grad():
-            teacher_layers, teacher_emb = _forward(state.teacher, batch)
-            student_layers, student_emb = _forward(state.student, batch)
-        node_sq = np.sum((student_layers[-1].data - teacher_layers[-1].data) ** 2, axis=1)
-        node_err = np.add.reduceat(node_sq, batch.offsets[:-1]) / batch.sizes
-        graph_err = np.sum((student_emb.data - teacher_emb.data) ** 2, axis=1)
-        scores.append(state.lam * node_err + graph_err)
-    return np.concatenate(scores)
+    sizes, [(teacher_nodes, teacher_emb), (student_nodes, student_emb)] = _no_grad_pass(
+        [state.teacher, state.student], graphs, batch_size
+    )
+    node_sq = np.sum((student_nodes - teacher_nodes) ** 2, axis=1)
+    node_err = np.add.reduceat(node_sq, np.cumsum(sizes) - sizes) / sizes
+    graph_err = np.sum((student_emb - teacher_emb) ** 2, axis=1)
+    return state.lam * node_err + graph_err

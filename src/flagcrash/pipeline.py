@@ -101,6 +101,12 @@ class PipelineConfig:
             check_pca_dim(dim)
         if any(k < 1 for k in self.lof_k):
             raise ConfigError(f"lof_k must be >= 1, got {min(self.lof_k)}")
+        if not 0.0 < self.percentile < 100.0:
+            raise ConfigError(f"percentile must be in (0, 100), got {self.percentile}")
+        if self.lookback < 1:
+            raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not Path(self.prices_path).exists():
             raise ConfigError(f"prices file {self.prices_path} does not exist")
         if (
@@ -307,11 +313,12 @@ def stage_gnn(
         scores = gnn.glocalkd_scores(state, series.weights, config.batch_size)
     else:
         raise ConfigError(f"unknown gnn model {model!r}")
+    # scores first: non-finite ones stop the stage before any file is written
+    tables.write_scores_csv(out_path, series.dates, scores)
     if checkpoint_path is not None:
         from .checkpoint import save_checkpoint
 
         save_checkpoint(state, checkpoint_path)
-    tables.write_scores_csv(out_path, series.dates, scores)
     return scores
 
 

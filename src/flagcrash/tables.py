@@ -3,9 +3,11 @@
 Every date-indexed table is `date,<col...>`: a returns table has one
 column per ticker and one row per return date, a feature table one row
 per graph date, and a score table is `date,score`; the reader rejects
-dates that do not strictly increase.  Feature and score tables write
-floats with shortest round-trip repr so reruns hash identically
-(`ingest.write_returns_csv` writes 12 significant digits).
+dates that do not strictly increase, and reader and writer both refuse
+non-finite values, so no table is written that cannot be read back.
+Feature and score tables write floats with shortest round-trip repr so
+reruns hash identically (`ingest.write_returns_csv` writes 12
+significant digits).
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ def write_feature_csv(path, dates: list[date], columns: list[str], values) -> No
             f"feature table shape {values.shape} does not match "
             f"{len(dates)} dates x {len(columns)} columns"
         )
+    if not np.isfinite(values).all():
+        raise DataError(f"refusing to write {path}: the table has non-finite values")
     with open(path, "w", encoding="utf-8") as f:
         f.write("date," + ",".join(columns) + "\n")
         for d, row in zip(dates, values):

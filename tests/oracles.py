@@ -781,6 +781,89 @@ def reference_glocalkd_scores(state, graphs):
     return np.array([reference_glocalkd_score(state, g) for g in graphs])
 
 
+# ---------------------------------------------------------------------------
+# No-grad GINE passes as four chunk loops, one per use: the one-class
+# center, the one-class scores, the teacher's targets and the distillation
+# scores, each over batches of `size` consecutive graphs, and the scorer
+# building one batch per chunk for teacher and student.  `gnn._no_grad_pass`
+# serves all four; centers, scores, targets, trained parameters and loss
+# curves must stay bitwise equal to these.
+
+
+def chunked_batches(graphs, size):
+    """Batches of at most `size` consecutive graphs, in graph order."""
+    return (
+        gnn._Batch(graphs, range(lo, min(lo + size, len(graphs))))
+        for lo in range(0, len(graphs), size)
+    )
+
+
+def chunked_embeddings(model, graphs, size) -> np.ndarray:
+    """(T, L*h) graph embeddings, computed `size` graphs at a time."""
+    with ad.no_grad():
+        parts = [gnn._forward(model, b)[1].data for b in chunked_batches(graphs, size)]
+    return np.concatenate([np.zeros((0, model.embedding_dim)), *parts])
+
+
+def chunked_center(model, graphs, size) -> np.ndarray:
+    return np.mean(chunked_embeddings(model, graphs, size), axis=0)
+
+
+def chunked_ocgin_scores(state, graphs, size) -> np.ndarray:
+    diffs = chunked_embeddings(state.model, graphs, size) - state.center
+    return np.sum(diffs * diffs, axis=1)
+
+
+def chunked_teacher_targets(teacher, graphs, size):
+    """Per-graph final-layer node embeddings and the (T, L*h) embeddings."""
+    teacher_nodes, teacher_embs = [], []
+    with ad.no_grad():
+        for batch in chunked_batches(graphs, size):
+            per_layer, emb = gnn._forward(teacher, batch)
+            teacher_nodes.extend(np.split(per_layer[-1].data, batch.offsets[1:-1]))
+            teacher_embs.append(emb.data)
+    return teacher_nodes, np.concatenate(teacher_embs)
+
+
+def chunked_glocalkd_train(graphs, config):
+    """`gnn.glocalkd_train` with its teacher targets from the chunk loop."""
+    rng = np.random.default_rng(config.seed)
+    teacher = gnn.init_gine(rng, hidden=config.hidden, n_layers=config.layers)
+    for t in teacher.parameters():
+        t.requires_grad = False
+    student = gnn.init_gine(rng, hidden=config.hidden, n_layers=config.layers)
+    teacher_nodes, teacher_emb = chunked_teacher_targets(teacher, graphs, config.batch_size)
+
+    def batch_loss(idx):
+        batch = gnn._Batch(graphs, idx)
+        per_layer, emb = gnn._forward(student, batch)
+        target = np.concatenate([teacher_nodes[i] for i in idx])
+        node_diff = ad.sub(per_layer[-1], ad.Tensor(target))
+        root = np.repeat(np.sqrt(config.lam / batch.sizes), batch.sizes)
+        scale = sp.diags(root, format="csr")
+        node_term = ad.squared_norm(ad.sparse_matmul(scale, node_diff))
+        graph_term = ad.squared_norm(ad.sub(emb, ad.Tensor(teacher_emb[idx])))
+        return ad.add(node_term, graph_term)
+
+    losses = gnn._fit(student.parameters(), batch_loss, rng, len(graphs), config, 0.0)
+    return gnn.GlocalState(
+        teacher=teacher, student=student, lam=config.lam, loss_curve=losses
+    )
+
+
+def chunked_glocalkd_scores(state, graphs, size) -> np.ndarray:
+    scores = [np.zeros(0)]
+    for batch in chunked_batches(graphs, size):
+        with ad.no_grad():
+            teacher_layers, teacher_emb = gnn._forward(state.teacher, batch)
+            student_layers, student_emb = gnn._forward(state.student, batch)
+        node_sq = np.sum((student_layers[-1].data - teacher_layers[-1].data) ** 2, axis=1)
+        node_err = np.add.reduceat(node_sq, batch.offsets[:-1]) / batch.sizes
+        graph_err = np.sum((student_emb.data - teacher_emb.data) ** 2, axis=1)
+        scores.append(state.lam * node_err + graph_err)
+    return np.concatenate(scores)
+
+
 def model_checksum(model) -> float:
     """Sum of every parameter entry and its square: equal models, equal sums."""
     return float(sum(np.sum(t.data) + np.sum(t.data**2) for t in model.parameters()))
@@ -791,6 +874,45 @@ def model_checksum(model) -> float:
 # `flagcrash.checkpoint.save_checkpoint` writes (layout in its docstring)
 
 _CHECKPOINT_HEAD = struct.Struct("<4sIQ")  # magic, version, array count
+
+
+def _model_arrays(model) -> list[np.ndarray]:
+    return [t.data for layer in model.layers for t in layer.tensors()]
+
+
+def reference_save_checkpoint(state, path) -> None:
+    """The checkpoint writer with one metadata dict and one array list per
+    model kind; `save_checkpoint` must write the same bytes."""
+    path = Path(path)
+    if isinstance(state, gnn.OcginState):
+        meta = {
+            "kind": "ocgin",
+            "layers": state.model.n_layers,
+            "node_dim": state.model.node_dim,
+            "edge_dim": state.model.edge_dim,
+            "hidden": state.model.hidden,
+        }
+        arrays = _model_arrays(state.model) + [state.center]
+    else:
+        meta = {
+            "kind": "glocalkd",
+            "layers": state.teacher.n_layers,
+            "node_dim": state.teacher.node_dim,
+            "edge_dim": state.teacher.edge_dim,
+            "hidden": state.teacher.hidden,
+            "lambda": state.lam,
+        }
+        arrays = _model_arrays(state.teacher) + _model_arrays(state.student)
+    with open(path, "wb") as f:
+        f.write(_CHECKPOINT_HEAD.pack(MAGIC, VERSION, len(arrays)))
+        for arr in arrays:
+            arr = np.asarray(arr, dtype="<f8")
+            f.write(struct.pack("<I", arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
+            f.write(arr.tobytes(order="C"))
+    with open(str(path) + ".json", "w", encoding="utf-8") as f:
+        json.dump(meta, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _read_arrays(f, path) -> list[np.ndarray]:

@@ -372,6 +372,13 @@ class TestFeatureTables:
         with pytest.raises(DataError, match="finite"):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_never_written(self, tmp_path, bad):
+        path = tmp_path / "nan.csv"
+        with pytest.raises(DataError, match="non-finite"):
+            write_scores_csv(path, [date(2020, 1, 2), date(2020, 1, 3)], [0.5, bad])
+        assert not path.exists()
+
 
 def write_table(path, rows):
     path.write_text("date,a\n" + "".join(f"{row}\n" for row in rows))

@@ -13,7 +13,12 @@ from flagcrash.gnn import (
     ocgin_train,
 )
 
-from oracles import load_checkpoint, model_checksum, random_graph_sequence
+from oracles import (
+    load_checkpoint,
+    model_checksum,
+    random_graph_sequence,
+    reference_save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,21 @@ def test_glocal_checkpoint_roundtrip(graphs, tmp_path):
     np.testing.assert_array_equal(
         glocalkd_scores(loaded, graphs), glocalkd_scores(state, graphs)
     )
+
+
+@pytest.mark.parametrize("kind", ["ocgin", "glocalkd"])
+def test_checkpoint_bytes_equal_the_reference_writer(graphs, tmp_path, kind):
+    if kind == "ocgin":
+        state = ocgin_train(graphs, OcginConfig(batch_size=4, layers=3, hidden=4, epochs=2))
+    else:
+        state = glocalkd_train(
+            graphs, GlocalConfig(batch_size=4, layers=2, hidden=3, lam=0.9, epochs=2)
+        )
+    save_checkpoint(state, tmp_path / "model.bin")
+    reference_save_checkpoint(state, tmp_path / "reference.bin")
+    for suffix in ("", ".json"):
+        mine = (tmp_path / f"model.bin{suffix}").read_bytes()
+        assert mine and mine == (tmp_path / f"reference.bin{suffix}").read_bytes()
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -263,3 +263,15 @@ def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
         main(command + ["--jobs", jobs])
     assert exit_.value.code == 2
     assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+@pytest.mark.parametrize("command", [
+    ["synth", "--out-prices", "p.csv", "--out-events", "e.csv"],
+    ["gnn", "--graphs", "g.bin", "--model", "glocalkd", "--out", "s.csv"],
+], ids=["synth", "gnn"])
+def test_negative_seed_is_a_usage_error(command, seed, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(command + ["--seed", seed])
+    assert exit_.value.code == 2
+    assert f"argument --seed: must be >= 0, got {seed}" in capsys.readouterr().err

@@ -25,6 +25,11 @@ from flagcrash.gnn import (
 )
 
 from oracles import (
+    chunked_center,
+    chunked_glocalkd_scores,
+    chunked_glocalkd_train,
+    chunked_ocgin_scores,
+    chunked_teacher_targets,
     model_checksum,
     random_graph_sequence,
     series_of,
@@ -589,6 +594,61 @@ class TestAdjacencyBatches:
 
         for mine, theirs in zip(outcome(series.weights), outcome(listed)):
             assert np.array_equal(mine, theirs)
+
+
+class TestNoGradPass:
+    """Center, teacher targets and both scores come from one no-grad pass;
+    each equals, bit for bit, what its own chunk loop gave."""
+
+    @staticmethod
+    def graphs_of(which):
+        return adjacency_series(810, 12, 6, "ccm").weights if which == "series" else mixed_graphs()
+
+    @pytest.mark.parametrize("size", [1, 7, "T"])
+    @pytest.mark.parametrize("which", ["series", "mixed"])
+    def test_equals_the_chunk_loops(self, which, size):
+        graphs = self.graphs_of(which)
+        size = len(graphs) if size == "T" else size
+        oc_config = OcginConfig(lr=0.003, batch_size=size, layers=2, hidden=5, epochs=3)
+        oc = ocgin_train(graphs, oc_config)
+        fresh = init_gine(np.random.default_rng(oc_config.seed), hidden=5, n_layers=2)
+        assert np.array_equal(oc.center, chunked_center(fresh, graphs, size))
+        assert np.array_equal(
+            ocgin_scores(oc, graphs, size), chunked_ocgin_scores(oc, graphs, size)
+        )
+
+        kd_config = GlocalConfig(lr=0.003, batch_size=size, layers=2, hidden=5, lam=0.5, epochs=3)
+        kd, ref = glocalkd_train(graphs, kd_config), chunked_glocalkd_train(graphs, kd_config)
+        assert kd.loss_curve == ref.loss_curve
+        for a, b in zip(
+            kd.teacher.parameters() + kd.student.parameters(),
+            ref.teacher.parameters() + ref.student.parameters(),
+        ):
+            assert np.array_equal(a.data, b.data)
+        sizes, [(nodes, emb)] = gnn._no_grad_pass([kd.teacher], graphs, size)
+        ref_nodes, ref_emb = chunked_teacher_targets(kd.teacher, graphs, size)
+        assert np.array_equal(emb, ref_emb)
+        targets = np.split(nodes, np.cumsum(sizes)[:-1])
+        assert len(targets) == len(ref_nodes) == len(graphs)
+        assert all(np.array_equal(a, b) for a, b in zip(targets, ref_nodes))
+        assert np.array_equal(
+            glocalkd_scores(kd, graphs, size), chunked_glocalkd_scores(kd, graphs, size)
+        )
+
+    @pytest.mark.parametrize("which", ["series", "mixed"])
+    def test_glocalkd_scores_build_one_batch_per_chunk(self, which, monkeypatch):
+        graphs = self.graphs_of(which)
+        kd = glocalkd_train(graphs, GlocalConfig(layers=2, hidden=4, epochs=1))
+        built = []
+
+        class CountingBatch(gnn._Batch):
+            def __init__(self, graphs, idx):
+                built.append(list(idx))
+                super().__init__(graphs, idx)
+
+        monkeypatch.setattr(gnn, "_Batch", CountingBatch)
+        glocalkd_scores(kd, graphs, 5)
+        assert built == [list(range(lo, min(lo + 5, len(graphs)))) for lo in range(0, len(graphs), 5)]
 
 
 @st.composite

@@ -239,12 +239,39 @@ class TestStageCommands:
                 assert main(command + ["--epochs", "1", "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_non_finite_gnn_scores_are_never_written(self, synth_files, tmp_path, capsys):
+        prices, events = synth_files
+        text = config_text(prices, events, tmp_path / "runs", gnn_models="ocgin")
+        text = text.replace("tda_norms = l1", "tda_norms =").replace("pca_dims = raw", "pca_dims =")
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(re.sub(r"^ocgin_lr =.*$", "ocgin_lr = nan", text, flags=re.M))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        (failed,) = (tmp_path / "runs").glob("*/FAILED")
+        assert failed.read_text().startswith("stage: gnn\ncause: refusing to write ")
+        assert "non-finite values" in capsys.readouterr().err
+        assert not list(failed.parent.glob("scores_*.csv"))
+        out, checkpoint = tmp_path / "out.csv", tmp_path / "model.bin"
+        for model in ("ocgin", "glocalkd"):
+            command = ["gnn", "--graphs", str(failed.parent / "graphs.bin"), "--model", model,
+                       "--lr", "nan", "--epochs", "2", "--checkpoint", str(checkpoint)]
+            assert main(command + ["--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                f"data error: refusing to write {out}: the table has non-finite values\n"
+            )
+        assert not out.exists() and not checkpoint.exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [("pca_dims", "0", "pca dim must be 'raw' or an integer >= 1, got '0'"),
          ("pca_dims", "raw,3,00", "pca dim must be 'raw' or an integer >= 1, got '00'"),
          ("lof_k", "0", "lof_k must be >= 1, got 0"),
-         ("lof_k", "5,-3", "lof_k must be >= 1, got -3")],
+         ("lof_k", "5,-3", "lof_k must be >= 1, got -3"),
+         ("percentile", "100", "percentile must be in (0, 100), got 100.0"),
+         ("percentile", "0", "percentile must be in (0, 100), got 0.0"),
+         ("percentile", "nan", "percentile must be in (0, 100), got nan"),
+         ("lookback", "0", "lookback must be >= 1, got 0"),
+         ("seed", "-1", "seed must be >= 0, got -1")],
     )
     def test_dims_below_one_rejected_at_load(self, synth_files, tmp_path, capsys, key, value,
                                              message):
