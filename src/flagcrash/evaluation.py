@@ -98,6 +98,8 @@ def parse_events_csv(source) -> EventList:
     if not rows:
         raise DataError("events CSV is empty")
     start = 1 if rows[0][0].strip().lower() == "date" else 0
+    if len(rows) == start:
+        raise DataError("events CSV has a header but no events")
     events = []
     for row in rows[start:]:
         if len(row) < 2:

@@ -265,7 +265,7 @@ def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
 
 
 def _check_sizes(config) -> None:
-    for name in ("batch_size", "layers", "hidden"):
+    for name in ("batch_size", "layers", "hidden", "epochs"):
         if getattr(config, name) < 1:
             raise DataError(f"{name} must be at least 1, got {getattr(config, name)}")
 

@@ -1,5 +1,10 @@
 """Configuration loading and end-to-end pipeline orchestration.
 
+Each config key is declared once, on its `PipelineConfig` field: INI
+section and key, parser, default, least allowed value and, for a GNN
+hyperparameter, its grid axis.  `load_config` reads the fields and
+`validate` checks every value before a run directory exists.
+
 Past ingest and graph building, each `stage_*` function takes its input
 in memory, writes its output file and returns its result.  A run hands
 the window series, feature tables and scores from stage to stage in
@@ -17,7 +22,7 @@ import hashlib
 import itertools
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
@@ -28,7 +33,7 @@ from . import __version__, archive, corrnet, gnn, tables
 from .charts import monthly_counts_svg
 from .corrnet import CcmParams
 from .detectors import AnomalySeries, lof_scores, mahalanobis_scores
-from .errors import ConfigError, StageError
+from .errors import ConfigError, DataError, StageError
 from .evaluation import (
     DEFAULT_LOOKBACK,
     DEFAULT_PERCENTILE,
@@ -49,37 +54,77 @@ from .ingest import (
 from .ph import tda_features, window_chunks
 
 
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in _split(text))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _split(text))
+
+
+def _key(section, key, parse=str, default=MISSING, least=None, axis=None):
+    """A field read by `parse` from `key` in `section`, else `default`; `least`
+    bounds it (each entry of a tuple) and `axis` = (model, stage_gnn keyword,
+    label key, label format) makes it an axis of that model's grid."""
+    return field(
+        default=default,
+        metadata={"ini": (section, key), "parse": parse, "least": least, "axis": axis},
+    )
+
+
 @dataclass
 class PipelineConfig:
-    prices_path: str
-    events_path: str
-    start: date
-    end: date
-    min_coverage: float = 1.0
-    window: int = 25
-    correlation: str = "ccm"
-    ccm_params: CcmParams = field(default_factory=CcmParams)
-    tda_norms: tuple[str, ...] = ("l1", "l2")
-    essential: str = "drop"
-    pca_dims: tuple[str, ...] = ("raw", "10", "100")
-    detectors: tuple[str, ...] = ("mahalanobis", "lof")
-    lof_k: tuple[int, ...] = (5, 10, 15, 20, 25, 30)
-    gnn_models: tuple[str, ...] = ()
-    ocgin_lr: tuple[float, ...] = (0.01, 0.001, 0.0001, 0.00001)
-    ocgin_weight_decay: tuple[float, ...] = (0.001, 0.0001, 0.00001, 0.000001)
-    ocgin_batch: tuple[int, ...] = (25, 50, 100)
-    ocgin_layers: tuple[int, ...] = (2, 3)
-    glocal_lr: tuple[float, ...] = (0.01, 0.001, 0.0001, 0.00001)
-    glocal_batch: tuple[int, ...] = (25, 50, 100)
-    glocal_layers: tuple[int, ...] = (2, 3)
-    glocal_lambda: tuple[float, ...] = (0.1, 0.5, 0.9)
-    hidden: int = 10
-    epochs: int = 150
-    percentile: float = DEFAULT_PERCENTILE
-    lookback: int = DEFAULT_LOOKBACK
-    output_dir: str = "runs"
-    seed: int = 7
+    prices_path: str = _key("data", "prices")
+    events_path: str = _key("data", "events")
+    start: date = _key("data", "start", date.fromisoformat)
+    end: date = _key("data", "end", date.fromisoformat)
+    min_coverage: float = _key("data", "min_coverage", float, 1.0)
+    window: int = _key("network", "window", int, 25, least=3)
+    correlation: str = _key("network", "correlation", str, "ccm")
+    ccm_embedding: int = _key("network", "ccm_embedding", int, CcmParams.embedding_dim, least=2)
+    ccm_lag: int = _key("network", "ccm_lag", int, CcmParams.lag, least=1)
+    tda_norms: tuple[str, ...] = _key("features", "tda_norms", _split, ("l1", "l2"))
+    essential: str = _key("features", "essential", str, "drop")
+    pca_dims: tuple[str, ...] = _key("features", "pca_dims", _split, ("raw", "10", "100"))
+    detectors: tuple[str, ...] = _key("detectors", "methods", _split, ("mahalanobis", "lof"))
+    lof_k: tuple[int, ...] = _key("detectors", "lof_k", _ints, (5, 10, 15, 20, 25, 30), least=1)
+    gnn_models: tuple[str, ...] = _key("gnn", "models", _split, ())
+    ocgin_lr: tuple[float, ...] = _key(
+        "gnn", "ocgin_lr", _floats, (1e-2, 1e-3, 1e-4, 1e-5), axis=("ocgin", "lr", "lr", "g"))
+    ocgin_weight_decay: tuple[float, ...] = _key(
+        "gnn", "ocgin_weight_decay", _floats, (1e-3, 1e-4, 1e-5, 1e-6),
+        axis=("ocgin", "weight_decay", "wd", "g"))
+    ocgin_batch: tuple[int, ...] = _key(
+        "gnn", "ocgin_batch", _ints, (25, 50, 100), least=1,
+        axis=("ocgin", "batch_size", "batch", ""))
+    ocgin_layers: tuple[int, ...] = _key(
+        "gnn", "ocgin_layers", _ints, (2, 3), least=1, axis=("ocgin", "layers", "layers", ""))
+    glocal_lr: tuple[float, ...] = _key(
+        "gnn", "glocal_lr", _floats, (1e-2, 1e-3, 1e-4, 1e-5), axis=("glocalkd", "lr", "lr", "g"))
+    glocal_lambda: tuple[float, ...] = _key(
+        "gnn", "glocal_lambda", _floats, (0.1, 0.5, 0.9), least=0,
+        axis=("glocalkd", "lam", "lambda", "g"))
+    glocal_batch: tuple[int, ...] = _key(
+        "gnn", "glocal_batch", _ints, (25, 50, 100), least=1,
+        axis=("glocalkd", "batch_size", "batch", ""))
+    glocal_layers: tuple[int, ...] = _key(
+        "gnn", "glocal_layers", _ints, (2, 3), least=1,
+        axis=("glocalkd", "layers", "layers", ""))
+    hidden: int = _key("gnn", "hidden", int, 10, least=1)
+    epochs: int = _key("gnn", "epochs", int, 150, least=1)
+    percentile: float = _key("eval", "percentile", float, DEFAULT_PERCENTILE)
+    lookback: int = _key("eval", "lookback", int, DEFAULT_LOOKBACK, least=1)
+    output_dir: str = _key("run", "output_dir", str, "runs")
+    seed: int = _key("run", "seed", int, 7, least=0)
     raw_text: str = ""
+
+    @property
+    def ccm_params(self) -> CcmParams:
+        return CcmParams(self.ccm_embedding, self.ccm_lag)
 
     def validate(self) -> None:
         if self.correlation not in ("ccm", "pearson"):
@@ -90,7 +135,7 @@ class PipelineConfig:
         if not feature_branch and not self.gnn_models:
             raise ConfigError("config selects no feature/detector or gnn branch")
         for what, names, known in (
-            ("gnn model", self.gnn_models, _GNN_GRIDS),
+            ("gnn model", self.gnn_models, ("ocgin", "glocalkd")),
             ("detector", self.detectors, ("mahalanobis", "lof")),
             ("tda norm", self.tda_norms, ("l1", "l2")),
         ):
@@ -99,14 +144,22 @@ class PipelineConfig:
                     raise ConfigError(f"unknown {what} {name!r}")
         for dim in self.pca_dims:
             check_pca_dim(dim)
-        if any(k < 1 for k in self.lof_k):
-            raise ConfigError(f"lof_k must be >= 1, got {min(self.lof_k)}")
+        for f in fields(self):
+            least, value = f.metadata.get("least"), getattr(self, f.name)
+            if least is None:
+                continue
+            for v in value if isinstance(value, tuple) else (value,):
+                if not v >= least:  # so that nan fails too
+                    raise ConfigError(f"{f.metadata['ini'][1]} must be >= {least}, got {v}")
+        if not 0.0 < self.min_coverage <= 1.0:
+            raise ConfigError(f"min_coverage must be in (0, 1], got {self.min_coverage}")
         if not 0.0 < self.percentile < 100.0:
             raise ConfigError(f"percentile must be in (0, 100), got {self.percentile}")
-        if self.lookback < 1:
-            raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.correlation == "ccm":
+            try:
+                self.ccm_params.validate(self.window)
+            except DataError as exc:
+                raise ConfigError(str(exc)) from None
         if not Path(self.prices_path).exists():
             raise ConfigError(f"prices file {self.prices_path} does not exist")
         if (
@@ -125,67 +178,6 @@ def check_pca_dim(dim: str) -> None:
         raise ConfigError(f"pca dim must be 'raw' or an integer >= 1, got {dim!r}")
 
 
-def _split(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in _split(text))
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in _split(text))
-
-
-# (section, key, field, parser) of every optional config key; an absent key
-# keeps the field's default.  `embedding_dim` and `lag` are CcmParams fields.
-_CONFIG_KEYS = (
-    ("data", "min_coverage", "min_coverage", float),
-    ("network", "window", "window", int),
-    ("network", "correlation", "correlation", str),
-    ("network", "ccm_embedding", "embedding_dim", int),
-    ("network", "ccm_lag", "lag", int),
-    ("features", "tda_norms", "tda_norms", _split),
-    ("features", "essential", "essential", str),
-    ("features", "pca_dims", "pca_dims", _split),
-    ("detectors", "methods", "detectors", _split),
-    ("detectors", "lof_k", "lof_k", _ints),
-    ("gnn", "models", "gnn_models", _split),
-    ("gnn", "ocgin_lr", "ocgin_lr", _floats),
-    ("gnn", "ocgin_weight_decay", "ocgin_weight_decay", _floats),
-    ("gnn", "ocgin_batch", "ocgin_batch", _ints),
-    ("gnn", "ocgin_layers", "ocgin_layers", _ints),
-    ("gnn", "glocal_lr", "glocal_lr", _floats),
-    ("gnn", "glocal_batch", "glocal_batch", _ints),
-    ("gnn", "glocal_layers", "glocal_layers", _ints),
-    ("gnn", "glocal_lambda", "glocal_lambda", _floats),
-    ("gnn", "hidden", "hidden", int),
-    ("gnn", "epochs", "epochs", int),
-    ("eval", "percentile", "percentile", float),
-    ("eval", "lookback", "lookback", int),
-    ("run", "output_dir", "output_dir", str),
-    ("run", "seed", "seed", int),
-)
-
-
-# Hyperparameter axes of each GNN grid in product order:
-# (config field, stage_gnn keyword, method-label key, label format spec).
-_GNN_GRIDS = {
-    "ocgin": (
-        ("ocgin_lr", "lr", "lr", "g"),
-        ("ocgin_weight_decay", "weight_decay", "wd", "g"),
-        ("ocgin_batch", "batch_size", "batch", ""),
-        ("ocgin_layers", "layers", "layers", ""),
-    ),
-    "glocalkd": (
-        ("glocal_lr", "lr", "lr", "g"),
-        ("glocal_lambda", "lam", "lambda", "g"),
-        ("glocal_batch", "batch_size", "batch", ""),
-        ("glocal_layers", "layers", "layers", ""),
-    ),
-}
-
-
 def load_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
@@ -194,25 +186,41 @@ def load_config(path) -> PipelineConfig:
         raw_text = path.read_text(encoding="utf-8")
         parser = configparser.ConfigParser()
         parser.read_string(raw_text)
-        values = {
-            name: parse(parser.get(section, key))
-            for section, key, name, parse in _CONFIG_KEYS
-            if parser.has_option(section, key)
-        }
-        ccm = {k: values.pop(k) for k in ("embedding_dim", "lag") if k in values}
         cfg = PipelineConfig(
-            prices_path=parser.get("data", "prices"),
-            events_path=parser.get("data", "events"),
-            start=date.fromisoformat(parser.get("data", "start")),
-            end=date.fromisoformat(parser.get("data", "end")),
-            ccm_params=CcmParams(**ccm),
             raw_text=raw_text,
-            **values,
+            **{
+                f.name: f.metadata["parse"](parser.get(*f.metadata["ini"]))
+                for f in fields(PipelineConfig)
+                if "ini" in f.metadata
+                and (f.default is MISSING or parser.has_option(*f.metadata["ini"]))
+            },
         )
     except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     cfg.validate()
     return cfg
+
+
+def gnn_grid(config: PipelineConfig) -> list[tuple[str, dict]]:
+    """(method label, stage_gnn keywords) of every point of every configured
+    model's grid: the product of the model's axes, in field order."""
+    axes: dict[str, list[tuple]] = {}
+    for f in fields(config):
+        if f.metadata.get("axis") and f.metadata["axis"][0] in config.gnn_models:
+            model, *axis = f.metadata["axis"]
+            axes.setdefault(model, []).append((*axis, getattr(config, f.name)))
+    grid = []
+    for model, model_axes in axes.items():
+        keywords, labels, specs, values = zip(*model_axes)
+        for point in itertools.product(*values):
+            method = " ".join(
+                [model] + [f"{k}={v:{spec}}" for k, v, spec in zip(labels, point, specs)]
+            )
+            grid.append((method, dict(
+                model=model, hidden=config.hidden, epochs=config.epochs, seed=config.seed,
+                **dict(zip(keywords, point)),
+            )))
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -441,23 +449,10 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
                 scores[method] = (one.dates, one.scores)
 
         stage = "gnn"
-        methods, tasks = [], []
-        for model, axes in _GNN_GRIDS.items():
-            if model not in config.gnn_models:
-                continue
-            fields, keywords, labels, specs = zip(*axes)
-            for point in itertools.product(*(getattr(config, f) for f in fields)):
-                method = " ".join(
-                    [model] + [f"{k}={v:{spec}}" for k, v, spec in zip(labels, point, specs)]
-                )
-                methods.append(method)
-                tasks.append(dict(
-                    model=model, out_path=run_dir / f"scores_{_slug(method)}.csv",
-                    hidden=config.hidden, epochs=config.epochs, seed=config.seed,
-                    **dict(zip(keywords, point)),
-                ))
+        grid = gnn_grid(config)
+        tasks = [dict(train, out_path=run_dir / f"scores_{_slug(m)}.csv") for m, train in grid]
         results = corrnet.parallel_map(partial(_gnn_task, series), tasks, jobs)
-        scores.update((m, (series.dates, r)) for m, r in zip(methods, results))
+        scores.update((m, (series.dates, r)) for (m, _), r in zip(grid, results))
 
         stage = "evaluate"
         rows = []  # (method, family, precision, recall, f_score), in method order

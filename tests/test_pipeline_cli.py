@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 from flagcrash.archive import write_graphs
 from flagcrash.cli import main
-from flagcrash.corrnet import WindowSeries
+from flagcrash.corrnet import CcmParams, WindowSeries
 from flagcrash.errors import ConfigError
-from flagcrash.pipeline import PipelineConfig, load_config, run_pipeline
+from flagcrash.pipeline import PipelineConfig, gnn_grid, load_config, run_pipeline
 from flagcrash.tables import read_feature_csv, read_scores_csv
 
 
@@ -46,6 +47,8 @@ min_coverage = 1.0
 [network]
 window = 25
 correlation = pearson
+ccm_embedding = 2
+ccm_lag = 1
 
 [features]
 tda_norms = l1
@@ -202,7 +205,7 @@ class TestStageCommands:
     @pytest.mark.parametrize(
         "flag, key",
         [("--batch", "ocgin_batch"), ("--layers", "ocgin_layers"), ("--hidden", "hidden"),
-         ("--dim", "pca_dims")],
+         ("--epochs", "epochs"), ("--dim", "pca_dims")],
     )
     def test_gnn_size_below_one_rejected(self, synth_files, tmp_path, capsys, flag, key):
         prices, events = synth_files
@@ -218,11 +221,11 @@ class TestStageCommands:
         cfg_path = tmp_path / "pipeline.ini"
         cfg_path.write_text(text)
         capsys.readouterr()
-        assert main(["run", "--config", str(cfg_path)]) == 4
-        (failed,) = (tmp_path / "runs").glob("*/FAILED")
-        graphs = failed.parent / "graphs.bin"
         out = tmp_path / "out.csv"
         if key == "pca_dims":
+            assert main(["run", "--config", str(cfg_path)]) == 4
+            (failed,) = (tmp_path / "runs").glob("*/FAILED")
+            graphs = failed.parent / "graphs.bin"
             cause = "target dimension 200 out of range [1, 64]"
             assert capsys.readouterr().err == f"stage 'pca' failed: {cause}\n"
             assert failed.read_text() == f"stage: pca\ncause: {cause}\n"
@@ -233,10 +236,28 @@ class TestStageCommands:
                 "config error: pca dim must be 'raw' or an integer >= 1, got '0'\n"
             )
         else:
-            assert "stage: gnn" in failed.read_text()
+            # every grid size is checked at load, before a run directory exists
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert capsys.readouterr().err == f"config error: {key} must be >= 1, got 0\n"
+            assert not (tmp_path / "runs").exists()
+            returns, graphs = tmp_path / "returns.csv", tmp_path / "graphs.bin"
+            assert main([
+                "ingest", "--prices", str(prices), "--start", "2010-01-01",
+                "--end", "2011-12-31", "--out", str(returns),
+            ]) == 0
+            assert main([
+                "graphs", "--returns", str(returns), "--corr", "pearson", "--out", str(graphs),
+            ]) == 0
+            name = {"--batch": "batch_size"}.get(flag, flag[2:])
             for model in ("ocgin", "glocalkd"):
-                command = ["gnn", "--graphs", str(graphs), "--model", model, flag, "0"]
-                assert main(command + ["--epochs", "1", "--out", str(out)]) == 3
+                for bad in ("0", "-3"):
+                    capsys.readouterr()
+                    command = ["gnn", "--graphs", str(graphs), "--model", model,
+                               "--epochs", "1", flag, bad, "--out", str(out)]
+                    assert main(command) == 3
+                    assert capsys.readouterr().err == (
+                        f"data error: {name} must be at least 1, got {bad}\n"
+                    )
         assert not out.exists()
 
     def test_non_finite_gnn_scores_are_never_written(self, synth_files, tmp_path, capsys):
@@ -271,14 +292,35 @@ class TestStageCommands:
          ("percentile", "0", "percentile must be in (0, 100), got 0.0"),
          ("percentile", "nan", "percentile must be in (0, 100), got nan"),
          ("lookback", "0", "lookback must be >= 1, got 0"),
-         ("seed", "-1", "seed must be >= 0, got -1")],
+         ("seed", "-1", "seed must be >= 0, got -1"),
+         ("window", "2", "window must be >= 3, got 2"),
+         ("min_coverage", "0", "min_coverage must be in (0, 1], got 0.0"),
+         ("min_coverage", "1.5", "min_coverage must be in (0, 1], got 1.5"),
+         ("min_coverage", "nan", "min_coverage must be in (0, 1], got nan"),
+         ("ccm_embedding", "1", "ccm_embedding must be >= 2, got 1"),
+         ("ccm_lag", "0", "ccm_lag must be >= 1, got 0"),
+         ("window correlation ccm_embedding ccm_lag", "5 ccm 3 2",
+          "window of width 5 too short for embedding (E=3, tau=2): 1 shadow points, need 5"),
+         ("hidden", "0", "hidden must be >= 1, got 0"),
+         ("epochs", "0", "epochs must be >= 1, got 0"),
+         ("ocgin_batch", "0", "ocgin_batch must be >= 1, got 0"),
+         ("ocgin_layers", "0", "ocgin_layers must be >= 1, got 0"),
+         ("glocal_batch", "0", "glocal_batch must be >= 1, got 0"),
+         ("glocal_layers", "0", "glocal_layers must be >= 1, got 0"),
+         ("glocal_lambda", "-1", "glocal_lambda must be >= 0, got -1.0"),
+         ("glocal_lambda", "nan", "glocal_lambda must be >= 0, got nan")],
     )
     def test_dims_below_one_rejected_at_load(self, synth_files, tmp_path, capsys, key, value,
                                              message):
         prices, events = synth_files
         text = config_text(prices, events, tmp_path / "runs")
+        # `key` and `value` list one or more space-separated settings
+        for k, v in zip(key.split(), value.split()):
+            text, found = re.subn(rf"^{k} =.*$", f"{k} = {v}", text, flags=re.M)
+            if not found:  # config_text leaves the glocal_* keys out
+                text = text.replace("[gnn]\n", f"[gnn]\n{k} = {v}\n")
         cfg_path = tmp_path / "pipeline.ini"
-        cfg_path.write_text(re.sub(rf"^{key} =.*$", f"{key} = {value}", text, flags=re.M))
+        cfg_path.write_text(text)
         capsys.readouterr()
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -463,6 +505,27 @@ class TestRunPipeline:
         failed = sorted((tmp_path / "runs").glob("*/FAILED"))
         assert failed and "graphs" in failed[-1].read_text()
 
+    def test_header_only_events_fail_at_setup(self, synth_files, tmp_path, capsys):
+        prices, _ = synth_files
+        events = tmp_path / "events.csv"
+        events.write_text("date,label\n")
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(config_text(prices, events, tmp_path / "runs"))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        cause = "events CSV has a header but no events"
+        assert capsys.readouterr().err == f"stage 'setup' failed: {cause}\n"
+        (failed,) = (tmp_path / "runs").glob("*/FAILED")
+        assert failed.read_text() == f"stage: setup\ncause: {cause}\n"
+        assert not (failed.parent / "returns.csv").exists()
+        scores, report = tmp_path / "scores.csv", tmp_path / "report.json"
+        scores.write_text("date,score\n2010-02-01,1.0\n")
+        assert main([
+            "evaluate", "--scores", str(scores), "--events", str(events), "--out", str(report),
+        ]) == 3
+        assert capsys.readouterr().err == f"data error: {cause}\n"
+        assert not report.exists()
+
     def test_gnn_branch_in_pipeline(self, synth_files, tmp_path):
         prices, events = synth_files
         cfg_path = tmp_path / "pipeline.ini"
@@ -507,11 +570,21 @@ class TestLoadConfig:
         )
         config = load_config(cfg_path)
         for f in dataclasses.fields(PipelineConfig):
-            if f.default is not dataclasses.MISSING:
-                expected = f.default
-            elif f.default_factory is not dataclasses.MISSING:
-                expected = f.default_factory()
-            else:
-                continue
-            if f.name != "raw_text":
-                assert getattr(config, f.name) == expected, f.name
+            if f.default is not dataclasses.MISSING and f.name != "raw_text":
+                assert getattr(config, f.name) == f.default, f.name
+        assert config.ccm_params == CcmParams()
+
+    @pytest.mark.parametrize(
+        "name, points",
+        [("tsx60-reproduction.ini", {"ocgin": 96, "glocalkd": 72}),
+         ("synthetic-demo.ini", {"ocgin": 1, "glocalkd": 1})],
+    )
+    def test_shipped_configs_load_and_expand(self, synth_files, tmp_path, name, points):
+        prices, events = synth_files
+        text = (Path(__file__).parents[1] / "configs" / name).read_text()
+        text = re.sub(r"^prices =.*$", f"prices = {prices}", text, flags=re.M)
+        cfg_path = tmp_path / name
+        cfg_path.write_text(re.sub(r"^events =.*$", f"events = {events}", text, flags=re.M))
+        grid = gnn_grid(load_config(cfg_path))
+        assert Counter(train["model"] for _, train in grid) == points
+        assert len({method for method, _ in grid}) == len(grid)
