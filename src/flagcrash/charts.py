@@ -8,6 +8,7 @@ months.  Months are keyed by `evaluation.month_key`.
 
 from __future__ import annotations
 
+import html
 from datetime import date
 
 from .evaluation import month_key
@@ -58,7 +59,7 @@ def monthly_counts_svg(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{MARGIN_LEFT}" y="18" font-family="sans-serif" font-size="13">'
-        f"{_escape(title)}</text>",
+        f"{html.escape(title, quote=False)}</text>",
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP + plot_h}" '
         f'x2="{WIDTH - MARGIN_RIGHT}" y2="{MARGIN_TOP + plot_h}" stroke="black"/>',
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" '
@@ -97,13 +98,8 @@ def monthly_counts_svg(
             f'<text x="{x + 3:.2f}" y="{MARGIN_TOP + 12}" font-family="sans-serif" '
             f'font-size="11" fill="#cc3333">{idx}</text>'
         )
-        parts.append(f"<!-- event {idx}: {_escape(label)} -->")
+        parts.append(f"<!-- event {idx}: {html.escape(label, quote=False)} -->")
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(parts) + "\n")
 
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

@@ -183,6 +183,8 @@ def _dispatch(args: argparse.Namespace) -> None:
         print(f"run directory: {run_dir}")
     elif args.command == "synth":
         episodes = parse_episode_spec(args.episodes)
+        if not episodes:  # evaluate and run reject an events file without events
+            raise ConfigError("synth needs at least one episode: --episodes start:length:coupling")
         table, events = make_synthetic(args.stocks, args.days, episodes, args.seed)
         with open(args.out_prices, "w", encoding="utf-8") as f:
             f.write(serialize_price_csv(table))

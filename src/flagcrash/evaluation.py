@@ -9,7 +9,8 @@ given at month granularity resolve to the 15th before anchoring.
 Matching runs on two boolean masks over the trading days: the flagged
 days, and the days inside some event's window.  An event is signaled when
 its window's slice of the flag mask holds a flag; a flag counts toward
-precision when the window mask covers its day.  `month_key` is the one
+precision when the window mask covers its day.  `metrics` returns the
+report as the dict that `report_*.json` holds.  `month_key` is the one
 `YYYY-MM` key of the monthly histogram and of its chart.
 """
 
@@ -63,28 +64,6 @@ class EventList:
         resolved = [e.resolved_date() for e in self.events]
         if any(b <= a for a, b in zip(resolved, resolved[1:])):
             raise DataError("event dates must be strictly increasing")
-
-
-@dataclass
-class DetectionReport:
-    method: str
-    precision: float
-    recall: float
-    f_score: float
-    per_event: list[dict]  # {label, date, signaled, unsignalable}
-    anomalous_dates: list[date]
-    monthly_counts: list[tuple[str, int]]
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "per_event": self.per_event,
-            "anomalous_dates": [d.isoformat() for d in self.anomalous_dates],
-            "monthly_counts": [[m, c] for m, c in self.monthly_counts],
-        }
 
 
 def parse_events_csv(source) -> EventList:
@@ -181,8 +160,10 @@ def metrics(
     events: EventList,
     lookback: int = DEFAULT_LOOKBACK,
     method: str = "",
-) -> DetectionReport:
-    """recall over events, precision over flags, f as their harmonic mean."""
+) -> dict:
+    """recall over events, precision over flags, f as their harmonic mean:
+    the report as `report_*.json` holds it, with ISO dates and
+    `[month, count]` pairs."""
     if not events.events:
         raise DataError("metrics needs a non-empty event list")
     per_event, attributed = signal_events(flags, trading_days, events, lookback)
@@ -194,15 +175,15 @@ def metrics(
         if precision + recall > 0
         else 0.0
     )
-    return DetectionReport(
-        method=method,
-        precision=precision,
-        recall=recall,
-        f_score=f_score,
-        per_event=per_event,
-        anomalous_dates=sorted(flags),
-        monthly_counts=monthly_counts(flags),
-    )
+    return {
+        "method": method,
+        "precision": precision,
+        "recall": recall,
+        "f_score": f_score,
+        "per_event": per_event,
+        "anomalous_dates": [d.isoformat() for d in sorted(flags)],
+        "monthly_counts": [[m, c] for m, c in monthly_counts(flags)],
+    }
 
 
 def month_key(d: date) -> str:

@@ -264,10 +264,14 @@ def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
     return min(losses[-patience:]) > best_before - min_delta
 
 
-def _check_sizes(config) -> None:
+def _check_config(config) -> None:
     for name in ("batch_size", "layers", "hidden", "epochs"):
         if getattr(config, name) < 1:
             raise DataError(f"{name} must be at least 1, got {getattr(config, name)}")
+    for name in ("lr", "weight_decay"):  # GLocalKD has no weight decay
+        value = getattr(config, name, 0.0)
+        if not value >= 0:  # so that nan fails too
+            raise DataError(f"{name} must be >= 0, got {value}")
 
 
 def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]:
@@ -298,7 +302,7 @@ def ocgin_train(graphs: Graphs, config: OcginConfig) -> OcginState:
     center (the mean embedding at initialization)."""
     if not len(graphs):
         raise DataError("ocgin_train needs a non-empty graph list")
-    _check_sizes(config)
+    _check_config(config)
     rng = np.random.default_rng(config.seed)
     model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
     _, [(_, embs)] = _no_grad_pass([model], graphs, config.batch_size)
@@ -356,7 +360,7 @@ def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
         raise DataError("glocalkd_train needs a non-empty graph list")
     if config.lam < 0:
         raise DataError(f"lambda must be nonnegative, got {config.lam}")
-    _check_sizes(config)
+    _check_config(config)
     rng = np.random.default_rng(config.seed)
     teacher = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
     for t in teacher.parameters():

@@ -8,20 +8,22 @@ triangles by (value, a, b, c).  Simplices above dimension 2 cannot
 affect H0/H1 and are never built.
 
 The engine works on a chunk of consecutive windows of a series'
-(W, n, n) adjacency array.  One lexsort on (window, weight, source,
-target) ranks every edge; one boolean product over the (window, a, b, c)
+(W, n, n) adjacency array.  One stable lexsort on (window, weight)
+ranks every edge, as `np.nonzero` already lists each window's edges by
+(source, target); one boolean product over the (window, a, b, c)
 adjacency cube finds every directed triangle; a triangle's value and its
-youngest facet come from the ranks of its edges.  H0 is Kruskal
-union-find in filtration order, run in lockstep over the chunk's windows.
-H1 reduces each window's edge coboundaries over GF(2) (Python ints as bit
-columns over the window's triangles) in reverse filtration order, the
-cohomology dual of boundary reduction, which yields the same pairs
-(de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
-(co)homology", 2011).  Two kinds of edge are never reduced: Kruskal tree
-edges, which kill H0 classes (clearing), and the edge of an apparent
-pair, a triangle's youngest facet whose oldest cofacet is that triangle
-(Bauer, "Ripser", 2021).  In a flag complex most triangles pair this way,
-at zero length.
+youngest facet come from the ranks of its edges.  The edge of an
+apparent pair, a triangle's youngest facet whose oldest cofacet is that
+triangle (Bauer, "Ripser", 2021), is never reduced: its triangle's two
+older edges already join its ends, so it kills no H0 class, and it pairs
+with that triangle.  In a flag complex most triangles pair this way, at
+zero length.  Each window's other edges then go through union-find in
+filtration order: an edge that joins two components kills an H0 class,
+and every other edge is reduced for H1, youngest first.  H1 reduces edge
+coboundaries over GF(2) (Python ints as bit columns over the window's
+triangles) in reverse filtration order, the cohomology dual of boundary
+reduction, which yields the same pairs (de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
 
 Bars are listed as a boundary reduction in filtration order lists them:
 H1 bars by death, then H0 bars by edge.  Norms summed in list order are
@@ -100,7 +102,7 @@ def _build(adjacency: np.ndarray) -> Filtration:
     """The filtration of a (W, n, n) adjacency chunk."""
     window, source, target = np.nonzero(adjacency)
     weights = adjacency[window, source, target]
-    order = np.lexsort((target, source, weights, window))
+    order = np.lexsort((weights, window))  # stable: ties stay in (source, target) order
     window, weights = window[order], weights[order]
     edges = np.stack([source[order], target[order]], axis=1)
 
@@ -125,30 +127,6 @@ def _build(adjacency: np.ndarray) -> Filtration:
         tri_start=_offsets(np.bincount(tw, minlength=n_windows)),
         facets=facets,
     )
-
-
-def _kruskal(f: Filtration) -> np.ndarray:
-    """Whether each edge joins two components when edges enter in filtration
-    order: union-find by component labels, every window in lockstep, step r
-    taking each window's r-th edge until the window is connected."""
-    counts = np.diff(f.edge_start)
-    comp = np.tile(np.arange(f.n_vertices), (len(counts), 1))
-    joins_left = np.full(len(counts), f.n_vertices - 1)
-    tree = np.zeros(len(f.edges), dtype=bool)
-    for r in range(counts.max(initial=0)):
-        live = np.flatnonzero((counts > r) & (joins_left > 0))
-        if not live.size:
-            break
-        idx = f.edge_start[live] + r
-        u = comp[live, f.edges[idx, 0]]
-        v = comp[live, f.edges[idx, 1]]
-        join = u != v
-        tree[idx[join]] = True
-        live, u, v = live[join], u[join], v[join]
-        joins_left[live] -= 1
-        rows = comp[live]
-        comp[live] = np.where(rows == v[:, None], u[:, None], rows)
-    return tree
 
 
 def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
@@ -194,7 +172,6 @@ def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
 def _diagrams(f: Filtration) -> list[PersistenceDiagram]:
     """The diagram of every window of a filtration."""
     n_edges, n_tris = len(f.edges), len(f.facets)
-    tree = _kruskal(f)
     # each edge's cofacets, oldest first
     cofacets = np.argsort(f.facets.reshape(-1), kind="stable") // 3
     n_cofacets = np.bincount(f.facets.reshape(-1), minlength=n_edges)
@@ -205,31 +182,42 @@ def _diagrams(f: Filtration) -> list[PersistenceDiagram]:
     oldest[has] = cofacets[cof_start[:-1][has]]
     apparent = oldest[youngest] == np.arange(n_tris)
     partner = np.where(apparent, youngest, -1)
-    reduce = ~tree
-    reduce[youngest[apparent]] = False
+    unpaired = np.ones(n_edges, dtype=bool)
+    unpaired[youngest[apparent]] = False
     tri_window = np.repeat(np.arange(len(f.tri_start) - 1), np.diff(f.tri_start))
     cofacets -= f.tri_start[tri_window[cofacets]]  # rank within the window
     cof_start = cof_start.tolist()
 
-    weights = f.weights.tolist()
-    tree_idx = np.flatnonzero(tree)
-    tree_at = np.searchsorted(tree_idx, f.edge_start).tolist()
-    tree_weights = f.weights[tree_idx].tolist()
-    todo_idx = np.flatnonzero(reduce)
-    todo_at = np.searchsorted(todo_idx, f.edge_start).tolist()
-    todo_idx = todo_idx.tolist()
+    weights, ends, unpaired = f.weights.tolist(), f.edges.tolist(), unpaired.tolist()
     edge_start, tri_start = f.edge_start.tolist(), f.tri_start.tolist()
-
     out = []
     for i in range(len(edge_start) - 1):
+        parent = list(range(f.n_vertices))
+        deaths, todo = [], []
+        for e in range(edge_start[i], edge_start[i + 1]):
+            if not unpaired[e]:
+                continue
+            u, v = ends[e]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
+                todo.append(e)
+            else:
+                parent[u] = v
+                deaths.append(weights[e])
         t0 = tri_start[i]
         k = tri_start[i + 1] - t0
-        todo = todo_idx[todo_at[i] : todo_at[i + 1]][::-1]
-        pairs, h1_essential = _reduce_cocycles(todo, cofacets, cof_start, partner[t0 : t0 + k], k)
+        pairs, h1_essential = _reduce_cocycles(
+            todo[::-1], cofacets, cof_start, partner[t0 : t0 + k], k
+        )
         bars = ((weights[e], weights[youngest[t0 + low]], 1) for low, e in sorted(pairs))
         finite = [bar for bar in bars if bar[0] != bar[1]]
-        finite.extend((0.0, w, 0) for w in tree_weights[tree_at[i] : tree_at[i + 1]])
-        essential = [(0.0, 0)] * (f.n_vertices - (tree_at[i + 1] - tree_at[i]))
+        finite.extend((0.0, w, 0) for w in deaths)
+        essential = [(0.0, 0)] * (f.n_vertices - len(deaths))
         essential.extend((weights[e], 1) for e in sorted(h1_essential))
         has_edges = edge_start[i + 1] > edge_start[i]
         out.append(

@@ -94,9 +94,10 @@ class PipelineConfig:
     lof_k: tuple[int, ...] = _key("detectors", "lof_k", _ints, (5, 10, 15, 20, 25, 30), least=1)
     gnn_models: tuple[str, ...] = _key("gnn", "models", _split, ())
     ocgin_lr: tuple[float, ...] = _key(
-        "gnn", "ocgin_lr", _floats, (1e-2, 1e-3, 1e-4, 1e-5), axis=("ocgin", "lr", "lr", "g"))
+        "gnn", "ocgin_lr", _floats, (1e-2, 1e-3, 1e-4, 1e-5), least=0,
+        axis=("ocgin", "lr", "lr", "g"))
     ocgin_weight_decay: tuple[float, ...] = _key(
-        "gnn", "ocgin_weight_decay", _floats, (1e-3, 1e-4, 1e-5, 1e-6),
+        "gnn", "ocgin_weight_decay", _floats, (1e-3, 1e-4, 1e-5, 1e-6), least=0,
         axis=("ocgin", "weight_decay", "wd", "g"))
     ocgin_batch: tuple[int, ...] = _key(
         "gnn", "ocgin_batch", _ints, (25, 50, 100), least=1,
@@ -104,7 +105,8 @@ class PipelineConfig:
     ocgin_layers: tuple[int, ...] = _key(
         "gnn", "ocgin_layers", _ints, (2, 3), least=1, axis=("ocgin", "layers", "layers", ""))
     glocal_lr: tuple[float, ...] = _key(
-        "gnn", "glocal_lr", _floats, (1e-2, 1e-3, 1e-4, 1e-5), axis=("glocalkd", "lr", "lr", "g"))
+        "gnn", "glocal_lr", _floats, (1e-2, 1e-3, 1e-4, 1e-5), least=0,
+        axis=("glocalkd", "lr", "lr", "g"))
     glocal_lambda: tuple[float, ...] = _key(
         "gnn", "glocal_lambda", _floats, (0.1, 0.5, 0.9), least=0,
         axis=("glocalkd", "lam", "lambda", "g"))
@@ -344,17 +346,17 @@ def stage_evaluate(
     flags = threshold_anomalies(series, percentile)
     report = metrics(flags, dates, events, lookback, method=method)
     with open(report_path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=2)
+        json.dump(report, f, indent=2)
         f.write("\n")
     if chart_path is not None:
         monthly_counts_svg(
-            report.monthly_counts,
+            report["monthly_counts"],
             [(e.label, e.resolved_date()) for e in events.events],
             title=method,
             path=chart_path,
             span=(dates[0], dates[-1]),
         )
-    return report.to_dict()
+    return report
 
 
 # ---------------------------------------------------------------------------

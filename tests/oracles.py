@@ -266,6 +266,31 @@ def union_find_merge_weights(g: WeightedDigraph):
     return Counter(merges), components
 
 
+def reference_kruskal(f) -> np.ndarray:
+    """Whether each edge of a chunk's `ph.Filtration` joins two components
+    when edges enter in filtration order: union-find by component labels,
+    every window in lockstep, step r taking each window's r-th edge until
+    the window is connected."""
+    counts = np.diff(f.edge_start)
+    comp = np.tile(np.arange(f.n_vertices), (len(counts), 1))
+    joins_left = np.full(len(counts), f.n_vertices - 1)
+    tree = np.zeros(len(f.edges), dtype=bool)
+    for r in range(counts.max(initial=0)):
+        live = np.flatnonzero((counts > r) & (joins_left > 0))
+        if not live.size:
+            break
+        idx = f.edge_start[live] + r
+        u = comp[live, f.edges[idx, 0]]
+        v = comp[live, f.edges[idx, 1]]
+        join = u != v
+        tree[idx[join]] = True
+        live, u, v = live[join], u[join], v[join]
+        joins_left[live] -= 1
+        rows = comp[live]
+        comp[live] = np.where(rows == v[:, None], u[:, None], rows)
+    return tree
+
+
 # ---------------------------------------------------------------------------
 # Cross-map skill one ticker at a time (the reference for `corrnet.ccm_corr`)
 

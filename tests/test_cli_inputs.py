@@ -22,6 +22,7 @@ from flagcrash.corrnet import CcmParams
 from flagcrash.evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE
 from flagcrash.gnn import GlocalConfig, OcginConfig
 from flagcrash.pipeline import PipelineConfig
+from flagcrash.synth import parse_episode_spec
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -250,6 +251,19 @@ def test_malformed_episode_spec_exits_3(tmp_path):
     code, err = run_cli(["synth", "--episodes", "a:b:c", "--out-prices", tmp_path / "p.csv",
                          "--out-events", tmp_path / "e.csv"])
     assert (code, err) == (3, "data error: bad episode spec 'a:b:c', want start:length:coupling\n")
+
+
+@pytest.mark.parametrize("episodes", [None, "", " , "])
+def test_synth_without_episodes_exits_2_writing_nothing(tmp_path, episodes):
+    # an events file without events is one that evaluate and run reject
+    prices, events = tmp_path / "p.csv", tmp_path / "e.csv"
+    argv = ["synth", "--out-prices", prices, "--out-events", events]
+    code, err = run_cli(argv + ([] if episodes is None else ["--episodes", episodes]))
+    assert (code, err) == (
+        2, "config error: synth needs at least one episode: --episodes start:length:coupling\n"
+    )
+    assert not prices.exists() and not events.exists()
+    assert parse_episode_spec("") == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

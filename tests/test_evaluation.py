@@ -1,3 +1,4 @@
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -134,16 +135,16 @@ class TestMetrics:
         )
         flags = [self.days[95], self.days[98]]
         report = metrics(flags, self.days, events, 50)
-        assert report.recall == pytest.approx(0.5)
-        assert report.precision == pytest.approx(1.0)
-        assert report.f_score == pytest.approx(2 / 3)
+        assert report["recall"] == pytest.approx(0.5)
+        assert report["precision"] == pytest.approx(1.0)
+        assert report["f_score"] == pytest.approx(2 / 3)
 
     def test_unattributed_flags_zero_precision_zero_f(self):
         events = EventList([Event(self.days[200].isoformat(), "a")])
         flags = [self.days[10]]
         report = metrics(flags, self.days, events, 50)
-        assert report.precision == 0.0 and report.f_score == 0.0
-        assert report.recall == 0.0
+        assert report["precision"] == 0.0 and report["f_score"] == 0.0
+        assert report["recall"] == 0.0
 
     def test_empty_events_rejected(self):
         with pytest.raises(DataError):
@@ -153,8 +154,8 @@ class TestMetrics:
         events = EventList([Event(self.days[100].isoformat(), "a")])
         flags = [self.days[95], self.days[5]]
         report = metrics(flags, self.days, events, 50)
-        assert report.recall == 1.0 and report.precision == 0.5
-        assert report.f_score > 0.0
+        assert report["recall"] == 1.0 and report["precision"] == 0.5
+        assert report["f_score"] > 0.0
 
     @pytest.mark.parametrize("seed", range(500))
     def test_against_pairwise_brute_force(self, seed):
@@ -185,20 +186,62 @@ class TestMetrics:
                     attributed.add(fi)
         want_recall = len(signaled) / len(event_idx)
         want_precision = len(attributed) / len(flag_idx) if flag_idx else 0.0
-        assert report.recall == pytest.approx(want_recall)
-        assert report.precision == pytest.approx(want_precision)
+        assert report["recall"] == pytest.approx(want_recall)
+        assert report["precision"] == pytest.approx(want_precision)
+
+    def test_report_is_the_dict_written(self):
+        # unsorted flags; a day event and a month event, the latter resolving
+        # past the last trading day
+        days = weekdays(date(2015, 1, 26), 10)
+        events = EventList([Event("2015-01-28", "crash & burn"), Event("2015-02", "mid-month")])
+        report = metrics([days[6], days[1], days[2]], days, events, 2, method="lof k=10")
+        assert json.dumps(report, indent=2) == """{
+  "method": "lof k=10",
+  "precision": 0.6666666666666666,
+  "recall": 0.5,
+  "f_score": 0.5714285714285715,
+  "per_event": [
+    {
+      "label": "crash & burn",
+      "date": "2015-01-28",
+      "signaled": true,
+      "unsignalable": false
+    },
+    {
+      "label": "mid-month",
+      "date": "2015-02",
+      "signaled": false,
+      "unsignalable": false
+    }
+  ],
+  "anomalous_dates": [
+    "2015-01-27",
+    "2015-01-28",
+    "2015-02-03"
+  ],
+  "monthly_counts": [
+    [
+      "2015-01",
+      2
+    ],
+    [
+      "2015-02",
+      1
+    ]
+  ]
+}"""
 
     def test_adding_flag_inside_window_never_decreases_recall(self):
         events = EventList([Event(self.days[100].isoformat(), "a")])
         base = metrics([self.days[5]], self.days, events, 50)
         more = metrics([self.days[5], self.days[90]], self.days, events, 50)
-        assert more.recall >= base.recall
+        assert more["recall"] >= base["recall"]
 
     def test_adding_flag_outside_windows_never_increases_precision(self):
         events = EventList([Event(self.days[100].isoformat(), "a")])
         base = metrics([self.days[90]], self.days, events, 50)
         more = metrics([self.days[90], self.days[299]], self.days, events, 50)
-        assert more.precision <= base.precision
+        assert more["precision"] <= base["precision"]
 
 
 @st.composite
@@ -234,8 +277,8 @@ def test_matching_agrees_with_reference(case):
         report = metrics(flags, days, events, lookback)
         recall = sum(e["signaled"] for e in want_events) / len(want_events)
         precision = sum(want_attributed) / len(flags) if flags else 0.0
-        assert (report.recall, report.precision) == (recall, precision)
-        assert report.per_event == want_events
+        assert (report["recall"], report["precision"]) == (recall, precision)
+        assert report["per_event"] == want_events
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcrash.corrnet import WeightedDigraph
+from flagcrash.corrnet import WeightedDigraph, correlation_series
 from flagcrash.errors import DataError
+from flagcrash.ingest import ReturnMatrix
 from flagcrash import ph
 from flagcrash.ph import (
     PersistenceDiagram,
@@ -23,6 +24,7 @@ from flagcrash.ph import (
 from oracles import (
     brute_force_diagram,
     random_digraph,
+    reference_kruskal,
     reference_persistence,
     series_of,
     union_find_merge_weights,
@@ -331,6 +333,21 @@ def assert_same_diagrams(got, want):
     assert got.max_filtration == want.max_filtration
 
 
+def correlation_chunk(seed: int, kind: str) -> np.ndarray:
+    """The 16 windows of a random panel's correlation digraphs, weights
+    rounded up to quarters so that ties occur; window 0 is edgeless and
+    window 1 isolates vertex 0, so it never connects."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    returns = rng.standard_normal((40, n)) + rng.uniform(0, 2) * rng.standard_normal((40, 1))
+    days = [date(2020, 1, 1) + timedelta(days=i) for i in range(40)]
+    rm = ReturnMatrix(dates=days, tickers=[f"T{i}" for i in range(n)], returns=returns)
+    weights = np.ceil(correlation_series(rm, 25, kind).weights * 4) / 4
+    weights[0] = 0.0
+    weights[1, 0, :] = weights[1, :, 0] = 0.0
+    return weights
+
+
 class TestBatchedEngine:
     @settings(max_examples=150, deadline=None)
     @given(graph_sequences(7), st.sampled_from([1, 2 * 7**3 + 1, ph.CHUNK_TRIPLES]))
@@ -379,6 +396,25 @@ class TestBatchedEngine:
             assert tuple(f.tolist()) == tuple(
                 diagram_norm(want, p, dim, "cap") for dim in (0, 1) for p in (1, 2)
             )
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", ["pearson", "ccm"])
+    def test_window_union_find_equals_lockstep_kruskal(self, kind, seed):
+        for chunk in (correlation_chunk(seed, kind), np.zeros((2, 1, 1)), np.zeros((2, 4, 4))):
+            f = ph._build(chunk)
+            # np.nonzero lists each window's edges by (source, target), so the
+            # (window, weight) sort is the four-key one
+            window, source, target = np.nonzero(chunk)
+            weights = chunk[window, source, target]
+            order = np.lexsort((target, source, weights, window))
+            assert f.edges.tolist() == np.stack([source, target], axis=1)[order].tolist()
+            assert f.weights.tolist() == weights[order].tolist()
+            tree = reference_kruskal(f)
+            for i, d in enumerate(ph._diagrams(f)):
+                lo, hi = f.edge_start[i], f.edge_start[i + 1]
+                deaths = f.weights[lo:hi][tree[lo:hi]].tolist()
+                assert [bar for bar in d.finite if bar[2] == 0] == [(0.0, w, 0) for w in deaths]
+                assert d.essential.count((0.0, 0)) == f.n_vertices - len(deaths)
 
     def test_dense_39_vertex_graph_ten_times_faster_than_reference(self):
         rng = np.random.default_rng(39)

@@ -260,12 +260,38 @@ class TestStageCommands:
                     )
         assert not out.exists()
 
+    def test_gnn_negative_rate_rejected(self, synth_files, tmp_path, capsys):
+        # the run's rates are checked at load (test_dims_below_one_rejected_at_load)
+        prices, _ = synth_files
+        returns, graphs = tmp_path / "returns.csv", tmp_path / "graphs.bin"
+        assert main([
+            "ingest", "--prices", str(prices), "--start", "2010-01-01",
+            "--end", "2011-12-31", "--out", str(returns),
+        ]) == 0
+        assert main([
+            "graphs", "--returns", str(returns), "--corr", "pearson", "--out", str(graphs),
+        ]) == 0
+        out, checkpoint = tmp_path / "out.csv", tmp_path / "model.bin"
+        cases = [(model, "--lr", "lr") for model in ("ocgin", "glocalkd")]
+        cases.append(("ocgin", "--weight-decay", "weight_decay"))
+        for model, flag, name in cases:
+            for bad in ("-1", "nan"):
+                capsys.readouterr()
+                command = ["gnn", "--graphs", str(graphs), "--model", model, "--epochs", "1",
+                           flag, bad, "--checkpoint", str(checkpoint), "--out", str(out)]
+                assert main(command) == 3
+                assert capsys.readouterr().err == (
+                    f"data error: {name} must be >= 0, got {float(bad)}\n"
+                )
+        assert not out.exists() and not checkpoint.exists()
+
     def test_non_finite_gnn_scores_are_never_written(self, synth_files, tmp_path, capsys):
         prices, events = synth_files
         text = config_text(prices, events, tmp_path / "runs", gnn_models="ocgin")
         text = text.replace("tda_norms = l1", "tda_norms =").replace("pca_dims = raw", "pca_dims =")
         cfg_path = tmp_path / "pipeline.ini"
-        cfg_path.write_text(re.sub(r"^ocgin_lr =.*$", "ocgin_lr = nan", text, flags=re.M))
+        # a finite rate so large that training overflows
+        cfg_path.write_text(re.sub(r"^ocgin_lr =.*$", "ocgin_lr = 1e300", text, flags=re.M))
         capsys.readouterr()
         assert main(["run", "--config", str(cfg_path)]) == 4
         (failed,) = (tmp_path / "runs").glob("*/FAILED")
@@ -275,7 +301,7 @@ class TestStageCommands:
         out, checkpoint = tmp_path / "out.csv", tmp_path / "model.bin"
         for model in ("ocgin", "glocalkd"):
             command = ["gnn", "--graphs", str(failed.parent / "graphs.bin"), "--model", model,
-                       "--lr", "nan", "--epochs", "2", "--checkpoint", str(checkpoint)]
+                       "--lr", "1e300", "--epochs", "2", "--checkpoint", str(checkpoint)]
             assert main(command + ["--out", str(out)]) == 3
             assert capsys.readouterr().err == (
                 f"data error: refusing to write {out}: the table has non-finite values\n"
@@ -308,7 +334,13 @@ class TestStageCommands:
          ("glocal_batch", "0", "glocal_batch must be >= 1, got 0"),
          ("glocal_layers", "0", "glocal_layers must be >= 1, got 0"),
          ("glocal_lambda", "-1", "glocal_lambda must be >= 0, got -1.0"),
-         ("glocal_lambda", "nan", "glocal_lambda must be >= 0, got nan")],
+         ("glocal_lambda", "nan", "glocal_lambda must be >= 0, got nan"),
+         ("ocgin_lr", "-1", "ocgin_lr must be >= 0, got -1.0"),
+         ("ocgin_lr", "0.01,nan", "ocgin_lr must be >= 0, got nan"),
+         ("ocgin_weight_decay", "-1", "ocgin_weight_decay must be >= 0, got -1.0"),
+         ("ocgin_weight_decay", "nan", "ocgin_weight_decay must be >= 0, got nan"),
+         ("glocal_lr", "-1", "glocal_lr must be >= 0, got -1.0"),
+         ("glocal_lr", "nan", "glocal_lr must be >= 0, got nan")],
     )
     def test_dims_below_one_rejected_at_load(self, synth_files, tmp_path, capsys, key, value,
                                              message):
