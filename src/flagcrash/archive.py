@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DataError
 from .corrnet import EDGE_DTYPE, WindowSeries, load_edges, window_edges
+from .tables import parse_day
 
 MAGIC = b"FCGR"
 VERSION = 1
@@ -109,7 +110,7 @@ def read_graphs(path) -> tuple[list[date], int, np.ndarray, list[int], dict]:
                 raise DataError(f"{path}: truncated record header")
             date_bytes, n_rec, edge_count = _REC_HEAD.unpack(rec)
             try:
-                as_of = date.fromisoformat(date_bytes.decode("ascii"))
+                as_of = parse_day(date_bytes.decode("ascii"))
             except ValueError:
                 raise DataError(f"{path}: bad record date {date_bytes!r}") from None
             if dates and as_of <= dates[-1]:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date
 
 from .archive import read_series
 from .corrnet import CcmParams
@@ -29,14 +28,11 @@ from .pipeline import (
     stage_tda,
 )
 from .synth import make_synthetic, parse_episode_spec
-from .tables import read_feature_csv, read_scores_csv, write_scores_csv
+from .tables import parse_day, read_feature_csv, read_scores_csv, write_scores_csv
 
 
-def _parse_date(text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise ConfigError(f"bad date {text!r}, want YYYY-MM-DD") from None
+# the one `gnn` flag that each model alone reads: (flag, keyword of stage_gnn)
+MODEL_FLAGS = {"ocgin": ("--weight-decay", "weight_decay"), "glocalkd": ("--lambda", "lam")}
 
 
 def _at_least(low: int):
@@ -89,8 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True)
     p.add_argument("--model", choices=["ocgin", "glocalkd"], required=True)
     p.add_argument("--lr", type=float, default=OcginConfig.lr)
-    p.add_argument("--weight-decay", type=float, default=OcginConfig.weight_decay)
-    p.add_argument("--lambda", dest="lam", type=float, default=GlocalConfig.lam)
+    p.add_argument("--weight-decay", type=float, default=None,
+                   help=f"ocgin only (default {OcginConfig.weight_decay})")
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help=f"glocalkd only (default {GlocalConfig.lam})")
     p.add_argument("--layers", type=int, default=OcginConfig.layers)
     p.add_argument("--hidden", type=int, default=OcginConfig.hidden)
     p.add_argument("--batch", type=int, default=OcginConfig.batch_size)
@@ -134,10 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> None:
     if args.command == "ingest":
-        stage_ingest(
-            args.prices, _parse_date(args.start), _parse_date(args.end),
-            args.min_coverage, args.out,
-        )
+        try:
+            start, end = parse_day(args.start), parse_day(args.end)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        stage_ingest(args.prices, start, end, args.min_coverage, args.out)
         print(f"wrote {args.out}")
     elif args.command == "graphs":
         stage_graphs(
@@ -154,7 +153,11 @@ def _dispatch(args: argparse.Namespace) -> None:
         stage_pca(read_series(args.graphs), {args.dim: args.out})
         print(f"wrote {args.out}")
     elif args.command == "gnn":
-        own = {"weight_decay": args.weight_decay} if args.model == "ocgin" else {"lam": args.lam}
+        for model, (flag, name) in MODEL_FLAGS.items():
+            if model != args.model and getattr(args, name) is not None:
+                raise ConfigError(f"{flag} applies to --model {model}, not to {args.model}")
+        name = MODEL_FLAGS[args.model][1]
+        own = {} if getattr(args, name) is None else {name: getattr(args, name)}
         stage_gnn(
             read_series(args.graphs), args.model, args.out, lr=args.lr, layers=args.layers,
             hidden=args.hidden, batch_size=args.batch, epochs=args.epochs, seed=args.seed,

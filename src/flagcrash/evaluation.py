@@ -28,6 +28,7 @@ import numpy as np
 
 from .detectors import AnomalySeries
 from .errors import DataError
+from .tables import parse_day
 
 DEFAULT_PERCENTILE = 97.5
 DEFAULT_LOOKBACK = 50
@@ -45,15 +46,10 @@ class Event:
 
     def resolved_date(self) -> date:
         spec = self.date_spec.strip()
-        parts = spec.split("-")
         try:
-            if len(parts) == 2:
-                return date(int(parts[0]), int(parts[1]), 15)
-            if len(parts) == 3:
-                return date(int(parts[0]), int(parts[1]), int(parts[2]))
-        except (ValueError, OverflowError):
-            pass
-        raise DataError(f"cannot parse event date {spec!r} (want YYYY-MM[-DD])")
+            return parse_day(spec + "-15" if spec.count("-") == 1 else spec)
+        except ValueError:
+            raise DataError(f"cannot parse event date {spec!r} (want YYYY-MM[-DD])") from None
 
 
 @dataclass

@@ -268,7 +268,7 @@ def _check_config(config) -> None:
     for name in ("batch_size", "layers", "hidden", "epochs"):
         if getattr(config, name) < 1:
             raise DataError(f"{name} must be at least 1, got {getattr(config, name)}")
-    for name in ("lr", "weight_decay"):  # GLocalKD has no weight decay
+    for name in ("lr", "weight_decay", "lam"):  # OCGIN has no lam, GLocalKD no weight decay
         value = getattr(config, name, 0.0)
         if not value >= 0:  # so that nan fails too
             raise DataError(f"{name} must be >= 0, got {value}")
@@ -358,8 +358,6 @@ def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
     (lambda * node term + graph term) is the anomaly score."""
     if not len(graphs):
         raise DataError("glocalkd_train needs a non-empty graph list")
-    if config.lam < 0:
-        raise DataError(f"lambda must be nonnegative, got {config.lam}")
     _check_config(config)
     rng = np.random.default_rng(config.seed)
     teacher = init_gine(rng, hidden=config.hidden, n_layers=config.layers)

@@ -1,8 +1,9 @@
 """Price panel ingestion: CSV parsing, date-range alignment, log returns.
 
 Input format is a wide CSV, `date,<ticker1>,<ticker2>,...`, one row per
-trading day, adjusted close prices.  Empty, unparseable or non-finite
-cells are treated as missing; non-positive prices are rejected outright.
+trading day, adjusted close prices, read and written as every dated table
+is (`tables`).  Empty, unparseable or non-finite cells are treated as
+missing; non-positive prices are rejected outright.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 
 import numpy as np
 
 from .errors import DataError
-from .tables import read_feature_csv
+from .tables import read_feature_csv, read_rows, write_rows
 
 
 @dataclass
@@ -41,13 +42,6 @@ class ReturnMatrix:
     returns: np.ndarray  # (T-1, N) float64
 
 
-def _parse_date(text: str, context: str) -> date:
-    try:
-        return datetime.strptime(text.strip(), "%Y-%m-%d").date()
-    except ValueError:
-        raise DataError(f"{context}: cannot parse date {text!r} as YYYY-MM-DD") from None
-
-
 def _price(cell: str) -> float:
     """The cell's price, or NaN (missing) when it is empty, unparseable or not finite."""
     try:
@@ -60,65 +54,50 @@ def _price(cell: str) -> float:
 def parse_price_csv(source) -> PriceTable:
     """Parse a price CSV from a string or text stream into a PriceTable.
 
-    Rows are sorted by date.  Raises DataError on a malformed header,
-    duplicate dates, or any non-positive price.
+    `tables.read_rows` checks the header, column counts and dates; on top
+    of it, tickers must be named and distinct, dates must not repeat and
+    prices must be positive.  Rows are sorted by date.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise DataError("price CSV is empty")
-
-    header = lines[0].split(",")
-    if header[0].strip().lower() != "date":
-        raise DataError(f"price CSV header must start with 'date', got {header[0]!r}")
-    tickers = [h.strip() for h in header[1:]]
-    if not tickers:
-        raise DataError("price CSV header has no ticker columns")
+    name = getattr(source, "name", "price CSV")
+    rows = read_rows(source, name)
+    tickers = [t.strip() for t in next(rows)]
+    seen: set[str] = set()
     for i, t in enumerate(tickers):
         if not t:
-            raise DataError(f"price CSV header column {i + 2} is empty")
-    seen: set[str] = set()
-    for t in tickers:
+            raise DataError(f"{name} header column {i + 2} is empty")
         if t in seen:
-            raise DataError(f"price CSV header has duplicate ticker {t!r}")
+            raise DataError(f"{name} header has duplicate ticker {t!r}")
         seen.add(t)
 
-    n = len(tickers)
-    rows: list[tuple[date, list[float]]] = []
+    parsed: list[tuple[date, list[float]]] = []
     seen_dates: set[date] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n + 1:
-            raise DataError(
-                f"line {lineno}: expected {n + 1} columns, got {len(cells)}"
-            )
-        d = _parse_date(cells[0], f"line {lineno}")
+    for _, d, cells in rows:
         if d in seen_dates:
-            raise DataError(f"duplicate date {d.isoformat()} in price CSV")
+            raise DataError(f"duplicate date {d.isoformat()} in {name}")
         seen_dates.add(d)
-        vals = [_price(cell) for cell in cells[1:]]
+        vals = [_price(cell) for cell in cells]
         for ticker, v in zip(tickers, vals):
             if v <= 0.0:
                 raise DataError(f"non-positive price {v} at ({d.isoformat()}, {ticker})")
-        rows.append((d, vals))
+        parsed.append((d, vals))
 
-    rows.sort(key=lambda r: r[0])
-    dates = [r[0] for r in rows]
-    prices = np.array([r[1] for r in rows], dtype=np.float64)
+    parsed.sort(key=lambda r: r[0])
+    dates = [r[0] for r in parsed]
+    prices = np.array([r[1] for r in parsed], dtype=np.float64)
     return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=np.isnan(prices))
 
 
 def serialize_price_csv(table: PriceTable) -> str:
     """Inverse of parse_price_csv; floats use shortest round-trip repr."""
-    out = ["date," + ",".join(table.tickers)]
-    for i, d in enumerate(table.dates):
-        cells = [d.isoformat()]
-        for j in range(len(table.tickers)):
-            cells.append("" if table.missing[i, j] else repr(float(table.prices[i, j])))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+    cells = (
+        ["" if gap else repr(v) for v, gap in zip(row.tolist(), gaps.tolist())]
+        for row, gaps in zip(table.prices, table.missing)
+    )
+    out = io.StringIO()
+    write_rows(out, table.tickers, table.dates, cells)
+    return out.getvalue()
 
 
 def align_and_filter(
@@ -186,10 +165,8 @@ def log_returns(table: PriceTable) -> ReturnMatrix:
 def write_returns_csv(rm: ReturnMatrix, path) -> None:
     """Write `date,<ticker...>` rows with 12 significant digits."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("date," + ",".join(rm.tickers) + "\n")
-        for i, d in enumerate(rm.dates):
-            cells = [d.isoformat()] + [f"{v:.12g}" for v in rm.returns[i]]
-            f.write(",".join(cells) + "\n")
+        cells = ([f"{v:.12g}" for v in row.tolist()] for row in rm.returns)
+        write_rows(f, rm.tickers, rm.dates, cells)
 
 
 def read_returns_csv(path) -> ReturnMatrix:

@@ -80,8 +80,8 @@ def _key(section, key, parse=str, default=MISSING, least=None, axis=None):
 class PipelineConfig:
     prices_path: str = _key("data", "prices")
     events_path: str = _key("data", "events")
-    start: date = _key("data", "start", date.fromisoformat)
-    end: date = _key("data", "end", date.fromisoformat)
+    start: date = _key("data", "start", tables.parse_day)
+    end: date = _key("data", "end", tables.parse_day)
     min_coverage: float = _key("data", "min_coverage", float, 1.0)
     window: int = _key("network", "window", int, 25, least=3)
     correlation: str = _key("network", "correlation", str, "ccm")

@@ -1,13 +1,13 @@
-"""Small CSV readers/writers shared by the pipeline stages.
+"""The `date,<col...>` format of every dated table, and date text.
 
-Every date-indexed table is `date,<col...>`: a returns table has one
-column per ticker and one row per return date, a feature table one row
-per graph date, and a score table is `date,score`; the reader rejects
-dates that do not strictly increase, and reader and writer both refuse
-non-finite values, so no table is written that cannot be read back.
-Feature and score tables write floats with shortest round-trip repr so
-reruns hash identically (`ingest.write_returns_csv` writes 12
-significant digits).
+A price CSV and a returns table have one column per ticker, a feature
+table one row per graph date, and a score table is `date,score`.
+`read_rows` reads them all and names the file and the line in every
+message; `write_rows` writes them all from formatted cells.  Feature
+dates must strictly increase, and no non-finite value is written or read
+back; feature and score cells are shortest round-trip repr, so reruns
+hash identically.  `parse_day` reads every date the program is given:
+table cells, config keys, flags, archive records and event lists.
 """
 
 from __future__ import annotations
@@ -17,6 +17,43 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import DataError
+
+
+def parse_day(text: str) -> date:
+    """`text` as a date, read as `datetime.strptime(text, "%Y-%m-%d")` reads it."""
+    try:
+        return datetime.strptime(text, "%Y-%m-%d").date()
+    except ValueError:
+        raise ValueError(f"bad date {text!r}, want YYYY-MM-DD") from None
+
+
+def read_rows(lines, name):
+    """Yield the header's value columns, then (line number, date, cells) of
+    each row of the `date,<col...>` text `lines`; `name` starts every message."""
+    rows = ((n, line.strip().split(",")) for n, line in enumerate(lines, start=1))
+    rows = ((n, cells) for n, cells in rows if cells != [""])  # skips blank lines
+    lineno, header = next(rows, (0, None))
+    if header is None:
+        raise DataError(f"{name} is empty")
+    if header[0].strip().lower() != "date" or len(header) < 2:
+        raise DataError(f"{name} line {lineno}: header must be date,<column...>")
+    yield header[1:]
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise DataError(f"{name} line {lineno}: column count {len(cells)}, want {len(header)}")
+        try:
+            day = parse_day(cells[0].strip())
+        except ValueError as exc:
+            raise DataError(f"{name} line {lineno}: {exc}") from None
+        yield lineno, day, cells[1:]
+
+
+def write_rows(f, columns: list[str], dates: list[date], rows) -> None:
+    """Write the `date,<col...>` header to the text stream `f`, then one line
+    per date holding that date's row of formatted cells."""
+    f.write("date," + ",".join(columns) + "\n")
+    for d, cells in zip(dates, rows):
+        f.write(d.isoformat() + "," + ",".join(cells) + "\n")
 
 
 def write_feature_csv(path, dates: list[date], columns: list[str], values) -> None:
@@ -29,41 +66,27 @@ def write_feature_csv(path, dates: list[date], columns: list[str], values) -> No
     if not np.isfinite(values).all():
         raise DataError(f"refusing to write {path}: the table has non-finite values")
     with open(path, "w", encoding="utf-8") as f:
-        f.write("date," + ",".join(columns) + "\n")
-        for d, row in zip(dates, values):
-            f.write(d.isoformat() + "," + ",".join(map(repr, row.tolist())) + "\n")
+        write_rows(f, columns, dates, (map(repr, row.tolist()) for row in values))
 
 
 def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise DataError(f"{path} is empty")
-    header = lines[0].split(",")
-    if header[0].lower() != "date":
-        raise DataError(f"{path}: first column must be 'date'")
-    columns = header[1:]
-    if not columns:
-        raise DataError(f"{path}: no value columns")
-    dates, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(columns) + 1:
-            raise DataError(f"{path} line {lineno}: column count mismatch")
-        try:
-            day = datetime.strptime(cells[0], "%Y-%m-%d").date()
-        except ValueError:
-            raise DataError(f"{path} line {lineno}: bad date {cells[0]!r}") from None
-        if dates and day <= dates[-1]:
-            raise DataError(f"{path} line {lineno}: dates do not increase, {day} after {dates[-1]}")
-        dates.append(day)
-        try:
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: {exc}") from None
-    if not rows:
+        rows = read_rows(f, path)
+        columns = next(rows)
+        dates, values = [], []
+        for lineno, day, cells in rows:
+            if dates and day <= dates[-1]:
+                raise DataError(
+                    f"{path} line {lineno}: dates do not increase, {day} after {dates[-1]}"
+                )
+            dates.append(day)
+            try:
+                values.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}: {exc}") from None
+    if not values:
         raise DataError(f"{path}: no data rows")
-    values = np.array(rows, dtype=np.float64)
+    values = np.array(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise DataError(f"{path} contains non-finite values")
     return dates, columns, values

@@ -13,7 +13,7 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +27,7 @@ from flagcrash.checkpoint import MAGIC, VERSION
 from flagcrash.corrnet import CcmParams, WeightedDigraph, WindowSeries, matrix_from_digraph
 from flagcrash.errors import DataError
 from flagcrash.evaluation import EventList
-from flagcrash.ingest import PriceTable, _parse_date
+from flagcrash.ingest import PriceTable
 from flagcrash.ph import PersistenceDiagram
 
 
@@ -1013,6 +1013,14 @@ def load_checkpoint(path) -> gnn.OcginState | gnn.GlocalState:
 
 # ---------------------------------------------------------------------------
 # price parsing and event matching as first written
+
+
+def _parse_date(text: str, context: str) -> date:
+    """The price parser's own date reader, kept for `reference_parse_price_csv`."""
+    try:
+        return datetime.strptime(text.strip(), "%Y-%m-%d").date()
+    except ValueError:
+        raise DataError(f"{context}: cannot parse date {text!r} as YYYY-MM-DD") from None
 
 
 def reference_parse_price_csv(source) -> PriceTable:

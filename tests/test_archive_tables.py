@@ -13,7 +13,7 @@ from flagcrash.archive import read_graphs, read_series, sidecar_path, write_grap
 from flagcrash.cli import main
 from flagcrash.corrnet import EDGE_DTYPE, WeightedDigraph, WindowSeries, correlation_series
 from flagcrash.errors import DataError
-from flagcrash.ingest import ReturnMatrix
+from flagcrash.ingest import PriceTable, ReturnMatrix, serialize_price_csv, write_returns_csv
 from flagcrash.tables import (
     read_feature_csv,
     read_scores_csv,
@@ -422,3 +422,25 @@ class TestFeatureDates:
         read_feature_csv(write_table(tmp_path / "ok.csv", ["2010-01-05,1.0"]))
         with pytest.raises(DataError, match=message):
             read_feature_csv(path)
+
+
+def test_table_writers_bytes(tmp_path):
+    """Each writer's bytes: shortest round-trip repr for prices and features,
+    12 significant digits for returns, an empty cell for a missing price."""
+    dates = [date(2010, 1, 4), date(2010, 1, 5)]
+    values = np.array([[0.1 + 0.2, 1e-320, 7.0], [2 / 3, 5.0, 1e22]])
+    missing = np.array([[False, False, True], [False, False, False]])
+    prices = serialize_price_csv(PriceTable(dates, ["A", "B", "C"], values, missing))
+    assert prices == (
+        "date,A,B,C\n2010-01-04,0.30000000000000004,1e-320,\n"
+        "2010-01-05,0.6666666666666666,5.0,1e+22\n"
+    )
+    write_returns_csv(ReturnMatrix(dates, ["A", "B", "C"], values), tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"date,A,B,C\n2010-01-04,0.3,9.99988867183e-321,7\n2010-01-05,0.666666666667,5,1e+22\n"
+    )
+    write_feature_csv(tmp_path / "f.csv", dates, ["A", "B", "C"], values)
+    assert (tmp_path / "f.csv").read_bytes() == (
+        b"date,A,B,C\n2010-01-04,0.30000000000000004,1e-320,7.0\n"
+        b"2010-01-05,0.6666666666666666,5.0,1e+22\n"
+    )

@@ -9,6 +9,7 @@ command that reads it.
 import contextlib
 import io
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from flagcrash.cli import build_parser, main
 from flagcrash.corrnet import CcmParams
 from flagcrash.evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE
 from flagcrash.gnn import GlocalConfig, OcginConfig
-from flagcrash.pipeline import PipelineConfig
+from flagcrash.pipeline import PipelineConfig, load_config
 from flagcrash.synth import parse_episode_spec
 
 
@@ -105,11 +106,53 @@ def test_non_numeric_cell_names_path_and_line(good, tmp_path, kind):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["prices", "returns", "features", "scores"])
+@pytest.mark.parametrize("damage", ["bad-date", "compact-date", "extra-cell"])
+def test_bad_row_names_path_and_line(good, tmp_path, kind, damage):
+    # the price CSV is read by the same row reader as the other tables
+    lines = good[kind].read_text().split("\n")
+    day, rest = lines[3].split(",", 1)
+    lines[3] = {"bad-date": f"{day[:-1]}x,{rest}",
+                "compact-date": f"{day.replace('-', '')},{rest}",
+                "extra-cell": f"{lines[3]},1.0"}[damage]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    for argv in reader_commands(kind, bad, good, tmp_path / "out"):
+        code, err = run_cli(argv)
+        assert code == 3 and err.startswith(f"data error: {bad} line 4: "), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("day", ["20100104", "2010-1-4"])
+def test_config_and_flag_dates_read_as_strptime_does(good, tmp_path, day):
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[data]\nprices = {good['prices']}\nevents = {good['events']}\n"
+        f"start = {day}\nend = 2099-01-01\n[run]\noutput_dir = {tmp_path / 'runs'}\n"
+    )
+    out = tmp_path / "returns.csv"
+    ingest = ["ingest", "--prices", good["prices"], "--start", day, "--end", "2099-01-01",
+              "--out", out]
+    if day == "20100104":  # not a date to strptime's %Y-%m-%d, on every Python
+        cause = "bad date '20100104', want YYYY-MM-DD"
+        assert run_cli(["run", "--config", config]) == (
+            2, f"config error: bad config {config}: {cause}\n")
+        assert run_cli(ingest) == (2, f"config error: {cause}\n")
+        assert sorted(tmp_path.iterdir()) == [config]
+    else:
+        assert load_config(config).start == date(2010, 1, 4)
+        assert run_cli(ingest) == (0, "")
+        assert out.read_bytes() == good["returns"].read_bytes()
+
+
 def test_flag_defaults_are_the_library_defaults():
     parse = build_parser().parse_args
     ocgin, glocal, ccm = OcginConfig(), GlocalConfig(), CcmParams()
     args = parse(["gnn", "--graphs", "g", "--model", "ocgin", "--out", "o"])
-    assert (args.lr, args.weight_decay, args.lam) == (ocgin.lr, ocgin.weight_decay, glocal.lam)
+    # absent, each model's own flag leaves its config's default in place, and
+    # given, it must belong to the chosen model
+    assert (args.weight_decay, args.lam) == (None, None)
     for flag, field in (("layers", "layers"), ("hidden", "hidden"), ("batch", "batch_size"),
                         ("epochs", "epochs"), ("seed", "seed"), ("lr", "lr")):
         # one flag serves both models, so their configs must agree

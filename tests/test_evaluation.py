@@ -344,10 +344,11 @@ class TestEventFiles:
         "text, message",
         [
             ("date,label\n" + "9" * 30 + "-01,huge\n", "cannot parse event date"),
+            ("date,label\n20100104,compact\n", "cannot parse event date '20100104'"),
             ("date,label\n2020-01-15," + "x" * 200_000 + "\n", "field larger"),
             ("date,label\n\n", "events CSV has a header but no events"),
         ],
-        ids=["year-overflows", "field-too-long", "header-only"],
+        ids=["year-overflows", "compact-date", "field-too-long", "header-only"],
     )
     def test_unreadable_event_rows_rejected(self, text, message):
         with pytest.raises(DataError, match=message):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 from collections import Counter
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -273,7 +274,7 @@ class TestStageCommands:
         ]) == 0
         out, checkpoint = tmp_path / "out.csv", tmp_path / "model.bin"
         cases = [(model, "--lr", "lr") for model in ("ocgin", "glocalkd")]
-        cases.append(("ocgin", "--weight-decay", "weight_decay"))
+        cases += [("ocgin", "--weight-decay", "weight_decay"), ("glocalkd", "--lambda", "lam")]
         for model, flag, name in cases:
             for bad in ("-1", "nan"):
                 capsys.readouterr()
@@ -284,6 +285,28 @@ class TestStageCommands:
                     f"data error: {name} must be >= 0, got {float(bad)}\n"
                 )
         assert not out.exists() and not checkpoint.exists()
+
+    @pytest.mark.parametrize(
+        "model, flag, owner",
+        [("glocalkd", "--weight-decay", "ocgin"), ("ocgin", "--lambda", "glocalkd")],
+    )
+    def test_gnn_flag_of_the_other_model_rejected(self, tmp_path, capsys, model, flag, owner):
+        graphs = tmp_path / "graphs.bin"
+        weights = np.tile(np.triu(np.full((3, 3), 0.5), 1), (4, 1, 1))
+        dates = [date(2020, 1, 2 + i) for i in range(4)]
+        write_graphs(graphs, WindowSeries(weights, dates, "pearson"), {})
+        before = sorted(tmp_path.iterdir())
+        out, checkpoint = tmp_path / "out.csv", tmp_path / "model.bin"
+        for value in ("0.1", "-1"):
+            command = ["gnn", "--graphs", str(graphs), "--model", model, "--epochs", "1",
+                       flag, value, "--checkpoint", str(checkpoint), "--out", str(out)]
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {flag} applies to --model {owner}, not to {model}\n"
+            )
+        assert sorted(tmp_path.iterdir()) == before
+        # the same archive trains when the flag is left out
+        assert main(command[:-6] + ["--out", str(out)]) == 0
 
     def test_non_finite_gnn_scores_are_never_written(self, synth_files, tmp_path, capsys):
         prices, events = synth_files
