@@ -8,10 +8,10 @@ anomaly losses are provided; shapes are 0-d, 1-d, or 2-d and never
 broadcast implicitly.  `sparse_matmul` multiplies a tensor by a constant
 `scipy.sparse` matrix (mean pooling over a batch of graphs), and
 `gine_aggregate` is one whole GINE aggregation with a hand-written
-backward: it keeps a boolean relu mask where five composed ops would
-keep four (messages x hidden) float arrays, and writes its
-(messages x hidden) temporaries into two module-level buffers that are
-reused across calls.  An op hands
+backward: it keeps a boolean relu mask, in a buffer the caller may pass,
+where five composed ops would keep four (messages x hidden) float arrays,
+and writes its (messages x hidden) temporaries into two module-level
+buffers that are reused across calls.  An op hands
 `_accumulate` the gradients it allocated itself as `fresh`, and the
 first of them becomes the tensor's gradient without a copy.  Inside
 `no_grad()` no op records a tape, for forward passes that only score.
@@ -182,22 +182,26 @@ def _scratch_array(slot: int, rows: int, cols: int) -> np.ndarray:
     return _scratch[slot][: rows * cols].reshape(rows, cols)
 
 
-def gine_aggregate(h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, scatter) -> Tensor:
+def gine_aggregate(
+    h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, scatter, mask=None
+) -> Tensor:
     """One GINE aggregation as one op: `(h + eps*h) + S relu(G h + y p)`.
 
     `gather` G (M x N, CSR) and `scatter` S (N x M, CSC) are constant
     one-hot matrices with one 1 per message, at its source and its target
     vertex, so `G h` and `S^T g` are row gathers by their `indices`.  `y`
     is the constant (M, k) message feature array and `edge_proj` p is
-    (k, d).  The forward sums in the order of the tape it replaces
+    (k, d); a one-column `y` forms y p as an outer product, which has the
+    GEMM's bits.  The forward sums in the order of the tape it replaces
     (gather, plus y p, relu, scatter, added to h + eps*h) and keeps only
     the relu mask; the backward is gm = (S^T g) * mask, then
     gh = (1 + eps) g + G^T gm, gp = y^T gm and geps = <g, h>.  A gather
     or scatter of another format, shape or entry count raises ValueError.
     The gathered messages, the `y p` products and `S^T g` are written into
     the `_scratch` buffers, so that no step first-touches fresh (M, d)
-    pages; what the op returns or keeps (the output, the gradients, the
-    mask) is allocated fresh.
+    pages; what the op returns (the output, the gradients) is allocated
+    fresh.  The mask is written into `mask`, an (M, d) bool array that the
+    caller keeps unchanged until the backward has run, or else allocated.
     """
     n_msgs, n_nodes = len(y), len(h.data)
     layout = (gather.format, gather.shape, gather.nnz, scatter.format, scatter.shape, scatter.nnz)
@@ -208,15 +212,21 @@ def gine_aggregate(h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, sca
         )
     eps = float(epsilon.data.reshape(()))
     out_data = h.data + eps * h.data
-    mask = None
     shape = (n_msgs, h.data.shape[1])
     if len(y):
         # mode="clip": under the default "raise", `take` copies through a temporary
         messages = np.take(h.data, gather.indices, axis=0, out=_scratch_array(0, *shape), mode="clip")
-        messages += np.matmul(y, edge_proj.data, out=_scratch_array(1, *shape))
-        mask = messages > 0.0
+        products = _scratch_array(1, *shape)
+        if y.shape[1] == 1:  # the same products as the k=1 GEMM, in about half its time
+            np.einsum("i,j->ij", y[:, 0], edge_proj.data[0], out=products)
+        else:
+            np.matmul(y, edge_proj.data, out=products)
+        messages += products
+        mask = np.greater(messages, 0.0, out=mask)
         np.maximum(messages, 0.0, out=messages)
         out_data += scatter @ messages
+    else:
+        mask = None
 
     def backward(g: np.ndarray) -> None:
         if epsilon.requires_grad:

@@ -13,17 +13,22 @@ point one way still receive messages.
 
 The models take a list of attributed graphs or, as a run passes them, a
 series' (T, n, n) adjacency array, whose nonzero entries are the edges
-in row-major (source, target) order; a batch of the array is built from
-its slice of it, and both kinds go through the same batch layout.  A
-batch is the disjoint union of its graphs: stacked node and message
-features plus constant sparse block-diagonal one-hot gather and scatter
-matrices and a mean-pool matrix, so one autodiff tape covers a whole
-training batch and graphs of different sizes can share it.  Each layer's
+in row-major (source, target) order.  Each training call and each scoring
+call reads its graphs once into a `_Layout`: every edge's position (for
+the array, its two-byte offset in its window, whose weight is read back
+per batch), every graph's node features and its node and edge counts.
+Both kinds share it.  A batch is the disjoint union of its graphs: stacked
+node and message features plus constant sparse block-diagonal one-hot
+gather and scatter matrices and a mean-pool matrix, so one autodiff tape
+covers a whole training batch and graphs of different sizes can share it.
+The layout assembles each batch from a few copies of its ranges into
+buffers sized for its largest batch and reused by every step, relu masks
+included, so a batch stays valid only until the next one.  Each layer's
 aggregation is one `autodiff.gine_aggregate` op.  The one-class center,
 the teacher's targets and both scores come from one pass, `_no_grad_pass`,
 over chunks of `batch_size` consecutive graphs under `autodiff.no_grad`:
-each chunk's batch is built once for every model it runs, and no tape is
-kept.
+each chunk's batch is assembled once for every model it runs, and no tape
+is kept.
 """
 
 from __future__ import annotations
@@ -130,58 +135,159 @@ def init_gine(
     )
 
 
-class _Batch:
-    """Disjoint union of the graphs `idx` of `graphs`, in that order:
-    stacked node features x (N, m) and message features y (2E, k), and
-    constant sparse block-diagonal gather (2E x N), scatter (N x 2E) and
-    mean-pool (B x N) matrices.  Gather and scatter are one-hot, with one
-    entry per message: gather is a CSR matrix of message sources, one
-    entry per row, and scatter the transpose (a CSC view, no copy) of
-    such a matrix of message targets.  Each graph's edges deliver s -> t
-    as its first messages, then t -> s, so every message's position
-    follows from the per-graph edge counts, with no sort."""
+_CHUNK = 1 << 18  # adjacency entries a layout scans at once; bounds its temporaries
 
-    def __init__(self, graphs: Graphs, idx):
+
+@dataclass
+class _Batch:
+    """Disjoint union of some graphs, in the order asked for: stacked node
+    features x (N, m) and message features y (2E, k), and constant sparse
+    block-diagonal gather (2E x N), scatter (N x 2E) and mean-pool (B x N)
+    matrices.  Gather and scatter are one-hot, with one entry per message:
+    gather is a CSR matrix of message sources, one entry per row, and
+    scatter a CSC matrix of message targets, one entry per column.  Each
+    graph's edges deliver s -> t as its first messages, then t -> s.  The
+    arrays are views of the buffers of the `_Layout` that assembled it."""
+
+    sizes: np.ndarray
+    offsets: np.ndarray
+    x: Tensor
+    y: np.ndarray
+    gather: sp.csr_matrix
+    scatter: sp.csc_matrix
+    pool: sp.csr_matrix
+    masks: list[np.ndarray]  # the relu-mask buffers of the layout, one per layer
+
+    def mask(self, layer: int, width: int) -> np.ndarray:
+        """A bool (2E, width) view of the relu-mask buffer of `layer`, grown
+        on demand; a forward pass over the next batch overwrites it."""
+        size = len(self.y) * width
+        while len(self.masks) <= layer:
+            self.masks.append(np.empty(0, bool))
+        if self.masks[layer].size < size:
+            self.masks[layer] = np.empty(size, bool)
+        return self.masks[layer][:size].reshape(len(self.y), width)
+
+
+class _Layout:
+    """Where the edges of every graph of `graphs` sit, found once per
+    training or scoring call, and the buffers that `batch` assembles
+    batches of at most `batch_size` graphs in.
+
+    For a (T, n, n) array, whose nonzero entries are the edges in row-major
+    (source, target) order, the layout keeps each edge's position s * n + t
+    in its window, in the smallest unsigned type that holds n^2 - 1 (two
+    bytes for up to 256 vertices), and reads its weight back per batch; for
+    an attributed list it keeps the concatenated edges and edge features.
+    Either way it keeps every graph's node and edge counts and its node
+    features; the array's are (1, weighted degree), found a few graphs at a
+    time.  The buffers are sized for the `batch_size` graphs with the most
+    nodes and edges and reused by every batch, so a batch stays valid only
+    until the next one is assembled.
+    """
+
+    def __init__(self, graphs: Graphs, batch_size: int):
+        self.batch_size = batch_size
         if isinstance(graphs, np.ndarray):
-            adjacency = graphs[idx]
-            n = adjacency.shape[1]
-            self.sizes = np.full(len(adjacency), n)
-            # row-major positions graph * n^2 + s * n + t of the nonzero weights
-            flat = np.flatnonzero(adjacency)
-            y = adjacency.reshape(-1)[flat].reshape(-1, 1)
-            s, t = np.divmod(flat, n)  # s = graph * n + source, the global source
-            t += s - s % n
-            counts = np.count_nonzero(adjacency.reshape(len(adjacency), -1), axis=1)
-            x = _node_features(len(adjacency) * n, np.stack([s, t], axis=1), y)
+            count, n = len(graphs), graphs.shape[-1]
+            self.sizes = np.full(count, n, dtype=np.intp)
+            edge_counts = np.count_nonzero(graphs.reshape(count, n * n), axis=1)
+            self._n, self._weights = n, graphs.reshape(-1)
+            self._pos = np.empty(edge_counts.sum(), np.min_scalar_type(n * n - 1))
+            self._x = np.empty((count * n, 2))
+            step, done = max(1, _CHUNK // max(n * n, 1)), 0
+            for lo in range(0, count, step):
+                chunk = graphs[lo : lo + step]
+                # row-major positions graph * n^2 + s * n + t of the chunk's nonzero weights
+                flat = np.flatnonzero(chunk)
+                s, t = np.divmod(flat, n)  # s = graph * n + source, the chunk's source
+                t += s - s % n
+                y = chunk.reshape(-1)[flat].reshape(-1, 1)
+                self._x[lo * n : (lo + len(chunk)) * n] = _node_features(
+                    len(chunk) * n, np.stack([s, t], axis=1), y
+                )
+                self._pos[done : done + len(flat)] = flat % (n * n)
+                done += len(flat)
         else:
-            chosen = [graphs[i] for i in idx]
-            self.sizes = np.array([g.n for g in chosen], dtype=np.intp)
-            starts = np.cumsum(self.sizes) - self.sizes
-            parts = [np.reshape(g.edges, (-1, 2)) + lo for g, lo in zip(chosen, starts)]
-            s, t = np.concatenate(parts).T
-            counts = np.array([len(e) for e in parts], dtype=np.intp)
-            x, y = (np.concatenate([getattr(g, k) for g in chosen]) for k in ("x", "y"))
+            self.sizes = np.array([g.n for g in graphs], dtype=np.intp)
+            parts = [np.reshape(g.edges, (-1, 2)) for g in graphs]
+            edge_counts = np.array([len(e) for e in parts], dtype=np.intp)
+            self._pos = None
+            # row 0 the edges' sources, row 1 their targets
+            ends = np.concatenate(parts or [np.zeros((0, 2), np.intp)])
+            self._ends = ends.T.astype(np.int32, order="C")
+            self._x = np.concatenate([g.x for g in graphs] or [np.zeros((0, 2))])
+            self._y = np.concatenate([g.y for g in graphs] or [np.zeros((0, 1))])
         if not self.sizes.all():
             raise DataError("cannot embed a graph without vertices")
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        n_nodes = int(self.offsets[-1])
-        self.x = Tensor(x)
-        # graph b's messages start at 2 e_b, e_b the edges of the graphs before
-        # it, so its edge j (counted over the batch) sends s -> t at j + e_b
-        # and t -> s at j + e_b + E_b
-        first = np.arange(len(s)) + np.repeat(np.cumsum(counts) - counts, counts)
-        second = first + np.repeat(counts, counts)
-        n_msgs = 2 * len(s)
-        src, tgt = np.empty(n_msgs, np.int32), np.empty(n_msgs, np.int32)
-        src[first], src[second], tgt[first], tgt[second] = s, t, t, s
-        self.y = np.empty((n_msgs, y.shape[1]))
-        self.y[first] = self.y[second] = y
-        ones, one_per_row = np.ones(n_msgs), np.arange(n_msgs + 1, dtype=np.int32)
-        self.gather = sp.csr_matrix((ones, src, one_per_row), shape=(n_msgs, n_nodes))
-        self.scatter = sp.csr_matrix((ones, tgt, one_per_row), shape=(n_msgs, n_nodes)).T
-        self.pool = sp.csr_matrix(
-            (np.repeat(1.0 / self.sizes, self.sizes), np.arange(n_nodes), self.offsets),
-            shape=(len(self.sizes), n_nodes),
+        self._edge_counts = edge_counts
+        self._node_starts = np.cumsum(self.sizes) - self.sizes
+        self._edge_starts = np.cumsum(edge_counts) - edge_counts
+        most_nodes, most_edges = (
+            int(np.sort(a)[::-1][:batch_size].sum()) for a in (self.sizes, edge_counts)
+        )
+        k = 1 if self._pos is not None else self._y.shape[1]
+        self._xb = np.empty((most_nodes, self._x.shape[1]))
+        self._sb, self._tb = np.empty((2, most_edges), np.int32)
+        self._w = np.empty((most_edges, k))
+        if self._pos is not None:
+            self._pb = np.empty(most_edges, self._pos.dtype)
+        # two arrays, since scipy copies an index array under half its base's size
+        self._src = np.empty(2 * most_edges, np.int32)
+        self._tgt = np.empty(2 * most_edges, np.int32)
+        self._yb = np.empty((2 * most_edges, k))
+        self._ones = np.ones(2 * most_edges)
+        self._arange = np.arange(max(2 * most_edges, most_nodes) + 1, dtype=np.int32)
+        self._masks: list[np.ndarray] = []
+
+    def batch(self, idx) -> _Batch:
+        """The graphs `idx`, in that order, in the layout's buffers."""
+        idx = np.asarray(idx, dtype=np.intp)
+        sizes, counts = self.sizes[idx], self._edge_counts[idx]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        n_nodes, n_edges = int(offsets[-1]), int(counts.sum())
+        rows = zip(self._node_starts[idx].tolist(), sizes.tolist())
+        x = np.concatenate([self._x[lo : lo + k] for lo, k in rows], out=self._xb[:n_nodes])
+        starts = self._edge_starts[idx].tolist()
+        cuts = [slice(lo, lo + c) for lo, c in zip(starts, counts.tolist())]
+        # each edge's source and target in the batch: its graph's first vertex
+        # in the batch plus its vertex in the graph
+        s, t, w = self._sb[:n_edges], self._tb[:n_edges], self._w[:n_edges]
+        base = np.repeat(offsets[:-1].astype(np.int32), counts)
+        if self._pos is None:
+            np.concatenate([self._ends[0, c] for c in cuts], out=s)
+            np.concatenate([self._ends[1, c] for c in cuts], out=t)
+            np.concatenate([self._y[c] for c in cuts], out=w)
+            s += base
+            t += base
+        else:
+            pos = np.concatenate([self._pos[c] for c in cuts], out=self._pb[:n_edges])
+            flat = np.repeat(idx * self._n**2, counts)
+            flat += pos
+            np.take(self._weights, flat, out=w[:, 0], mode="clip")
+            source = pos // self._n  # in the small unsigned type, which divides fast
+            np.add(source, base, out=s)
+            np.add(pos - source * self._n, base, out=t)
+        # graph b's 2 E_b messages follow those of the graphs before it
+        stops = np.cumsum(counts).tolist()
+        local = [slice(hi - c, hi) for hi, c in zip(stops, counts.tolist())]
+        n_msgs = 2 * n_edges
+        src = np.concatenate([a[c] for c in local for a in (s, t)], out=self._src[:n_msgs])
+        tgt = np.concatenate([a[c] for c in local for a in (t, s)], out=self._tgt[:n_msgs])
+        y = np.concatenate([w[c] for c in local for _ in (0, 1)], out=self._yb[:n_msgs])
+        ones, one_per_row = self._ones[:n_msgs], self._arange[: n_msgs + 1]
+        return _Batch(
+            sizes=sizes,
+            offsets=offsets,
+            x=Tensor(x),
+            y=y,
+            gather=sp.csr_matrix((ones, src, one_per_row), shape=(n_msgs, n_nodes)),
+            scatter=sp.csc_matrix((ones, tgt, one_per_row), shape=(n_nodes, n_msgs)),
+            pool=sp.csr_matrix(
+                (np.repeat(1.0 / sizes, sizes), self._arange[:n_nodes], offsets),
+                shape=(len(idx), n_nodes),
+            ),
+            masks=self._masks,
         )
 
 
@@ -189,9 +295,10 @@ def _forward(model: GineModel, batch: _Batch) -> tuple[list[Tensor], Tensor]:
     """Per-layer (N, h) node embeddings and the (B, L*h) graph embeddings."""
     h = batch.x
     per_layer: list[Tensor] = []
-    for layer in model.layers:
+    for depth, layer in enumerate(model.layers):
+        mask = batch.mask(depth, h.shape[1])
         combined = ad.gine_aggregate(
-            h, layer.epsilon, layer.edge_proj, batch.y, batch.gather, batch.scatter
+            h, layer.epsilon, layer.edge_proj, batch.y, batch.gather, batch.scatter, mask
         )
         h = ad.matmul(ad.relu(ad.matmul(combined, layer.w1)), layer.w2)
         per_layer.append(h)
@@ -209,28 +316,27 @@ def gine_forward(model: GineModel, g: AttributedGraph) -> tuple[list[Tensor], Te
         raise DataError(
             f"graph edge features have dim {g.y.shape[1]}, model expects {model.edge_dim}"
         )
-    per_layer, emb = _forward(model, _Batch([g], [0]))
+    per_layer, emb = _forward(model, _Layout([g], 1).batch([0]))
     return per_layer, ad.matmul(Tensor(np.ones(1)), emb)  # (1, L*h) -> (L*h,)
 
 
 def _no_grad_pass(
-    models: list[GineModel], graphs: Graphs, size: int
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The node count of every graph, and each model's final-layer node
-    embeddings (N, h) and graph embeddings (T, L*h), in graph order.  Each
-    batch of `size` consecutive graphs is built once and run through every
-    model without a tape."""
-    sizes = [np.zeros(0, np.intp)]
+    models: list[GineModel], layout: _Layout
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each model's final-layer node embeddings (N, h) and graph embeddings
+    (T, L*h), in graph order.  Each batch of `layout.batch_size`
+    consecutive graphs is assembled once and run through every model
+    without a tape."""
+    count, size = len(layout.sizes), layout.batch_size
     parts = [([np.zeros((0, m.hidden))], [np.zeros((0, m.embedding_dim))]) for m in models]
     with ad.no_grad():
-        for lo in range(0, len(graphs), size):
-            batch = _Batch(graphs, range(lo, min(lo + size, len(graphs))))
-            sizes.append(batch.sizes)
+        for lo in range(0, count, size):
+            batch = layout.batch(range(lo, min(lo + size, count)))
             for model, (nodes, embs) in zip(models, parts):
                 per_layer, emb = _forward(model, batch)
                 nodes.append(per_layer[-1].data)
                 embs.append(emb.data)
-    return np.concatenate(sizes), [(np.concatenate(n), np.concatenate(e)) for n, e in parts]
+    return [(np.concatenate(n), np.concatenate(e)) for n, e in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +411,12 @@ def ocgin_train(graphs: Graphs, config: OcginConfig) -> OcginState:
     _check_config(config)
     rng = np.random.default_rng(config.seed)
     model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
-    _, [(_, embs)] = _no_grad_pass([model], graphs, config.batch_size)
+    layout = _Layout(graphs, config.batch_size)
+    [(_, embs)] = _no_grad_pass([model], layout)
     center = np.mean(embs, axis=0)
 
     def batch_loss(idx) -> Tensor:
-        emb = _forward(model, _Batch(graphs, idx))[1]
+        emb = _forward(model, layout.batch(idx))[1]
         return ad.squared_norm(ad.sub(emb, Tensor(np.tile(center, (len(idx), 1)))))
 
     losses = _fit(
@@ -323,7 +430,7 @@ def ocgin_scores(
 ) -> np.ndarray:
     """Squared distance of each graph embedding to the center, computed
     `batch_size` graphs at a time."""
-    _, [(_, embs)] = _no_grad_pass([state.model], graphs, batch_size)
+    [(_, embs)] = _no_grad_pass([state.model], _Layout(graphs, batch_size))
     diffs = embs - state.center
     return np.sum(diffs * diffs, axis=1)
 
@@ -365,12 +472,13 @@ def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
         t.requires_grad = False
     student = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
 
-    sizes, [(nodes, teacher_emb)] = _no_grad_pass([teacher], graphs, config.batch_size)
-    teacher_nodes = np.split(nodes, np.cumsum(sizes)[:-1])
+    layout = _Layout(graphs, config.batch_size)
+    [(nodes, teacher_emb)] = _no_grad_pass([teacher], layout)
+    teacher_nodes = np.split(nodes, np.cumsum(layout.sizes)[:-1])
 
     def batch_loss(idx) -> Tensor:
         """Sum over the batch of lambda/n * node term + graph term."""
-        batch = _Batch(graphs, idx)
+        batch = layout.batch(idx)
         per_layer, emb = _forward(student, batch)
         target = np.concatenate([teacher_nodes[i] for i in idx])
         node_diff = ad.sub(per_layer[-1], Tensor(target))
@@ -392,9 +500,11 @@ def glocalkd_scores(
 ) -> np.ndarray:
     """lambda * final-layer node mimicry error / n + graph embedding error,
     computed `batch_size` graphs at a time."""
-    sizes, [(teacher_nodes, teacher_emb), (student_nodes, student_emb)] = _no_grad_pass(
-        [state.teacher, state.student], graphs, batch_size
+    layout = _Layout(graphs, batch_size)
+    [(teacher_nodes, teacher_emb), (student_nodes, student_emb)] = _no_grad_pass(
+        [state.teacher, state.student], layout
     )
+    sizes = layout.sizes
     node_sq = np.sum((student_nodes - teacher_nodes) ** 2, axis=1)
     node_err = np.add.reduceat(node_sq, np.cumsum(sizes) - sizes) / sizes
     graph_err = np.sum((student_emb - teacher_emb) ** 2, axis=1)

@@ -73,19 +73,21 @@ def parse_price_csv(source) -> PriceTable:
 
     parsed: list[tuple[date, list[float]]] = []
     seen_dates: set[date] = set()
-    for _, d, cells in rows:
+    for lineno, d, cells in rows:
         if d in seen_dates:
-            raise DataError(f"duplicate date {d.isoformat()} in {name}")
+            raise DataError(f"{name} line {lineno}: duplicate date {d.isoformat()}")
         seen_dates.add(d)
         vals = [_price(cell) for cell in cells]
         for ticker, v in zip(tickers, vals):
             if v <= 0.0:
-                raise DataError(f"non-positive price {v} at ({d.isoformat()}, {ticker})")
+                raise DataError(
+                    f"{name} line {lineno}: non-positive price {v} at ({d.isoformat()}, {ticker})"
+                )
         parsed.append((d, vals))
 
     parsed.sort(key=lambda r: r[0])
     dates = [r[0] for r in parsed]
-    prices = np.array([r[1] for r in parsed], dtype=np.float64)
+    prices = np.array([r[1] for r in parsed], dtype=np.float64).reshape(len(parsed), len(tickers))
     return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=np.isnan(prices))
 
 

@@ -604,9 +604,9 @@ def reference_mahalanobis(vectors: np.ndarray, ridge_eps: float = 1e-6) -> np.nd
 # ---------------------------------------------------------------------------
 # Batched GINE before the fused aggregation op: the batch layout built by a
 # stable argsort of the messages and a CSC-to-CSR conversion of the scatter
-# matrix, and the aggregation as five tape nodes.  `gnn._Batch` must give
-# the same matrices and bitwise the same features, and
-# `autodiff.gine_aggregate` the same values and gradients to rounding.
+# matrix, and the aggregation as five tape nodes.  The batches of
+# `gnn._Layout` must give the same matrices and bitwise the same features,
+# and `autodiff.gine_aggregate` the same values and gradients to rounding.
 
 
 def reference_batch(graphs, idx) -> SimpleNamespace:
@@ -659,6 +659,32 @@ def reference_gine_aggregate(h, epsilon, edge_proj, y, gather, scatter) -> ad.Te
         )
         combined = ad.add(combined, ad.sparse_matmul(scatter, messages))
     return combined
+
+
+class ReferenceLayout:
+    """`gnn._Layout`'s interface over `reference_batch`: every batch is built
+    afresh from the graphs, in the form `gnn._forward` reads (a plain y, a
+    CSC scatter, empty one-hot matrices for an edgeless batch, and relu
+    masks allocated by the op).  Substituted for `gnn._Layout`, it gives
+    the training and scoring runs that the layout's must equal bit for bit."""
+
+    def __init__(self, graphs, batch_size):
+        self.graphs, self.batch_size = graphs, batch_size
+        if isinstance(graphs, np.ndarray):
+            self.sizes = np.full(len(graphs), graphs.shape[-1], dtype=np.intp)
+        else:
+            self.sizes = np.array([g.n for g in graphs], dtype=np.intp)
+
+    def batch(self, idx):
+        b = reference_batch(self.graphs, idx)
+        n_nodes = int(b.offsets[-1])
+        if b.has_edges:
+            b.y, b.scatter = b.y.data, b.scatter.tocsc()
+        else:
+            b.y = np.zeros((0, 1))
+            b.gather, b.scatter = sp.csr_matrix((0, n_nodes)), sp.csc_matrix((n_nodes, 0))
+        b.mask = lambda layer, width: None
+        return b
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +843,9 @@ def reference_glocalkd_scores(state, graphs):
 
 def chunked_batches(graphs, size):
     """Batches of at most `size` consecutive graphs, in graph order."""
+    layout = ReferenceLayout(graphs, size)
     return (
-        gnn._Batch(graphs, range(lo, min(lo + size, len(graphs))))
+        layout.batch(range(lo, min(lo + size, len(graphs))))
         for lo in range(0, len(graphs), size)
     )
 
@@ -859,8 +886,10 @@ def chunked_glocalkd_train(graphs, config):
     student = gnn.init_gine(rng, hidden=config.hidden, n_layers=config.layers)
     teacher_nodes, teacher_emb = chunked_teacher_targets(teacher, graphs, config.batch_size)
 
+    layout = ReferenceLayout(graphs, config.batch_size)
+
     def batch_loss(idx):
-        batch = gnn._Batch(graphs, idx)
+        batch = layout.batch(idx)
         per_layer, emb = gnn._forward(student, batch)
         target = np.concatenate([teacher_nodes[i] for i in idx])
         node_diff = ad.sub(per_layer[-1], ad.Tensor(target))
@@ -1032,12 +1061,12 @@ def reference_parse_price_csv(source) -> PriceTable:
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+    numbered = [(i, ln.rstrip("\n").rstrip("\r")) for i, ln in enumerate(source, start=1)]
+    numbered = [(i, ln) for i, ln in numbered if ln.strip()]
+    if not numbered:
         raise DataError("price CSV is empty")
 
-    header = lines[0].split(",")
+    header = numbered[0][1].split(",")
     if header[0].strip().lower() != "date":
         raise DataError(f"price CSV header must start with 'date', got {header[0]!r}")
     tickers = [h.strip() for h in header[1:]]
@@ -1055,7 +1084,7 @@ def reference_parse_price_csv(source) -> PriceTable:
     n = len(tickers)
     rows: list[tuple[date, list[float], list[bool]]] = []
     seen_dates: set[date] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in numbered[1:]:
         cells = line.split(",")
         if len(cells) != n + 1:
             raise DataError(
@@ -1063,7 +1092,7 @@ def reference_parse_price_csv(source) -> PriceTable:
             )
         d = _parse_date(cells[0], f"line {lineno}")
         if d in seen_dates:
-            raise DataError(f"duplicate date {d.isoformat()} in price CSV")
+            raise DataError(f"price CSV line {lineno}: duplicate date {d.isoformat()}")
         seen_dates.add(d)
         vals = []
         miss = []
@@ -1085,7 +1114,8 @@ def reference_parse_price_csv(source) -> PriceTable:
                 continue
             if v <= 0.0:
                 raise DataError(
-                    f"non-positive price {v} at ({d.isoformat()}, {ticker})"
+                    f"price CSV line {lineno}: non-positive price {v} "
+                    f"at ({d.isoformat()}, {ticker})"
                 )
             vals.append(v)
             miss.append(False)
@@ -1093,8 +1123,8 @@ def reference_parse_price_csv(source) -> PriceTable:
 
     rows.sort(key=lambda r: r[0])
     dates = [r[0] for r in rows]
-    prices = np.array([r[1] for r in rows], dtype=np.float64)
-    missing = np.array([r[2] for r in rows], dtype=bool)
+    prices = np.array([r[1] for r in rows], dtype=np.float64).reshape(len(rows), n)
+    missing = np.array([r[2] for r in rows], dtype=bool).reshape(len(rows), n)
     return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=missing)
 
 

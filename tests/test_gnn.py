@@ -33,6 +33,7 @@ from oracles import (
     model_checksum,
     random_graph_sequence,
     series_of,
+    ReferenceLayout,
     reference_batch,
     reference_gine_aggregate,
     reference_glocalkd_scores,
@@ -408,6 +409,12 @@ def mixed_graphs():
     return attribute_graphs(raw)
 
 
+def batch_of(graphs, idx):
+    """The batch of the graphs `idx` from a layout of its own, so that it
+    stays valid while other batches are assembled."""
+    return gnn._Layout(graphs, len(idx)).batch(idx)
+
+
 def relative_gap(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
@@ -420,7 +427,7 @@ class TestBatchedForward:
         model = init_gine(rng, hidden=6, n_layers=3)
         graphs = mixed_graphs()
         order = rng.permutation(len(graphs))
-        batch = gnn._Batch(graphs, order)
+        batch = batch_of(graphs, order)
         per_layer, emb = gnn._forward(model, batch)
         assert emb.shape == (len(graphs), model.embedding_dim)
         assert per_layer[-1].shape == (sum(g.n for g in graphs), model.hidden)
@@ -433,7 +440,7 @@ class TestBatchedForward:
 
     def test_batch_holds_sparse_block_diagonal_matrices(self):
         graphs = mixed_graphs()
-        batch = gnn._Batch(graphs, range(len(graphs)))
+        batch = batch_of(graphs, range(len(graphs)))
         n_msgs = 2 * sum(len(g.edges) for g in graphs)
         n_nodes = sum(g.n for g in graphs)
         # one-hot gather rows and scatter columns: one entry per message
@@ -570,7 +577,7 @@ class TestAdjacencyBatches:
         series = adjacency_series(800, 12, 7, kind)
         listed = attribute_graphs(graph_series(series))
         order = np.random.default_rng(1).permutation(len(series))
-        a, b = gnn._Batch(series.weights, order), gnn._Batch(listed, order)
+        a, b = batch_of(series.weights, order), batch_of(listed, order)
         for name in ("sizes", "offsets"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.array_equal(a.x.data, b.x.data) and np.array_equal(a.y, b.y)
@@ -594,6 +601,31 @@ class TestAdjacencyBatches:
 
         for mine, theirs in zip(outcome(series.weights), outcome(listed)):
             assert np.array_equal(mine, theirs)
+
+
+class TestAgainstReferenceBatches:
+    """Loss curves, centers and scores from the layout's batches equal, bit
+    for bit, those of runs whose every batch comes from `reference_batch`."""
+
+    @pytest.mark.parametrize("size", [7, 100])  # a short last batch; one batch of all
+    @pytest.mark.parametrize("which", ["series", "mixed"])
+    def test_training_and_scores(self, which, size, monkeypatch):
+        if which == "series":
+            graphs = adjacency_series(830, 20, 7, "ccm").weights
+        else:
+            graphs = mixed_graphs() + attribute_graphs(random_graph_sequence(831, 12, 8))
+        oc_config = OcginConfig(lr=0.003, batch_size=size, layers=3, hidden=5, epochs=3)
+        kd_config = GlocalConfig(lr=0.003, batch_size=size, layers=3, hidden=5, lam=0.5, epochs=3)
+
+        def outcome():
+            oc, kd = ocgin_train(graphs, oc_config), glocalkd_train(graphs, kd_config)
+            scores = [ocgin_scores(oc, graphs, size), glocalkd_scores(kd, graphs, size)]
+            return [oc.loss_curve, oc.center, kd.loss_curve, *scores]
+
+        mine = outcome()
+        monkeypatch.setattr(gnn, "_Layout", ReferenceLayout)
+        for a, b in zip(mine, outcome()):
+            assert np.array_equal(bits(a), bits(b))
 
 
 class TestNoGradPass:
@@ -625,10 +657,11 @@ class TestNoGradPass:
             ref.teacher.parameters() + ref.student.parameters(),
         ):
             assert np.array_equal(a.data, b.data)
-        sizes, [(nodes, emb)] = gnn._no_grad_pass([kd.teacher], graphs, size)
+        layout = gnn._Layout(graphs, size)
+        [(nodes, emb)] = gnn._no_grad_pass([kd.teacher], layout)
         ref_nodes, ref_emb = chunked_teacher_targets(kd.teacher, graphs, size)
         assert np.array_equal(emb, ref_emb)
-        targets = np.split(nodes, np.cumsum(sizes)[:-1])
+        targets = np.split(nodes, np.cumsum(layout.sizes)[:-1])
         assert len(targets) == len(ref_nodes) == len(graphs)
         assert all(np.array_equal(a, b) for a, b in zip(targets, ref_nodes))
         assert np.array_equal(
@@ -640,13 +673,13 @@ class TestNoGradPass:
         graphs = self.graphs_of(which)
         kd = glocalkd_train(graphs, GlocalConfig(layers=2, hidden=4, epochs=1))
         built = []
+        assemble = gnn._Layout.batch
 
-        class CountingBatch(gnn._Batch):
-            def __init__(self, graphs, idx):
-                built.append(list(idx))
-                super().__init__(graphs, idx)
+        def counting(layout, idx):
+            built.append(list(idx))
+            return assemble(layout, idx)
 
-        monkeypatch.setattr(gnn, "_Batch", CountingBatch)
+        monkeypatch.setattr(gnn._Layout, "batch", counting)
         glocalkd_scores(kd, graphs, 5)
         assert built == [list(range(lo, min(lo + 5, len(graphs)))) for lo in range(0, len(graphs), 5)]
 
@@ -701,35 +734,49 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def assert_matches_reference(mine, ref):
+    assert np.array_equal(mine.sizes, ref.sizes)
+    assert np.array_equal(mine.offsets, ref.offsets)
+    assert np.array_equal(bits(mine.x.data), bits(ref.x.data))
+    assert np.array_equal(mine.pool.toarray(), ref.pool.toarray())
+    n_nodes = int(ref.offsets[-1])
+    if not ref.has_edges:
+        assert len(mine.y) == 0
+        assert mine.gather.shape == (0, n_nodes) and mine.scatter.shape == (n_nodes, 0)
+        return
+    assert np.array_equal(bits(mine.y), bits(ref.y.data))
+    assert np.array_equal(mine.gather.toarray(), ref.gather.toarray())
+    assert np.array_equal(mine.scatter.toarray(), ref.scatter.toarray())
+
+
 class TestBatchLayout:
-    """`_Batch` computes message positions from edge counts; the reference
-    sorts the messages.  Both must give the same batch."""
+    """A layout places each batch's messages by edge counts; the reference
+    sorts them.  Both must give the same batch."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=mixed_batch())
     @example(case=MIXED_CASE)
     def test_matches_reference_batch(self, case):
         graphs, idx = case
-        mine, ref = gnn._Batch(graphs, idx), reference_batch(graphs, idx)
-        assert np.array_equal(mine.sizes, ref.sizes)
-        assert np.array_equal(mine.offsets, ref.offsets)
-        assert np.array_equal(bits(mine.x.data), bits(ref.x.data))
-        assert np.array_equal(mine.pool.toarray(), ref.pool.toarray())
-        n_nodes = int(ref.offsets[-1])
-        if not ref.has_edges:
-            assert len(mine.y) == 0
-            assert mine.gather.shape == (0, n_nodes) and mine.scatter.shape == (n_nodes, 0)
-            return
-        assert np.array_equal(bits(mine.y), bits(ref.y.data))
-        assert np.array_equal(mine.gather.toarray(), ref.gather.toarray())
-        assert np.array_equal(mine.scatter.toarray(), ref.scatter.toarray())
+        assert_matches_reference(batch_of(graphs, idx), reference_batch(graphs, idx))
+
+    @pytest.mark.parametrize("which", ["series", "mixed"])
+    def test_one_layout_gives_batches_in_turn(self, which):
+        # a full batch, then smaller ones in the same buffers, edgeless graphs
+        # alone and among others, then a full batch again
+        graphs = TestNoGradPass.graphs_of(which)
+        layout = gnn._Layout(graphs, 5)
+        order = np.random.default_rng(5).permutation(len(graphs))
+        turns = [order[:5], [1], order[5:10], [1, 0], order[10:], [3, 1], range(5)]
+        for idx in (idx for idx in turns if len(idx)):
+            assert_matches_reference(layout.batch(idx), reference_batch(graphs, idx))
 
 
 def aggregate_case(case, seed):
     """A batch of `case`, the reference batch, and random h weights,
     epsilon, edge projection and loss target for a d-wide aggregation."""
     graphs, idx = case
-    batch, ref = gnn._Batch(graphs, idx), reference_batch(graphs, idx)
+    batch, ref = batch_of(graphs, idx), reference_batch(graphs, idx)
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 5))
     w = ad.Tensor(rng.normal(size=(2, d)), requires_grad=True)
@@ -792,7 +839,7 @@ class TestFusedAggregate:
     def test_other_layouts_rejected(self):
         graphs = mixed_graphs()
         idx = range(len(graphs))
-        batch, ref = gnn._Batch(graphs, idx), reference_batch(graphs, idx)
+        batch, ref = batch_of(graphs, idx), reference_batch(graphs, idx)
         h = ad.Tensor(np.ones((len(batch.x.data), 2)))
         eps, proj = ad.Tensor(np.asarray(0.1)), ad.Tensor(np.ones((1, 2)))
         extra = batch.gather.tolil()
@@ -811,7 +858,7 @@ class TestFusedAggregate:
         # the op writes its (messages x width) temporaries into buffers shared
         # by every call: widths 2 then 10, a larger batch then a smaller one
         graphs = mixed_graphs()
-        big, small = gnn._Batch(graphs, range(len(graphs))), gnn._Batch(graphs, [2, 0])
+        big, small = batch_of(graphs, range(len(graphs))), batch_of(graphs, [2, 0])
         calls = [(big, 2), (big, 10), (small, 10), (small, 2)]
 
         def call(batch, width, seed):
@@ -838,7 +885,7 @@ class TestFusedAggregate:
 
     def test_keeps_only_the_relu_mask(self):
         graphs = mixed_graphs()
-        batch = gnn._Batch(graphs, range(len(graphs)))
+        batch = batch_of(graphs, range(len(graphs)))
         rng = np.random.default_rng(4)
         h = ad.Tensor(rng.normal(size=(len(batch.x.data), 3)), requires_grad=True)
         eps = ad.Tensor(np.asarray(0.3), requires_grad=True)
@@ -851,3 +898,24 @@ class TestFusedAggregate:
         assert [a.dtype for a in arrays] == [np.bool_]
         with ad.no_grad():
             assert ad.gine_aggregate(*args)._backward is None
+
+    def test_keeps_the_mask_in_a_given_buffer(self):
+        graphs = mixed_graphs()
+        batch = batch_of(graphs, range(len(graphs)))
+        rng = np.random.default_rng(5)
+        h = ad.Tensor(rng.normal(size=(len(batch.x.data), 3)), requires_grad=True)
+        eps = ad.Tensor(np.asarray(0.3), requires_grad=True)
+        proj = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        target = rng.normal(size=h.shape)
+        buffer = np.ones((len(batch.y), 3), bool)
+        results = []
+        for mask in (None, buffer):
+            for p in (h, eps, proj):
+                p.zero_grad()
+            out = ad.gine_aggregate(h, eps, proj, batch.y, batch.gather, batch.scatter, mask)
+            ad.squared_norm(ad.sub(out, ad.Tensor(target))).backward()
+            results.append([bits(a) for a in (out.data, h.grad, eps.grad, proj.grad)])
+        held = [c.cell_contents for c in out._backward.__closure__]
+        assert any(a is buffer for a in held)
+        assert np.array_equal(buffer, np.maximum(batch.gather @ h.data + batch.y @ proj.data, 0) > 0)
+        assert all(np.array_equal(a, b) for a, b in zip(*results))

@@ -62,6 +62,28 @@ def test_parse_bad_header():
         parse_price_csv("date,A,A\n2020-01-02,1,2\n")
 
 
+def test_parse_header_only_keeps_every_ticker_column():
+    for parse in (parse_price_csv, reference_parse_price_csv):
+        t = parse("date,A,B\n")
+        assert t.shape == t.missing.shape == (0, 2) and t.tickers == ["A", "B"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("date,A\n2020-01-02,1\n\n2020-01-02,2\n", "line 4: duplicate date 2020-01-02"),
+        ("date,A,B\n2020-01-02,1,2\n2020-01-03,1,-1.0\n",
+         "line 3: non-positive price -1.0 at (2020-01-03, B)"),
+    ],
+)
+def test_parse_errors_name_file_and_line(tmp_path, text, message):
+    path = tmp_path / "prices.csv"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as f, pytest.raises(DataError) as got:
+        parse_price_csv(f)
+    assert str(got.value) == f"{path} {message}"
+
+
 def test_parse_rows_sorted_by_date():
     t = parse_price_csv("date,A\n2020-01-03,2\n2020-01-02,1\n")
     assert t.dates == [date(2020, 1, 2), date(2020, 1, 3)]
@@ -208,7 +230,8 @@ NON_POSITIVE = ["0", "00", "-0", "0.0", "-0.0", "-2.5", "-1e-300"]
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_parse_matches_per_cell_reference(data):
-    """Prices, missing mask and error message all match the per-cell loop."""
+    """Prices, missing mask and error message, line number included, all
+    match the per-cell loop."""
     n_cols = data.draw(st.integers(min_value=1, max_value=3))
     # half the panels may hold non-positive prices, and so mostly fail
     bad = data.draw(st.booleans())
@@ -218,8 +241,10 @@ def test_parse_matches_per_cell_reference(data):
     days = st.integers(min_value=0, max_value=25).map(lambda i: date(2020, 1, 2 + i).isoformat())
     rows = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), max_size=5))
     dates = data.draw(st.lists(days, min_size=len(rows), max_size=len(rows)))
+    # blank lines before some rows, which the line numbers count
+    blank = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     text = "date," + ",".join(f"T{j}" for j in range(n_cols)) + "\n" + "".join(
-        ",".join([d, *r]) + "\n" for d, r in zip(dates, rows)
+        "\n" * b + ",".join([d, *r]) + "\n" for d, r, b in zip(dates, rows, blank)
     )
     try:
         want = reference_parse_price_csv(text)
