@@ -17,7 +17,9 @@ in row-major (source, target) order.  Each training call and each scoring
 call reads its graphs once into a `_Layout`: every edge's position (for
 the array, its two-byte offset in its window, whose weight is read back
 per batch), every graph's node features and its node and edge counts.
-Both kinds share it.  A batch is the disjoint union of its graphs: stacked
+Both kinds share it, and a training and a scoring call at the same batch
+size can share one: each takes a layout built at its batch size in place
+of the graphs.  A batch is the disjoint union of its graphs: stacked
 node and message features plus constant sparse block-diagonal one-hot
 gather and scatter matrices and a mean-pool matrix, so one autodiff tape
 covers a whole training batch and graphs of different sizes can share it.
@@ -240,6 +242,9 @@ class _Layout:
         self._arange = np.arange(max(2 * most_edges, most_nodes) + 1, dtype=np.int32)
         self._masks: list[np.ndarray] = []
 
+    def __len__(self) -> int:
+        return len(self.sizes)
+
     def batch(self, idx) -> _Batch:
         """The graphs `idx`, in that order, in the layout's buffers."""
         idx = np.asarray(idx, dtype=np.intp)
@@ -289,6 +294,18 @@ class _Layout:
             ),
             masks=self._masks,
         )
+
+
+def _layout(graphs: Graphs | _Layout, batch_size: int) -> _Layout:
+    """`graphs` if it is a layout, which must be built at `batch_size`;
+    otherwise their layout at `batch_size`."""
+    if not isinstance(graphs, _Layout):
+        return _Layout(graphs, batch_size)
+    if graphs.batch_size != batch_size:
+        raise DataError(
+            f"a layout built for batch size {graphs.batch_size} cannot batch {batch_size}"
+        )
+    return graphs
 
 
 def _forward(model: GineModel, batch: _Batch) -> tuple[list[Tensor], Tensor]:
@@ -403,7 +420,7 @@ def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]
     return losses
 
 
-def ocgin_train(graphs: Graphs, config: OcginConfig) -> OcginState:
+def ocgin_train(graphs: Graphs | _Layout, config: OcginConfig) -> OcginState:
     """Minimize mean squared distance of graph embeddings to the frozen
     center (the mean embedding at initialization)."""
     if not len(graphs):
@@ -411,7 +428,7 @@ def ocgin_train(graphs: Graphs, config: OcginConfig) -> OcginState:
     _check_config(config)
     rng = np.random.default_rng(config.seed)
     model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
-    layout = _Layout(graphs, config.batch_size)
+    layout = _layout(graphs, config.batch_size)
     [(_, embs)] = _no_grad_pass([model], layout)
     center = np.mean(embs, axis=0)
 
@@ -426,11 +443,11 @@ def ocgin_train(graphs: Graphs, config: OcginConfig) -> OcginState:
 
 
 def ocgin_scores(
-    state: OcginState, graphs: Graphs, batch_size: int = 50
+    state: OcginState, graphs: Graphs | _Layout, batch_size: int = 50
 ) -> np.ndarray:
     """Squared distance of each graph embedding to the center, computed
     `batch_size` graphs at a time."""
-    [(_, embs)] = _no_grad_pass([state.model], _Layout(graphs, batch_size))
+    [(_, embs)] = _no_grad_pass([state.model], _layout(graphs, batch_size))
     diffs = embs - state.center
     return np.sum(diffs * diffs, axis=1)
 
@@ -460,7 +477,7 @@ class GlocalState:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
+def glocalkd_train(graphs: Graphs | _Layout, config: GlocalConfig) -> GlocalState:
     """Train a student to mimic a frozen random teacher; the mimicry error
     (lambda * node term + graph term) is the anomaly score."""
     if not len(graphs):
@@ -472,7 +489,7 @@ def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
         t.requires_grad = False
     student = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
 
-    layout = _Layout(graphs, config.batch_size)
+    layout = _layout(graphs, config.batch_size)
     [(nodes, teacher_emb)] = _no_grad_pass([teacher], layout)
     teacher_nodes = np.split(nodes, np.cumsum(layout.sizes)[:-1])
 
@@ -496,11 +513,11 @@ def glocalkd_train(graphs: Graphs, config: GlocalConfig) -> GlocalState:
 
 
 def glocalkd_scores(
-    state: GlocalState, graphs: Graphs, batch_size: int = 50
+    state: GlocalState, graphs: Graphs | _Layout, batch_size: int = 50
 ) -> np.ndarray:
     """lambda * final-layer node mimicry error / n + graph embedding error,
     computed `batch_size` graphs at a time."""
-    layout = _Layout(graphs, batch_size)
+    layout = _layout(graphs, batch_size)
     [(teacher_nodes, teacher_emb), (student_nodes, student_emb)] = _no_grad_pass(
         [state.teacher, state.student], layout
     )

@@ -312,15 +312,18 @@ def stage_gnn(
 ) -> np.ndarray:
     """Train `model` on the series and write the score of every window;
     `train` sets fields of the model's config (`gnn.OcginConfig` or
-    `gnn.GlocalConfig`), and the config's defaults hold for the rest."""
+    `gnn.GlocalConfig`), and the config's defaults hold for the rest.
+    Training and scoring batch the windows alike, so they share one layout."""
     if model == "ocgin":
         config = gnn.OcginConfig(**train)
-        state = gnn.ocgin_train(series.weights, config)
-        scores = gnn.ocgin_scores(state, series.weights, config.batch_size)
+        layout = gnn._Layout(series.weights, config.batch_size)
+        state = gnn.ocgin_train(layout, config)
+        scores = gnn.ocgin_scores(state, layout, config.batch_size)
     elif model == "glocalkd":
         config = gnn.GlocalConfig(**train)
-        state = gnn.glocalkd_train(series.weights, config)
-        scores = gnn.glocalkd_scores(state, series.weights, config.batch_size)
+        layout = gnn._Layout(series.weights, config.batch_size)
+        state = gnn.glocalkd_train(layout, config)
+        scores = gnn.glocalkd_scores(state, layout, config.batch_size)
     else:
         raise ConfigError(f"unknown gnn model {model!r}")
     # scores first: non-finite ones stop the stage before any file is written

@@ -580,6 +580,45 @@ def reference_lof(points: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# LOF for several k over the square distance matrix in blocks of 128 rows:
+# the production arithmetic before it worked from condensed distances.  Each
+# k-distance comes from one partition of a block at every kth, and each row
+# sum from the dense masked (rows, T) block, as in `reference_lof`.
+
+
+def reference_lof_blocks(points: np.ndarray, ks, block_rows: int = 128) -> list[np.ndarray]:
+    t_rows = len(points)
+    dist = cdist(points, points, metric="euclidean")
+    np.fill_diagonal(dist, np.inf)
+    blocks = [slice(lo, lo + block_rows) for lo in range(0, t_rows, block_rows)]
+
+    kths = sorted({k - 1 for k in ks})
+    kdists = np.empty((len(kths), t_rows))
+    for rows in blocks:
+        kdists[:, rows] = np.partition(dist[rows], kths, axis=1)[:, kths].T
+
+    scores = {}
+    for k in dict.fromkeys(ks):
+        kdist = kdists[kths.index(k - 1)]
+        counts = np.empty(t_rows, dtype=np.intp)
+        mean_reach = np.empty(t_rows)
+        for rows in blocks:
+            neighbor_mask = dist[rows] <= kdist[rows, None]
+            counts[rows] = neighbor_mask.sum(axis=1)
+            reach = np.maximum(kdist[None, :], dist[rows])
+            reach_sum = np.where(neighbor_mask, reach, 0.0).sum(axis=1)
+            mean_reach[rows] = reach_sum / counts[rows]
+        lrd = 1.0 / (mean_reach + 1e-10)
+        lof = np.empty(t_rows)
+        for rows in blocks:
+            neighbor_mask = dist[rows] <= kdist[rows, None]
+            lrd_sum = np.where(neighbor_mask, lrd[None, :], 0.0).sum(axis=1)
+            lof[rows] = lrd_sum / counts[rows] / lrd[rows]
+        scores[k] = lof
+    return [scores[k].copy() for k in ks]
+
+
+# ---------------------------------------------------------------------------
 # Mahalanobis through the d x d ridged covariance at every shape, unscaled:
 # the production arithmetic before the T x T Gram path and the power-of-two
 # scaling.  Production scores must equal it bit for bit when T > d.

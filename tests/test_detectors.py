@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from flagcrash.detectors import LOF_BLOCK_ROWS, RIDGE_EPS, lof_scores, mahalanobis_scores
 from flagcrash.errors import DataError
 
-from oracles import brute_force_lof, reference_lof, reference_mahalanobis
+from oracles import brute_force_lof, reference_lof, reference_lof_blocks, reference_mahalanobis
 
 
 def dates_for(n):
@@ -252,14 +253,19 @@ class TestLof:
 
 
 def lof_cases():
-    """Tables below, at and not a multiple of the reduction block size,
-    plus exact ties and duplicate rows, and the width of a 12-ticker
-    flattened correlation matrix."""
+    """Tables below, at and not a multiple of the block size, of two and
+    three rows, and one row past a block (a one-row last block), plus exact
+    ties and duplicate rows, and the width of a 12-ticker flattened
+    correlation matrix."""
     rng = np.random.default_rng(500)
     b = LOF_BLOCK_ROWS
-    cases = {f"normal-T{t}": rng.normal(size=(t, 3)) for t in (b // 2, b, 2 * b + 37)}
+    cases = {f"normal-T{t}": rng.normal(size=(t, 3)) for t in (2, 3, b // 2, b, b + 1, 2 * b + 37)}
     # 16 lattice points repeated: duplicate rows and many tied distances
     cases["lattice"] = rng.integers(0, 4, size=(2 * b + 37, 2)).astype(float)
+    # one column of long runs of exact duplicates, as a norm that often stays put
+    runs = rng.integers(1, 60, size=12)
+    cases["runs"] = np.repeat(rng.normal(size=len(runs)), runs)[:, None]
+    cases["all-equal"] = np.full((b + 9, 2), 0.25)
     cases["wide"] = rng.normal(size=(b + 5, 144))
     return cases
 
@@ -272,13 +278,57 @@ class TestLofAgainstReference:
     def test_every_k_bitwise_equal(self, name):
         x = LOF_CASES[name]
         t = len(x)
-        ks = [1, 5, t // 2, 5, t - 1]
+        ks = [min(k, t - 1) for k in (1, 5, t // 2, 5, t - 1)]
         series = lof_scores(dates_for(t), x, ks)
         assert [s.method_tag for s in series] == [f"lof-k{k}" for k in ks]
         for k, s in zip(ks, series):
             assert np.array_equal(s.scores, reference_lof(x, k))
 
+    @pytest.mark.parametrize("ks", [[10, 20], [20, 10, 20], [1], [5, 3, 30], ["T-1"]])
+    @pytest.mark.parametrize("name", sorted(LOF_CASES))
+    def test_several_k_equal_the_blocked_reference(self, name, ks):
+        x = LOF_CASES[name]
+        t = len(x)
+        ks = [t - 1 if k == "T-1" else min(k, t - 1) for k in ks]
+        series = lof_scores(dates_for(t), x, ks)
+        for s, ref in zip(series, reference_lof_blocks(x, ks, LOF_BLOCK_ROWS), strict=True):
+            assert np.array_equal(s.scores, ref)
+
     @pytest.mark.parametrize("name", sorted(LOF_CASES))
     def test_pdist_equals_cdist(self, name):
         x = LOF_CASES[name]
         assert np.array_equal(squareform(pdist(x)), cdist(x, x))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of the Python and numpy allocations made during fn(),
+    above those live when it starts."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestLofMemory:
+    """LOF holds the condensed distances and block-sized buffers, never a
+    (T, T) float matrix; the dense computation peaked at 1.50 of one."""
+
+    T = 2000
+    MATRIX = T * T * 8
+
+    def test_random_table_peaks_below_one_square_matrix(self):
+        x = np.random.default_rng(3).normal(size=(self.T, 2))
+        dates = dates_for(self.T)
+        assert traced_peak(lambda: lof_scores(dates, x, range(5, 31))) < self.MATRIX
+
+    def test_all_equal_table_peaks_at_most_a_quarter_more(self):
+        # every other row is every row's neighbor: each row keeps T - 1 columns
+        x = np.ones((self.T, 2))
+        dates = dates_for(self.T)
+        assert traced_peak(lambda: lof_scores(dates, x, range(5, 31))) <= 1.25 * self.MATRIX

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from flagcrash import autodiff as ad
 from flagcrash import gnn
+from flagcrash.checkpoint import save_checkpoint
 from flagcrash.corrnet import WeightedDigraph, graph_series
 from flagcrash.errors import DataError
 from flagcrash.gnn import (
@@ -23,6 +24,8 @@ from flagcrash.gnn import (
     ocgin_scores,
     ocgin_train,
 )
+from flagcrash.pipeline import stage_gnn
+from flagcrash.tables import write_scores_csv
 
 from oracles import (
     chunked_center,
@@ -626,6 +629,50 @@ class TestAgainstReferenceBatches:
         monkeypatch.setattr(gnn, "_Layout", ReferenceLayout)
         for a, b in zip(mine, outcome()):
             assert np.array_equal(bits(a), bits(b))
+
+
+class TestSharedLayout:
+    """`stage_gnn` trains and scores on one layout; its scores and checkpoint
+    equal, bit for bit, those of calls that each build their own."""
+
+    @pytest.mark.parametrize("model", ["ocgin", "glocalkd"])
+    def test_stage_gnn_builds_one_layout(self, model, tmp_path, monkeypatch):
+        series = adjacency_series(840, 23, 6, "ccm")
+        train = {"lr": 0.003, "batch_size": 7, "layers": 2, "hidden": 5, "epochs": 3}
+        built = []
+
+        class CountingLayout(gnn._Layout):
+            def __init__(self, graphs, batch_size):
+                built.append(batch_size)
+                super().__init__(graphs, batch_size)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gnn, "_Layout", CountingLayout)
+            scores = stage_gnn(series, model, tmp_path / "one.csv", tmp_path / "one.bin", **train)
+        assert built == [7]
+
+        if model == "ocgin":
+            state = ocgin_train(series.weights, OcginConfig(**train))
+            ref = ocgin_scores(state, series.weights, 7)
+        else:
+            state = glocalkd_train(series.weights, GlocalConfig(**train))
+            ref = glocalkd_scores(state, series.weights, 7)
+        save_checkpoint(state, tmp_path / "two.bin")
+        write_scores_csv(tmp_path / "two.csv", series.dates, ref)
+        assert np.array_equal(bits(scores), bits(ref))
+        for suffix in ("csv", "bin"):
+            one, two = (tmp_path / f"{name}.{suffix}" for name in ("one", "two"))
+            assert one.read_bytes() == two.read_bytes()
+
+    def test_layout_counts_graphs_and_keeps_its_batch_size(self):
+        graphs = adjacency_series(841, 9, 5, "pearson").weights
+        layout = gnn._Layout(graphs, 4)
+        assert len(layout) == 9
+        state = ocgin_train(layout, OcginConfig(batch_size=4, layers=2, hidden=3, epochs=1))
+        with pytest.raises(DataError, match="batch size 4"):
+            ocgin_scores(state, layout, 5)
+        with pytest.raises(DataError, match="batch size 4"):
+            glocalkd_train(layout, GlocalConfig(batch_size=3, layers=2, hidden=3, epochs=1))
 
 
 class TestNoGradPass:
