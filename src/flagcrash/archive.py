@@ -6,7 +6,7 @@ Layout (all little-endian):
     version u32      currently 1
     count   u64      number of records
     record, repeated `count` times:
-        date        10 bytes ASCII  YYYY-MM-DD
+        date        10 bytes ASCII  YYYY-MM-DD, exactly as `date.isoformat` writes it
         n_vertices  u32
         edge_count  u64
         edges       edge_count * (u32 src, u32 tgt, f64 weight)
@@ -84,9 +84,10 @@ def read_graphs(path) -> tuple[list[date], int, np.ndarray, list[int], dict]:
     edges back to back in one `EDGE_DTYPE` array in stored order, each
     one's edge count, and the archive's construction parameters.
 
-    Checked here: the layout, dates strictly increasing across records,
-    and one vertex count shared by every record and by the sidecar's
-    tickers, when it lists them.  `read_series` also checks the edges.
+    Checked here: the layout, record dates written as `date.isoformat`
+    writes them and strictly increasing across records, and one vertex
+    count shared by every record and by the sidecar's tickers, when it
+    lists them.  `read_series` also checks the edges.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -111,6 +112,8 @@ def read_graphs(path) -> tuple[list[date], int, np.ndarray, list[int], dict]:
             date_bytes, n_rec, edge_count = _REC_HEAD.unpack(rec)
             try:
                 as_of = parse_day(date_bytes.decode("ascii"))
+                if as_of.isoformat().encode("ascii") != date_bytes:  # such as b"2020-01- 9"
+                    raise ValueError
             except ValueError:
                 raise DataError(f"{path}: bad record date {date_bytes!r}") from None
             if dates and as_of <= dates[-1]:

@@ -3,18 +3,15 @@
 A dynamic tape: every op that touches a tensor requiring gradients records
 its parents and a backward closure on the output.  `Tensor.backward()`
 topologically sorts the tape and accumulates gradients into the leaves.
-Only the handful of ops needed for GINE message passing and the two
+Only the handful of generic ops needed by the GINE layers and the two
 anomaly losses are provided; shapes are 0-d, 1-d, or 2-d and never
 broadcast implicitly.  `sparse_matmul` multiplies a tensor by a constant
-`scipy.sparse` matrix (mean pooling over a batch of graphs), and
-`gine_aggregate` is one whole GINE aggregation with a hand-written
-backward: it keeps a boolean relu mask, in a buffer the caller may pass,
-where five composed ops would keep four (messages x hidden) float arrays,
-and writes its (messages x hidden) temporaries into two module-level
-buffers that are reused across calls.  An op hands
-`_accumulate` the gradients it allocated itself as `fresh`, and the
-first of them becomes the tensor's gradient without a copy.  Inside
-`no_grad()` no op records a tape, for forward passes that only score.
+`scipy.sparse` matrix (mean pooling over a batch of graphs); ops outside
+this module, such as `gnn`'s fused GINE aggregation, record their node
+with `_wrap`.  An op hands `_accumulate` the gradients it allocated
+itself as `fresh`, and the first of them becomes the tensor's gradient
+without a copy.  Inside `no_grad()`, whose flag is the module's only
+state, no op records a tape, for forward passes that only score.
 """
 
 from __future__ import annotations
@@ -168,82 +165,6 @@ def sparse_matmul(a, x: Tensor) -> Tensor:
             x._accumulate(np.asarray(a.T @ g), fresh=True)
 
     return _wrap(out_data, (x,), backward)
-
-
-_scratch = [np.empty(0), np.empty(0)]  # gine_aggregate's reused message buffers
-
-
-def _scratch_array(slot: int, rows: int, cols: int) -> np.ndarray:
-    """An uninitialised (rows, cols) float64 view of scratch buffer `slot`,
-    grown on demand.  It is overwritten by the next call for that slot, so
-    no view of it may outlive the op that asked for it."""
-    if _scratch[slot].size < rows * cols:
-        _scratch[slot] = np.empty(rows * cols)
-    return _scratch[slot][: rows * cols].reshape(rows, cols)
-
-
-def gine_aggregate(
-    h: Tensor, epsilon: Tensor, edge_proj: Tensor, y, gather, scatter, mask=None
-) -> Tensor:
-    """One GINE aggregation as one op: `(h + eps*h) + S relu(G h + y p)`.
-
-    `gather` G (M x N, CSR) and `scatter` S (N x M, CSC) are constant
-    one-hot matrices with one 1 per message, at its source and its target
-    vertex, so `G h` and `S^T g` are row gathers by their `indices`.  `y`
-    is the constant (M, k) message feature array and `edge_proj` p is
-    (k, d); a one-column `y` forms y p as an outer product, which has the
-    GEMM's bits.  The forward sums in the order of the tape it replaces
-    (gather, plus y p, relu, scatter, added to h + eps*h) and keeps only
-    the relu mask; the backward is gm = (S^T g) * mask, then
-    gh = (1 + eps) g + G^T gm, gp = y^T gm and geps = <g, h>.  A gather
-    or scatter of another format, shape or entry count raises ValueError.
-    The gathered messages, the `y p` products and `S^T g` are written into
-    the `_scratch` buffers, so that no step first-touches fresh (M, d)
-    pages; what the op returns (the output, the gradients) is allocated
-    fresh.  The mask is written into `mask`, an (M, d) bool array that the
-    caller keeps unchanged until the backward has run, or else allocated.
-    """
-    n_msgs, n_nodes = len(y), len(h.data)
-    layout = (gather.format, gather.shape, gather.nnz, scatter.format, scatter.shape, scatter.nnz)
-    if layout != ("csr", (n_msgs, n_nodes), n_msgs, "csc", (n_nodes, n_msgs), n_msgs):
-        raise ValueError(
-            f"gine_aggregate: need a CSR gather ({n_msgs} x {n_nodes}) and a CSC scatter "
-            f"with one entry per message; got (format, shape, entries) x 2 = {layout}"
-        )
-    eps = float(epsilon.data.reshape(()))
-    out_data = h.data + eps * h.data
-    shape = (n_msgs, h.data.shape[1])
-    if len(y):
-        # mode="clip": under the default "raise", `take` copies through a temporary
-        messages = np.take(h.data, gather.indices, axis=0, out=_scratch_array(0, *shape), mode="clip")
-        products = _scratch_array(1, *shape)
-        if y.shape[1] == 1:  # the same products as the k=1 GEMM, in about half its time
-            np.einsum("i,j->ij", y[:, 0], edge_proj.data[0], out=products)
-        else:
-            np.matmul(y, edge_proj.data, out=products)
-        messages += products
-        mask = np.greater(messages, 0.0, out=mask)
-        np.maximum(messages, 0.0, out=messages)
-        out_data += scatter @ messages
-    else:
-        mask = None
-
-    def backward(g: np.ndarray) -> None:
-        if epsilon.requires_grad:
-            epsilon._accumulate(np.sum(g * h.data).reshape(epsilon.data.shape), fresh=True)
-        gm = None
-        if mask is not None and (h.requires_grad or edge_proj.requires_grad):
-            gm = np.take(g, scatter.indices, axis=0, out=_scratch_array(0, *shape), mode="clip")
-            gm *= mask
-            if edge_proj.requires_grad:
-                edge_proj._accumulate(y.T @ gm, fresh=True)
-        if h.requires_grad:
-            gh = (1.0 + eps) * g
-            if gm is not None:
-                gh += gather.T @ gm
-            h._accumulate(gh, fresh=True)
-
-    return _wrap(out_data, (h, epsilon, edge_proj), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

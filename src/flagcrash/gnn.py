@@ -26,7 +26,8 @@ covers a whole training batch and graphs of different sizes can share it.
 The layout assembles each batch from a few copies of its ranges into
 buffers sized for its largest batch and reused by every step, relu masks
 included, so a batch stays valid only until the next one.  Each layer's
-aggregation is one `autodiff.gine_aggregate` op.  The one-class center,
+aggregation is one tape node, `_aggregate`, whose message temporaries
+go to two `_scratch` buffers that every layout shares.  The one-class center,
 the teacher's targets and both scores come from one pass, `_no_grad_pass`,
 over chunks of `batch_size` consecutive graphs under `autodiff.no_grad`:
 each chunk's batch is assembled once for every model it runs, and no tape
@@ -308,16 +309,61 @@ def _layout(graphs: Graphs | _Layout, batch_size: int) -> _Layout:
     return graphs
 
 
+_scratch = [np.empty(0), np.empty(0)]  # `_aggregate`'s message buffers, shared by every layout
+
+
+def _scratch_array(slot: int, rows: int, cols: int) -> np.ndarray:
+    """An uninitialised (rows, cols) view of scratch buffer `slot`, grown on
+    demand; the next call for `slot` overwrites it, so it must not outlive its op."""
+    if _scratch[slot].size < rows * cols:
+        _scratch[slot] = np.empty(rows * cols)
+    return _scratch[slot][: rows * cols].reshape(rows, cols)
+
+
+def _aggregate(h: Tensor, layer: GineLayer, batch: _Batch, depth: int) -> Tensor:
+    """`(h + eps*h) + S relu(G h + y p)`, the aggregation of `layer` over
+    `batch`, as one tape node that keeps only the relu mask, in the batch's
+    buffer for `depth`.  G h and S^T g are row gathers by the one-hot
+    gather's and scatter's `indices`, and y p is one einsum.  The forward
+    sums in the order of the five-node tape it replaces; the backward is
+    gm = (S^T g) * mask, then gh = (1 + eps) g + G^T gm, gp = y^T gm and
+    geps = <g, h>.  The (M, d) temporaries go to the `_scratch` buffers, so
+    no step first-touches fresh pages; outputs and gradients are fresh."""
+    epsilon, proj, y = layer.epsilon, layer.edge_proj, batch.y
+    eps = float(epsilon.data.reshape(()))
+    shape = (len(y), h.data.shape[1])
+    mask = batch.mask(depth, shape[1])
+    out_data = h.data + eps * h.data
+    if len(y):
+        # mode "clip": under the default "raise", `take` copies through a temporary
+        messages = np.take(h.data, batch.gather.indices, 0, _scratch_array(0, *shape), "clip")
+        messages += np.einsum("ik,kj->ij", y, proj.data, out=_scratch_array(1, *shape))
+        np.greater(messages, 0.0, out=mask)
+        out_data += batch.scatter @ np.maximum(messages, 0.0, out=messages)
+
+    def backward(g: np.ndarray) -> None:
+        if epsilon.requires_grad:
+            epsilon._accumulate(np.sum(g * h.data).reshape(epsilon.data.shape), fresh=True)
+        gh = (1.0 + eps) * g if h.requires_grad else None
+        if len(y):
+            gm = np.take(g, batch.scatter.indices, 0, _scratch_array(0, *shape), "clip")
+            gm *= mask
+            if proj.requires_grad:
+                proj._accumulate(y.T @ gm, fresh=True)
+            if gh is not None:
+                gh += batch.gather.T @ gm
+        if gh is not None:
+            h._accumulate(gh, fresh=True)
+
+    return ad._wrap(out_data, (h, epsilon, proj), backward)
+
+
 def _forward(model: GineModel, batch: _Batch) -> tuple[list[Tensor], Tensor]:
     """Per-layer (N, h) node embeddings and the (B, L*h) graph embeddings."""
     h = batch.x
     per_layer: list[Tensor] = []
     for depth, layer in enumerate(model.layers):
-        mask = batch.mask(depth, h.shape[1])
-        combined = ad.gine_aggregate(
-            h, layer.epsilon, layer.edge_proj, batch.y, batch.gather, batch.scatter, mask
-        )
-        h = ad.matmul(ad.relu(ad.matmul(combined, layer.w1)), layer.w2)
+        h = ad.matmul(ad.relu(ad.matmul(_aggregate(h, layer, batch, depth), layer.w1)), layer.w2)
         per_layer.append(h)
     graph_emb = ad.concat_cols([ad.sparse_matmul(batch.pool, h) for h in per_layer])
     return per_layer, graph_emb

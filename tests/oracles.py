@@ -645,7 +645,7 @@ def reference_mahalanobis(vectors: np.ndarray, ridge_eps: float = 1e-6) -> np.nd
 # stable argsort of the messages and a CSC-to-CSR conversion of the scatter
 # matrix, and the aggregation as five tape nodes.  The batches of
 # `gnn._Layout` must give the same matrices and bitwise the same features,
-# and `autodiff.gine_aggregate` the same values and gradients to rounding.
+# and `gnn._aggregate` the same values and gradients to rounding.
 
 
 def reference_batch(graphs, idx) -> SimpleNamespace:
@@ -703,8 +703,8 @@ def reference_gine_aggregate(h, epsilon, edge_proj, y, gather, scatter) -> ad.Te
 class ReferenceLayout:
     """`gnn._Layout`'s interface over `reference_batch`: every batch is built
     afresh from the graphs, in the form `gnn._forward` reads (a plain y, a
-    CSC scatter, empty one-hot matrices for an edgeless batch, and relu
-    masks allocated by the op).  Substituted for `gnn._Layout`, it gives
+    CSC scatter, empty one-hot matrices for an edgeless batch, and a fresh
+    relu mask for every aggregation).  Substituted for `gnn._Layout`, it gives
     the training and scoring runs that the layout's must equal bit for bit."""
 
     def __init__(self, graphs, batch_size):
@@ -722,7 +722,7 @@ class ReferenceLayout:
         else:
             b.y = np.zeros((0, 1))
             b.gather, b.scatter = sp.csr_matrix((0, n_nodes)), sp.csc_matrix((n_nodes, 0))
-        b.mask = lambda layer, width: None
+        b.mask = lambda layer, width: np.empty((len(b.y), width), bool)
         return b
 
 

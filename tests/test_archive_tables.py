@@ -148,6 +148,8 @@ CORRUPT = {
     "repeated-date": [GOOD, GOOD],
     "decreasing-date": [GOOD, ("2020-01-01", 3, [])],
     "bad-date": [("2020-13-45", 3, [])],
+    # strptime reads "2020-01- 9" as 2020-01-09; a record date must be written as isoformat
+    "space-in-date": [GOOD, ("2020-01- 9", 3, [])],
     "mixed-vertex-count": [GOOD, ("2020-01-03", 4, []), ("2020-01-06", 3, [])],
     "too-many-vertices": [("2020-01-02", 2**31, [])],
     # faults in two windows, each with two kinds of fault

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -833,35 +834,55 @@ def aggregate_case(case, seed):
     return batch, ref, (w, eps, proj), target
 
 
-def aggregate_loss(aggregate, x, params, y, gather, scatter, target):
-    """Squared distance to `target` of the aggregation of h = x w, and h."""
-    w, eps, proj = params
-    h = ad.matmul(x, w)
-    out = aggregate(h, eps, proj, y, gather, scatter)
-    return ad.squared_norm(ad.sub(out, ad.Tensor(target))), h, out
+def layer_of(eps, proj):
+    """A layer with only the parameters that `gnn._aggregate` reads."""
+    return gnn.GineLayer(epsilon=eps, edge_proj=proj, w1=None, w2=None)
+
+
+def aggregate_params(batch, width, seed):
+    """Random h, epsilon and edge projection for a `width`-wide aggregation
+    over `batch`, each requiring grad."""
+    rng = np.random.default_rng(seed)
+    h = ad.Tensor(rng.normal(size=(len(batch.x.data), width)), requires_grad=True)
+    eps = ad.Tensor(np.asarray(rng.normal(scale=0.5)), requires_grad=True)
+    proj = ad.Tensor(rng.normal(size=(batch.y.shape[1], width)), requires_grad=True)
+    return h, eps, proj
+
+
+def two_features(case):
+    """`case` with a second, random edge feature on every listed graph."""
+    graphs, idx = case
+    rng = np.random.default_rng(2)
+    wide = [
+        dataclasses.replace(g, y=np.hstack([g.y, rng.normal(size=(len(g.y), 1))]))
+        for g in graphs
+    ]
+    return wide, idx
 
 
 class TestFusedAggregate:
-    """`autodiff.gine_aggregate` against the five-node tape it replaced."""
+    """`gnn._aggregate` against the five-node tape it replaced."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=mixed_batch(), seed=st.integers(0, 2**32 - 1))
     @example(case=MIXED_CASE, seed=0)
+    @example(case=two_features(MIXED_CASE), seed=1)
     def test_values_and_gradients_match_the_tape(self, case, seed):
-        batch, ref, params, target = aggregate_case(case, seed)
+        batch, ref, (w, eps, proj), target = aggregate_case(case, seed)
         ref_y = ref.y.data if ref.has_edges else np.zeros((0, batch.y.shape[1]))
+        gather, scatter = getattr(ref, "gather", None), getattr(ref, "scatter", None)
         runs = [
-            (ad.gine_aggregate, batch.x, batch.y, batch.gather, batch.scatter),
-            (reference_gine_aggregate, ref.x, ref_y, getattr(ref, "gather", None),
-             getattr(ref, "scatter", None)),
+            (batch.x, lambda h: gnn._aggregate(h, layer_of(eps, proj), batch, 0)),
+            (ref.x, lambda h: reference_gine_aggregate(h, eps, proj, ref_y, gather, scatter)),
         ]
         results = []
-        for aggregate, x, y, gather, scatter in runs:
-            for p in params:
+        for x, aggregate in runs:
+            for p in (w, eps, proj):
                 p.zero_grad()
-            loss, h, out = aggregate_loss(aggregate, x, params, y, gather, scatter, target)
-            loss.backward()
-            results.append([out.data, h.grad] + [grad_or_zeros(p) for p in params])
+            h = ad.matmul(x, w)
+            out = aggregate(h)
+            ad.squared_norm(ad.sub(out, ad.Tensor(target))).backward()
+            results.append([out.data, h.grad] + [grad_or_zeros(p) for p in (w, eps, proj)])
         for mine, theirs in zip(*results):
             np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=1e-12)
 
@@ -875,31 +896,13 @@ class TestFusedAggregate:
         assume(np.all(np.abs(pre) > 1e-4))
 
         def loss():
-            out = ad.gine_aggregate(h, eps, proj, batch.y, batch.gather, batch.scatter)
+            out = gnn._aggregate(h, layer_of(eps, proj), batch, 0)
             return ad.squared_norm(ad.sub(out, ad.Tensor(target)))
 
         loss().backward()
         analytic = [grad_or_zeros(p) for p in (h, eps, proj)]
         numeric = finite_difference(lambda: float(loss().data), [h, eps, proj])
         assert max_rel_error(analytic, numeric) < 1e-6
-
-    def test_other_layouts_rejected(self):
-        graphs = mixed_graphs()
-        idx = range(len(graphs))
-        batch, ref = batch_of(graphs, idx), reference_batch(graphs, idx)
-        h = ad.Tensor(np.ones((len(batch.x.data), 2)))
-        eps, proj = ad.Tensor(np.asarray(0.1)), ad.Tensor(np.ones((1, 2)))
-        extra = batch.gather.tolil()
-        extra[0, (batch.gather.indices[0] + 1) % len(h.data)] = 1.0
-        layouts = {
-            "csr scatter": (batch.gather, ref.scatter),
-            "csc gather": (batch.gather.tocsc(), batch.scatter),
-            "an entry too many": (extra.tocsr(), batch.scatter),
-            "one message short": (batch.gather[1:], batch.scatter[:, 1:]),
-        }
-        for name, (gather, scatter) in layouts.items():
-            with pytest.raises(ValueError, match="one entry per message"):
-                ad.gine_aggregate(h, eps, proj, batch.y, gather, scatter)
 
     def test_reused_buffers_leave_earlier_results_alone(self):
         # the op writes its (messages x width) temporaries into buffers shared
@@ -909,12 +912,10 @@ class TestFusedAggregate:
         calls = [(big, 2), (big, 10), (small, 10), (small, 2)]
 
         def call(batch, width, seed):
-            rng = np.random.default_rng(seed)
-            h = ad.Tensor(rng.normal(size=(len(batch.x.data), width)), requires_grad=True)
-            eps = ad.Tensor(np.asarray(0.2), requires_grad=True)
-            proj = ad.Tensor(rng.normal(size=(1, width)), requires_grad=True)
-            out = ad.gine_aggregate(h, eps, proj, batch.y, batch.gather, batch.scatter)
-            ad.squared_norm(ad.sub(out, ad.Tensor(rng.normal(size=out.shape)))).backward()
+            h, eps, proj = aggregate_params(batch, width, seed)
+            out = gnn._aggregate(h, layer_of(eps, proj), batch, 0)
+            target = np.random.default_rng(seed).normal(size=out.shape)
+            ad.squared_norm(ad.sub(out, ad.Tensor(target))).backward()
             return [out.data, h.grad, eps.grad, proj.grad]
 
         kept, copies = [], []
@@ -925,44 +926,64 @@ class TestFusedAggregate:
             assert all(np.array_equal(bits(a), b) for a, b in zip(arrays, saved))
         for i, arrays in enumerate(kept):
             for a in arrays:
-                assert not any(np.shares_memory(a, buf) for buf in ad._scratch)
+                assert not any(np.shares_memory(a, buf) for buf in gnn._scratch)
                 assert not any(np.shares_memory(a, b) for other in kept[i + 1:] for b in other)
         again = call(*calls[0], 0)
         assert all(np.array_equal(bits(a), b) for a, b in zip(again, copies[0]))
 
+    def test_batches_of_two_layouts_share_the_scratch_buffers(self, monkeypatch):
+        # buffers of their own per layout would add a pair of (messages x
+        # width) arrays for every layout alive, as when two models run in turn
+        graphs = mixed_graphs()
+        views = []
+        scratch_array = gnn._scratch_array
+
+        def recording(*args):
+            views.append(scratch_array(*args))
+            return views[-1]
+
+        monkeypatch.setattr(gnn, "_scratch_array", recording)
+        for batch in (batch_of(graphs, range(len(graphs))), batch_of(graphs, [2, 0])):
+            h, eps, proj = aggregate_params(batch, 3, 6)
+            ad.squared_norm(gnn._aggregate(h, layer_of(eps, proj), batch, 0)).backward()
+        # per call: slots 0 and 1 in the forward, slot 0 again in the backward
+        assert len(views) == 6
+        assert all(np.shares_memory(a, b) for a, b in zip(views[:3], views[3:]))
+
     def test_keeps_only_the_relu_mask(self):
         graphs = mixed_graphs()
         batch = batch_of(graphs, range(len(graphs)))
-        rng = np.random.default_rng(4)
-        h = ad.Tensor(rng.normal(size=(len(batch.x.data), 3)), requires_grad=True)
-        eps = ad.Tensor(np.asarray(0.3), requires_grad=True)
-        proj = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-        args = (h, eps, proj, batch.y, batch.gather, batch.scatter)
-        out = ad.gine_aggregate(*args)
+        h, eps, proj = aggregate_params(batch, 3, 4)
+        args = (h, layer_of(eps, proj), batch, 0)
+        out = gnn._aggregate(*args)
         assert out._parents == (h, eps, proj)
         held = [c.cell_contents for c in out._backward.__closure__]
         arrays = [a for a in held if isinstance(a, np.ndarray) and a.shape == (len(batch.y), 3)]
         assert [a.dtype for a in arrays] == [np.bool_]
         with ad.no_grad():
-            assert ad.gine_aggregate(*args)._backward is None
+            assert gnn._aggregate(*args)._backward is None
 
-    def test_keeps_the_mask_in_a_given_buffer(self):
+    def test_keeps_the_mask_in_the_batch_buffer_for_its_depth(self):
         graphs = mixed_graphs()
         batch = batch_of(graphs, range(len(graphs)))
-        rng = np.random.default_rng(5)
-        h = ad.Tensor(rng.normal(size=(len(batch.x.data), 3)), requires_grad=True)
-        eps = ad.Tensor(np.asarray(0.3), requires_grad=True)
-        proj = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-        target = rng.normal(size=h.shape)
-        buffer = np.ones((len(batch.y), 3), bool)
-        results = []
-        for mask in (None, buffer):
-            for p in (h, eps, proj):
-                p.zero_grad()
-            out = ad.gine_aggregate(h, eps, proj, batch.y, batch.gather, batch.scatter, mask)
-            ad.squared_norm(ad.sub(out, ad.Tensor(target))).backward()
-            results.append([bits(a) for a in (out.data, h.grad, eps.grad, proj.grad)])
-        held = [c.cell_contents for c in out._backward.__closure__]
-        assert any(a is buffer for a in held)
-        assert np.array_equal(buffer, np.maximum(batch.gather @ h.data + batch.y @ proj.data, 0) > 0)
-        assert all(np.array_equal(a, b) for a, b in zip(*results))
+        # the same batch with mask buffers of its own, grown afresh
+        fresh = dataclasses.replace(batch, masks=[])
+        relu_masks = {}
+        for depth, seed in ((1, 5), (0, 6)):
+            h, eps, proj = aggregate_params(batch, 3, seed)
+            target = np.random.default_rng(seed).normal(size=h.shape)
+            results = []
+            for b in (fresh, batch):
+                for p in (h, eps, proj):
+                    p.zero_grad()
+                out = gnn._aggregate(h, layer_of(eps, proj), b, depth)
+                ad.squared_norm(ad.sub(out, ad.Tensor(target))).backward()
+                results.append([bits(a) for a in (out.data, h.grad, eps.grad, proj.grad)])
+            assert all(np.array_equal(a, b) for a, b in zip(*results))
+            held = [c.cell_contents for c in out._backward.__closure__]
+            buffer = batch.masks[depth]
+            assert any(isinstance(a, np.ndarray) and np.shares_memory(a, buffer) for a in held)
+            relu_masks[depth] = batch.gather @ h.data + batch.y @ proj.data > 0
+        # each depth's buffer still holds the mask of the call at that depth
+        for depth, relu_mask in relu_masks.items():
+            assert np.array_equal(batch.mask(depth, 3), relu_mask)
