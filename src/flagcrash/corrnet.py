@@ -147,6 +147,10 @@ def ccm_corr(block: np.ndarray, params: CcmParams = CcmParams()) -> np.ndarray:
     is zero; the skill is the Pearson correlation between those cross-map
     estimates of series j and series j itself.  Non-finite skills clamp
     to 0.  `params` must pass `params.validate(width)`.
+
+    The neighbors come from E+1 argmin passes over the (N, m, m) distances,
+    not a sort of every row; equal distances are taken in column order, as
+    a stable sort orders them.
     """
     e_dim, tau = params.embedding_dim, params.lag
     first = (e_dim - 1) * tau
@@ -154,10 +158,22 @@ def ccm_corr(block: np.ndarray, params: CcmParams = CcmParams()) -> np.ndarray:
     m = len(targets)
     # (N, m, E): row k of series i is (x[first+k], x[first+k-tau], ..., x[k])
     shadow = sliding_window_view(block.T, first + 1, axis=1)[..., ::-tau]
-    dists = np.sqrt(((shadow[:, :, None] - shadow[:, None]) ** 2).sum(axis=3))
+    # in C order, so that each point's distances are one contiguous row
+    dists = np.empty((block.shape[1], m, m))
+    np.sqrt(((shadow[:, :, None] - shadow[:, None]) ** 2).sum(axis=3), out=dists)
     dists[:, np.eye(m, dtype=bool)] = np.inf
-    order = np.argsort(dists, axis=2, kind="stable")[..., : e_dim + 1]
-    d = np.take_along_axis(dists, order, axis=2)  # (N, m, E+1)
+    # the E+1 nearest by as many argmin passes, each masking what it found;
+    # argmin returns the first of equal values, so ties keep a stable sort's order
+    flat = dists.reshape(-1)  # a view, through which each pass reads and masks
+    row_starts = np.arange(0, dists.size, m).reshape(dists.shape[:2])
+    order = np.empty(dists.shape[:2] + (e_dim + 1,), np.intp)
+    d = np.empty(order.shape)  # (N, m, E+1)
+    for k in range(e_dim + 1):
+        nearest = dists.argmin(axis=2)
+        order[..., k] = nearest
+        nearest += row_starts
+        d[..., k] = flat[nearest]
+        flat[nearest] = np.inf
     d1 = d[..., :1]
     zero = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

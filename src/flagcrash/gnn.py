@@ -26,8 +26,10 @@ covers a whole training batch and graphs of different sizes can share it.
 The layout assembles each batch from a few copies of its ranges into
 buffers sized for its largest batch and reused by every step, relu masks
 included, so a batch stays valid only until the next one.  Each layer's
-aggregation is one tape node, `_aggregate`, whose message temporaries
-go to two `_scratch` buffers that every layout shares.  The one-class center,
+aggregation is one tape node, `_aggregate`, whose elementwise passes run
+over cache-sized chunks of message rows; its messages go to one
+(messages x width) `_scratch` buffer and its y p products to one
+chunk-sized buffer, both shared by every layout.  The one-class center,
 the teacher's targets and both scores come from one pass, `_no_grad_pass`,
 over chunks of `batch_size` consecutive graphs under `autodiff.no_grad`:
 each chunk's batch is assembled once for every model it runs, and no tape
@@ -310,6 +312,7 @@ def _layout(graphs: Graphs | _Layout, batch_size: int) -> _Layout:
 
 
 _scratch = [np.empty(0), np.empty(0)]  # `_aggregate`'s message buffers, shared by every layout
+_ROWS = 1 << 13  # message rows per elementwise pass of `_aggregate`: 640 kB at width 10, in L2
 
 
 def _scratch_array(slot: int, rows: int, cols: int) -> np.ndarray:
@@ -327,27 +330,43 @@ def _aggregate(h: Tensor, layer: GineLayer, batch: _Batch, depth: int) -> Tensor
     gather's and scatter's `indices`, and y p is one einsum.  The forward
     sums in the order of the five-node tape it replaces; the backward is
     gm = (S^T g) * mask, then gh = (1 + eps) g + G^T gm, gp = y^T gm and
-    geps = <g, h>.  The (M, d) temporaries go to the `_scratch` buffers, so
-    no step first-touches fresh pages; outputs and gradients are fresh."""
+    geps = <g, h>.
+
+    The elementwise passes (gather, y p, add, mask and relu forward; gather
+    and mask product backward) run over `_ROWS` messages at a time, so each
+    chunk is still in cache for the next pass; every message row is computed
+    alone, so the chunking changes no bit.  S m, y^T gm and G^T gm stay
+    whole-batch products, since splitting them would change their summation
+    order.  The (M, d) messages and gm go to one `_scratch` buffer and y p
+    to a second of at most `_ROWS` rows, so no step first-touches fresh
+    pages; outputs and gradients are fresh."""
     epsilon, proj, y = layer.epsilon, layer.edge_proj, batch.y
     eps = float(epsilon.data.reshape(()))
     shape = (len(y), h.data.shape[1])
     mask = batch.mask(depth, shape[1])
+    chunks = [slice(lo, lo + _ROWS) for lo in range(0, len(y), _ROWS)]
     out_data = h.data + eps * h.data
     if len(y):
-        # mode "clip": under the default "raise", `take` copies through a temporary
-        messages = np.take(h.data, batch.gather.indices, 0, _scratch_array(0, *shape), "clip")
-        messages += np.einsum("ik,kj->ij", y, proj.data, out=_scratch_array(1, *shape))
-        np.greater(messages, 0.0, out=mask)
-        out_data += batch.scatter @ np.maximum(messages, 0.0, out=messages)
+        messages = _scratch_array(0, *shape)
+        yp = _scratch_array(1, min(len(y), _ROWS), shape[1])
+        for rows in chunks:
+            m = messages[rows]
+            # mode "clip": under the default "raise", `take` copies through a temporary
+            np.take(h.data, batch.gather.indices[rows], 0, m, "clip")
+            m += np.einsum("ik,kj->ij", y[rows], proj.data, out=yp[: len(m)])
+            np.greater(m, 0.0, out=mask[rows])
+            np.maximum(m, 0.0, out=m)
+        out_data += batch.scatter @ messages
 
     def backward(g: np.ndarray) -> None:
         if epsilon.requires_grad:
             epsilon._accumulate(np.sum(g * h.data).reshape(epsilon.data.shape), fresh=True)
         gh = (1.0 + eps) * g if h.requires_grad else None
         if len(y):
-            gm = np.take(g, batch.scatter.indices, 0, _scratch_array(0, *shape), "clip")
-            gm *= mask
+            gm = _scratch_array(0, *shape)
+            for rows in chunks:
+                np.take(g, batch.scatter.indices[rows], 0, gm[rows], "clip")
+                gm[rows] *= mask[rows]
             if proj.requires_grad:
                 proj._accumulate(y.T @ gm, fresh=True)
             if gh is not None:

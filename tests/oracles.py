@@ -462,6 +462,9 @@ def _reference_read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
             date_bytes, n, edge_count = _RECORD_HEAD.unpack(rec)
             try:
                 as_of = date.fromisoformat(date_bytes.decode("ascii"))
+                # fromisoformat also reads b"2020-W02-4" and b"20200109  "
+                if as_of.isoformat().encode("ascii") != date_bytes:
+                    raise ValueError
             except ValueError:
                 raise DataError(f"{path}: bad record date {date_bytes!r}") from None
             if graphs and as_of <= graphs[-1].as_of_date:

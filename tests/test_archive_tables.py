@@ -150,6 +150,9 @@ CORRUPT = {
     "bad-date": [("2020-13-45", 3, [])],
     # strptime reads "2020-01- 9" as 2020-01-09; a record date must be written as isoformat
     "space-in-date": [GOOD, ("2020-01- 9", 3, [])],
+    # date.fromisoformat reads both as 2020-01-09, in forms isoformat never writes
+    "week-date": [GOOD, ("2020-W02-4", 3, [])],
+    "basic-date": [GOOD, ("20200109  ", 3, [])],
     "mixed-vertex-count": [GOOD, ("2020-01-03", 4, []), ("2020-01-06", 3, [])],
     "too-many-vertices": [("2020-01-02", 2**31, [])],
     # faults in two windows, each with two kinds of fault

@@ -133,10 +133,29 @@ def one_factor_block(n=39, width=25, loading=1.5, seed=0):
     return loading * rng.normal(size=(width, 1)) + rng.normal(size=(width, n))
 
 
+def periodic_block(width=30, n=6, seed=0):
+    """Random columns but column 1, which repeats with period 3: each of its
+    shadow points recurs, with at least 8 other points at distance zero."""
+    block = np.random.default_rng(seed).normal(size=(width, n))
+    block[:, 1] = np.resize([0.3, -1.1, 0.7], width)
+    return block
+
+
+def rounded_block(width=30, n=6, seed=0):
+    """Returns rounded to whole numbers: in most rows the (E+1)-th and
+    (E+2)-th nearest distances tie, so the order of equal distances decides
+    which neighbor votes."""
+    return np.round(np.random.default_rng(seed).normal(size=(width, n)), 0)
+
+
 class TestCcm:
     @settings(max_examples=300, deadline=None)
     @given(case=ccm_blocks())
     @example(case=(one_factor_block(), CcmParams()))
+    @example(case=(periodic_block(), CcmParams(2, 1)))
+    @example(case=(periodic_block(), CcmParams(4, 1)))
+    @example(case=(rounded_block(), CcmParams(2, 1)))
+    @example(case=(rounded_block(), CcmParams(4, 1)))
     def test_matches_reference_bit_for_bit(self, case):
         block, params = case
         params.validate(len(block))

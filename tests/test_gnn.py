@@ -950,6 +950,29 @@ class TestFusedAggregate:
         assert len(views) == 6
         assert all(np.shares_memory(a, b) for a, b in zip(views[:3], views[3:]))
 
+    @pytest.mark.parametrize("case", [MIXED_CASE, two_features(MIXED_CASE)], ids=["k1", "k2"])
+    def test_row_chunks_change_no_bit(self, monkeypatch, case):
+        # the elementwise passes run over `_ROWS` messages at a time, y p in a
+        # buffer of at most that many rows: chunks of 1, 3 and 7 rows and one
+        # chunk larger than the batch give the same outputs, masks and gradients
+        graphs, idx = case
+        batch, width = batch_of(graphs, idx), 3
+        n_msgs = len(batch.y)
+        assert n_msgs > 7
+        results = []
+        for rows in (1, 3, 7, n_msgs + 1):
+            monkeypatch.setattr(gnn, "_ROWS", rows)
+            monkeypatch.setattr(gnn, "_scratch", [np.empty(0), np.empty(0)])
+            h, eps, proj = aggregate_params(batch, width, 8)
+            out = gnn._aggregate(h, layer_of(eps, proj), batch, 0)
+            mask = batch.mask(0, width).copy()
+            target = np.random.default_rng(8).normal(size=out.shape)
+            ad.squared_norm(ad.sub(out, ad.Tensor(target))).backward()
+            results.append([bits(a) for a in (out.data, h.grad, eps.grad, proj.grad)] + [mask])
+            assert gnn._scratch[1].size <= min(rows, n_msgs) * width
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
+
     def test_keeps_only_the_relu_mask(self):
         graphs = mixed_graphs()
         batch = batch_of(graphs, range(len(graphs)))
