@@ -2,14 +2,14 @@
 
 Both detectors are transductive: scores are computed in-sample over the
 whole series, matching the percentile-over-observed-distribution protocol
-used downstream.  LOF computes the pairwise distances of a feature table
-once, as the condensed vector of the T (T-1) / 2 pairs, and scores every
-configured neighbor count k from it in one pass over blocks of
-LOF_BLOCK_ROWS rows that finds every k-distance and two that sum over the
-neighborhoods.  It never forms the T x T matrix: beyond the condensed
-distances it holds a few (LOF_BLOCK_ROWS, T) buffers and the columns of
-each row's widest neighborhood, and its scores have the bits of the dense
-computation.
+used downstream.  LOF scores every configured neighbor count k in one
+pass over blocks of LOF_BLOCK_ROWS rows, which computes each pairwise
+distance of a feature table once and finds every k-distance, and two
+passes that sum over the neighborhoods.  It holds neither the T x T
+matrix nor the T (T-1) / 2 condensed distances: beyond a few
+(LOF_BLOCK_ROWS, T) buffers it keeps, per row, a few of its smallest
+distances to earlier rows and its widest neighborhood, and its scores
+have the bits of the dense computation.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DataError
 
 RIDGE_EPS = 1e-6
 LRD_EPS = 1e-10  # keeps densities finite around duplicate points
-LOF_BLOCK_ROWS = 128  # LOF assembles and sums (128 x T) blocks, never the (T x T) matrix
+LOF_BLOCK_ROWS = 128  # LOF computes and sums (128 x T) blocks, never the (T x T) matrix
 
 
 @dataclass
@@ -91,90 +91,150 @@ def mahalanobis_scores(
     return AnomalySeries(dates=list(dates), scores=np.sqrt(squared), method_tag=method_tag)
 
 
-def _square_rows(cond: np.ndarray, low: np.ndarray, lo: int, out: np.ndarray) -> None:
-    """Rows lo.. of the square distance matrix, with an inf diagonal, into
-    `out`, from the condensed distances `cond`: rows a < b are
-    cond[low[a] + b] apart."""
-    n, t_rows = out.shape
-    rows = np.arange(lo, lo + n)
-    # below the diagonal, column j of row r is the pair (j, r); the entries on
-    # and above it are garbage here and overwritten next
-    np.take(cond, low[: lo + n] + rows[:, None], out=out[:, : lo + n], mode="clip")
-    for row, r in zip(out, rows.tolist()):
-        row[r + 1 :] = cond[low[r] + r + 1 : low[r] + t_rows]
-    np.fill_diagonal(out[:, lo:], np.inf)
-
-
-def _k_distances(cond: np.ndarray, low: np.ndarray, kths: list[int]):
+def _k_distances(x: np.ndarray, kths: list[int]):
     """Every row's distance to its (kth + 1)-th nearest other row, one row
     of the result per entry of the sorted `kths`, and each block's widest
-    neighborhoods: the columns within the largest of those distances and
-    how many each row has."""
-    t_rows = len(low)
+    neighborhoods: its rows' neighbors within the largest of those
+    distances, the radius, as `_block_sums` reads them.
+
+    Each block of rows computes its distances to itself and to every later
+    row, once.  A row's distances to earlier rows come from what the blocks
+    before it left: in `kept`, its kths[-1] + 2 smallest, which with its
+    block's distances give every k-distance; in `records`, the pairs found
+    closer than the largest kept one, which hold every earlier neighbor but
+    those tied at exactly that distance.  It can be the radius only under
+    such a tie, and then that row's distances to earlier rows are computed
+    again.
+    """
+    t_rows = len(x)
+    top = kths[-1]
     kdists = np.empty((len(kths), t_rows))
-    block = np.empty((min(LOF_BLOCK_ROWS, t_rows), t_rows))
-    part = np.empty_like(block)
+    kept = np.full((t_rows, top + 2), np.inf)
+    firsts = np.arange(0, t_rows, LOF_BLOCK_ROWS)
+    records = [[] for _ in firsts]
+    row_type = np.min_scalar_type(LOF_BLOCK_ROWS - 1)
+    col_type = np.min_scalar_type(t_rows - 1)
     widest = []
-    for lo in range(0, t_rows, LOF_BLOCK_ROWS):
-        rows = slice(lo, min(lo + LOF_BLOCK_ROWS, t_rows))
-        square, head = block[: rows.stop - lo], part[: rows.stop - lo]
-        _square_rows(cond, low, lo, square)
-        np.copyto(head, square)
+    for blk, lo in enumerate(firsts.tolist()):
+        hi = min(lo + LOF_BLOCK_ROWS, t_rows)
+        n = hi - lo
+        # direct differences: the gram-expansion shortcut loses precision on
+        # near-duplicate rows, which blows up reachability ratios
+        tile = squareform(pdist(x[lo:hi]))
+        np.fill_diagonal(tile, np.inf)
+        later = cdist(x[lo:hi], x[hi:])
+        head = np.concatenate([kept[lo:hi], tile, later], axis=1)
         # a k-distance is an order statistic, so any selection finds it
-        head.partition(kths[-1], axis=1)
+        head.partition(top, axis=1)
         if len(kths) > 1:
-            head[:, : kths[-1]].partition(kths[:-1], axis=1)
-        kdists[:, rows] = head[:, kths].T
-        mask = square <= head[:, kths[-1], None]  # the inf diagonal keeps each row out
-        cols = (np.flatnonzero(mask) % t_rows).astype(np.min_scalar_type(t_rows - 1))
-        widest.append((cols, np.count_nonzero(mask, axis=1)))
+            head[:, :top].partition(kths[:-1], axis=1)
+        kdists[:, lo:hi] = head[:, kths].T
+        del head
+        radius = kdists[-1, lo:hi]
+        found = []
+        for dist, first in ((tile, lo), (later, hi)):  # the inf diagonal keeps each row out
+            rows, cols = np.divmod(np.flatnonzero(dist <= radius[:, None]), dist.shape[1])
+            found.append((rows, cols + first, dist[rows, cols]))
+        exact = kept[lo:hi, -1] == radius
+        for rows, cols, near in records[blk]:
+            keep = (near <= radius[rows]) & ~exact[rows]
+            found.append((rows[keep], cols[keep], near[keep]))
+        records[blk] = None
+        if exact.any():
+            again = np.flatnonzero(exact)
+            near = cdist(x[lo + again], x[:lo])
+            rows, cols = np.divmod(np.flatnonzero(near <= radius[again, None]), lo)
+            found.append((again[rows], cols, near[rows, cols]))
+        rows, cols, near = (np.concatenate(part) for part in zip(*found))
+        del found
+        rim = near == radius[rows]
+        # row-major, each row's neighbors inside the radius before those on it
+        order = np.argsort(2 * rows + rim, kind="stable")
+        rows, cols, near, rim = rows[order], cols[order], near[order], rim[order]
+        widest.append((
+            cols.astype(col_type), near[~rim],
+            np.bincount(rows[~rim], minlength=n), np.bincount(rows[rim], minlength=n),
+        ))
+        del rows, cols, near, rim, order
+        if hi == t_rows:
+            break
+        # hand the distances to later rows on: merge them into `kept` and
+        # record, under each later row's block, those below its new maximum
+        merged = np.concatenate([kept[hi:], later.T], axis=1)
+        merged.partition(top + 1, axis=1)
+        kept[hi:] = merged[:, : top + 2]
+        del merged
+        rows, cols = np.divmod(np.flatnonzero(later.T < kept[hi:, -1, None]), n)
+        near = later[cols, rows]
+        rows += hi
+        cols += lo
+        cuts = np.searchsorted(rows, firsts[blk + 1 :]).tolist() + [len(rows)]
+        for m, (start, stop) in enumerate(zip(cuts, cuts[1:]), start=blk + 1):
+            records[m].append((
+                (rows[start:stop] - firsts[m]).astype(row_type),
+                cols[start:stop].astype(col_type),
+                near[start:stop],
+            ))
     return kdists, widest
 
 
-def _block_sums(cond, low, lo, cols, per_row, kdist, values, block):
+def _block_sums(lo, neighbors, radius, kdist, values, block):
     """Neighborhood sizes and sums under each row of `kdist`, for the rows
-    from `lo` on, whose widest neighborhoods hold the columns `cols`,
-    `per_row[i]` of them in row lo + i.  Row a sums values(i, b, dist[a, b])
-    over its neighbors b: they are put in the all-zero `block` meanwhile
-    and each row is summed whole, zeros included, which keeps the bits of
-    the dense masked row."""
+    from `lo` on, whose widest neighborhoods are `neighbors`: the columns,
+    row by row, first of those inside the `radius` and then of those on it,
+    the distances of the first, and how many of each every row has.  Row a
+    sums values(i, b, dist[a, b]) over its neighbors b: they are put in the
+    all-zero `block` meanwhile and each row is summed whole, zeros
+    included, which keeps the bits of the dense masked row."""
+    cols, inner_dist, inner_per_row, rim_per_row = neighbors
     n, t_rows = block.shape
-    rows = np.repeat(np.arange(lo, lo + n), per_row)
+    per_row = inner_per_row + rim_per_row
+    rows = np.repeat(np.arange(n), per_row)
+    dist = np.repeat(radius[lo : lo + n], per_row)
+    starts = np.cumsum(per_row) - per_row
+    dist[np.arange(len(rows)) - starts[rows] < inner_per_row[rows]] = inner_dist
     cols = cols.astype(np.intp)
-    # in place where possible: under ties a block has up to LOF_BLOCK_ROWS x T entries
-    index = low[np.minimum(rows, cols)]
-    index += np.maximum(rows, cols)
-    dist = cond[index]
-    del index
     pos = rows  # flat row-major positions, so each row's entries are a run
-    pos -= lo
     pos *= t_rows
     pos += cols
     bounds = np.arange(n + 1) * t_rows
     flat = block.reshape(-1)
     counts = np.empty((len(kdist), n), dtype=np.intp)
     sums = np.empty((len(kdist), n))
+    whole = False  # the block holds a value at every position of pos
     for i, kd in enumerate(kdist):
-        keep = dist <= np.repeat(kd[lo : lo + n], per_row)
-        p, c, d = (pos, cols, dist) if keep.all() else (pos[keep], cols[keep], dist[keep])
-        counts[i] = np.diff(np.searchsorted(p, bounds))
+        # each row has a neighbor on its radius, so all of them are kept
+        # just when every row's k-distance is its radius
+        if (kd[lo : lo + n] == radius[lo : lo + n]).all():
+            p, c, d = pos, cols, dist
+            counts[i] = per_row
+        else:
+            if whole:
+                flat[pos] = 0.0
+            keep = dist <= np.repeat(kd[lo : lo + n], per_row)
+            p, c, d = pos[keep], cols[keep], dist[keep]
+            counts[i] = np.diff(np.searchsorted(p, bounds))
+        whole = p is pos
         flat[p] = values(i, c, d)
         sums[i] = block.sum(axis=1)
-        flat[p] = 0.0
+        if not whole:
+            flat[p] = 0.0
+    if whole:
+        flat[pos] = 0.0
     return counts, sums
 
 
-def _neighbor_sums(cond, low, widest, kdist, values):
+def _neighbor_sums(widest, radius, kdist, values):
     """`_block_sums` of every block of rows, as (len(kdist), T) arrays; one
     function call per block frees its temporaries before the next."""
     counts = np.empty(kdist.shape, dtype=np.intp)
     sums = np.empty(kdist.shape)
-    block = np.zeros((len(widest[0][1]), kdist.shape[1]))
+    block = np.zeros((len(widest[0][3]), kdist.shape[1]))
     lo = 0
-    for cols, per_row in widest:
-        rows = slice(lo, lo + len(per_row))
+    for neighbors in widest:
+        rows = slice(lo, lo + len(neighbors[3]))
         counts[:, rows], sums[:, rows] = _block_sums(
-            cond, low, lo, cols, per_row, kdist, values, block[: len(per_row)]
+            lo, neighbors, radius, kdist, values, block[: rows.stop - lo]
         )
         lo = rows.stop
     return counts, sums
@@ -191,18 +251,21 @@ def lof_scores(
     clusters score exactly 1.  Returns one series, tagged `lof-k<k>`, per
     entry of `ks`.
 
-    The T (T-1) / 2 pairwise distances are computed once, condensed, and
-    the square matrix is never formed.  One pass assembles its rows
-    LOF_BLOCK_ROWS at a time into a reused buffer, finds every k-distance
-    there, and keeps the columns of each row's widest neighborhood, that of
-    the largest k; every smaller k's neighborhood is a subset.  Two more
-    passes over the blocks sum, for every k, the reachability distances
-    and then the densities of each row's neighbors: a block buffer holds
-    them at their positions and zeros elsewhere, and each row is summed
-    whole, so every score has the bits of the dense reduction over the full
-    matrix.  Memory is the condensed distances, the widest neighborhoods'
-    columns (at most 2 bytes per pair under ties, up to 65536 rows) and a
-    few block-sized buffers and temporaries.
+    Neither the square distance matrix nor the condensed one is formed.
+    One pass computes, LOF_BLOCK_ROWS rows at a time, the distances from
+    a block's rows to themselves and to every later row, once per pair,
+    finds every k-distance, and keeps the columns and distances of each
+    row's widest neighborhood, that of the largest k; every smaller k's
+    neighborhood is a subset.  A row's distances to earlier rows come from
+    the earlier blocks, which kept its k + 1 smallest, for the largest k,
+    and recorded the pairs below the largest of those.  Two more passes
+    over the blocks sum, for every k, the reachability distances and then
+    the densities of each row's neighbors: a block buffer holds them at
+    their positions and zeros elsewhere, and each row is summed whole, so
+    every score has the bits of the dense reduction over the full matrix.
+    Memory is those kept distances and records, the widest neighborhoods
+    (a neighbor tied at the largest k-distance costs only its column: 2
+    bytes up to 65536 rows) and a few block-sized buffers and temporaries.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
@@ -218,13 +281,8 @@ def lof_scores(
     if not ks:
         return []
 
-    # direct differences: the gram-expansion shortcut loses precision on
-    # near-duplicate rows, which blows up reachability ratios
-    cond = pdist(x, metric="euclidean")
-    a = np.arange(t_rows, dtype=np.int64)
-    low = a * (2 * t_rows - a - 3) // 2 - 1  # cond[low[a] + b] is the pair a < b
     kths = sorted({k - 1 for k in ks})
-    kdists, widest = _k_distances(cond, low, kths)
+    kdists, widest = _k_distances(x, kths)
     unique = list(dict.fromkeys(ks))
     kdist = kdists[[kths.index(k - 1) for k in unique]]
 
@@ -233,9 +291,9 @@ def lof_scores(
         out = kdist[i][cols]
         return np.maximum(out, dist, out=out)
 
-    counts, reach_sums = _neighbor_sums(cond, low, widest, kdist, reach)
+    counts, reach_sums = _neighbor_sums(widest, kdists[-1], kdist, reach)
     lrd = 1.0 / (reach_sums / counts + LRD_EPS)
-    _, lrd_sums = _neighbor_sums(cond, low, widest, kdist, lambda i, cols, _: lrd[i][cols])
+    _, lrd_sums = _neighbor_sums(widest, kdists[-1], kdist, lambda i, cols, _: lrd[i][cols])
     lof = lrd_sums / counts / lrd
     return [
         AnomalySeries(list(dates), lof[unique.index(k)].copy(), method_tag=f"lof-k{k}")

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from flagcrash.corrnet import correlation_series
 from flagcrash.detectors import LOF_BLOCK_ROWS, RIDGE_EPS, lof_scores, mahalanobis_scores
 from flagcrash.errors import DataError
+from flagcrash.ingest import log_returns
+from flagcrash.synth import Episode, make_synthetic
 
 from oracles import brute_force_lof, reference_lof, reference_lof_blocks, reference_mahalanobis
 
@@ -252,11 +255,21 @@ class TestLof:
         assert lof_scores(dates_for(5), np.zeros((5, 2)), []) == []
 
 
+def pearson_raw_table(t: int) -> np.ndarray:
+    """The `pca_raw` table of a Pearson run over a 12-ticker `synth` panel:
+    t windows of 25 returns, each thresholded, mirrored and flattened."""
+    table, _ = make_synthetic(12, t + 25, [Episode(t // 3, 20, 0.8)], seed=1)
+    w = correlation_series(log_returns(table), 25, "pearson").weights
+    return (w + w.transpose(0, 2, 1)).reshape(t, -1)
+
+
 def lof_cases():
     """Tables below, at and not a multiple of the block size, of two and
     three rows, and one row past a block (a one-row last block), plus exact
     ties and duplicate rows, and the width of a 12-ticker flattened
-    correlation matrix."""
+    correlation matrix; monotone columns, whose rows' nearest neighbors
+    all come before them or all after them; ties at the k-distance across
+    a block boundary; and a panel-scale Pearson table of 13 blocks."""
     rng = np.random.default_rng(500)
     b = LOF_BLOCK_ROWS
     cases = {f"normal-T{t}": rng.normal(size=(t, 3)) for t in (2, 3, b // 2, b, b + 1, 2 * b + 37)}
@@ -267,6 +280,13 @@ def lof_cases():
     cases["runs"] = np.repeat(rng.normal(size=len(runs)), runs)[:, None]
     cases["all-equal"] = np.full((b + 9, 2), 0.25)
     cases["wide"] = rng.normal(size=(b + 5, 144))
+    # gaps that double: every row's nearest rows are the ones just before it
+    cases["ascending"] = 2.0 ** np.arange(2 * b + 37)[:, None]
+    cases["descending"] = cases["ascending"][::-1].copy()
+    # every later row is as far from each row of the first block, so its
+    # k-distance ties across the boundary with every one of them
+    cases["boundary-tie"] = np.r_[np.zeros(b), 1.0 + 2.0 * np.arange(b + 1)][:, None]
+    cases["pearson-raw"] = pearson_raw_table(12 * b + 1)
     return cases
 
 
@@ -297,7 +317,15 @@ class TestLofAgainstReference:
     @pytest.mark.parametrize("name", sorted(LOF_CASES))
     def test_pdist_equals_cdist(self, name):
         x = LOF_CASES[name]
-        assert np.array_equal(squareform(pdist(x)), cdist(x, x))
+        square = squareform(pdist(x))
+        assert np.array_equal(square, cdist(x, x))
+        # the distances LOF computes: each block of rows against itself, against
+        # the later rows, and (under ties at a k-distance) against the earlier rows
+        for lo in range(0, len(x), LOF_BLOCK_ROWS):
+            hi = lo + LOF_BLOCK_ROWS
+            assert np.array_equal(squareform(pdist(x[lo:hi])), square[lo:hi, lo:hi])
+            assert np.array_equal(cdist(x[lo:hi], x[hi:]), square[lo:hi, hi:])
+            assert np.array_equal(cdist(x[lo:hi], x[:lo]), square[lo:hi, :lo])
 
 
 def traced_peak(fn) -> int:
@@ -316,8 +344,10 @@ def traced_peak(fn) -> int:
 
 
 class TestLofMemory:
-    """LOF holds the condensed distances and block-sized buffers, never a
-    (T, T) float matrix; the dense computation peaked at 1.50 of one."""
+    """LOF holds block-sized buffers and each row's nearest distances and
+    neighbors, neither a (T, T) float matrix nor the T (T-1) / 2 condensed
+    distances (half of one); the dense computation peaked at 1.50 of one,
+    the condensed one at 0.78."""
 
     T = 2000
     MATRIX = T * T * 8
@@ -326,6 +356,20 @@ class TestLofMemory:
         x = np.random.default_rng(3).normal(size=(self.T, 2))
         dates = dates_for(self.T)
         assert traced_peak(lambda: lof_scores(dates, x, range(5, 31))) < self.MATRIX
+
+    def test_random_table_peaks_below_the_condensed_distances(self):
+        x = np.random.default_rng(3).normal(size=(self.T, 2))
+        dates = dates_for(self.T)
+        assert traced_peak(lambda: lof_scores(dates, x, range(5, 31))) < 0.4 * self.MATRIX
+
+    def test_peak_grows_about_linearly_in_rows(self):
+        # O(T^2) memory would quadruple the peak from T to 2T rows
+        peaks = []
+        for t in (self.T, 2 * self.T):
+            x = np.random.default_rng(3).normal(size=(t, 2))
+            dates = dates_for(t)
+            peaks.append(traced_peak(lambda: lof_scores(dates, x, range(5, 31))))
+        assert peaks[1] < 2.5 * peaks[0]
 
     def test_all_equal_table_peaks_at_most_a_quarter_more(self):
         # every other row is every row's neighbor: each row keeps T - 1 columns
