@@ -7,9 +7,9 @@ pass over blocks of LOF_BLOCK_ROWS rows, which computes each pairwise
 distance of a feature table once and finds every k-distance, and two
 passes that sum over the neighborhoods.  It holds neither the T x T
 matrix nor the T (T-1) / 2 condensed distances: beyond a few
-(LOF_BLOCK_ROWS, T) buffers it keeps, per row, a few of its smallest
-distances to earlier rows and its widest neighborhood, and its scores
-have the bits of the dense computation.
+(LOF_BLOCK_ROWS, T) buffers it keeps, per row, its few nearest earlier
+rows, each as one complex (distance, column) value, and its widest
+neighborhood, and its scores have the bits of the dense computation.
 """
 
 from __future__ import annotations
@@ -99,23 +99,20 @@ def _k_distances(x: np.ndarray, kths: list[int]):
 
     Each block of rows computes its distances to itself and to every later
     row, once.  A row's distances to earlier rows come from what the blocks
-    before it left: in `kept`, its kths[-1] + 2 smallest, which with its
-    block's distances give every k-distance; in `records`, the pairs found
-    closer than the largest kept one, which hold every earlier neighbor but
-    those tied at exactly that distance.  It can be the radius only under
-    such a tie, and then that row's distances to earlier rows are computed
-    again.
+    before it left in `kept`: its kths[-1] + 2 nearest earlier rows, each as
+    distance + 1j * column (the column is not kept for those on the largest
+    of those distances).  Those with its block's give every k-distance,
+    and the kept ones within the radius are its earlier neighbors, unless
+    the radius is the largest kept distance, which a row not kept may tie:
+    then that row's distances to earlier rows are computed again.
     """
     t_rows = len(x)
     top = kths[-1]
     kdists = np.empty((len(kths), t_rows))
-    kept = np.full((t_rows, top + 2), np.inf)
-    firsts = np.arange(0, t_rows, LOF_BLOCK_ROWS)
-    records = [[] for _ in firsts]
-    row_type = np.min_scalar_type(LOF_BLOCK_ROWS - 1)
+    kept = np.full((t_rows, top + 2), np.inf, dtype=complex)
     col_type = np.min_scalar_type(t_rows - 1)
     widest = []
-    for blk, lo in enumerate(firsts.tolist()):
+    for lo in range(0, t_rows, LOF_BLOCK_ROWS):
         hi = min(lo + LOF_BLOCK_ROWS, t_rows)
         n = hi - lo
         # direct differences: the gram-expansion shortcut loses precision on
@@ -123,7 +120,7 @@ def _k_distances(x: np.ndarray, kths: list[int]):
         tile = squareform(pdist(x[lo:hi]))
         np.fill_diagonal(tile, np.inf)
         later = cdist(x[lo:hi], x[hi:])
-        head = np.concatenate([kept[lo:hi], tile, later], axis=1)
+        head = np.concatenate([kept[lo:hi].real, tile, later], axis=1)
         # a k-distance is an order statistic, so any selection finds it
         head.partition(top, axis=1)
         if len(kths) > 1:
@@ -135,11 +132,10 @@ def _k_distances(x: np.ndarray, kths: list[int]):
         for dist, first in ((tile, lo), (later, hi)):  # the inf diagonal keeps each row out
             rows, cols = np.divmod(np.flatnonzero(dist <= radius[:, None]), dist.shape[1])
             found.append((rows, cols + first, dist[rows, cols]))
-        exact = kept[lo:hi, -1] == radius
-        for rows, cols, near in records[blk]:
-            keep = (near <= radius[rows]) & ~exact[rows]
-            found.append((rows[keep], cols[keep], near[keep]))
-        records[blk] = None
+        exact = kept[lo:hi].real.max(axis=1) == radius
+        rows, slots = np.nonzero((kept[lo:hi].real <= radius[:, None]) & ~exact[:, None])
+        near = kept[lo + rows, slots]
+        found.append((rows, near.imag.astype(np.intp), near.real))
         if exact.any():
             again = np.flatnonzero(exact)
             near = cdist(x[lo + again], x[:lo])
@@ -158,23 +154,22 @@ def _k_distances(x: np.ndarray, kths: list[int]):
         del rows, cols, near, rim, order
         if hi == t_rows:
             break
-        # hand the distances to later rows on: merge them into `kept` and
-        # record, under each later row's block, those below its new maximum
-        merged = np.concatenate([kept[hi:], later.T], axis=1)
-        merged.partition(top + 1, axis=1)
-        kept[hi:] = merged[:, : top + 2]
-        del merged
-        rows, cols = np.divmod(np.flatnonzero(later.T < kept[hi:, -1, None]), n)
-        near = later[cols, rows]
-        rows += hi
-        cols += lo
-        cuts = np.searchsorted(rows, firsts[blk + 1 :]).tolist() + [len(rows)]
-        for m, (start, stop) in enumerate(zip(cuts, cuts[1:]), start=blk + 1):
-            records[m].append((
-                (rows[start:stop] - firsts[m]).astype(row_type),
-                cols[start:stop].astype(col_type),
-                near[start:stop],
-            ))
+        # hand the distances to later rows on: a partition of the distances alone
+        # finds each later row's new largest kept one, which every kept entry at
+        # or above it takes; the block's distances below it, with their columns,
+        # then take the first of those places.  The column of an entry on a row's
+        # largest kept distance is never read: its earlier neighbors are read
+        # only when its radius is below that distance, else they are recomputed
+        old = kept[hi:]
+        most = np.concatenate([old.real, later.T], axis=1)
+        most.partition(top + 1, axis=1)
+        most = most[:, [top + 1]]
+        free = old.real >= most
+        np.copyto(old.real, most, where=free)
+        rows, cols = np.divmod(np.flatnonzero(later.T < most), n)
+        free &= np.cumsum(free, axis=1) <= np.bincount(rows, minlength=t_rows - hi)[:, None]
+        old[free] = later[cols, rows] + 1j * (cols + lo)
+        del later, rows, cols
     return kdists, widest
 
 
@@ -227,17 +222,12 @@ def _block_sums(lo, neighbors, radius, kdist, values, block):
 def _neighbor_sums(widest, radius, kdist, values):
     """`_block_sums` of every block of rows, as (len(kdist), T) arrays; one
     function call per block frees its temporaries before the next."""
-    counts = np.empty(kdist.shape, dtype=np.intp)
-    sums = np.empty(kdist.shape)
     block = np.zeros((len(widest[0][3]), kdist.shape[1]))
-    lo = 0
-    for neighbors in widest:
-        rows = slice(lo, lo + len(neighbors[3]))
-        counts[:, rows], sums[:, rows] = _block_sums(
-            lo, neighbors, radius, kdist, values, block[: rows.stop - lo]
-        )
-        lo = rows.stop
-    return counts, sums
+    parts = [
+        _block_sums(lo, neighbors, radius, kdist, values, block[: len(neighbors[3])])
+        for lo, neighbors in zip(range(0, kdist.shape[1], len(block)), widest)
+    ]
+    return [np.concatenate(part, axis=1) for part in zip(*parts)]
 
 
 def lof_scores(
@@ -257,13 +247,13 @@ def lof_scores(
     finds every k-distance, and keeps the columns and distances of each
     row's widest neighborhood, that of the largest k; every smaller k's
     neighborhood is a subset.  A row's distances to earlier rows come from
-    the earlier blocks, which kept its k + 1 smallest, for the largest k,
-    and recorded the pairs below the largest of those.  Two more passes
-    over the blocks sum, for every k, the reachability distances and then
-    the densities of each row's neighbors: a block buffer holds them at
-    their positions and zeros elsewhere, and each row is summed whole, so
-    every score has the bits of the dense reduction over the full matrix.
-    Memory is those kept distances and records, the widest neighborhoods
+    the earlier blocks, which kept its k + 1 nearest earlier rows, for the
+    largest k, as (distance, column) values.  Two more passes over the
+    blocks sum, for every k, the reachability distances and then the
+    densities of each row's neighbors: a block buffer holds them at their
+    positions and zeros elsewhere, and each row is summed whole, so every
+    score has the bits of the dense reduction over the full matrix.
+    Memory is those kept values, 16 bytes each, the widest neighborhoods
     (a neighbor tied at the largest k-distance costs only its column: 2
     bytes up to 65536 rows) and a few block-sized buffers and temporaries.
     """

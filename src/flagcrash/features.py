@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import svd
 
 from .errors import DataError
 
@@ -44,8 +45,9 @@ def fit_pca(data: np.ndarray, d: int) -> PcaModel:
             f"target dimension {d} out of range [1, {min(t_rows, dim)}]"
         )
     mean = data.mean(axis=0)
-    centered = data - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    # gesdd, numpy's SVD driver too, works in this Fortran-ordered copy
+    centered = np.subtract(data, mean, out=np.empty(data.shape, order="F"))
+    _, s, vt = svd(centered, full_matrices=False, overwrite_a=True, check_finite=False)
     components = vt[:d].copy()
     for row in components:
         peak = np.argmax(np.abs(row))

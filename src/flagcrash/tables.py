@@ -12,6 +12,7 @@ table cells, config keys, flags, archive records and event lists.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from datetime import date, datetime
 
 import numpy as np
@@ -21,6 +22,9 @@ from .errors import DataError
 
 def parse_day(text: str) -> date:
     """`text` as a date, read as `datetime.strptime(text, "%Y-%m-%d")` reads it."""
+    with suppress(ValueError):  # canonical text, which both read alike, is read faster
+        if (day := date.fromisoformat(text)).isoformat() == text:
+            return day
     try:
         return datetime.strptime(text, "%Y-%m-%d").date()
     except ValueError:

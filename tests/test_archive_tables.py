@@ -1,7 +1,7 @@
 import json
 import struct
 import tempfile
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from flagcrash.corrnet import EDGE_DTYPE, WeightedDigraph, WindowSeries, correla
 from flagcrash.errors import DataError
 from flagcrash.ingest import PriceTable, ReturnMatrix, serialize_price_csv, write_returns_csv
 from flagcrash.tables import (
+    parse_day,
     read_feature_csv,
     read_scores_csv,
     write_feature_csv,
@@ -410,6 +411,20 @@ class TestFeatureDates:
         for _ in range(2):
             dates, _, _ = read_feature_csv(path)
             assert dates == [date(2010, 1, 5), date(2010, 1, 6), date(2010, 1, 7)]
+
+    @pytest.mark.parametrize(
+        "text", ["2020-1-9", "2020-01- 9", "20200109", "2020-W02-4", "2020-02-30", "2020-01-09"]
+    )
+    def test_parse_day_reads_as_strptime(self, text):
+        # a canonical date skips strptime; every other spelling keeps its
+        # date or its message
+        try:
+            expected = datetime.strptime(text, "%Y-%m-%d").date()
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^bad date '{text}', want YYYY-MM-DD$"):
+                parse_day(text)
+        else:
+            assert parse_day(text) == expected
 
     @pytest.mark.parametrize("second", ["2010-01-05", "2010-1-5", "2010-01-04"])
     def test_dates_must_increase(self, tmp_path, second):

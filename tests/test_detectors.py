@@ -371,6 +371,14 @@ class TestLofMemory:
             peaks.append(traced_peak(lambda: lof_scores(dates, x, range(5, 31))))
         assert peaks[1] < 2.5 * peaks[0]
 
+    def test_sorted_table_peaks_like_a_shuffled_one(self):
+        # each row keeps its nearest earlier rows, however the rows come
+        x = np.arange(4000.0)[:, None]
+        shuffled = np.random.default_rng(3).permutation(x)
+        dates = dates_for(4000)
+        peaks = [traced_peak(lambda: lof_scores(dates, t, range(5, 31))) for t in (x, shuffled)]
+        assert peaks[0] <= 1.1 * peaks[1]
+
     def test_all_equal_table_peaks_at_most_a_quarter_more(self):
         # every other row is every row's neighbor: each row keeps T - 1 columns
         x = np.ones((self.T, 2))

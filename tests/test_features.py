@@ -60,6 +60,21 @@ class TestFitPca:
             model_a.explained_variance, model_b.explained_variance, rtol=1e-9
         )
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40)], ids=["tall", "wide"])
+    def test_numpy_svd_bits_and_input_untouched(self, order, shape):
+        # the SVD overwrites a centered copy, never the caller's matrix
+        data = np.asarray(np.random.default_rng(15).normal(size=shape), order=order)
+        before = data.tobytes()
+        d = min(shape)
+        model = fit_pca(data, d)
+        assert data.tobytes() == before
+        _, s, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+        flip = vt[np.arange(d), np.abs(vt).argmax(axis=1)] < 0
+        vt[flip] *= -1.0
+        assert model.components.tobytes() == vt.tobytes()
+        assert model.explained_variance.tobytes() == (s**2 / (shape[0] - 1)).tobytes()
+
 
 class TestProject:
     def fitted(self, seed=14, t=30, dim=6, d=6):
