@@ -1,14 +1,14 @@
 """Per-window correlation matrices and the window series built from them.
 
 Two correlation kinds are supported: plain Pearson on the windowed return
-slices, and cross-map skill from delay embeddings (the nonlinear coupling
-measure of convergent cross mapping), computed for every ticker's shadow
-manifold of a window at once.  `correlation_series` maps either over the
-windows, in worker processes when asked.  Negative entries are clipped to
-zero before graph construction, and the diagonal is always zero.  A run
-holds its graphs as one `WindowSeries` array, which graph archives are
-written from and read into; `WeightedDigraph` edge lists are the form
-hand-built graphs take.
+slices, one matrix product for a batch of windows, and cross-map skill from
+delay embeddings (the nonlinear coupling measure of convergent cross
+mapping), computed for every ticker's shadow manifold of a window at once
+and mapped over the windows, in worker processes when asked.  Negative
+entries are clipped to zero before graph construction, and the diagonal
+is always zero.  A run holds its graphs as one `WindowSeries` array,
+which graph archives are written from and read into; `WeightedDigraph`
+edge lists are the form hand-built graphs take.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ class WindowSeries:
 EDGE_DTYPE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
 """One directed weighted edge (source, target, weight), as graph archives store it."""
 _CHECK_GRAPHS = 256  # graphs whose edges are checked in one pass; bounds its memory
+_PEARSON_BATCH = 256  # Pearson windows computed in one product; bounds its temporaries
 
 
 @dataclass
@@ -118,22 +119,19 @@ def load_edges(n: int, edges: np.ndarray, counts, dates: list[date], where: str)
     return out
 
 
-def pearson_corr(block: np.ndarray) -> np.ndarray:
-    """(N, N) sample Pearson correlation of each pair of columns of a
-    (width, N) block of return rows.
+def pearson_corr(blocks: np.ndarray) -> np.ndarray:
+    """(..., N, N) sample Pearson correlation of each pair of columns of
+    (..., width, N) blocks of return rows.
 
     Zero-variance columns correlate 0 with everything; the diagonal is 0.
     """
-    centered = block - block.mean(axis=0)
-    norms = np.sqrt((centered**2).sum(axis=0))
+    centered = blocks - blocks.mean(axis=-2, keepdims=True)
+    norms = np.sqrt((centered**2).sum(axis=-2))
     degenerate = norms == 0.0
-    safe = np.where(degenerate, 1.0, norms)
-    unit = centered / safe
-    corr = unit.T @ unit
-    corr = np.clip(corr, -1.0, 1.0)
-    corr[degenerate, :] = 0.0
-    corr[:, degenerate] = 0.0
-    np.fill_diagonal(corr, 0.0)
+    unit = centered / np.where(degenerate, 1.0, norms)[..., None, :]
+    corr = np.clip(np.swapaxes(unit, -1, -2) @ unit, -1.0, 1.0)
+    corr[degenerate[..., :, None] | degenerate[..., None, :]] = 0.0
+    corr[..., np.eye(norms.shape[-1], dtype=bool)] = 0.0
     return corr
 
 
@@ -209,10 +207,14 @@ def correlation_series(
         raise DataError(f"{rows} return rows cannot hold a window of width {width}")
     if kind == "ccm":
         ccm_params.validate(width)
-    corr = pearson_corr if kind == "pearson" else partial(ccm_corr, params=ccm_params)
     # block i is the (width, N) view returns[i : i + width]
     blocks = sliding_window_view(returns.returns, width, axis=0).transpose(0, 2, 1)
-    weights = np.stack(parallel_map(corr, blocks, jobs))
+    if kind == "pearson":
+        weights = np.empty((len(blocks), blocks.shape[2], blocks.shape[2]))
+        for lo in range(0, len(blocks), _PEARSON_BATCH):
+            weights[lo : lo + _PEARSON_BATCH] = pearson_corr(blocks[lo : lo + _PEARSON_BATCH])
+    else:
+        weights = np.stack(parallel_map(partial(ccm_corr, params=ccm_params), blocks, jobs))
     weights[~(weights > 0.0)] = 0.0
     if kind == "pearson":
         weights[:, np.tri(weights.shape[1], dtype=bool)] = 0.0

@@ -8,22 +8,25 @@ triangles by (value, a, b, c).  Simplices above dimension 2 cannot
 affect H0/H1 and are never built.
 
 The engine works on a chunk of consecutive windows of a series'
-(W, n, n) adjacency array.  One stable lexsort on (window, weight)
-ranks every edge, as `np.nonzero` already lists each window's edges by
-(source, target); one boolean product over the (window, a, b, c)
-adjacency cube finds every directed triangle; a triangle's value and its
-youngest facet come from the ranks of its edges.  The edge of an
-apparent pair, a triangle's youngest facet whose oldest cofacet is that
-triangle (Bauer, "Ripser", 2021), is never reduced: its triangle's two
-older edges already join its ends, so it kills no H0 class, and it pairs
-with that triangle.  In a flag complex most triangles pair this way, at
-zero length.  Each window's other edges then go through union-find in
-filtration order: an edge that joins two components kills an H0 class,
-and every other edge is reduced for H1, youngest first.  H1 reduces edge
-coboundaries over GF(2) (Python ints as bit columns over the window's
-triangles) in reverse filtration order, the cohomology dual of boundary
-reduction, which yields the same pairs (de Silva, Morozov &
-Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
+(W, n, n) adjacency array.  `np.nonzero` lists its edges row-major; two
+stable sorts, by weight then by window, rank them.  Each edge a -> b
+spans a triangle with every c in both a's and b's adjacency rows, so the
+triangles come in (window, a, b, c) order from E x n cells.  Integer
+sort keys are cast to the narrowest type that holds them, which numpy
+radix-sorts.  The edge of an apparent pair, a triangle's youngest facet
+whose oldest cofacet is that triangle (Bauer, "Ripser", 2021), is never
+reduced: its triangle's two older edges already join its ends, so it
+kills no H0 class, and it pairs with that triangle.  In a flag complex
+most triangles pair this way, at zero length.  Each window's other edges
+then go through union-find in filtration order: an edge that joins two
+components kills an H0 class, and every other edge is reduced for H1,
+youngest first, over GF(2) (Python ints as bit columns over the window's
+triangles).  Reducing coboundaries in reverse filtration order, the
+cohomology dual of boundary reduction, yields the same pairs (de Silva,
+Morozov & Vejdemo-Johansson, "Dualities in persistent (co)homology",
+2011).  An edge whose oldest cofacet is neither a pivot nor apparent
+pairs with it at once (an emergent pair); its column is built only if
+another column reaches that pivot.
 
 Bars are listed as a boundary reduction in filtration order lists them:
 H1 bars by death, then H0 bars by edge.  Norms summed in list order are
@@ -41,7 +44,7 @@ from .errors import DataError
 
 CHUNK_TRIPLES = 1 << 19
 """Vertex triples (windows x n^3) one chunk may enumerate; this bounds the
-adjacency cube and the triangle arrays, so memory does not grow with the
+edge rows and the triangle arrays, so memory does not grow with the
 number of windows."""
 
 
@@ -83,8 +86,17 @@ def persistent_homology(f: Filtration) -> PersistenceDiagram:
 
     Zero-length pairs are discarded; essential classes carry only a birth.
     """
-    (diagram,) = _diagrams(f)
-    return diagram
+    (window,) = _windows(f)
+    return _diagram(f.n_vertices, *window)
+
+
+def _diagram(n_vertices: int, deaths, bars, births, top) -> PersistenceDiagram:
+    """The diagram of one window of `_windows`."""
+    return PersistenceDiagram(
+        finite=[(birth, death, 1) for birth, death in bars] + [(0.0, w, 0) for w in deaths],
+        essential=[(0.0, 0)] * (n_vertices - len(deaths)) + [(b, 1) for b in births],
+        max_filtration=top,
+    )
 
 
 def window_chunks(adjacency: np.ndarray) -> list[np.ndarray]:
@@ -98,27 +110,35 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of integer keys below `bound`, cast narrow for numpy's radix sort."""
+    return np.argsort(keys.astype(np.min_scalar_type(bound - 1)), kind="stable")
+
+
 def _build(adjacency: np.ndarray) -> Filtration:
     """The filtration of a (W, n, n) adjacency chunk."""
-    window, source, target = np.nonzero(adjacency)
+    n_windows = len(adjacency)
+    window, source, target = np.nonzero(adjacency)  # row-major: (window, source, target)
     weights = adjacency[window, source, target]
-    order = np.lexsort((weights, window))  # stable: ties stay in (source, target) order
+    # (window, weight) order by two stable sorts, so ties stay in (source, target) order
+    order = np.argsort(weights, kind="stable")
+    order = order[_stable_order(window[order], n_windows)]
+    rank = np.zeros(adjacency.shape, dtype=np.intp)
+    rank[window[order], source[order], target[order]] = np.arange(len(order))
+
+    # triangles: each row-major edge a -> b with each c both point to, in (window, a, b, c) order
+    adj = adjacency != 0
+    e, c = np.nonzero(adj[window, source] & adj[window, target])
+    tw, a, b = window[e], source[e], target[e]
+    facets = np.stack([rank[tw, b, c], rank[tw, a, c], rank[tw, a, b]], axis=1)
     window, weights = window[order], weights[order]
     edges = np.stack([source[order], target[order]], axis=1)
-
-    # directed triangles
-    rank = np.full(adjacency.shape, -1, dtype=np.intp)
-    rank[window, edges[:, 0], edges[:, 1]] = np.arange(len(edges))
-    adj = rank >= 0
-    tw, a, b, c = np.nonzero(adj[:, :, :, None] & adj[:, :, None, :] & adj[:, None, :, :])
-    facets = np.stack([rank[tw, b, c], rank[tw, a, c], rank[tw, a, b]], axis=1)
     # every edge of a (window, weight) tie names the tie by its first edge; a
     # stable sort on the youngest facet's tie keeps (a, b, c) order within a value
     first = np.ones(len(edges), dtype=bool)
     first[1:] = (window[1:] != window[:-1]) | (weights[1:] != weights[:-1])
     tie = np.maximum.accumulate(np.where(first, np.arange(len(edges)), 0))
-    facets = facets[np.argsort(tie[facets.max(axis=1, initial=-1)], kind="stable")]
-    n_windows = len(adjacency)
+    facets = facets[_stable_order(tie[facets.max(axis=1, initial=-1)], len(edges))]
     return Filtration(
         n_vertices=adjacency.shape[1],
         edge_start=_offsets(np.bincount(window, minlength=n_windows)),
@@ -134,10 +154,10 @@ def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
 
     `todo` lists the edges to reduce, youngest first.  Edge e's cofacets
     are `cofacets[cof_start[e]:cof_start[e + 1]]`, as ranks among the
-    window's k triangles, oldest first; `partner[r]` is the edge that
-    triangle r forms an apparent pair with, or -1.  A column is an edge's
-    coboundary as a Python int (bit r for triangle r); its pivot is its
-    oldest triangle.
+    window's k triangles, oldest first; `partner[r]` is the edge whose
+    column, never reduced, has pivot r: triangle r's apparent or emergent
+    pair, or -1.  A column is an edge's coboundary as a Python int (bit r
+    for triangle r); its pivot is its oldest triangle.
     """
 
     def column(edge: int) -> int:
@@ -150,37 +170,39 @@ def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
     pairs: list[tuple[int, int]] = []  # (triangle rank, edge)
     essential: list[int] = []
     for edge in todo:
+        first = cof_start[edge]
+        if first < cof_start[edge + 1]:
+            low = int(cofacets[first])
+            if low not in pivots and partner[low] < 0:  # an emergent pair
+                partner[low] = edge
+                pairs.append((low, edge))
+                continue
         col = column(edge)
         while col:
             low = (col & -col).bit_length() - 1
             other = pivots.get(low)
             if other is None:
-                apparent_edge = partner[low]
-                if apparent_edge < 0:
+                partner_edge = partner[low]
+                if partner_edge < 0:
                     pivots[low] = col
                     pairs.append((low, edge))
                     break
-                # that edge is younger than `edge`, and its column, never
-                # reduced, is its coboundary
-                other = pivots[low] = column(apparent_edge)
+                # that edge is younger than `edge`, and its column is its coboundary
+                other = pivots[low] = column(partner_edge)
             col ^= other
         else:
             essential.append(edge)
     return pairs, essential
 
 
-def _diagrams(f: Filtration) -> list[PersistenceDiagram]:
-    """The diagram of every window of a filtration."""
+def _windows(f: Filtration):
+    """Each window's H0 deaths, nonzero H1 bars by death, essential H1 births, top weight."""
     n_edges, n_tris = len(f.edges), len(f.facets)
     # each edge's cofacets, oldest first
-    cofacets = np.argsort(f.facets.reshape(-1), kind="stable") // 3
-    n_cofacets = np.bincount(f.facets.reshape(-1), minlength=n_edges)
-    cof_start = _offsets(n_cofacets)
+    cofacets = _stable_order(f.facets.reshape(-1), n_edges) // 3
+    cof_start = _offsets(np.bincount(f.facets.reshape(-1), minlength=n_edges))
     youngest = f.facets.max(axis=1, initial=-1)
-    oldest = np.full(n_edges, n_tris)
-    has = n_cofacets > 0
-    oldest[has] = cofacets[cof_start[:-1][has]]
-    apparent = oldest[youngest] == np.arange(n_tris)
+    apparent = cofacets[cof_start[youngest]] == np.arange(n_tris)
     partner = np.where(apparent, youngest, -1)
     unpaired = np.ones(n_edges, dtype=bool)
     unpaired[youngest[apparent]] = False
@@ -188,16 +210,16 @@ def _diagrams(f: Filtration) -> list[PersistenceDiagram]:
     cofacets -= f.tri_start[tri_window[cofacets]]  # rank within the window
     cof_start = cof_start.tolist()
 
-    weights, ends, unpaired = f.weights.tolist(), f.edges.tolist(), unpaired.tolist()
+    weights, unpaired = f.weights.tolist(), unpaired.tolist()
+    sources, targets = f.edges.T.tolist()
     edge_start, tri_start = f.edge_start.tolist(), f.tri_start.tolist()
-    out = []
     for i in range(len(edge_start) - 1):
         parent = list(range(f.n_vertices))
         deaths, todo = [], []
         for e in range(edge_start[i], edge_start[i + 1]):
             if not unpaired[e]:
                 continue
-            u, v = ends[e]
+            u, v = sources[e], targets[e]
             while parent[u] != u:
                 parent[u] = parent[parent[u]]
                 u = parent[u]
@@ -209,25 +231,29 @@ def _diagrams(f: Filtration) -> list[PersistenceDiagram]:
             else:
                 parent[u] = v
                 deaths.append(weights[e])
-        t0 = tri_start[i]
-        k = tri_start[i + 1] - t0
+        t0, t1 = tri_start[i], tri_start[i + 1]
         pairs, h1_essential = _reduce_cocycles(
-            todo[::-1], cofacets, cof_start, partner[t0 : t0 + k], k
+            todo[::-1], cofacets, cof_start, partner[t0:t1], t1 - t0
         )
-        bars = ((weights[e], weights[youngest[t0 + low]], 1) for low, e in sorted(pairs))
-        finite = [bar for bar in bars if bar[0] != bar[1]]
-        finite.extend((0.0, w, 0) for w in deaths)
-        essential = [(0.0, 0)] * (f.n_vertices - len(deaths))
-        essential.extend((weights[e], 1) for e in sorted(h1_essential))
-        has_edges = edge_start[i + 1] > edge_start[i]
-        out.append(
-            PersistenceDiagram(
-                finite=finite,
-                essential=essential,
-                max_filtration=weights[edge_start[i + 1] - 1] if has_edges else 0.0,
-            )
-        )
-    return out
+        bars = [(weights[e], weights[youngest[t0 + low]]) for low, e in sorted(pairs)]
+        births = [weights[e] for e in sorted(h1_essential)]
+        top = weights[edge_start[i + 1] - 1] if deaths else 0.0  # an oldest edge kills H0
+        yield deaths, [bar for bar in bars if bar[0] != bar[1]], births, top
+
+
+def _capped(essential: str) -> bool:
+    if essential not in ("drop", "cap"):
+        raise DataError(f"essential policy must be 'drop' or 'cap', got {essential!r}")
+    return essential == "cap"
+
+
+def _norms(lengths) -> tuple[float, float]:
+    """L1 and L2 of bar lengths, summed in list order (`sum` is not, from Python 3.12 on)."""
+    l1 = l2 = 0.0
+    for x in lengths:
+        l1 += x
+        l2 += x * x
+    return l1, l2**0.5
 
 
 def diagram_norm(
@@ -242,27 +268,27 @@ def diagram_norm(
         raise DataError(f"norm order must be 1 or 2, got {p}")
     if dim not in (0, 1):
         raise DataError(f"homological dimension must be 0 or 1, got {dim}")
-    if essential not in ("drop", "cap"):
-        raise DataError(f"essential policy must be 'drop' or 'cap', got {essential!r}")
     lengths = [death - birth for birth, death, dm in d.finite if dm == dim]
-    if essential == "cap":
+    if _capped(essential):
         lengths.extend(
             d.max_filtration - birth
             for birth, dm in d.essential
             if dm == dim and d.max_filtration > birth
         )
-    total = 0.0  # summed in bar order, as `sum` of floats is not from Python 3.12 on
-    for x in lengths:
-        total += x * x if p == 2 else x
-    return float(total) if p == 1 else float(total) ** 0.5
+    return _norms(lengths)[p - 1]
 
 
 def tda_features(adjacency: np.ndarray, essential: str = "drop") -> np.ndarray:
     """The (T, 4) norms L1-H0, L2-H0, L1-H1, L2-H1 of every window of a
-    (T, n, n) adjacency array, computed one chunk of windows at a time."""
-    rows = [
-        [diagram_norm(d, p, dim, essential) for dim in (0, 1) for p in (1, 2)]
-        for chunk in window_chunks(adjacency)
-        for d in _diagrams(_build(chunk))
-    ]
+    (T, n, n) adjacency array, summed over `persistent_homology`'s bars in
+    its order, one chunk of windows at a time."""
+    cap, n = _capped(essential), adjacency.shape[1]
+    rows = []
+    for chunk in window_chunks(adjacency):
+        for deaths, bars, births, top in _windows(_build(chunk)):
+            h1 = [death - birth for birth, death in bars]
+            if cap and top > 0.0:
+                deaths = deaths + [top] * (n - len(deaths))
+                h1.extend(top - birth for birth in births if top > birth)
+            rows.append(_norms(deaths) + _norms(h1))
     return np.array(rows).reshape(-1, 4)

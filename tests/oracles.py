@@ -330,6 +330,25 @@ def _neighbor_weights(shadow: np.ndarray, n_neighbors: int) -> tuple[np.ndarray,
     return order, weights
 
 
+def reference_pearson_corr(block: np.ndarray) -> np.ndarray:
+    """(N, N) sample Pearson correlation of each pair of columns of one
+    (width, N) block of return rows, one window at a time.
+
+    Zero-variance columns correlate 0 with everything; the diagonal is 0.
+    """
+    centered = block - block.mean(axis=0)
+    norms = np.sqrt((centered**2).sum(axis=0))
+    degenerate = norms == 0.0
+    safe = np.where(degenerate, 1.0, norms)
+    unit = centered / safe
+    corr = unit.T @ unit
+    corr = np.clip(corr, -1.0, 1.0)
+    corr[degenerate, :] = 0.0
+    corr[:, degenerate] = 0.0
+    np.fill_diagonal(corr, 0.0)
+    return corr
+
+
 def _pearson_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise Pearson correlation of two equal-shape matrices."""
     ac = a - a.mean(axis=0)

@@ -19,7 +19,7 @@ from flagcrash.errors import DataError
 from flagcrash.ingest import ReturnMatrix
 from flagcrash.pipeline import stage_pca
 
-from oracles import reference_ccm_corr
+from oracles import reference_ccm_corr, reference_pearson_corr
 
 
 def as_returns(arr) -> ReturnMatrix:
@@ -38,7 +38,11 @@ def series_of_matrix(monkeypatch):
     def make(values, kind="ccm"):
         values = np.asarray(values, dtype=float)
         name = "pearson_corr" if kind == "pearson" else "ccm_corr"
-        monkeypatch.setattr(corrnet, name, lambda block, **params: values.copy())
+        # a Pearson call maps a (B, width, N) batch of windows, a CCM call one window
+        def corr(block, **params):
+            return np.broadcast_to(values, block.shape[:-2] + values.shape).copy()
+
+        monkeypatch.setattr(corrnet, name, corr)
         # five rows: the shortest window the default CcmParams accept
         return correlation_series(as_returns(np.zeros((5, len(values)))), width=5, kind=kind)
 
@@ -299,11 +303,38 @@ class TestSeries:
         series = correlation_series(returns, 25, kind, params, jobs=jobs)
         blocks = [returns.returns[s : s + 25] for s in range(10)]
         if kind == "pearson":
-            expected = np.stack([pearson_corr(b) for b in blocks])
+            expected = np.stack([reference_pearson_corr(b) for b in blocks])
         else:
             expected = np.stack([ccm_corr(b, params) for b in blocks])
         assert series.weights.tobytes() == thresholded(expected, kind).tobytes()
         assert series.dates == returns.dates[24:]
+
+    @pytest.mark.parametrize(
+        "panel",
+        ["random", "constant-ticker", "constant-window", "one-ticker", "two-tickers", "long"],
+    )
+    def test_pearson_batches_equal_one_window_oracle(self, panel):
+        # every window, in batches of any length, is the one-window oracle bit for bit
+        rng = np.random.default_rng(len(panel))
+        n, rows = {"one-ticker": 1, "two-tickers": 2}.get(panel, 5), 60
+        if panel == "long":  # a last batch shorter than the others
+            rows = 2 * corrnet._PEARSON_BATCH + 61
+            assert (rows - 24) % corrnet._PEARSON_BATCH
+        x = rng.normal(size=(rows, n)) + rng.normal(size=(rows, 1))
+        if panel == "constant-ticker":
+            x[10:45, 2] = 0.25  # zero variance in windows 10-20 of ticker 2
+        if panel == "constant-window":
+            x[20:45] = 1.5  # window 20 is constant
+        returns = as_returns(x)
+        blocks = [x[s : s + 25] for s in range(rows - 24)]
+        expected = np.stack([reference_pearson_corr(b) for b in blocks])
+        assert pearson_corr(np.stack(blocks)).tobytes() == expected.tobytes()
+        series = correlation_series(returns, 25, "pearson")
+        assert series.weights.tobytes() == thresholded(expected, "pearson").tobytes()
+        if panel == "constant-ticker":
+            assert not expected[10:21, 2].any() and not expected[10:21, :, 2].any()
+        if panel == "constant-window":
+            assert not expected[20].any()
 
     @pytest.mark.parametrize("kind", ["pearson", "ccm"])
     def test_width_below_three_rejected(self, no_window, kind):
@@ -350,9 +381,10 @@ class TestSeries:
         assert started == ([] if workers is None else [workers])
 
     def test_parallel_map_matches_serial(self):
+        # only cross-map windows fan out; Pearson windows are one batched product
         rng = np.random.default_rng(3)
         returns = as_returns(rng.normal(size=(32, 3)))
-        serial = correlation_series(returns, width=25, kind="pearson", jobs=1)
-        parallel = correlation_series(returns, width=25, kind="pearson", jobs=2)
+        serial = correlation_series(returns, width=25, kind="ccm", jobs=1)
+        parallel = correlation_series(returns, width=25, kind="ccm", jobs=2)
         assert serial.dates == parallel.dates
         np.testing.assert_array_equal(serial.weights, parallel.weights)

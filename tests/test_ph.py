@@ -237,6 +237,11 @@ class TestNorms:
             diagram_norm(d, 3, 0)
         with pytest.raises(DataError):
             diagram_norm(d, 1, 2)
+        # both norm paths check the essential policy, also on no windows
+        with pytest.raises(DataError, match="essential policy"):
+            diagram_norm(d, 1, 0, "keep")
+        with pytest.raises(DataError, match="essential policy"):
+            tda_features(np.zeros((0, 2, 2)), "keep")
 
 
 class TestTdaFeatures:
@@ -322,9 +327,13 @@ def graph_sequences(draw, max_vertices):
     return out
 
 
+def chunk_diagrams(chunk):
+    return [ph._diagram(chunk.shape[1], *w) for w in ph._windows(ph._build(chunk))]
+
+
 def batched_diagrams(graphs):
     chunks = ph.window_chunks(series_of(graphs).weights)
-    return [d for chunk in chunks for d in ph._diagrams(ph._build(chunk))]
+    return [d for chunk in chunks for d in chunk_diagrams(chunk)]
 
 
 def assert_same_diagrams(got, want):
@@ -397,6 +406,20 @@ class TestBatchedEngine:
                 diagram_norm(want, p, dim, "cap") for dim in (0, 1) for p in (1, 2)
             )
 
+    def test_narrowed_sort_keys_equal_per_window_features(self):
+        # a chunk of more than 256 edges sorts uint16 keys, of more than 65536
+        # uint32; windows are drawn from a pool of tie-heavy ones, each also run alone
+        for n, windows, edges_over in [(8, 12, 256), (3, 13000, 65536)]:
+            rng = np.random.default_rng(n)
+            pool = np.ceil(rng.uniform(size=(40, n, n)) * 4) / 4 * (rng.random((40, n, n)) < 0.9)
+            pool[:, range(n), range(n)] = 0.0
+            pick = rng.integers(0, len(pool), windows)
+            (chunk,) = ph.window_chunks(pool[pick])
+            assert np.count_nonzero(chunk) > edges_over
+            for essential in ("drop", "cap"):
+                alone = np.concatenate([tda_features(w[None], essential) for w in pool])
+                assert tda_features(chunk, essential).tobytes() == alone[pick].tobytes()
+
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("kind", ["pearson", "ccm"])
     def test_window_union_find_equals_lockstep_kruskal(self, kind, seed):
@@ -410,7 +433,7 @@ class TestBatchedEngine:
             assert f.edges.tolist() == np.stack([source, target], axis=1)[order].tolist()
             assert f.weights.tolist() == weights[order].tolist()
             tree = reference_kruskal(f)
-            for i, d in enumerate(ph._diagrams(f)):
+            for i, d in enumerate(chunk_diagrams(chunk)):
                 lo, hi = f.edge_start[i], f.edge_start[i + 1]
                 deaths = f.weights[lo:hi][tree[lo:hi]].tolist()
                 assert [bar for bar in d.finite if bar[2] == 0] == [(0.0, w, 0) for w in deaths]
