@@ -98,7 +98,9 @@ def monthly_counts_svg(
             f'<text x="{x + 3:.2f}" y="{MARGIN_TOP + 12}" font-family="sans-serif" '
             f'font-size="11" fill="#cc3333">{idx}</text>'
         )
-        parts.append(f"<!-- event {idx}: {html.escape(label, quote=False)} -->")
+        # a comment may not hold "--"; a label without one keeps its bytes
+        comment = html.escape(label, quote=False).replace("--", "-&#45;")
+        parts.append(f"<!-- event {idx}: {comment} -->")
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(parts) + "\n")

@@ -1,6 +1,8 @@
 import xml.etree.ElementTree as ET
 from datetime import date
 
+import pytest
+
 from flagcrash.charts import monthly_counts_svg
 
 
@@ -10,14 +12,21 @@ def render(tmp_path, counts, events, span=None):
     return path.read_text()
 
 
-def test_chart_is_wellformed_xml(tmp_path):
+@pytest.mark.parametrize(
+    "label, comment",
+    [("crash", "crash"), ("GFC -- Lehman", "GFC -&#45; Lehman"), ("a---b", "a-&#45;-b"),
+     ("--", "-&#45;"), ("dip-", "dip-"), ("<1987>", "&lt;1987&gt;")],
+)
+def test_chart_is_wellformed_xml(tmp_path, label, comment):
+    # an XML comment may not hold "--"; a label without one is written as it is
     text = render(
         tmp_path,
         [("2020-01", 3), ("2020-03", 1)],
-        [("crash", date(2020, 3, 10))],
+        [(label, date(2020, 3, 10))],
     )
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
+    assert f"<!-- event 1: {comment} -->" in text
 
 
 def test_bars_and_event_markers_present(tmp_path):

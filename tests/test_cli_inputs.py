@@ -121,6 +121,8 @@ def test_bad_row_names_path_and_line(good, tmp_path, kind, damage):
         code, err = run_cli(argv)
         assert code == 3 and err.startswith(f"data error: {bad} line 4: "), err
         assert err.count("\n") == 1, err
+        if damage != "extra-cell":
+            assert f"bad date {lines[3].split(',')[0]!r}, want YYYY-MM-DD" in err, err
         assert not (tmp_path / "out").exists()
 
 

@@ -7,13 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from flagcrash.archive import write_graphs
+from flagcrash import ph
+from flagcrash.archive import read_series, write_graphs
 from flagcrash.cli import main
 from flagcrash.corrnet import CcmParams, WindowSeries
+from flagcrash.detectors import LOF_BLOCK_ROWS
 from flagcrash.errors import ConfigError
+from flagcrash.ingest import read_returns_csv
 from flagcrash.pipeline import PipelineConfig, gnn_grid, load_config, run_pipeline
 from flagcrash.tables import read_feature_csv, read_scores_csv
+from oracles import reference_ccm_corr
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,33 @@ seed = 7
 """
 
 
+@pytest.fixture(scope="module")
+def pipeline_runs(synth_files, tmp_path_factory):
+    """One run at --jobs 1 per correlation kind, of every branch: TDA, PCA raw
+    and 3, Mahalanobis and LOF at k 5 and 20, OCGIN and GLocalKD.  Maps
+    "pearson" and "ccm" to the run's config and directory."""
+    prices, events = synth_files
+    root = tmp_path_factory.mktemp("pipeline")
+    base = (
+        config_text(prices, events, root / "runs", gnn_models="ocgin,glocalkd")
+        .replace("methods = mahalanobis", "methods = mahalanobis,lof")
+        .replace("lof_k = 5", "lof_k = 5,20")
+        .replace("pca_dims = raw", "pca_dims = raw,3")
+        .replace(
+            "epochs = 8",
+            "epochs = 3\nglocal_lr = 0.003\nglocal_batch = 64\n"
+            "glocal_layers = 2\nglocal_lambda = 0.5",
+        )
+    )
+    runs = {}
+    for kind in ("pearson", "ccm"):
+        cfg_path = root / f"{kind}.ini"
+        cfg_path.write_text(base.replace("correlation = pearson", f"correlation = {kind}"))
+        config = load_config(cfg_path)
+        runs[kind] = (config, run_pipeline(config))
+    return runs
+
+
 class TestStageCommands:
     def test_full_stage_chain(self, synth_files, tmp_path):
         prices, events = synth_files
@@ -118,41 +150,32 @@ class TestStageCommands:
             "method", "precision", "recall", "f_score", "per_event", "monthly_counts",
         }
 
-    def test_gnn_command(self, synth_files, tmp_path):
-        prices, _ = synth_files
-        returns = tmp_path / "r.csv"
-        graphs = tmp_path / "g.bin"
-        out = tmp_path / "gnn_scores.csv"
-        main([
-            "ingest", "--prices", str(prices), "--start", "2010-01-01",
-            "--end", "2010-06-30", "--min-coverage", "1.0", "--out", str(returns),
-        ])
-        main([
-            "graphs", "--returns", str(returns), "--window", "25",
-            "--corr", "pearson", "--out", str(graphs),
-        ])
-        ckpt = tmp_path / "model.bin"
-        code = main([
-            "gnn", "--graphs", str(graphs), "--model", "ocgin", "--lr", "0.003",
-            "--layers", "2", "--hidden", "4", "--batch", "32", "--epochs", "3",
-            "--seed", "1", "--checkpoint", str(ckpt), "--out", str(out),
-        ])
-        assert code == 0
-        assert ckpt.exists() and (tmp_path / "model.bin.json").exists()
-        _, scores = read_scores_csv(out)
-        assert (scores >= 0).all() and len(scores) > 50
+    def test_gnn_command(self, pipeline_runs, tmp_path):
+        # each call assembles its batches into buffers that it reuses, so a
+        # batch or a result that kept a stale view would show as a score that
+        # differs between repeats, at a short last batch or at one batch of
+        # every window
+        graphs = pipeline_runs["ccm"][1] / "graphs.bin"
+        windows = len(read_series(graphs))
+        assert windows % 7
+        for model, flags in [("ocgin", []), ("glocalkd", ["--lambda", "0.5"])]:
+            ckpt = tmp_path / f"{model}.bin"
+            for batch in (7, windows):
+                outs = [tmp_path / f"{model}-{batch}-{i}.csv" for i in range(2)]
+                for out in outs:
+                    assert main([
+                        "gnn", "--graphs", str(graphs), "--model", model, "--lr", "0.003",
+                        *flags, "--layers", "2", "--hidden", "4", "--batch", str(batch),
+                        "--epochs", "2", "--seed", "1", "--checkpoint", str(ckpt),
+                        "--out", str(out),
+                    ]) == 0
+                assert outs[0].read_bytes() == outs[1].read_bytes(), (model, batch)
+                _, scores = read_scores_csv(outs[0])
+                assert len(scores) == windows and (scores >= 0).all(), (model, batch)
+                assert np.isfinite(scores).all(), (model, batch)
+            assert ckpt.exists() and (tmp_path / f"{model}.bin.json").exists()
 
-        kd_out = tmp_path / "kd_scores.csv"
-        code = main([
-            "gnn", "--graphs", str(graphs), "--model", "glocalkd", "--lr", "0.003",
-            "--lambda", "0.5", "--layers", "2", "--hidden", "4", "--batch", "32",
-            "--epochs", "3", "--seed", "1", "--out", str(kd_out),
-        ])
-        assert code == 0
-        _, kd_scores = read_scores_csv(kd_out)
-        assert (kd_scores >= 0).all()
-
-    def test_tda_parallel_matches_serial(self, synth_files, tmp_path):
+    def test_tda_parallel_matches_serial(self, synth_files, tmp_path, monkeypatch):
         prices, _ = synth_files
         returns = tmp_path / "r.csv"
         graphs = tmp_path / "g.bin"
@@ -167,6 +190,10 @@ class TestStageCommands:
         serial = tmp_path / "tda1.csv"
         parallel = tmp_path / "tda2.csv"
         assert main(["tda", "--graphs", str(graphs), "--out", str(serial)]) == 0
+        # the series fits one chunk, which would map in this process: chunks of
+        # 16 windows make worker processes share it
+        monkeypatch.setattr(ph, "CHUNK_TRIPLES", 16 * 8**3)
+        assert len(ph.window_chunks(read_series(graphs).weights)) >= 2
         assert main([
             "tda", "--graphs", str(graphs), "--jobs", "2", "--out", str(parallel),
         ]) == 0
@@ -416,26 +443,13 @@ class TestRunPipeline:
         assert man_a == man_b
         assert (dir_a / "results.csv").read_bytes() == (dir_b / "results.csv").read_bytes()
 
-    def test_stage_isolation_files_reproduce_pipeline(self, synth_files, tmp_path):
+    def test_stage_isolation_files_reproduce_pipeline(self, synth_files, pipeline_runs,
+                                                      tmp_path):
         prices, events = synth_files
-        base = (
-            config_text(prices, events, tmp_path / "runs", gnn_models="ocgin,glocalkd")
-            .replace("methods = mahalanobis", "methods = mahalanobis,lof")
-            .replace("lof_k = 5", "lof_k = 5,20")
-            .replace("pca_dims = raw", "pca_dims = raw,3")
-            .replace(
-                "epochs = 8",
-                "epochs = 3\nglocal_lr = 0.003\nglocal_batch = 64\n"
-                "glocal_layers = 2\nglocal_lambda = 0.5",
-            )
-        )
         gnn_flags = ["--lr", "0.003", "--batch", "64", "--layers", "2", "--hidden", "5",
                      "--epochs", "3", "--seed", "7"]
         out = tmp_path / "standalone.csv"
-        for kind in ("pearson", "ccm"):
-            cfg_path = tmp_path / f"{kind}.ini"
-            cfg_path.write_text(base.replace("correlation = pearson", f"correlation = {kind}"))
-            run_dir = run_pipeline(load_config(cfg_path))
+        for kind, (_, run_dir) in pipeline_runs.items():
             assert main([
                 "ingest", "--prices", str(prices), "--start", "2010-01-01",
                 "--end", "2011-12-31", "--min-coverage", "1.0", "--out", str(out),
@@ -462,6 +476,8 @@ class TestRunPipeline:
             ]:
                 assert main(command + graphs + ["--out", str(out)]) == 0
                 assert out.read_bytes() == (run_dir / piped).read_bytes(), (kind, piped)
+            # LOF reads a table in blocks of rows; these tables span two
+            assert len(read_feature_csv(run_dir / "pca_raw.csv")[0]) > LOF_BLOCK_ROWS
             for table, branch in (("tda_l1", "tda-l1"), ("pca_raw", "pca-raw")):
                 for flags, method in [
                     (["--method", "mahalanobis"], "mahalanobis"),
@@ -511,21 +527,33 @@ class TestRunPipeline:
         run_dir = run_pipeline(load_config(cfg_path))
         assert len(list(run_dir.glob("report_*.json"))) == 1
 
-    def test_gnn_grid_parallel_matches_serial(self, synth_files, tmp_path):
-        prices, events = synth_files
-        base = config_text(prices, events, tmp_path / "runs", gnn_models="ocgin")
-        base = base.replace("ocgin_lr = 0.003", "ocgin_lr = 0.003,0.001").replace(
-            "tda_norms = l1", "tda_norms ="
-        ).replace("pca_dims = raw", "pca_dims =")
-        cfg_path = tmp_path / "pipeline.ini"
-        cfg_path.write_text(base)
-        config = load_config(cfg_path)
-        dir_serial = run_pipeline(config, jobs=1)
-        dir_parallel = run_pipeline(config, jobs=2)
-        serial_scores = sorted(p.name for p in dir_serial.glob("scores_ocgin*.csv"))
-        assert len(serial_scores) == 2
-        for name in serial_scores:
-            assert (dir_serial / name).read_bytes() == (dir_parallel / name).read_bytes()
+    def test_gnn_grid_parallel_matches_serial(self, pipeline_runs, tmp_path, monkeypatch):
+        # at two jobs, CCM windows, persistence chunks and GNN grid cells each
+        # fan out over worker processes; every output must keep its bytes
+        monkeypatch.setattr(ph, "CHUNK_TRIPLES", 64 * 8**3)
+        for kind, (config, serial) in pipeline_runs.items():
+            assert len(ph.window_chunks(read_series(serial / "graphs.bin").weights)) >= 2
+            assert len(gnn_grid(config)) >= 2
+            parallel = run_pipeline(
+                dataclasses.replace(config, output_dir=str(tmp_path / kind)), jobs=2
+            )
+            serial_outputs, parallel_outputs = (
+                json.loads((d / "manifest.json").read_text())["outputs"]
+                for d in (serial, parallel)
+            )
+            assert serial_outputs == parallel_outputs, kind
+
+    def test_ccm_windows_equal_the_oracle(self, pipeline_runs):
+        # every window of the run, recomputed from its returns one by one and
+        # thresholded as correlation_series thresholds
+        config, run_dir = pipeline_runs["ccm"]
+        returns = read_returns_csv(run_dir / "returns.csv")
+        series = read_series(run_dir / "graphs.bin")
+        blocks = sliding_window_view(returns.returns, config.window, axis=0).transpose(0, 2, 1)
+        expected = np.stack([reference_ccm_corr(block, config.ccm_params) for block in blocks])
+        expected[~(expected > 0.0)] = 0.0
+        assert expected.tobytes() == series.weights.tobytes()
+        assert list(series.dates) == list(returns.dates[config.window - 1 :])
 
     def test_no_branch_selected_rejected(self, synth_files, tmp_path):
         prices, events = synth_files
