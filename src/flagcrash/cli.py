@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 stage failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 stage failure,
+running out of memory in any command included.
 """
 
 from __future__ import annotations
@@ -211,6 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except StageError as exc:
         print(f"{exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # inside `run` a StageError; named alike in every command
+        detail = f": {exc}" if str(exc) else ""
+        print(f"stage '{args.command}' failed: out of memory{detail}", file=sys.stderr)
         return 4
     return 0
 

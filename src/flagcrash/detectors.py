@@ -3,13 +3,12 @@
 Both detectors are transductive: scores are computed in-sample over the
 whole series, matching the percentile-over-observed-distribution protocol
 used downstream.  LOF scores every configured neighbor count k in one
-pass over blocks of LOF_BLOCK_ROWS rows, which computes each pairwise
-distance of a feature table once and finds every k-distance, and two
-passes that sum over the neighborhoods.  It holds neither the T x T
-matrix nor the T (T-1) / 2 condensed distances: beyond a few
-(LOF_BLOCK_ROWS, T) buffers it keeps, per row, its few nearest earlier
-rows, each as one complex (distance, column) value, and its widest
-neighborhood, and its scores have the bits of the dense computation.
+pass over blocks of LOF_BLOCK_ROWS rows, which finds each row's neighbor
+candidates in a Gram product, within a rounding bound, and every
+k-distance from exact `cdist` distances to them alone, and two passes
+that sum over the neighborhoods.  It holds no T x T matrix: beyond a few
+(LOF_BLOCK_ROWS, T) buffers it keeps each row's widest neighborhood, and
+its scores have the bits of the dense computation.
 """
 
 from __future__ import annotations
@@ -19,13 +18,14 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import DataError
 
 RIDGE_EPS = 1e-6
 LRD_EPS = 1e-10  # keeps densities finite around duplicate points
 LOF_BLOCK_ROWS = 128  # LOF computes and sums (128 x T) blocks, never the (T x T) matrix
+_EXACT_ROWS = 16  # rows of a block that share one `cdist` call over their candidates
 
 
 @dataclass
@@ -91,85 +91,81 @@ def mahalanobis_scores(
     return AnomalySeries(dates=list(dates), scores=np.sqrt(squared), method_tag=method_tag)
 
 
+def _candidates(x: np.ndarray, top: int):
+    """For each block of LOF_BLOCK_ROWS rows from `lo`, (lo, mask): the
+    (block rows, T) mask holds every row's neighbors at its (top + 1)-th
+    nearest distance, ties included, as `cdist` computes distances.
+
+    One Gram product gives the block g[a, b] = -2 y_a . y_b + s_b, where
+    y = x 2^p, p = 0 unless x's largest magnitude is past 2^+-256 and
+    else the power that puts it in [0.5, 1), and s are the computed
+    squared norms of y (S the largest): |y_a - y_b|^2 - |y_a|^2 up to
+    rounding, as row a's own norm is constant along the row.  With
+    u = 2^-53, gamma_m = m u / (1 - m u), n_a = |y_a| and d columns:
+    - y_a . y_b errs by at most gamma_d 2 n_a n_b in any order of its sum,
+      FMA included, s_b by gamma_d n_b^2 and the addition by u |g|: g by
+      gamma_{d+1} (n_a + n_b)^2;
+    - `cdist`'s squared distance D^2, in y's units, by
+      gamma_{d+4} (n_a + n_b)^2: d differences, squares and sums, a root;
+    - so D[a, b]^2 - n_a^2 - g[a, b] is within e_a = 4 (d + 5) u (s_a + S),
+      as (n_a + n_b)^2 <= 2 (n_a^2 + n_b^2), plus 4 d eta (1 + 4^p),
+      eta = 2^-1074, for underflow in y and in x.
+    The top + 1 columns at or below row a's (top + 1)-th smallest g, v_a,
+    are at most sqrt(n_a^2 + v_a + e_a) away, so a column b with
+    g[a, b] > v_a + 2 e_a is farther than all of them: no neighbor.  The
+    mask holds every b with g[a, b] <= v_a + tol_a, where
+    tol_a = 16 (d + 8) u (s_a + S) + 16 d eta (1 + 4^p) covers 2 e_a and
+    the rounding of v_a + tol_a.  The bounds hold for `cdist`'s sums before
+    they overflow to an inf distance, and a row whose radius is inf scores
+    inf or nan whatever its neighbors.
+    """
+    dim = x.shape[1]
+    power = -np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1]
+    if abs(power) < 256:
+        power = 0  # no square under- or overflows, and x needs no scaled copy
+    scaled = np.ldexp(x, power) if power else x
+    norms = np.einsum("ij,ij->i", scaled, scaled)
+    tol = (dim + 8) * 2.0**-49 * (norms + norms.max())
+    tol += dim * (np.ldexp(1.0, -1070) + np.ldexp(1.0, 2 * power - 1070))
+    for lo in range(0, len(x), LOF_BLOCK_ROWS):
+        hi = min(lo + LOF_BLOCK_ROWS, len(x))
+        gram = (-2.0 * scaled[lo:hi]) @ scaled.T
+        gram += norms
+        gram[np.arange(hi - lo), np.arange(lo, hi)] = np.nan  # partitioned last, never <=
+        mask = gram <= (np.partition(gram, top, axis=1)[:, top] + tol[lo:hi])[:, None]
+        del gram
+        yield lo, mask
+
+
 def _k_distances(x: np.ndarray, kths: list[int]):
     """Every row's distance to its (kth + 1)-th nearest other row, one row
     of the result per entry of the sorted `kths`, and each block's widest
     neighborhoods: its rows' neighbors within the largest of those
     distances, the radius, as `_block_sums` reads them.
 
-    Each block of rows computes its distances to itself and to every later
-    row, once.  A row's distances to earlier rows come from what the blocks
-    before it left in `kept`: its kths[-1] + 2 nearest earlier rows, each as
-    distance + 1j * column (the column is not kept for those on the largest
-    of those distances).  Those with its block's give every k-distance,
-    and the kept ones within the radius are its earlier neighbors, unless
-    the radius is the largest kept distance, which a row not kept may tie:
-    then that row's distances to earlier rows are computed again.
+    Every _EXACT_ROWS rows of a block share one `cdist` call against the
+    union of their `_candidates`, themselves excluded: as it holds each
+    row's neighbors, every k-distance is an order statistic of it.
     """
-    t_rows = len(x)
-    top = kths[-1]
-    kdists = np.empty((len(kths), t_rows))
-    kept = np.full((t_rows, top + 2), np.inf, dtype=complex)
-    col_type = np.min_scalar_type(t_rows - 1)
-    widest = []
-    for lo in range(0, t_rows, LOF_BLOCK_ROWS):
-        hi = min(lo + LOF_BLOCK_ROWS, t_rows)
-        n = hi - lo
-        # direct differences: the gram-expansion shortcut loses precision on
-        # near-duplicate rows, which blows up reachability ratios
-        tile = squareform(pdist(x[lo:hi]))
-        np.fill_diagonal(tile, np.inf)
-        later = cdist(x[lo:hi], x[hi:])
-        head = np.concatenate([kept[lo:hi].real, tile, later], axis=1)
-        # a k-distance is an order statistic, so any selection finds it
-        head.partition(top, axis=1)
-        if len(kths) > 1:
-            head[:, :top].partition(kths[:-1], axis=1)
-        kdists[:, lo:hi] = head[:, kths].T
-        del head
-        radius = kdists[-1, lo:hi]
+    kdists, widest = np.empty((len(kths), len(x))), []
+    col_type = np.min_scalar_type(len(x) - 1)
+    for lo, candidate in _candidates(x, kths[-1]):
         found = []
-        for dist, first in ((tile, lo), (later, hi)):  # the inf diagonal keeps each row out
-            rows, cols = np.divmod(np.flatnonzero(dist <= radius[:, None]), dist.shape[1])
-            found.append((rows, cols + first, dist[rows, cols]))
-        exact = kept[lo:hi].real.max(axis=1) == radius
-        rows, slots = np.nonzero((kept[lo:hi].real <= radius[:, None]) & ~exact[:, None])
-        near = kept[lo + rows, slots]
-        found.append((rows, near.imag.astype(np.intp), near.real))
-        if exact.any():
-            again = np.flatnonzero(exact)
-            near = cdist(x[lo + again], x[:lo])
-            rows, cols = np.divmod(np.flatnonzero(near <= radius[again, None]), lo)
-            found.append((again[rows], cols, near[rows, cols]))
-        rows, cols, near = (np.concatenate(part) for part in zip(*found))
-        del found
-        rim = near == radius[rows]
-        # row-major, each row's neighbors inside the radius before those on it
-        order = np.argsort(2 * rows + rim, kind="stable")
-        rows, cols, near, rim = rows[order], cols[order], near[order], rim[order]
-        widest.append((
-            cols.astype(col_type), near[~rim],
-            np.bincount(rows[~rim], minlength=n), np.bincount(rows[rim], minlength=n),
-        ))
-        del rows, cols, near, rim, order
-        if hi == t_rows:
-            break
-        # hand the distances to later rows on: a partition of the distances alone
-        # finds each later row's new largest kept one, which every kept entry at
-        # or above it takes; the block's distances below it, with their columns,
-        # then take the first of those places.  The column of an entry on a row's
-        # largest kept distance is never read: its earlier neighbors are read
-        # only when its radius is below that distance, else they are recomputed
-        old = kept[hi:]
-        most = np.concatenate([old.real, later.T], axis=1)
-        most.partition(top + 1, axis=1)
-        most = most[:, [top + 1]]
-        free = old.real >= most
-        np.copyto(old.real, most, where=free)
-        rows, cols = np.divmod(np.flatnonzero(later.T < most), n)
-        free &= np.cumsum(free, axis=1) <= np.bincount(rows, minlength=t_rows - hi)[:, None]
-        old[free] = later[cols, rows] + 1j * (cols + lo)
-        del later, rows, cols
+        for first in range(0, len(candidate), _EXACT_ROWS):
+            own = np.arange(lo + first, lo + min(first + _EXACT_ROWS, len(candidate)))
+            cols = np.flatnonzero(candidate[first : first + _EXACT_ROWS].any(axis=0))
+            dist = cdist(x[own], x[cols])
+            dist[cols == own[:, None]] = np.inf
+            kdists[:, own] = np.partition(dist, kths, axis=1)[:, kths].T
+            radius = kdists[-1, own][:, None]
+            inner, rim = dist < radius, dist == radius
+            # row by row, the neighbors inside the radius, then those on it
+            on_row = np.nonzero(np.concatenate([inner, rim], axis=1))[1]
+            found.append((
+                np.tile(cols.astype(col_type), 2)[on_row], dist[inner],
+                inner.sum(axis=1), rim.sum(axis=1),
+            ))
+        widest.append(tuple(np.concatenate(part) for part in zip(*found)))
     return kdists, widest
 
 
@@ -241,21 +237,18 @@ def lof_scores(
     clusters score exactly 1.  Returns one series, tagged `lof-k<k>`, per
     entry of `ks`.
 
-    Neither the square distance matrix nor the condensed one is formed.
-    One pass computes, LOF_BLOCK_ROWS rows at a time, the distances from
-    a block's rows to themselves and to every later row, once per pair,
-    finds every k-distance, and keeps the columns and distances of each
-    row's widest neighborhood, that of the largest k; every smaller k's
-    neighborhood is a subset.  A row's distances to earlier rows come from
-    the earlier blocks, which kept its k + 1 nearest earlier rows, for the
-    largest k, as (distance, column) values.  Two more passes over the
-    blocks sum, for every k, the reachability distances and then the
-    densities of each row's neighbors: a block buffer holds them at their
-    positions and zeros elsewhere, and each row is summed whole, so every
-    score has the bits of the dense reduction over the full matrix.
-    Memory is those kept values, 16 bytes each, the widest neighborhoods
-    (a neighbor tied at the largest k-distance costs only its column: 2
-    bytes up to 65536 rows) and a few block-sized buffers and temporaries.
+    No square distance matrix is formed.  One pass, LOF_BLOCK_ROWS rows
+    at a time, takes each row's neighbor candidates for the largest k from
+    a Gram product, computes its exact `cdist` distances to them, finds
+    every k-distance, and keeps the columns and distances of its widest
+    neighborhood, that of the largest k; every smaller k's neighborhood is
+    a subset.  Two more passes over the blocks sum, for every k, the
+    reachability distances and then the densities of each row's neighbors:
+    a block buffer holds them at their positions and zeros elsewhere, and
+    each row is summed whole, so every score has the bits of the dense
+    reduction over the full matrix.  Memory is the widest neighborhoods (a
+    neighbor tied at the largest k-distance costs only its column: 2 bytes
+    up to 65536 rows) and a few block-sized buffers and temporaries.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
@@ -268,6 +261,8 @@ def lof_scores(
             raise DataError(f"neighbor count k={k} out of range [1, {t_rows - 1}]")
     if len(dates) != t_rows:
         raise DataError("dates/vectors length mismatch")
+    if not np.isfinite(x).all():
+        raise DataError("LOF needs finite feature values")
     if not ks:
         return []
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from contextlib import suppress
 from datetime import date, datetime
+from math import isqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,7 +63,10 @@ def write_rows(f, columns: list[str], dates: list[date], rows) -> None:
 
 
 def write_feature_csv(path, dates: list[date], columns: list[str], values) -> None:
-    values = np.asarray(values, dtype=np.float64)
+    """Write one row of `values` per date.  When every row is a flattened
+    square matrix equal to its transpose bit for bit, as a mirrored Pearson
+    window is, each upper-triangle cell is formatted once and written twice."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape != (len(dates), len(columns)):
         raise DataError(
             f"feature table shape {values.shape} does not match "
@@ -69,8 +74,17 @@ def write_feature_csv(path, dates: list[date], columns: list[str], values) -> No
         )
     if not np.isfinite(values).all():
         raise DataError(f"refusing to write {path}: the table has non-finite values")
+    rows = (map(repr, row.tolist()) for row in values)
+    n = isqrt(values.shape[1])
+    bits = values.view(np.int64).reshape(-1, n, n) if n > 1 and n * n == values.shape[1] else None
+    if bits is not None and np.array_equal(bits, bits.transpose(0, 2, 1)):
+        i, j = np.triu_indices(n)
+        index = np.empty((n, n), dtype=np.intp)
+        index[i, j] = index[j, i] = np.arange(len(i))
+        mirror, upper = itemgetter(*index.ravel().tolist()), values[:, i * n + j]
+        rows = (mirror(list(map(repr, row.tolist()))) for row in upper)
     with open(path, "w", encoding="utf-8") as f:
-        write_rows(f, columns, dates, (map(repr, row.tolist()) for row in values))
+        write_rows(f, columns, dates, rows)
 
 
 def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:

@@ -464,3 +464,51 @@ def test_table_writers_bytes(tmp_path):
         b"date,A,B,C\n2010-01-04,0.30000000000000004,1e-320,7.0\n"
         b"2010-01-05,0.6666666666666666,5.0,1e+22\n"
     )
+
+
+@pytest.mark.parametrize("kind, triangle", [("pearson", np.triu), ("pearson", np.tril), ("ccm", None)])
+def test_pca_raw_bytes_equal_the_per_cell_writer(tmp_path, kind, triangle):
+    # a mirrored Pearson table formats each distinct cell once and writes it
+    # twice, from an archive with upper- or lower-triangle edges alike; a CCM
+    # table is not symmetric and formats every cell
+    from flagcrash.pipeline import stage_pca
+
+    rng = np.random.default_rng(17)
+    t, n = 30, 6
+    w = rng.uniform(-1, 1, size=(t, n, n)) / rng.choice([1.0, 3.0, 7e-5], size=(t, n, n))
+    w[np.broadcast_to(np.eye(n, dtype=bool), w.shape) | (w < 0)] = 0.0
+    if triangle is not None:
+        w = triangle(w, 1 if triangle is np.triu else -1)
+    dates = [date(2021, 1, 1) + timedelta(days=i) for i in range(t)]
+    archive = tmp_path / "graphs.bin"
+    write_graphs(archive, WindowSeries(w, dates, kind), {"correlation": kind})
+    series = read_series(archive)
+    assert series.kind == kind and np.array_equal(series.weights, w)
+    out = tmp_path / "pca_raw.csv"
+    stage_pca(series, {"raw": out})
+    full = w + w.transpose(0, 2, 1) if kind == "pearson" else w
+    lines = ["date," + ",".join(f"c{i + 1}" for i in range(n * n))]
+    lines += [d.isoformat() + "," + ",".join(repr(v) for v in row) for d, row in
+              zip(dates, full.reshape(t, -1).tolist())]
+    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flip", [None, (0, 1, 2), (3, 2, 0), (5, 0, 0)])
+def test_symmetric_rows_bytes_equal_the_per_cell_writer(tmp_path, flip):
+    # rows of symmetric 3 x 3 matrices, but for one cell given another sign
+    # (-0.0 for 0.0 too) or value: only bitwise symmetric rows take the mirror
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(6, 3, 3)).round(rng.integers(0, 17))
+    m = m + m.transpose(0, 2, 1)
+    m[:, 1, 2] = m[:, 2, 1] = 0.0
+    if flip is not None:
+        w, a, b = flip
+        m[w, a, b] = -m[w, a, b] if m[w, a, b] else -0.0
+    values = m.reshape(6, 9)
+    dates = [date(2021, 1, 1) + timedelta(days=i) for i in range(6)]
+    columns = [f"c{i}" for i in range(9)]
+    write_feature_csv(tmp_path / "t.csv", dates, columns, values)
+    lines = ["date," + ",".join(columns)]
+    lines += [d.isoformat() + "," + ",".join(repr(v) for v in row)
+              for d, row in zip(dates, values.tolist())]
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcrash import corrnet
+from flagcrash import corrnet, features, gnn, pipeline
 from flagcrash.cli import build_parser, main
 from flagcrash.corrnet import CcmParams
 from flagcrash.evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE
@@ -334,3 +334,30 @@ def test_negative_seed_is_a_usage_error(command, seed, capsys):
         main(command + ["--seed", seed])
     assert exit_.value.code == 2
     assert f"argument --seed: must be >= 0, got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, layer, name",
+    [("graphs", corrnet, "correlation_series"), ("tda", pipeline, "tda_features"),
+     ("pca", features, "svd"), ("gnn", gnn, "ocgin_train"), ("score", pipeline, "lof_scores")],
+)
+@pytest.mark.parametrize("message", ["", "Unable to allocate 70.7 MiB"])
+def test_memory_error_exits_4_naming_the_command(
+    good, tmp_path, monkeypatch, command, layer, name, message
+):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(layer, name, exhausted)
+    graphs = good["returns"].parent / "graphs.bin"
+    flags = {
+        "graphs": ["--returns", good["returns"], "--window", "5"],
+        "tda": ["--graphs", graphs],
+        "pca": ["--graphs", graphs, "--dim", "2"],
+        "gnn": ["--graphs", graphs, "--model", "ocgin", "--epochs", "1"],
+        "score": ["--features", good["features"], "--method", "lof", "--lof-k", "3"],
+    }[command]
+    code, err = run_cli([command, *flags, "--out", tmp_path / "out"])
+    detail = f": {message}" if message else ""
+    assert (code, err) == (4, f"stage '{command}' failed: out of memory{detail}\n")
+    assert not any(tmp_path.iterdir())

@@ -1,13 +1,21 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from datetime import date, timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
+import flagcrash
 from flagcrash.corrnet import correlation_series
-from flagcrash.detectors import LOF_BLOCK_ROWS, RIDGE_EPS, lof_scores, mahalanobis_scores
+from flagcrash.detectors import (
+    _EXACT_ROWS, LOF_BLOCK_ROWS, RIDGE_EPS, _candidates, lof_scores, mahalanobis_scores,
+)
 from flagcrash.errors import DataError
 from flagcrash.ingest import log_returns
 from flagcrash.synth import Episode, make_synthetic
@@ -269,7 +277,11 @@ def lof_cases():
     ties and duplicate rows, and the width of a 12-ticker flattened
     correlation matrix; monotone columns, whose rows' nearest neighbors
     all come before them or all after them; ties at the k-distance across
-    a block boundary; and a panel-scale Pearson table of 13 blocks."""
+    a block boundary; and a panel-scale Pearson table of 13 blocks, also
+    shuffled.  The rest push the candidates' rounding bound: a large offset,
+    where the Gram product cancels most bits of the distances, tiny and
+    huge spreads, rows near 1e300, pairs of rows one ulp apart and a
+    drifting table as wide as a 39-ticker correlation matrix."""
     rng = np.random.default_rng(500)
     b = LOF_BLOCK_ROWS
     cases = {f"normal-T{t}": rng.normal(size=(t, 3)) for t in (2, 3, b // 2, b, b + 1, 2 * b + 37)}
@@ -287,6 +299,17 @@ def lof_cases():
     # k-distance ties across the boundary with every one of them
     cases["boundary-tie"] = np.r_[np.zeros(b), 1.0 + 2.0 * np.arange(b + 1)][:, None]
     cases["pearson-raw"] = pearson_raw_table(12 * b + 1)
+    cases["pearson-raw-shuffled"] = rng.permutation(cases["pearson-raw"])
+    cases["offset-1e6"] = 1e6 + rng.normal(size=(b + 40, 3))
+    # 1e-160: cdist's squares of the differences are subnormal, so its distances
+    # round coarsely; 1e-310: they all underflow to 0, and every row is a candidate
+    for spread in (1e-310, 1e-160, 1e-150, 1e150):
+        cases[f"spread-{spread:g}"] = spread * rng.normal(size=(b + 40, 3))
+    # scaled, these rows' unit differences underflow to nothing in the Gram product
+    cases["near-1e300"] = np.c_[np.full(b + 40, 1e300), rng.normal(size=(b + 40, 2))]
+    twins = rng.normal(size=(b // 2 + 20, 4))
+    cases["ulp-pairs"] = rng.permutation(np.r_[twins, np.nextafter(twins, np.inf)])
+    cases["drift-1521"] = np.cumsum(rng.normal(size=(b + 40, 1521)), axis=0) * 0.01
     return cases
 
 
@@ -315,17 +338,71 @@ class TestLofAgainstReference:
             assert np.array_equal(s.scores, ref)
 
     @pytest.mark.parametrize("name", sorted(LOF_CASES))
-    def test_pdist_equals_cdist(self, name):
+    def test_sub_block_cdist_equals_the_square(self, name):
+        # the distances LOF computes: each _EXACT_ROWS rows against a subset of
+        # the columns, the union of their candidates
         x = LOF_CASES[name]
-        square = squareform(pdist(x))
-        assert np.array_equal(square, cdist(x, x))
-        # the distances LOF computes: each block of rows against itself, against
-        # the later rows, and (under ties at a k-distance) against the earlier rows
-        for lo in range(0, len(x), LOF_BLOCK_ROWS):
-            hi = lo + LOF_BLOCK_ROWS
-            assert np.array_equal(squareform(pdist(x[lo:hi])), square[lo:hi, lo:hi])
-            assert np.array_equal(cdist(x[lo:hi], x[hi:]), square[lo:hi, hi:])
-            assert np.array_equal(cdist(x[lo:hi], x[:lo]), square[lo:hi, :lo])
+        square = cdist(x, x)
+        assert np.array_equal(square, squareform(pdist(x)))
+        rng = np.random.default_rng(len(x))
+        for first in range(0, len(x), _EXACT_ROWS):
+            own = np.arange(first, min(first + _EXACT_ROWS, len(x)))
+            cols = np.flatnonzero(rng.random(len(x)) < rng.choice([0.01, 0.2, 1.0]))
+            assert np.array_equal(cdist(x[own], x[cols]), square[np.ix_(own, cols)])
+
+    @pytest.mark.parametrize("name", sorted(LOF_CASES))
+    def test_candidates_hold_every_neighbor(self, name):
+        x = LOF_CASES[name]
+        t = len(x)
+        dense = cdist(x, x)
+        np.fill_diagonal(dense, np.inf)
+        for k in sorted({min(k, t - 1) for k in (1, 5, 20, t - 1)}):
+            kdist = np.partition(dense, k - 1, axis=1)[:, k - 1]
+            neighbors = dense <= kdist[:, None]
+            blocks = list(_candidates(x, k - 1))
+            assert [lo for lo, _ in blocks] == list(range(0, t, LOF_BLOCK_ROWS))
+            for lo, mask in blocks:
+                rows = np.arange(len(mask))
+                assert mask.shape == (min(LOF_BLOCK_ROWS, t - lo), t)
+                assert not (neighbors[lo : lo + len(mask)] & ~mask).any()
+                assert not mask[rows, lo + rows].any()
+
+    @pytest.mark.parametrize("name", ["normal-T293", "wide", "pearson-raw-shuffled"])
+    def test_candidates_are_few_without_ties(self, name):
+        # the rounding bound is tight: a row has its k nearest rows as candidates
+        # and hardly any more
+        x = LOF_CASES[name]
+        for k in (1, 5, 20):
+            for _, mask in _candidates(x, k - 1):
+                assert mask.sum(axis=1).max() <= k + 2
+
+
+def test_scores_do_not_depend_on_blas_threads():
+    # the candidate search runs through threaded dgemm; the thread count must
+    # not reach the scores, whose distances all come from cdist
+    code = (
+        "import hashlib, test_detectors as t\n"
+        "for name in ('pearson-raw', 'wide'):\n"
+        "    x = t.LOF_CASES[name]\n"
+        "    series = t.lof_scores(t.dates_for(len(x)), x, [1, 5, 20])\n"
+        "    print(hashlib.sha256(b''.join(s.scores.tobytes() for s in series)).hexdigest())\n"
+    )
+    path = [str(Path(flagcrash.__file__).parents[1]), str(Path(__file__).parent)]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    digests = []
+    for name in ("pearson-raw", "wide"):
+        x = LOF_CASES[name]
+        series = lof_scores(dates_for(len(x)), x, [1, 5, 20])
+        digests.append(hashlib.sha256(b"".join(s.scores.tobytes() for s in series)).hexdigest())
+    assert outputs == ["".join(d + "\n" for d in digests)] * 2
 
 
 def traced_peak(fn) -> int:
@@ -372,7 +449,7 @@ class TestLofMemory:
         assert peaks[1] < 2.5 * peaks[0]
 
     def test_sorted_table_peaks_like_a_shuffled_one(self):
-        # each row keeps its nearest earlier rows, however the rows come
+        # a row's candidates and neighborhood do not depend on the order of the rows
         x = np.arange(4000.0)[:, None]
         shuffled = np.random.default_rng(3).permutation(x)
         dates = dates_for(4000)
