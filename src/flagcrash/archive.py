@@ -13,8 +13,8 @@ Layout (all little-endian):
 
 A JSON sidecar at `<path>.json` carries the construction parameters
 (window width, correlation kind, embedding settings, tickers).  Archives
-are written from and read into a `WindowSeries` array, each record's
-edges in row-major (source, target) order; `read_series` accepts any order.
+are written from a `WindowSeries` array, each record's edges in row-major
+(source, target) order, and read straight back into one, in any edge order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,7 @@ MAGIC = b"FCGR"
 VERSION = 1
 _HEAD = struct.Struct("<4sIQ")
 _REC_HEAD = struct.Struct("<10sIQ")
+BLOCK_RECORDS = 64  # records whose edges are read and checked at once; bounds the reader's memory
 
 
 def sidecar_path(path) -> Path:
@@ -60,34 +60,16 @@ def write_graphs(path, series: WindowSeries, params: dict) -> None:
         f.write("\n")
 
 
-def read_series(path) -> WindowSeries:
-    """The window series of an archive: its kind and tickers come from the
-    sidecar, when it lists them, and the kind defaults to "ccm".
+def read_graphs(path) -> WindowSeries:
+    """The window series of an archive, with the sidecar's tickers and kind
+    ("ccm" unless it says "pearson").
 
-    On top of `read_graphs`' checks, `corrnet.load_edges` checks every
-    record's edges.  An archive without records raises DataError, as no
-    stage can use it.
-    """
-    dates, n, edges, counts, params = read_graphs(path)
-    if not dates:
-        raise DataError(f"{path}: archive holds no graphs")
-    return WindowSeries(
-        weights=load_edges(n, edges, counts, dates, f"{path}: record"),
-        dates=dates,
-        kind=params.get("correlation", "ccm"),
-        tickers=params.get("tickers"),
-    )
-
-
-def read_graphs(path) -> tuple[list[date], int, np.ndarray, list[int], dict]:
-    """The records' dates, their vertex count (0 without records), their
-    edges back to back in one `EDGE_DTYPE` array in stored order, each
-    one's edge count, and the archive's construction parameters.
-
-    Checked here: the layout, record dates written as `date.isoformat`
-    writes them and strictly increasing across records, and one vertex
-    count shared by every record and by the sidecar's tickers, when it
-    lists them.  `read_series` also checks the edges.
+    Every record header is checked before any edge: the layout, record
+    dates written as `date.isoformat` writes them and strictly increasing,
+    one vertex count shared by every record and the sidecar's tickers.  So
+    are the sidecar's kind and that the archive holds records, as no stage
+    can use one without.  Only then is the (T, n, n) array allocated and
+    read into, `BLOCK_RECORDS` records at a time, by `corrnet.load_edges`.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -100,11 +82,7 @@ def read_graphs(path) -> tuple[list[date], int, np.ndarray, list[int], dict]:
             raise DataError(f"{path}: not a graph archive (bad magic {magic!r})")
         if version != VERSION:
             raise DataError(f"{path}: unsupported archive version {version}")
-        # no archive of this size holds more edges; pages never read into stay unmapped
-        edges = np.empty((size - _HEAD.size) // EDGE_DTYPE.itemsize, dtype=EDGE_DTYPE)
-        dates: list[date] = []
-        counts: list[int] = []
-        n = filled = 0
+        dates, counts, n = [], [], 0
         for _ in range(count):
             rec = f.read(_REC_HEAD.size)
             if len(rec) < _REC_HEAD.size:
@@ -122,24 +100,47 @@ def read_graphs(path) -> tuple[list[date], int, np.ndarray, list[int], dict]:
                 raise DataError(
                     f"{path}: record {as_of} has {n_rec} vertices, the first record has {n}"
                 )
-            if f.readinto(edges[filled : filled + edge_count]) < EDGE_DTYPE.itemsize * edge_count:
+            if EDGE_DTYPE.itemsize * edge_count > size - f.tell():
                 raise DataError(f"{path}: truncated edge block")
-            filled += edge_count
+            f.seek(EDGE_DTYPE.itemsize * edge_count, os.SEEK_CUR)
             dates.append(as_of)
             counts.append(edge_count)
             n = n_rec
-    side = sidecar_path(path)
-    params = {}
-    if side.exists():
-        try:
-            params = json.loads(side.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
-        if not isinstance(params, dict):
-            raise DataError(f"{side}: sidecar is not a JSON object")
-        if dates:
-            _check_tickers(side, params, n)
-    return dates, n, edges[:filled], counts, params
+        side = sidecar_path(path)
+        params = {}
+        if side.exists():
+            try:
+                params = json.loads(side.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise DataError(f"{side}: bad sidecar JSON: {exc}") from None
+            if not isinstance(params, dict):
+                raise DataError(f"{side}: sidecar is not a JSON object")
+            if dates:
+                _check_tickers(side, params, n)
+            if params.get("correlation", "ccm") not in ("pearson", "ccm"):
+                raise DataError(f'{side}: correlation is {params["correlation"]!r}, '
+                                'not "pearson" or "ccm"')
+        if not dates:
+            raise DataError(f"{path}: archive holds no graphs")
+        f.seek(_HEAD.size)
+        weights = load_edges(n, _edge_blocks(f, counts), dates, f"{path}: record")
+    return WindowSeries(weights, dates, params.get("correlation", "ccm"), params.get("tickers"))
+
+
+def _edge_blocks(f, counts: list[int]):
+    """`load_edges`' blocks of the records from `f`'s position on, each read
+    into one buffer that every block reuses."""
+    starts = range(0, len(counts), BLOCK_RECORDS)
+    buf = np.empty(max(sum(counts[lo : lo + BLOCK_RECORDS]) for lo in starts), EDGE_DTYPE)
+    for lo in starts:
+        filled = 0
+        for edge_count in counts[lo : lo + BLOCK_RECORDS]:
+            f.seek(_REC_HEAD.size, os.SEEK_CUR)
+            block = buf[filled : filled + edge_count]
+            if f.readinto(block) < block.nbytes:  # the file shrank since its headers were read
+                raise DataError(f"{f.name}: truncated edge block")
+            filled += edge_count
+        yield buf[:filled], counts[lo : lo + BLOCK_RECORDS]
 
 
 def _check_tickers(where, params: dict, n: int) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .archive import read_series
+from .archive import read_graphs
 from .corrnet import CcmParams
 from .errors import ConfigError, DataError, StageError
 from .evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE, load_events
@@ -147,11 +147,11 @@ def _dispatch(args: argparse.Namespace) -> None:
         )
         print(f"wrote {args.out} (+ {args.out}.json)")
     elif args.command == "tda":
-        stage_tda(read_series(args.graphs), args.essential, args.out, jobs=args.jobs)
+        stage_tda(read_graphs(args.graphs), args.essential, args.out, jobs=args.jobs)
         print(f"wrote {args.out}")
     elif args.command == "pca":
         check_pca_dim(args.dim)
-        stage_pca(read_series(args.graphs), {args.dim: args.out})
+        stage_pca(read_graphs(args.graphs), {args.dim: args.out})
         print(f"wrote {args.out}")
     elif args.command == "gnn":
         for model, (flag, name) in MODEL_FLAGS.items():
@@ -160,7 +160,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         name = MODEL_FLAGS[args.model][1]
         own = {} if getattr(args, name) is None else {name: getattr(args, name)}
         stage_gnn(
-            read_series(args.graphs), args.model, args.out, lr=args.lr, layers=args.layers,
+            read_graphs(args.graphs), args.model, args.out, lr=args.lr, layers=args.layers,
             hidden=args.hidden, batch_size=args.batch, epochs=args.epochs, seed=args.seed,
             checkpoint_path=args.checkpoint, **own,
         )

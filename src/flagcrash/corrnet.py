@@ -67,7 +67,6 @@ class WindowSeries:
 
 EDGE_DTYPE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
 """One directed weighted edge (source, target, weight), as graph archives store it."""
-_CHECK_GRAPHS = 256  # graphs whose edges are checked in one pass; bounds its memory
 _PEARSON_BATCH = 256  # Pearson windows computed in one product; bounds its temporaries
 
 
@@ -84,23 +83,23 @@ class WeightedDigraph:
     as_of_date: date | None = None
 
 
-def load_edges(n: int, edges: np.ndarray, counts, dates: list[date], where: str) -> np.ndarray:
-    """The (T, n, n) `WindowSeries.weights` of T windows whose `EDGE_DTYPE`
-    edges lie back to back in `edges`, `counts[i]` of them window i's.
+def load_edges(n: int, blocks, dates: list[date], where: str) -> np.ndarray:
+    """The (T, n, n) `WindowSeries.weights` of the T windows of `dates`, from
+    (edges, counts) `blocks` in window order, each holding the `EDGE_DTYPE`
+    edges of len(counts) windows back to back, counts[i] of them window i's.
 
-    Each chunk of windows is checked before its scatter.  Raises DataError,
-    naming `where` and the date of the first window at fault, on a vertex
-    index out of range, a self-loop, an edge given twice, a weight that is
-    not finite and positive, or an array too large to allocate."""
+    Each block is checked, then scattered.  Raises DataError, naming `where`
+    and the date of the first window at fault, on a vertex index out of range,
+    a self-loop, an edge given twice, a weight that is not finite and positive,
+    or an array too large to allocate, found before any block is read."""
     try:
-        out = np.zeros((len(counts), n, n))
+        out = np.zeros((len(dates), n, n))
     except (MemoryError, ValueError):
-        raise DataError(f"{where}: {len(counts)} graphs of {n} vertices are too large") from None
-    bounds = np.cumsum([0, *counts])
-    for lo in range(0, len(counts), _CHECK_GRAPHS):
-        hi = min(lo + _CHECK_GRAPHS, len(counts))
-        e = edges[bounds[lo] : bounds[hi]]
-        window = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        raise DataError(f"{where}: {len(dates)} graphs of {n} vertices are too large") from None
+    lo = 0
+    for e, counts in blocks:
+        window = np.repeat(np.arange(lo, lo + len(counts)), counts)
+        lo += len(counts)
         s, t, w = e["s"], e["t"], e["w"]
         inside = (s < n) & (t < n)
         # an edge out of range faults its window before any duplicate could
@@ -258,8 +257,7 @@ def graph_series(series: WindowSeries) -> list[WeightedDigraph]:
 
 def matrix_from_digraph(graphs: list[WeightedDigraph]) -> np.ndarray:
     """The (T, n, n) adjacency of digraphs that share `graphs[0]`'s vertex
-    count n, checked as an archive's records are."""
-    blocks = [np.asarray(g.edges, dtype=EDGE_DTYPE).reshape(-1) for g in graphs]
+    count n, checked as an archive's records are, a graph at a time."""
+    edges = (np.asarray(g.edges, dtype=EDGE_DTYPE).reshape(-1) for g in graphs)
     n = graphs[0].n_vertices if graphs else 0
-    edges = np.concatenate([np.empty(0, EDGE_DTYPE), *blocks])
-    return load_edges(n, edges, [len(b) for b in blocks], [g.as_of_date for g in graphs], "graph")
+    return load_edges(n, ((e, [len(e)]) for e in edges), [g.as_of_date for g in graphs], "graph")

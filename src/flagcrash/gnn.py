@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step
-from .corrnet import EDGE_DTYPE, WeightedDigraph
+from .corrnet import EDGE_DTYPE, WeightedDigraph, load_edges
 from .errors import DataError
 
 
@@ -69,10 +69,12 @@ def _node_features(n_nodes: int, edges: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def attribute_graphs(graphs: list[WeightedDigraph]) -> list[AttributedGraph]:
-    """Node features (1, weighted degree); edge feature (weight,)."""
+    """Node features (1, weighted degree); edge feature (weight,).  Each
+    graph's edges pass the archive's check first, which names its date."""
     out = []
     for g in graphs:
         e = np.asarray(g.edges, dtype=EDGE_DTYPE).reshape(-1)
+        load_edges(g.n_vertices, [(e, [len(e)])], [g.as_of_date], "graph")
         edges = np.stack([e["s"], e["t"]], axis=1).astype(np.intp)
         y = e["w"].reshape(-1, 1)
         x = _node_features(g.n_vertices, edges, y)

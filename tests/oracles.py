@@ -412,6 +412,18 @@ def series_of(graphs: list[WeightedDigraph], kind: str = "ccm") -> WindowSeries:
     return WindowSeries(matrix_from_digraph(graphs), [g.as_of_date for g in graphs], kind)
 
 
+# one bad edge list of a 3-vertex graph per fault of the edge check, and the
+# words of its message: every digraph a caller hands in must be rejected so
+BAD_EDGES = {
+    "self-loop": ([(1, 1, 0.5)], "self-loop"),
+    "duplicate": ([(0, 1, 0.5), (0, 1, 0.25)], "duplicate"),
+    "zero": ([(0, 1, 0.0)], "non-positive"),
+    "negative": ([(0, 1, -0.5)], "non-positive"),
+    "nan": ([(0, 1, float("nan"))], "non-positive"),
+    "vertex-index": ([(0, 3, 0.5)], "out of range"),
+}
+
+
 def random_graph_sequence(seed: int, count: int, max_vertices: int):
     rng = np.random.default_rng(seed)
     graphs = []
@@ -424,7 +436,7 @@ def random_graph_sequence(seed: int, count: int, max_vertices: int):
 
 # ---------------------------------------------------------------------------
 # The graph archive through per-window digraphs: the writer and reader that
-# the array-native `archive.write_graphs` and `archive.read_series` replaced,
+# the array-native `archive.write_graphs` and `archive.read_graphs` replaced,
 # the references for their bytes, arrays and error messages
 
 _EDGE = np.dtype([("s", "<u4"), ("t", "<u4"), ("w", "<f8")])
@@ -508,6 +520,9 @@ def _reference_read_graphs(path) -> tuple[list[WeightedDigraph], dict]:
         n = graphs[0].n_vertices if graphs else None
         if graphs and tickers is not None and (not isinstance(tickers, list) or len(tickers) != n):
             raise DataError(f"{side}: tickers are not a list of {n} names, one per graph vertex")
+        kind = params.get("correlation", "ccm")
+        if kind not in ("pearson", "ccm"):
+            raise DataError(f'{side}: correlation is {kind!r}, not "pearson" or "ccm"')
     return graphs, params
 
 

@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcrash.archive import read_graphs, read_series, sidecar_path, write_graphs
+from flagcrash.archive import BLOCK_RECORDS, read_graphs, sidecar_path, write_graphs
 from flagcrash.cli import main
 from flagcrash.corrnet import EDGE_DTYPE, WeightedDigraph, WindowSeries, correlation_series
 from flagcrash.errors import DataError
@@ -23,6 +24,7 @@ from flagcrash.tables import (
 )
 
 from oracles import (
+    _reference_read_graphs,
     random_graph_sequence,
     reference_read_series,
     reference_write_graphs,
@@ -53,12 +55,16 @@ class TestGraphArchive:
             g.n_vertices = 12
         path = tmp_path / "graphs.bin"
         write_graphs(path, series_of(graphs), {"window": 25, "correlation": "ccm"})
-        dates, n, edges, counts, params = read_graphs(path)
+        records, params = _reference_read_graphs(path)
         assert params == {"window": 25, "correlation": "ccm"}
-        assert (dates, n) == ([g.as_of_date for g in graphs], 12)
-        assert counts == [len(g.edges) for g in graphs]
+        assert [(r.as_of_date, r.n_vertices) for r in records] == [
+            (g.as_of_date, 12) for g in graphs
+        ]
         # random digraphs list edges row-major
-        assert edges.tolist() == [e for g in graphs for e in g.edges]
+        assert [r.edges.tolist() for r in records] == [g.edges for g in graphs]
+        back = read_graphs(path)
+        assert (back.dates, back.kind, back.tickers) == ([g.as_of_date for g in graphs], "ccm", None)
+        assert back.weights.tobytes() == series_of(graphs).weights.tobytes()
 
     @pytest.mark.parametrize("kind", ["pearson", "ccm"])
     def test_series_reads_back_bitwise(self, tmp_path, kind):
@@ -66,24 +72,48 @@ class TestGraphArchive:
         path = tmp_path / "graphs.bin"
         params = {"correlation": kind, "tickers": series.tickers}
         write_graphs(path, series, params)
-        back = read_series(path)
+        back = read_graphs(path)
         assert back.weights.tobytes() == series.weights.tobytes()
         assert (back.dates, back.kind, back.tickers) == (series.dates, kind, series.tickers)
         # the series' nonzero entries are the records' edges, in record order
-        _, _, edges, counts, _ = read_graphs(path)
-        assert counts == np.count_nonzero(series.weights, axis=(1, 2)).tolist()
-        assert [(s, t) for s, t, _ in edges.tolist()] == [
+        records, _ = _reference_read_graphs(path)
+        assert [len(r.edges) for r in records] == np.count_nonzero(
+            series.weights, axis=(1, 2)
+        ).tolist()
+        assert [(s, t) for r in records for s, t, _ in r.edges.tolist()] == [
             (s, t) for w in series.weights for s, t in zip(*np.nonzero(w))
         ]
 
     def test_empty_graph_list(self, tmp_path):
         path = tmp_path / "empty.bin"
         write_graphs(path, WindowSeries(np.zeros((0, 3, 3)), [], "ccm"), {})
-        dates, n, edges, counts, _ = read_graphs(path)
-        assert (dates, n, len(edges), len(counts)) == ([], 0, 0, 0)
+        assert path.read_bytes() == struct.pack("<4sIQ", b"FCGR", 1, 0)
+        assert _reference_read_graphs(path) == ([], {})
         # no stage can use a series without windows
         with pytest.raises(DataError, match=f"{path}: archive holds no graphs"):
-            read_series(path)
+            read_graphs(path)
+
+    def test_read_holds_a_block_of_edges_not_the_file(self, tmp_path):
+        # 1000 dense 20-vertex windows span many check blocks; the reader
+        # peaks at the array plus one block's edges and their check, far
+        # below the array plus the file's edges (the whole-file edge array
+        # alone broke this bound by 2x)
+        rng = np.random.default_rng(1)
+        weights = rng.uniform(0.01, 1.0, (1000, 20, 20))
+        weights[:, np.eye(20, dtype=bool)] = 0.0
+        dates = [date(2001, 1, 1) + timedelta(days=i) for i in range(1000)]
+        path = tmp_path / "graphs.bin"
+        write_graphs(path, WindowSeries(weights, dates, "ccm"), {"correlation": "ccm"})
+        edge_bytes = EDGE_DTYPE.itemsize * np.count_nonzero(weights)
+        assert len(dates) >= 8 * BLOCK_RECORDS
+        tracemalloc.start()
+        try:
+            back = read_graphs(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.weights.tobytes() == weights.tobytes()
+        assert peak < weights.nbytes + edge_bytes / 2
 
     def test_sidecar_written(self, tmp_path):
         path = tmp_path / "g.bin"
@@ -169,11 +199,13 @@ class TestArchiveValidation:
     def test_hand_written_archive_reads_back(self, tmp_path):
         path = tmp_path / "g.bin"
         path.write_bytes(fcgr_bytes([GOOD, ("2020-01-03", 3, [])]))
-        dates, n, edges, counts, params = read_graphs(path)
-        assert dates == [date(2020, 1, 2), date(2020, 1, 3)]
-        assert (n, counts, params) == (3, [2, 0], {})
-        assert edges.dtype == EDGE_DTYPE and edges.tolist() == [(0, 1, 0.5), (1, 2, 0.25)]
-        series = read_series(path)
+        records, params = _reference_read_graphs(path)
+        assert ([r.n_vertices for r in records], [len(r.edges) for r in records]) == ([3, 3], [2, 0])
+        assert params == {} and records[0].edges.dtype == EDGE_DTYPE
+        assert records[0].edges.tolist() == [(0, 1, 0.5), (1, 2, 0.25)]
+        series = read_graphs(path)
+        assert series.dates == [date(2020, 1, 2), date(2020, 1, 3)]
+        assert series.weights.shape == (2, 3, 3)
         assert series.kind == "ccm" and series.tickers is None
         assert np.array_equal(series.weights[0], [[0, 0.5, 0], [0, 0, 0.25], [0, 0, 0]])
         assert not series.weights[1].any()
@@ -183,9 +215,9 @@ class TestArchiveValidation:
         path = tmp_path / "g.bin"
         edges = [(2, 0, 0.75), (1, 2, 0.25), (0, 1, 0.5)]
         path.write_bytes(fcgr_bytes([("2020-01-02", 3, edges)]))
-        _, _, stored, _, _ = read_graphs(path)
-        assert stored.dtype == EDGE_DTYPE and stored.tolist() == edges
-        (w,) = read_series(path).weights
+        ((record,), _) = _reference_read_graphs(path)
+        assert record.edges.dtype == EDGE_DTYPE and record.edges.tolist() == edges
+        (w,) = read_graphs(path).weights
         assert [(s, t, w[s, t]) for s, t, _ in edges] == edges
         assert np.count_nonzero(w) == len(edges)
         assert w.tobytes() == reference_read_series(path).weights.tobytes()
@@ -202,7 +234,7 @@ class TestArchiveValidation:
         path = tmp_path / "g.bin"
         path.write_bytes(fcgr_bytes(CORRUPT[name]))
         with pytest.raises(DataError) as err:
-            read_series(path)
+            read_graphs(path)
         assert str(err.value) == read_or_message(reference_read_series, path)
 
     def test_edge_count_beyond_file_rejected(self, tmp_path):
@@ -234,6 +266,33 @@ class TestArchiveValidation:
         sidecar_path(path).write_text(json.dumps({"tickers": tickers}))
         with pytest.raises(DataError, match="tickers"):
             read_graphs(path)
+
+    @pytest.mark.parametrize("kind", ["Pearson", "CCM", 5, None, ["ccm"]])
+    def test_sidecar_correlation_must_be_a_known_kind(self, tmp_path, kind):
+        # any other kind would be taken for CCM's asymmetric windows
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes([GOOD]))
+        sidecar_path(path).write_text(json.dumps({"correlation": kind}))
+        with pytest.raises(DataError) as err:
+            read_graphs(path)
+        assert str(err.value) == read_or_message(reference_read_series, path)
+        assert str(err.value).startswith(f"{sidecar_path(path)}: correlation is {kind!r}")
+        out = tmp_path / "out.csv"
+        assert main(["pca", "--dim", "raw", "--graphs", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "params, kind",
+        [(None, "ccm"), ({}, "ccm"), ({"correlation": "ccm"}, "ccm"),
+         ({"correlation": "pearson"}, "pearson")],
+        ids=["no-sidecar", "absent", "ccm", "pearson"],
+    )
+    def test_sidecar_correlation_gives_the_kind(self, tmp_path, params, kind):
+        path = tmp_path / "g.bin"
+        path.write_bytes(fcgr_bytes([GOOD]))
+        if params is not None:
+            sidecar_path(path).write_text(json.dumps(params))
+        assert read_graphs(path).kind == reference_read_series(path).kind == kind
 
     @pytest.mark.parametrize("name", ["vertex-index", "nan-weight", "mixed-vertex-count"])
     @pytest.mark.parametrize(
@@ -292,7 +351,7 @@ def test_archive_bytes_and_arrays_match_the_reference(kind, count, n, density, s
         reference_write_graphs(ref, series, params)
         assert path.read_bytes() == ref.read_bytes()
         assert sidecar_path(path).read_bytes() == sidecar_path(ref).read_bytes()
-        back = read_series(path)
+        back = read_graphs(path)
         assert back.weights.tobytes() == weights.tobytes()
         assert (back.dates, back.kind, back.tickers) == (dates, kind, series.tickers)
 
@@ -316,7 +375,7 @@ def test_damaged_archive_loads_or_raises_data_error(data):
         path.write_bytes(bytes(blob))
         expected = read_or_message(reference_read_series, path)
         try:
-            back = read_series(path)
+            back = read_graphs(path)
         except DataError as exc:
             assert str(exc) == expected
             out = Path(tmp) / "out.csv"
@@ -482,7 +541,7 @@ def test_pca_raw_bytes_equal_the_per_cell_writer(tmp_path, kind, triangle):
     dates = [date(2021, 1, 1) + timedelta(days=i) for i in range(t)]
     archive = tmp_path / "graphs.bin"
     write_graphs(archive, WindowSeries(w, dates, kind), {"correlation": kind})
-    series = read_series(archive)
+    series = read_graphs(archive)
     assert series.kind == kind and np.array_equal(series.weights, w)
     out = tmp_path / "pca_raw.csv"
     stage_pca(series, {"raw": out})

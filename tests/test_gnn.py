@@ -29,6 +29,7 @@ from flagcrash.pipeline import stage_gnn
 from flagcrash.tables import write_scores_csv
 
 from oracles import (
+    BAD_EDGES,
     chunked_center,
     chunked_glocalkd_scores,
     chunked_glocalkd_train,
@@ -119,6 +120,28 @@ class TestAttributeGraphs:
         np.testing.assert_array_equal(g.x[0], [1.0, 3.0])
         for leaf in (1, 2, 3):
             np.testing.assert_array_equal(g.x[leaf], [1.0, 1.0])
+
+    @pytest.mark.parametrize("edges, message", BAD_EDGES.values(), ids=BAD_EDGES)
+    def test_bad_edges_rejected_naming_the_graph(self, edges, message):
+        # the archive's edge check, before any feature is formed
+        good = digraph(3, [(0, 1, 0.5)])
+        bad = WeightedDigraph(3, edges, date(2020, 1, 7))
+        with pytest.raises(DataError, match=f"^graph 2020-01-07: .*{message}"):
+            attribute_graphs([good, bad])
+
+    def test_valid_graphs_keep_their_edges_in_order(self):
+        # the check neither reorders nor drops edges: a hand-built graph's
+        # edges and weights come out in its own order
+        raw = random_graph_sequence(41, 6, 9) + [digraph(3, [(2, 0, 0.75), (0, 1, 0.5)])]
+        for g, a in zip(raw, attribute_graphs(raw)):
+            assert a.n == g.n_vertices
+            assert a.edges.tolist() == [[s, t] for s, t, _ in g.edges]
+            assert a.y[:, 0].tolist() == [w for _, _, w in g.edges]
+            degree = np.zeros(g.n_vertices)
+            for s, t, w in g.edges:
+                degree[s] += w
+                degree[t] += w
+            assert a.x.tolist() == [[1.0, d] for d in degree.tolist()]
 
 
 class TestGineForward:

@@ -22,6 +22,7 @@ from flagcrash.ph import (
 )
 
 from oracles import (
+    BAD_EDGES,
     brute_force_diagram,
     random_digraph,
     reference_kruskal,
@@ -256,18 +257,7 @@ class TestTdaFeatures:
         feats = tda_features(series_of([graph(2, [(0, 1, 0.3)])]).weights)
         assert tuple(feats[0]) == pytest.approx((0.3, 0.3, 0.0, 0.0))
 
-    @pytest.mark.parametrize(
-        "edges, message",
-        [
-            ([(1, 1, 0.5)], "self-loop"),
-            ([(0, 1, 0.5), (0, 1, 0.25)], "duplicate"),
-            ([(0, 1, 0.0)], "non-positive"),
-            ([(0, 1, -0.5)], "non-positive"),
-            ([(0, 1, float("nan"))], "non-positive"),
-            ([(0, 3, 0.5)], "out of range"),
-        ],
-        ids=["self-loop", "duplicate", "zero", "negative", "nan", "vertex-index"],
-    )
+    @pytest.mark.parametrize("edges, message", BAD_EDGES.values(), ids=BAD_EDGES)
     def test_bad_edges_rejected_naming_the_graph(self, edges, message):
         # digraphs are checked before they become a series' adjacency array
         good = graph(3, [(0, 1, 0.5)])

@@ -1,16 +1,22 @@
 import dataclasses
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from collections import Counter
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
+import flagcrash
 from flagcrash import ph
-from flagcrash.archive import read_series, write_graphs
+from flagcrash.archive import read_graphs, write_graphs
 from flagcrash.cli import main
 from flagcrash.corrnet import CcmParams, WindowSeries
 from flagcrash.detectors import LOF_BLOCK_ROWS
@@ -83,15 +89,12 @@ seed = 7
 """
 
 
-@pytest.fixture(scope="module")
-def pipeline_runs(synth_files, tmp_path_factory):
-    """One run at --jobs 1 per correlation kind, of every branch: TDA, PCA raw
-    and 3, Mahalanobis and LOF at k 5 and 20, OCGIN and GLocalKD.  Maps
-    "pearson" and "ccm" to the run's config and directory."""
-    prices, events = synth_files
-    root = tmp_path_factory.mktemp("pipeline")
-    base = (
-        config_text(prices, events, root / "runs", gnn_models="ocgin,glocalkd")
+def every_branch_config(prices, events, outdir, kind):
+    """The config of a run of correlation `kind` through every branch: TDA,
+    PCA raw and 3, Mahalanobis and LOF at k 5 and 20, OCGIN and GLocalKD."""
+    return (
+        config_text(prices, events, outdir, gnn_models="ocgin,glocalkd")
+        .replace("correlation = pearson", f"correlation = {kind}")
         .replace("methods = mahalanobis", "methods = mahalanobis,lof")
         .replace("lof_k = 5", "lof_k = 5,20")
         .replace("pca_dims = raw", "pca_dims = raw,3")
@@ -101,13 +104,95 @@ def pipeline_runs(synth_files, tmp_path_factory):
             "glocal_layers = 2\nglocal_lambda = 0.5",
         )
     )
+
+
+@pytest.fixture(scope="module")
+def pipeline_runs(synth_files, tmp_path_factory):
+    """One `every_branch_config` run at --jobs 1 per correlation kind.  Maps
+    "pearson" and "ccm" to the run's config and directory."""
+    prices, events = synth_files
+    root = tmp_path_factory.mktemp("pipeline")
     runs = {}
     for kind in ("pearson", "ccm"):
         cfg_path = root / f"{kind}.ini"
-        cfg_path.write_text(base.replace("correlation = pearson", f"correlation = {kind}"))
+        cfg_path.write_text(every_branch_config(prices, events, root / "runs", kind))
         config = load_config(cfg_path)
         runs[kind] = (config, run_pipeline(config))
     return runs
+
+
+GOLDEN = Path(__file__).parent / "golden" / "pipeline_runs.json"
+
+
+def environment_stamp() -> dict:
+    """What a run's bits depend on besides the code and the BLAS thread
+    count: the Python minor version, numpy, scipy, the BLAS each links (as
+    their build configs name it; "unknown" where they cannot tell) and the
+    machine, with the SIMD extensions numpy finds on it."""
+
+    def config(module):
+        try:
+            return module.show_config(mode="dicts")
+        except TypeError:  # numpy < 1.25 and scipy < 1.11 only print it
+            return {}
+
+    numpy_config, scipy_config = config(np), config(scipy)
+
+    def blas(info):
+        dep = info.get("Build Dependencies", {}).get("blas", {})
+        return f"{dep.get('name', 'unknown')} {dep.get('version', 'unknown')}"
+
+    simd = numpy_config.get("SIMD Extensions", {}).get("found", [])
+    return {
+        "python": ".".join(platform.python_version_tuple()[:2]),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"numpy": blas(numpy_config), "scipy": blas(scipy_config)},
+        "machine": " ".join([platform.machine(), *simd]),
+    }
+
+
+def test_outputs_equal_the_golden_digests(synth_files, tmp_path):
+    """Both `every_branch_config` runs, at one BLAS thread in a fresh
+    process, give every output the digest committed for this environment
+    stamp in tests/golden/; on any other stamp, the report_*.json files
+    (flag counts and scores of discrete events) must still match.  After
+    an intended change of outputs, paste the entry the failure prints in
+    place of the stamp's entry (or add it, for a new stamp)."""
+    prices, events = synth_files
+    configs = []
+    for kind in ("pearson", "ccm"):
+        configs.append(tmp_path / f"{kind}.ini")
+        configs[-1].write_text(every_branch_config(prices, events, tmp_path / kind, kind))
+    code = (
+        "import sys\n"
+        "from flagcrash.pipeline import load_config, run_pipeline\n"
+        "for path in sys.argv[1:]:\n"
+        "    print(run_pipeline(load_config(path)))\n"
+    )
+    path = [str(Path(flagcrash.__file__).parents[1])]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-c", code, *map(str, configs)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    outputs = {
+        kind: json.loads((Path(run_dir) / "manifest.json").read_text())["outputs"]
+        for kind, run_dir in zip(("pearson", "ccm"), run.stdout.splitlines())
+    }
+    entry = {"stamp": environment_stamp(), "outputs": outputs}
+    golden = json.loads(GOLDEN.read_text())
+    same_stamp = [g["outputs"] for g in golden if g["stamp"] == entry["stamp"]]
+    shown = json.dumps(entry, indent=2, sort_keys=True)
+    if same_stamp:
+        assert outputs == same_stamp[0], shown
+    else:
+        def reports(runs):
+            return {kind: {name: digest for name, digest in files.items()
+                           if name.startswith("report_")} for kind, files in runs.items()}
+
+        assert reports(outputs) == reports(golden[0]["outputs"]), shown
 
 
 class TestStageCommands:
@@ -156,7 +241,7 @@ class TestStageCommands:
         # differs between repeats, at a short last batch or at one batch of
         # every window
         graphs = pipeline_runs["ccm"][1] / "graphs.bin"
-        windows = len(read_series(graphs))
+        windows = len(read_graphs(graphs))
         assert windows % 7
         for model, flags in [("ocgin", []), ("glocalkd", ["--lambda", "0.5"])]:
             ckpt = tmp_path / f"{model}.bin"
@@ -193,7 +278,7 @@ class TestStageCommands:
         # the series fits one chunk, which would map in this process: chunks of
         # 16 windows make worker processes share it
         monkeypatch.setattr(ph, "CHUNK_TRIPLES", 16 * 8**3)
-        assert len(ph.window_chunks(read_series(graphs).weights)) >= 2
+        assert len(ph.window_chunks(read_graphs(graphs).weights)) >= 2
         assert main([
             "tda", "--graphs", str(graphs), "--jobs", "2", "--out", str(parallel),
         ]) == 0
@@ -532,7 +617,7 @@ class TestRunPipeline:
         # fan out over worker processes; every output must keep its bytes
         monkeypatch.setattr(ph, "CHUNK_TRIPLES", 64 * 8**3)
         for kind, (config, serial) in pipeline_runs.items():
-            assert len(ph.window_chunks(read_series(serial / "graphs.bin").weights)) >= 2
+            assert len(ph.window_chunks(read_graphs(serial / "graphs.bin").weights)) >= 2
             assert len(gnn_grid(config)) >= 2
             parallel = run_pipeline(
                 dataclasses.replace(config, output_dir=str(tmp_path / kind)), jobs=2
@@ -548,7 +633,7 @@ class TestRunPipeline:
         # thresholded as correlation_series thresholds
         config, run_dir = pipeline_runs["ccm"]
         returns = read_returns_csv(run_dir / "returns.csv")
-        series = read_series(run_dir / "graphs.bin")
+        series = read_graphs(run_dir / "graphs.bin")
         blocks = sliding_window_view(returns.returns, config.window, axis=0).transpose(0, 2, 1)
         expected = np.stack([reference_ccm_corr(block, config.ccm_params) for block in blocks])
         expected[~(expected > 0.0)] = 0.0
