@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .archive import read_graphs
 from .corrnet import CcmParams
 from .errors import ConfigError, DataError, StageError
 from .evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE, load_events
-from .gnn import GlocalConfig, OcginConfig
+from .gnn import MODELS, TrainConfig
 from .ingest import serialize_price_csv
 from .pipeline import (
     PipelineConfig,
@@ -32,8 +33,9 @@ from .synth import make_synthetic, parse_episode_spec
 from .tables import parse_day, read_feature_csv, read_scores_csv, write_scores_csv
 
 
-# the one `gnn` flag that each model alone reads: (flag, keyword of stage_gnn)
-MODEL_FLAGS = {"ocgin": ("--weight-decay", "weight_decay"), "glocalkd": ("--lambda", "lam")}
+# the `gnn` flag of each field that a model's config adds to TrainConfig, and that model
+OWN_FLAGS = {"weight_decay": "--weight-decay", "lam": "--lambda"}
+OWNERS = {f.name: m for m, cls in MODELS.items() for f in fields(cls) if f.name in OWN_FLAGS}
 
 
 def _at_least(low: int):
@@ -84,17 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gnn", help="train a graph model and score every graph")
     p.add_argument("--graphs", required=True)
-    p.add_argument("--model", choices=["ocgin", "glocalkd"], required=True)
-    p.add_argument("--lr", type=float, default=OcginConfig.lr)
-    p.add_argument("--weight-decay", type=float, default=None,
-                   help=f"ocgin only (default {OcginConfig.weight_decay})")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help=f"glocalkd only (default {GlocalConfig.lam})")
-    p.add_argument("--layers", type=int, default=OcginConfig.layers)
-    p.add_argument("--hidden", type=int, default=OcginConfig.hidden)
-    p.add_argument("--batch", type=int, default=OcginConfig.batch_size)
-    p.add_argument("--epochs", type=int, default=OcginConfig.epochs)
-    p.add_argument("--seed", type=_at_least(0), default=OcginConfig.seed)
+    p.add_argument("--model", choices=list(MODELS), required=True)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    for name, flag in OWN_FLAGS.items():
+        p.add_argument(flag, dest=name, type=float, default=None,
+                       help=f"{OWNERS[name]} only (default {getattr(MODELS[OWNERS[name]], name)})")
+    p.add_argument("--layers", type=int, default=TrainConfig.layers)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=_at_least(0), default=TrainConfig.seed)
     p.add_argument("--checkpoint", default=None, help="optional model checkpoint path")
     p.add_argument("--out", required=True)
 
@@ -154,11 +155,12 @@ def _dispatch(args: argparse.Namespace) -> None:
         stage_pca(read_graphs(args.graphs), {args.dim: args.out})
         print(f"wrote {args.out}")
     elif args.command == "gnn":
-        for model, (flag, name) in MODEL_FLAGS.items():
-            if model != args.model and getattr(args, name) is not None:
-                raise ConfigError(f"{flag} applies to --model {model}, not to {args.model}")
-        name = MODEL_FLAGS[args.model][1]
-        own = {} if getattr(args, name) is None else {name: getattr(args, name)}
+        own = {name: getattr(args, name) for name in OWN_FLAGS if getattr(args, name) is not None}
+        for name in own:
+            if OWNERS[name] != args.model:
+                raise ConfigError(
+                    f"{OWN_FLAGS[name]} applies to --model {OWNERS[name]}, not to {args.model}"
+                )
         stage_gnn(
             read_graphs(args.graphs), args.model, args.out, lr=args.lr, layers=args.layers,
             hidden=args.hidden, batch_size=args.batch, epochs=args.epochs, seed=args.seed,

@@ -93,7 +93,7 @@ def load_events(name_or_path) -> EventList:
             .read_text(encoding="utf-8")
         )
         return parse_events_csv(text)
-    with open(name_or_path, "r", encoding="utf-8") as f:
+    with open(name_or_path, "r", encoding="utf-8-sig") as f:
         return parse_events_csv(f)
 
 

@@ -7,6 +7,11 @@ scores by the mimicry error.  All linear maps are bias-free and training
 uses decoupled weight decay, the standard guard against the degenerate
 solution where the network maps everything onto the center.
 
+`TrainConfig` holds the hyperparameters both models read; `OcginConfig`
+adds the weight decay and `GlocalConfig` lambda.  `MODELS`, name -> config
+class, is the one list of models, each with its `<name>_train` and
+`<name>_scores`; the pipeline and the CLI read it.
+
 Message passing treats every directed edge as a bidirectional channel
 carrying the same edge feature both ways, so nodes whose correlations
 point one way still receive messages.
@@ -38,7 +43,7 @@ is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -424,13 +429,12 @@ def _no_grad_pass(
 
 
 # ---------------------------------------------------------------------------
-# one-class training
+# training
 
 
 @dataclass
-class OcginConfig:
+class TrainConfig:
     lr: float = 0.001
-    weight_decay: float = 1e-4
     batch_size: int = 50
     layers: int = 3
     hidden: int = 10
@@ -441,10 +445,16 @@ class OcginConfig:
 
 
 @dataclass
-class OcginState:
-    model: GineModel
-    center: np.ndarray  # fixed at initialization, never optimized
-    loss_curve: list[float] = field(default_factory=list)
+class OcginConfig(TrainConfig):
+    weight_decay: float = 1e-4
+
+
+@dataclass
+class GlocalConfig(TrainConfig):
+    lam: float = 0.1
+
+
+MODELS: dict[str, type[TrainConfig]] = {"ocgin": OcginConfig, "glocalkd": GlocalConfig}
 
 
 def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
@@ -454,14 +464,23 @@ def _plateau(losses: list[float], patience: int, min_delta: float) -> bool:
     return min(losses[-patience:]) > best_before - min_delta
 
 
-def _check_config(config) -> None:
+def _start(graphs: Graphs | _Layout, config: TrainConfig, n_models: int):
+    """The rng of `config`, `n_models` models drawn from it in turn and the
+    layout of `graphs`, once the graphs and the config's fields are checked."""
+    if not len(graphs):
+        model = next(name for name, cls in MODELS.items() if isinstance(config, cls))
+        raise DataError(f"{model}_train needs a non-empty graph list")
     for name in ("batch_size", "layers", "hidden", "epochs"):
         if getattr(config, name) < 1:
             raise DataError(f"{name} must be at least 1, got {getattr(config, name)}")
-    for name in ("lr", "weight_decay", "lam"):  # OCGIN has no lam, GLocalKD no weight decay
-        value = getattr(config, name, 0.0)
-        if not value >= 0:  # so that nan fails too
-            raise DataError(f"{name} must be >= 0, got {value}")
+    names = {f.name for f in fields(config)}
+    for name in ("lr", "weight_decay", "lam"):
+        if name in names and not getattr(config, name) >= 0:  # so that nan fails too
+            raise DataError(f"{name} must be >= 0, got {getattr(config, name)}")
+    rng = np.random.default_rng(config.seed)
+    models = [init_gine(rng, hidden=config.hidden, n_layers=config.layers)
+              for _ in range(n_models)]
+    return rng, models, _layout(graphs, config.batch_size)
 
 
 def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]:
@@ -487,15 +506,21 @@ def _fit(params, batch_loss, rng, n, config, weight_decay: float) -> list[float]
     return losses
 
 
+# ---------------------------------------------------------------------------
+# one-class training
+
+
+@dataclass
+class OcginState:
+    model: GineModel
+    center: np.ndarray  # fixed at initialization, never optimized
+    loss_curve: list[float] = field(default_factory=list)
+
+
 def ocgin_train(graphs: Graphs | _Layout, config: OcginConfig) -> OcginState:
     """Minimize mean squared distance of graph embeddings to the frozen
     center (the mean embedding at initialization)."""
-    if not len(graphs):
-        raise DataError("ocgin_train needs a non-empty graph list")
-    _check_config(config)
-    rng = np.random.default_rng(config.seed)
-    model = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
-    layout = _layout(graphs, config.batch_size)
+    rng, [model], layout = _start(graphs, config, 1)
     [(_, embs)] = _no_grad_pass([model], layout)
     center = np.mean(embs, axis=0)
 
@@ -503,9 +528,7 @@ def ocgin_train(graphs: Graphs | _Layout, config: OcginConfig) -> OcginState:
         emb = _forward(model, layout.batch(idx))[1]
         return ad.squared_norm(ad.sub(emb, Tensor(np.tile(center, (len(idx), 1)))))
 
-    losses = _fit(
-        model.parameters(), batch_loss, rng, len(graphs), config, config.weight_decay
-    )
+    losses = _fit(model.parameters(), batch_loss, rng, len(graphs), config, config.weight_decay)
     return OcginState(model=model, center=center, loss_curve=losses)
 
 
@@ -524,19 +547,6 @@ def ocgin_scores(
 
 
 @dataclass
-class GlocalConfig:
-    lr: float = 0.001
-    batch_size: int = 50
-    layers: int = 3
-    hidden: int = 10
-    lam: float = 0.1
-    epochs: int = 150
-    seed: int = 7
-    patience: int = 20
-    min_delta: float = 1e-7
-
-
-@dataclass
 class GlocalState:
     teacher: GineModel
     student: GineModel
@@ -547,16 +557,9 @@ class GlocalState:
 def glocalkd_train(graphs: Graphs | _Layout, config: GlocalConfig) -> GlocalState:
     """Train a student to mimic a frozen random teacher; the mimicry error
     (lambda * node term + graph term) is the anomaly score."""
-    if not len(graphs):
-        raise DataError("glocalkd_train needs a non-empty graph list")
-    _check_config(config)
-    rng = np.random.default_rng(config.seed)
-    teacher = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
+    rng, [teacher, student], layout = _start(graphs, config, 2)
     for t in teacher.parameters():
         t.requires_grad = False
-    student = init_gine(rng, hidden=config.hidden, n_layers=config.layers)
-
-    layout = _layout(graphs, config.batch_size)
     [(nodes, teacher_emb)] = _no_grad_pass([teacher], layout)
     teacher_nodes = np.split(nodes, np.cumsum(layout.sizes)[:-1])
 
@@ -574,9 +577,7 @@ def glocalkd_train(graphs: Graphs | _Layout, config: GlocalConfig) -> GlocalStat
         return ad.add(node_term, graph_term)
 
     losses = _fit(student.parameters(), batch_loss, rng, len(graphs), config, 0.0)
-    return GlocalState(
-        teacher=teacher, student=student, lam=config.lam, loss_curve=losses
-    )
+    return GlocalState(teacher=teacher, student=student, lam=config.lam, loss_curve=losses)
 
 
 def glocalkd_scores(

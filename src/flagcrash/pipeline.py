@@ -137,7 +137,7 @@ class PipelineConfig:
         if not feature_branch and not self.gnn_models:
             raise ConfigError("config selects no feature/detector or gnn branch")
         for what, names, known in (
-            ("gnn model", self.gnn_models, ("ocgin", "glocalkd")),
+            ("gnn model", self.gnn_models, gnn.MODELS),
             ("detector", self.detectors, ("mahalanobis", "lof")),
             ("tda norm", self.tda_norms, ("l1", "l2")),
         ):
@@ -185,7 +185,7 @@ def load_config(path) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        raw_text = path.read_text(encoding="utf-8")
+        raw_text = path.read_text(encoding="utf-8-sig")
         parser = configparser.ConfigParser()
         parser.read_string(raw_text)
         cfg = PipelineConfig(
@@ -232,7 +232,7 @@ FeatureTable = tuple[list[date], list[str], np.ndarray]  # dates, columns, value
 
 
 def stage_ingest(prices_path, start, end, min_coverage, out_path) -> None:
-    with open(prices_path, "r", encoding="utf-8") as f:
+    with open(prices_path, "r", encoding="utf-8-sig") as f:
         table = parse_price_csv(f)
     table = align_and_filter(table, start, end, min_coverage)
     write_returns_csv(log_returns(table), out_path)
@@ -310,22 +310,17 @@ def stage_gnn(
     checkpoint_path=None,
     **train,
 ) -> np.ndarray:
-    """Train `model` on the series and write the score of every window;
-    `train` sets fields of the model's config (`gnn.OcginConfig` or
-    `gnn.GlocalConfig`), and the config's defaults hold for the rest.
+    """Train `model`, a key of `gnn.MODELS`, on the series and write the
+    score of every window; `train` sets fields of its config class there (a
+    `gnn.TrainConfig`), whose defaults hold for the rest.  `gnn.<model>_train`
+    and `_scores` are looked up at call time, so patches of them apply.
     Training and scoring batch the windows alike, so they share one layout."""
-    if model == "ocgin":
-        config = gnn.OcginConfig(**train)
-        layout = gnn._Layout(series.weights, config.batch_size)
-        state = gnn.ocgin_train(layout, config)
-        scores = gnn.ocgin_scores(state, layout, config.batch_size)
-    elif model == "glocalkd":
-        config = gnn.GlocalConfig(**train)
-        layout = gnn._Layout(series.weights, config.batch_size)
-        state = gnn.glocalkd_train(layout, config)
-        scores = gnn.glocalkd_scores(state, layout, config.batch_size)
-    else:
+    if model not in gnn.MODELS:
         raise ConfigError(f"unknown gnn model {model!r}")
+    config = gnn.MODELS[model](**train)
+    layout = gnn._Layout(series.weights, config.batch_size)
+    state = getattr(gnn, f"{model}_train")(layout, config)
+    scores = getattr(gnn, f"{model}_scores")(state, layout, config.batch_size)
     # scores first: non-finite ones stop the stage before any file is written
     tables.write_scores_csv(out_path, series.dates, scores)
     if checkpoint_path is not None:

@@ -88,7 +88,7 @@ def write_feature_csv(path, dates: list[date], columns: list[str], values) -> No
 
 
 def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         rows = read_rows(f, path)
         columns = next(rows)
         dates, values = [], []

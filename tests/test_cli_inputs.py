@@ -6,9 +6,11 @@ reads (prices, returns, events, feature and score tables) and run the
 command that reads it.
 """
 
+import argparse
 import contextlib
 import io
 import tempfile
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -18,12 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcrash import corrnet, features, gnn, pipeline
+from flagcrash.archive import read_graphs
+from flagcrash.checkpoint import save_checkpoint
 from flagcrash.cli import build_parser, main
 from flagcrash.corrnet import CcmParams
 from flagcrash.evaluation import DEFAULT_LOOKBACK, DEFAULT_PERCENTILE
-from flagcrash.gnn import GlocalConfig, OcginConfig
+from flagcrash.errors import ConfigError
+from flagcrash.gnn import GlocalConfig, OcginConfig, TrainConfig
 from flagcrash.pipeline import PipelineConfig, load_config
 from flagcrash.synth import parse_episode_spec
+from flagcrash.tables import write_scores_csv
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -93,6 +99,29 @@ def test_non_utf8_byte_is_a_data_error(good, tmp_path, kind):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_byte_order_mark_reads_like_the_file_without_it(good, tmp_path, kind):
+    # spreadsheet exports start with a UTF-8 byte-order mark
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + good[kind].read_bytes())
+    for argv, plain in zip(reader_commands(kind, marked, good, tmp_path / "out"),
+                           reader_commands(kind, good[kind], good, tmp_path / "ref")):
+        # a report names its method after the scores path unless told otherwise
+        named = ["--method-name", "m"] if argv[0] == "evaluate" else []
+        assert run_cli(argv + named) == (0, "") == run_cli(plain + named)
+        assert (tmp_path / "out").read_bytes() == (tmp_path / "ref").read_bytes()
+
+
+def test_config_byte_order_mark_reads_like_the_file_without_it(good, tmp_path):
+    text = (f"[data]\nprices = {good['prices']}\nevents = {good['events']}\n"
+            "start = 2000-01-01\nend = 2099-01-01\n[gnn]\nmodels = ocgin\n")
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    one, two = load_config(marked), load_config(plain)
+    assert one == two and one.config_hash() == two.config_hash()
+
+
 @pytest.mark.parametrize("kind", ["returns", "features", "scores"])
 def test_non_numeric_cell_names_path_and_line(good, tmp_path, kind):
     lines = good[kind].read_text().split("\n")
@@ -150,15 +179,16 @@ def test_config_and_flag_dates_read_as_strptime_does(good, tmp_path, day):
 
 def test_flag_defaults_are_the_library_defaults():
     parse = build_parser().parse_args
-    ocgin, glocal, ccm = OcginConfig(), GlocalConfig(), CcmParams()
+    shared, ocgin, glocal, ccm = TrainConfig(), OcginConfig(), GlocalConfig(), CcmParams()
     args = parse(["gnn", "--graphs", "g", "--model", "ocgin", "--out", "o"])
     # absent, each model's own flag leaves its config's default in place, and
     # given, it must belong to the chosen model
     assert (args.weight_decay, args.lam) == (None, None)
     for flag, field in (("layers", "layers"), ("hidden", "hidden"), ("batch", "batch_size"),
                         ("epochs", "epochs"), ("seed", "seed"), ("lr", "lr")):
-        # one flag serves both models, so their configs must agree
-        assert getattr(args, flag) == getattr(ocgin, field) == getattr(glocal, field), flag
+        # one flag serves both models, so it takes the default of their shared config
+        assert getattr(args, flag) == getattr(shared, field) == getattr(ocgin, field), flag
+        assert getattr(args, flag) == getattr(glocal, field), flag
     args = parse(["graphs", "--returns", "r", "--out", "o"])
     assert (args.window, args.corr) == (PipelineConfig.window, PipelineConfig.correlation)
     assert (args.ccm_e, args.ccm_tau) == (ccm.embedding_dim, ccm.lag)
@@ -167,6 +197,42 @@ def test_flag_defaults_are_the_library_defaults():
     args = parse(["ingest", "--prices", "p", "--start", "s", "--end", "e", "--out", "o"])
     assert args.min_coverage == PipelineConfig.min_coverage
     assert parse(["tda", "--graphs", "g", "--out", "o"]).essential == PipelineConfig.essential
+
+
+def test_every_model_list_is_gnn_models(good):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    [model] = [a for a in sub.choices["gnn"]._actions if a.dest == "model"]
+    assert model.choices == list(gnn.MODELS)
+
+    def accepted(name):
+        config = PipelineConfig(prices_path=str(good["prices"]), events_path=str(good["events"]),
+                                start=date(2000, 1, 1), end=date(2099, 1, 1), gnn_models=(name,))
+        try:
+            config.validate()
+        except ConfigError as exc:
+            assert str(exc) == f"unknown gnn model {name!r}"
+            return False
+        return True
+
+    names = [*gnn.MODELS, "gin", "OCGIN", "glocal", "TrainConfig"]
+    assert [name for name in names if accepted(name)] == list(gnn.MODELS)
+    axes = [f.metadata["axis"][0] for f in fields(PipelineConfig) if f.metadata.get("axis")]
+    assert list(dict.fromkeys(axes)) == list(gnn.MODELS)
+
+
+def test_gnn_epochs_alone_trains_at_the_config_defaults(good, tmp_path):
+    graphs = good["returns"].parent / "graphs.bin"
+    out, checkpoint = tmp_path / "scores.csv", tmp_path / "model.bin"
+    assert run_cli(["gnn", "--graphs", graphs, "--model", "glocalkd", "--epochs", "2",
+                    "--checkpoint", checkpoint, "--out", out]) == (0, "")
+    series, config = read_graphs(graphs), GlocalConfig(epochs=2)
+    state = gnn.glocalkd_train(series.weights, config)
+    scores = gnn.glocalkd_scores(state, series.weights, config.batch_size)
+    write_scores_csv(tmp_path / "ref.csv", series.dates, scores)
+    save_checkpoint(state, tmp_path / "ref.bin")
+    pairs = [(out, "ref.csv"), (checkpoint, "ref.bin"), (f"{checkpoint}.json", "ref.bin.json")]
+    for one, two in pairs:
+        assert Path(one).read_bytes() == (tmp_path / two).read_bytes(), two
 
 
 NASTY_CELLS = st.one_of(
