@@ -4,11 +4,12 @@ Both detectors are transductive: scores are computed in-sample over the
 whole series, matching the percentile-over-observed-distribution protocol
 used downstream.  LOF scores every configured neighbor count k in one
 pass over blocks of LOF_BLOCK_ROWS rows, which finds each row's neighbor
-candidates in a Gram product, within a rounding bound, and every
-k-distance from exact `cdist` distances to them alone, and two passes
-that sum over the neighborhoods.  It holds no T x T matrix: beyond a few
-(LOF_BLOCK_ROWS, T) buffers it keeps each row's widest neighborhood, and
-its scores have the bits of the dense computation.
+candidates within a rounding bound, from a k-d tree for tables of at most
+LOF_TREE_COLUMNS columns and from a Gram product for wider ones, and every
+k-distance from exact distances to them alone, with `cdist`'s bits; and
+two passes that sum over the neighborhoods.  It holds no T x T matrix:
+beyond a few (LOF_BLOCK_ROWS, T) buffers it keeps each row's widest
+neighborhood, and its scores have the bits of the dense computation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
+from itertools import groupby
 
 import numpy as np
+from scipy.spatial import KDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
@@ -26,6 +29,7 @@ RIDGE_EPS = 1e-6
 LRD_EPS = 1e-10  # keeps densities finite around duplicate points
 LOF_BLOCK_ROWS = 128  # LOF computes and sums (128 x T) blocks, never the (T x T) matrix
 _EXACT_ROWS = 16  # rows of a block that share one `cdist` call over their candidates
+LOF_TREE_COLUMNS = 4  # LOF searches tables up to this wide with a k-d tree, wider ones by Gram
 
 
 @dataclass
@@ -137,33 +141,123 @@ def _candidates(x: np.ndarray, top: int):
         yield lo, mask
 
 
+def _cdist_tile(x: np.ndarray, own: np.ndarray, cols: np.ndarray):
+    """(own, cols, dist): the `cdist` distances of rows `own` to rows
+    `cols`, nan where a row meets itself."""
+    dist = cdist(x[own], x[cols])
+    dist[cols == own[:, None]] = np.nan
+    return own, cols, dist
+
+
+def _gram_tiles(x: np.ndarray, top: int):
+    """A `_cdist_tile` for every _EXACT_ROWS rows of each block of
+    `_candidates`, over the union of their candidates."""
+    for lo, candidate in _candidates(x, top):
+        for first in range(0, len(candidate), _EXACT_ROWS):
+            own = np.arange(lo + first, lo + min(first + _EXACT_ROWS, len(candidate)))
+            cols = np.flatnonzero(candidate[first : first + _EXACT_ROWS].any(axis=0))
+            yield _cdist_tile(x, own, cols)
+
+
+def _tree_candidates(x: np.ndarray, top: int):
+    """For each block of LOF_BLOCK_ROWS rows `own`, (own, cols, tied):
+    row i of `cols` holds top + 2 other rows, sorted, among them all of
+    own[i]'s neighbors at its (top + 1)-th nearest distance, ties
+    included, as `cdist` computes distances; unless tied[i], when every
+    other row is a candidate.
+
+    A k-d tree gives each row a its top + 3 nearest rows by distances
+    fl(sqrt(s)), where s sums the squares of the d rounded column
+    differences in some order; `cdist` sums the same squares, as
+    fl(p - q) = -fl(q - p), left to right.  With u = 2^-53,
+    gamma_m = m u / (1 - m u), eta = 2^-1074 and S the exact sum:
+    - either sum is within gamma_d S + d eta of S, in any order, FMA
+      included, eta covering the squares that underflow; either root
+      errs by at most one ulp, 2u relative;
+    - r_a, the (top + 2)-th of those distances, has top + 1 other rows
+      with s <= r_a^2 / (1 - 2u)^2, so row a's k-distance as `cdist` finds
+      it, and hence every neighbor b, has S_ab, and the tree's s_ab, within
+      B_a = r_a^2 (1 + (4 d + 13) u) + 5 d eta;
+    - the tree bounds its nodes by sums it updates one level at a time,
+      over at most T levels, so its search passes over no row whose s
+      lies more than 4 T u relative plus 2 T eta below its current k-th
+      nearest.
+    R_a = sqrt(r_a^2 (1 + 16 (d + T + 8) u) + 16 (d + T) eta) covers B_a,
+    those slips and the rounding of R_a.  A row whose (top + 3)-th
+    nearest lies past R_a has every neighbor among its top + 2 nearest
+    other rows; any other row is tied at its radius.  The bounds hold for
+    sums before they overflow to an inf distance, and a row whose radius
+    is inf scores inf or nan whatever its neighbors.
+    """
+    t_rows, dim = x.shape
+    tree = KDTree(x)
+    count = min(top + 3, t_rows)  # T = top + 2 rows: every row is tied
+    slack = 1.0 + (dim + t_rows + 8) * 2.0**-49
+    tiny = (dim + t_rows) * np.ldexp(1.0, -1070)
+    for lo in range(0, t_rows, LOF_BLOCK_ROWS):
+        own = np.arange(lo, min(lo + LOF_BLOCK_ROWS, t_rows))
+        near, idx = tree.query(x[own], k=count)
+        r = near[:, top + 1]
+        tied = near[:, -1] <= np.sqrt(r * r * slack + tiny)
+        # each row's nearest other rows: the row itself, if found, goes last
+        others = np.argsort(idx == own[:, None], axis=1, kind="stable")[:, : top + 2]
+        yield own, np.sort(np.take_along_axis(idx, others, axis=1), axis=1), tied
+
+
+def _pair_distances(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """`cdist(x, x)[rows, cols]`, with `rows` and `cols` broadcast, and its
+    bits: the squared column differences of each pair, added left to
+    right as `cdist` adds them."""
+    diff = x[rows, 0] - x[cols, 0]
+    total = diff * diff
+    for j in range(1, x.shape[1]):
+        np.subtract(x[rows, j], x[cols, j], out=diff)
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
+
+
+def _tree_tiles(x: np.ndarray, top: int):
+    """(own, cols, dist) for each block of `_tree_candidates`, or for each
+    _EXACT_ROWS rows of a block that has a tied row: the distances of
+    rows `own` to their candidates `cols` from `_pair_distances`, or a
+    `_cdist_tile` over every row when one of them is tied."""
+    for own, cols, tied in _tree_candidates(x, top):
+        step = _EXACT_ROWS if tied.any() else len(own)
+        for first in range(0, len(own), step):
+            rows = slice(first, first + step)
+            if tied[rows].any():
+                yield _cdist_tile(x, own[rows], np.arange(len(x)))
+            else:
+                yield own[rows], cols[rows], _pair_distances(x, own[rows, None], cols[rows])
+
+
 def _k_distances(x: np.ndarray, kths: list[int]):
     """Every row's distance to its (kth + 1)-th nearest other row, one row
     of the result per entry of the sorted `kths`, and each block's widest
     neighborhoods: its rows' neighbors within the largest of those
     distances, the radius, as `_block_sums` reads them.
 
-    Every _EXACT_ROWS rows of a block share one `cdist` call against the
-    union of their `_candidates`, themselves excluded: as it holds each
-    row's neighbors, every k-distance is an order statistic of it.
+    The tiles of `_tree_tiles`, for tables of at most LOF_TREE_COLUMNS
+    columns, or else of `_gram_tiles` give rows their distances to their
+    candidates (nan at a row's own column): as those hold each row's
+    neighbors, every k-distance is an order statistic of them.
     """
     kdists, widest = np.empty((len(kths), len(x))), []
     col_type = np.min_scalar_type(len(x) - 1)
-    for lo, candidate in _candidates(x, kths[-1]):
+    tiles = (_tree_tiles if x.shape[1] <= LOF_TREE_COLUMNS else _gram_tiles)(x, kths[-1])
+    for _, block in groupby(tiles, key=lambda tile: tile[0][0] // LOF_BLOCK_ROWS):
         found = []
-        for first in range(0, len(candidate), _EXACT_ROWS):
-            own = np.arange(lo + first, lo + min(first + _EXACT_ROWS, len(candidate)))
-            cols = np.flatnonzero(candidate[first : first + _EXACT_ROWS].any(axis=0))
-            dist = cdist(x[own], x[cols])
-            dist[cols == own[:, None]] = np.inf
+        for own, cols, dist in block:
             kdists[:, own] = np.partition(dist, kths, axis=1)[:, kths].T
             radius = kdists[-1, own][:, None]
             inner, rim = dist < radius, dist == radius
             # row by row, the neighbors inside the radius, then those on it
-            on_row = np.nonzero(np.concatenate([inner, rim], axis=1))[1]
+            rows, on_row = np.nonzero(np.concatenate([inner, rim], axis=1))
+            twice = np.concatenate([cols, cols], axis=-1)
             found.append((
-                np.tile(cols.astype(col_type), 2)[on_row], dist[inner],
-                inner.sum(axis=1), rim.sum(axis=1),
+                (twice[on_row] if twice.ndim == 1 else twice[rows, on_row]).astype(col_type),
+                dist[inner], inner.sum(axis=1), rim.sum(axis=1),
             ))
         widest.append(tuple(np.concatenate(part) for part in zip(*found)))
     return kdists, widest
@@ -239,16 +333,18 @@ def lof_scores(
 
     No square distance matrix is formed.  One pass, LOF_BLOCK_ROWS rows
     at a time, takes each row's neighbor candidates for the largest k from
-    a Gram product, computes its exact `cdist` distances to them, finds
-    every k-distance, and keeps the columns and distances of its widest
-    neighborhood, that of the largest k; every smaller k's neighborhood is
-    a subset.  Two more passes over the blocks sum, for every k, the
-    reachability distances and then the densities of each row's neighbors:
-    a block buffer holds them at their positions and zeros elsewhere, and
-    each row is summed whole, so every score has the bits of the dense
-    reduction over the full matrix.  Memory is the widest neighborhoods (a
-    neighbor tied at the largest k-distance costs only its column: 2 bytes
-    up to 65536 rows) and a few block-sized buffers and temporaries.
+    a k-d tree on tables of at most LOF_TREE_COLUMNS columns and from a
+    Gram product on wider ones, computes its exact distances to them with
+    `cdist`'s bits, finds every k-distance, and keeps the columns and
+    distances of its widest neighborhood, that of the largest k; every
+    smaller k's neighborhood is a subset.  Two more passes over the
+    blocks sum, for every k, the reachability distances and then the
+    densities of each row's neighbors: a block buffer holds them at their
+    positions and zeros elsewhere, and each row is summed whole, so every
+    score has the bits of the dense reduction over the full matrix.
+    Memory is the widest neighborhoods (a neighbor tied at the largest
+    k-distance costs only its column: 2 bytes up to 65536 rows) and a few
+    block-sized buffers and temporaries.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:

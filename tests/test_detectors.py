@@ -12,12 +12,15 @@ import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
 import flagcrash
+from flagcrash import detectors
 from flagcrash.corrnet import correlation_series
 from flagcrash.detectors import (
-    _EXACT_ROWS, LOF_BLOCK_ROWS, RIDGE_EPS, _candidates, lof_scores, mahalanobis_scores,
+    _EXACT_ROWS, LOF_BLOCK_ROWS, LOF_TREE_COLUMNS, RIDGE_EPS, _candidates, _k_distances,
+    _pair_distances, _tree_candidates, lof_scores, mahalanobis_scores,
 )
 from flagcrash.errors import DataError
 from flagcrash.ingest import log_returns
+from flagcrash.ph import tda_features
 from flagcrash.synth import Episode, make_synthetic
 
 from oracles import brute_force_lof, reference_lof, reference_lof_blocks, reference_mahalanobis
@@ -263,12 +266,16 @@ class TestLof:
         assert lof_scores(dates_for(5), np.zeros((5, 2)), []) == []
 
 
-def pearson_raw_table(t: int) -> np.ndarray:
-    """The `pca_raw` table of a Pearson run over a 12-ticker `synth` panel:
-    t windows of 25 returns, each thresholded, mirrored and flattened."""
+def pearson_windows(t: int) -> np.ndarray:
+    """The Pearson windows of a 12-ticker `synth` panel: t windows of 25
+    returns, each thresholded."""
     table, _ = make_synthetic(12, t + 25, [Episode(t // 3, 20, 0.8)], seed=1)
-    w = correlation_series(log_returns(table), 25, "pearson").weights
-    return (w + w.transpose(0, 2, 1)).reshape(t, -1)
+    return correlation_series(log_returns(table), 25, "pearson").weights
+
+
+def pearson_raw_table(w: np.ndarray) -> np.ndarray:
+    """The `pca_raw` table of windows `w`: each mirrored and flattened."""
+    return (w + w.transpose(0, 2, 1)).reshape(len(w), -1)
 
 
 def lof_cases():
@@ -281,7 +288,11 @@ def lof_cases():
     shuffled.  The rest push the candidates' rounding bound: a large offset,
     where the Gram product cancels most bits of the distances, tiny and
     huge spreads, rows near 1e300, pairs of rows one ulp apart and a
-    drifting table as wide as a 39-ticker correlation matrix."""
+    drifting table as wide as a 39-ticker correlation matrix.  Last, the
+    (l1_h0, l1_h1) persistence norms of the Pearson table's windows, whose
+    nearest rows lie far apart in time (a median of 443 rows to the 20
+    nearest, against 6 in the Pearson table), and tables on either side
+    of the k-d tree's column cut."""
     rng = np.random.default_rng(500)
     b = LOF_BLOCK_ROWS
     cases = {f"normal-T{t}": rng.normal(size=(t, 3)) for t in (2, 3, b // 2, b, b + 1, 2 * b + 37)}
@@ -298,7 +309,8 @@ def lof_cases():
     # every later row is as far from each row of the first block, so its
     # k-distance ties across the boundary with every one of them
     cases["boundary-tie"] = np.r_[np.zeros(b), 1.0 + 2.0 * np.arange(b + 1)][:, None]
-    cases["pearson-raw"] = pearson_raw_table(12 * b + 1)
+    windows = pearson_windows(12 * b + 1)
+    cases["pearson-raw"] = pearson_raw_table(windows)
     cases["pearson-raw-shuffled"] = rng.permutation(cases["pearson-raw"])
     cases["offset-1e6"] = 1e6 + rng.normal(size=(b + 40, 3))
     # 1e-160: cdist's squares of the differences are subnormal, so its distances
@@ -310,10 +322,35 @@ def lof_cases():
     twins = rng.normal(size=(b // 2 + 20, 4))
     cases["ulp-pairs"] = rng.permutation(np.r_[twins, np.nextafter(twins, np.inf)])
     cases["drift-1521"] = np.cumsum(rng.normal(size=(b + 40, 1521)), axis=0) * 0.01
+    cases["tda-norms"] = tda_features(windows)[:, [0, 2]]
+    for d in (LOF_TREE_COLUMNS, LOF_TREE_COLUMNS + 1):
+        cases[f"normal-d{d}"] = rng.normal(size=(2 * b + 37, d))
     return cases
 
 
 LOF_CASES = lof_cases()
+TREE_CASES = sorted(n for n, x in LOF_CASES.items() if x.shape[1] <= LOF_TREE_COLUMNS)
+
+
+def assert_tree_candidates_hold_every_neighbor(x):
+    """`_tree_candidates` of x for k = 1, 5, 20 and T - 1 cover the rows in
+    blocks, and each untied row's columns hold its neighbors, not itself."""
+    t = len(x)
+    dense = cdist(x, x)
+    np.fill_diagonal(dense, np.inf)
+    for k in sorted({min(k, t - 1) for k in (1, 5, 20, t - 1)}):
+        kdist = np.partition(dense, k - 1, axis=1)[:, k - 1]
+        neighbors = dense <= kdist[:, None]
+        blocks = list(_tree_candidates(x, k - 1))
+        assert np.array_equal(np.concatenate([own for own, _, _ in blocks]), np.arange(t))
+        for own, cols, tied in blocks:
+            # a tied row takes every other row; the others take their columns
+            rows = np.flatnonzero(~tied)
+            mask = np.zeros((len(rows), t), dtype=bool)
+            mask[np.arange(len(rows))[:, None], cols[rows]] = True
+            assert len(own) <= LOF_BLOCK_ROWS and cols.shape == (len(own), k + 1)
+            assert not (neighbors[own[rows]] & ~mask).any()
+            assert not mask[np.arange(len(rows)), own[rows]].any()
 
 
 class TestLofAgainstReference:
@@ -376,13 +413,74 @@ class TestLofAgainstReference:
             for _, mask in _candidates(x, k - 1):
                 assert mask.sum(axis=1).max() <= k + 2
 
+    @pytest.mark.parametrize("ks", [[1, 5, 20], ["T-1"]])
+    @pytest.mark.parametrize("name", TREE_CASES)
+    def test_tree_and_gram_searches_give_the_same_neighborhoods(self, name, ks, monkeypatch):
+        x = LOF_CASES[name]
+        t = len(x)
+        kths = sorted({(t - 1 if k == "T-1" else min(k, t - 1)) - 1 for k in ks})
+        kdists, widest = _k_distances(x, kths)
+        monkeypatch.setattr(detectors, "LOF_TREE_COLUMNS", 0)
+        gram_kdists, gram_widest = _k_distances(x, kths)
+        assert np.array_equal(kdists, gram_kdists)
+        assert len(widest) == len(gram_widest)
+        for block, gram_block in zip(widest, gram_widest):
+            for part, gram_part in zip(block, gram_block, strict=True):
+                assert part.dtype == gram_part.dtype and np.array_equal(part, gram_part)
+
+    @pytest.mark.parametrize("name", sorted(LOF_CASES))
+    def test_tree_candidates_hold_every_neighbor(self, name):
+        assert_tree_candidates_hold_every_neighbor(LOF_CASES[name])
+
+    @pytest.mark.parametrize("name", TREE_CASES)
+    def test_tree_candidates_hold_every_neighbor_when_the_tree_rounds_otherwise(
+        self, name, monkeypatch
+    ):
+        # scipy's tree sums these few squares as cdist does; one that summed
+        # them in another order would move its distances by about an ulp,
+        # which the candidates' bound must absorb
+        class OffByAnUlp:
+            def __init__(self, x):
+                self.x, self.rng = x, np.random.default_rng(len(x))
+
+            def query(self, rows, k):
+                dist = cdist(rows, self.x)
+                away = np.where(self.rng.random(dist.shape) < 0.5, -np.inf, np.inf)
+                dist = np.maximum(np.nextafter(dist, away), 0.0)
+                nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+                return np.take_along_axis(dist, nearest, axis=1), nearest
+
+        monkeypatch.setattr(detectors, "KDTree", OffByAnUlp)
+        assert_tree_candidates_hold_every_neighbor(LOF_CASES[name])
+
+    @pytest.mark.parametrize("name", ["normal-T293", "normal-d4", "tda-norms", "ascending", "descending"])
+    def test_tree_finds_no_tie_without_one(self, name):
+        # no row is tied at its radius, so each has k + 1 candidates, however
+        # far apart in time its neighbors lie or its row norms spread
+        x = LOF_CASES[name]
+        for k in (1, 5, 20, 30):
+            assert not any(tied.any() for _, _, tied in _tree_candidates(x, k - 1))
+
+    @pytest.mark.parametrize("name", sorted(LOF_CASES))
+    def test_pair_distances_equal_cdist(self, name):
+        x = LOF_CASES[name]
+        square = cdist(x, x)
+        rng = np.random.default_rng(len(x))
+        rows, cols = rng.integers(0, len(x), size=(2, 4000))
+        assert np.array_equal(_pair_distances(x, rows, cols), square[rows, cols])
+        # each of some rows against a row of columns, as the tree's tiles ask
+        rows, cols = rng.integers(0, len(x), size=(2, 16, 21))
+        got = _pair_distances(x, rows[:, :1], cols)
+        assert np.array_equal(got, square[rows[:, :1], cols])
+
 
 def test_scores_do_not_depend_on_blas_threads():
-    # the candidate search runs through threaded dgemm; the thread count must
-    # not reach the scores, whose distances all come from cdist
+    # the Gram candidate search runs through threaded dgemm; the thread count
+    # must not reach the scores, whose distances come from cdist or from the
+    # pair kernel, and the k-d tree search uses no BLAS at all
     code = (
         "import hashlib, test_detectors as t\n"
-        "for name in ('pearson-raw', 'wide'):\n"
+        "for name in ('pearson-raw', 'wide', 'tda-norms'):\n"
         "    x = t.LOF_CASES[name]\n"
         "    series = t.lof_scores(t.dates_for(len(x)), x, [1, 5, 20])\n"
         "    print(hashlib.sha256(b''.join(s.scores.tobytes() for s in series)).hexdigest())\n"
@@ -398,7 +496,7 @@ def test_scores_do_not_depend_on_blas_threads():
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     digests = []
-    for name in ("pearson-raw", "wide"):
+    for name in ("pearson-raw", "wide", "tda-norms"):
         x = LOF_CASES[name]
         series = lof_scores(dates_for(len(x)), x, [1, 5, 20])
         digests.append(hashlib.sha256(b"".join(s.scores.tobytes() for s in series)).hexdigest())
