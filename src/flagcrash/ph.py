@@ -11,22 +11,24 @@ The engine works on a chunk of consecutive windows of a series'
 (W, n, n) adjacency array.  `np.nonzero` lists its edges row-major; two
 stable sorts, by weight then by window, rank them.  Each edge a -> b
 spans a triangle with every c in both a's and b's adjacency rows, so the
-triangles come in (window, a, b, c) order from E x n cells.  Integer
-sort keys are cast to the narrowest type that holds them, which numpy
-radix-sorts.  The edge of an apparent pair, a triangle's youngest facet
-whose oldest cofacet is that triangle (Bauer, "Ripser", 2021), is never
-reduced: its triangle's two older edges already join its ends, so it
-kills no H0 class, and it pairs with that triangle.  In a flag complex
-most triangles pair this way, at zero length.  Each window's other edges
-then go through union-find in filtration order: an edge that joins two
-components kills an H0 class, and every other edge is reduced for H1,
-youngest first, over GF(2) (Python ints as bit columns over the window's
-triangles).  Reducing coboundaries in reverse filtration order, the
-cohomology dual of boundary reduction, yields the same pairs (de Silva,
-Morozov & Vejdemo-Johansson, "Dualities in persistent (co)homology",
-2011).  An edge whose oldest cofacet is neither a pivot nor apparent
-pairs with it at once (an emergent pair); its column is built only if
-another column reaches that pivot.
+triangles come in (window, a, b, c) order from E x n cells.  Edges and
+triangles keep one rank each across the chunk.  Integer sort keys are
+cast to the narrowest type that holds them, which numpy radix-sorts.
+The edge of an apparent pair, a triangle's youngest facet whose oldest
+cofacet is that triangle (Bauer, "Ripser", 2021), is never reduced: its
+triangle's two older edges already join its ends, so it kills no H0
+class, and it pairs with that triangle.  In a flag complex most
+triangles pair this way, at zero length.  Of the other edges, those that
+join two components in filtration order kill H0 classes: as ranks are
+distinct, they are the chunk's minimum spanning forest by rank, found by
+one scipy call.  The rest are reduced for H1, youngest first, over GF(2)
+(Python ints as bit columns over the window's triangles).  Reducing
+coboundaries in reverse filtration order, the cohomology dual of
+boundary reduction, yields the same pairs (de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).  An
+edge whose oldest cofacet is neither a pivot nor apparent pairs with it
+at once (an emergent pair); its column is built only if another column
+reaches that pivot.
 
 Bars are listed as a boundary reduction in filtration order lists them:
 H1 bars by death, then H0 bars by edge.  Norms summed in list order are
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .corrnet import WeightedDigraph, matrix_from_digraph
 from .errors import DataError
@@ -56,7 +59,7 @@ class Filtration:
     (weight, source, target), and triangles `tri_start[i]:tri_start[i + 1]`,
     sorted by (value, a, b, c).  Triangle (a, b, c) is stored as the edge
     indices of its facets (b, c), (a, c), (a, b); its value is the weight
-    of the largest index among them.
+    of the largest index among them, its youngest facet.
     """
 
     n_vertices: int
@@ -65,6 +68,7 @@ class Filtration:
     weights: np.ndarray  # (E,)
     tri_start: np.ndarray  # (W + 1,)
     facets: np.ndarray  # (K, 3)
+    youngest: np.ndarray  # (K,)
 
 
 @dataclass
@@ -117,20 +121,23 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
 
 def _build(adjacency: np.ndarray) -> Filtration:
     """The filtration of a (W, n, n) adjacency chunk."""
-    n_windows = len(adjacency)
+    n_windows, n = adjacency.shape[:2]
     window, source, target = np.nonzero(adjacency)  # row-major: (window, source, target)
-    weights = adjacency[window, source, target]
+    out_row, in_row = window * n + source, window * n + target  # rows of (W * n, n) views
+    weights = adjacency.reshape(n_windows * n, n)[out_row, target]
     # (window, weight) order by two stable sorts, so ties stay in (source, target) order
     order = np.argsort(weights, kind="stable")
     order = order[_stable_order(window[order], n_windows)]
-    rank = np.zeros(adjacency.shape, dtype=np.intp)
-    rank[window[order], source[order], target[order]] = np.arange(len(order))
+    edge_rank = np.empty(len(order), dtype=np.intp)
+    edge_rank[order] = np.arange(len(order))
+    rank = np.zeros(adjacency.size, dtype=np.intp)
+    rank[out_row * n + target] = edge_rank
 
     # triangles: each row-major edge a -> b with each c both point to, in (window, a, b, c) order
-    adj = adjacency != 0
-    e, c = np.nonzero(adj[window, source] & adj[window, target])
-    tw, a, b = window[e], source[e], target[e]
-    facets = np.stack([rank[tw, b, c], rank[tw, a, c], rank[tw, a, b]], axis=1)
+    adj = (adjacency != 0).reshape(n_windows * n, n)
+    e, c = np.nonzero(adj[out_row] & adj[in_row])
+    bc, ac, ab = rank[in_row[e] * n + c], rank[out_row[e] * n + c], edge_rank[e]
+    youngest = np.maximum(np.maximum(bc, ac), ab)
     window, weights = window[order], weights[order]
     edges = np.stack([source[order], target[order]], axis=1)
     # every edge of a (window, weight) tie names the tie by its first edge; a
@@ -138,31 +145,29 @@ def _build(adjacency: np.ndarray) -> Filtration:
     first = np.ones(len(edges), dtype=bool)
     first[1:] = (window[1:] != window[:-1]) | (weights[1:] != weights[:-1])
     tie = np.maximum.accumulate(np.where(first, np.arange(len(edges)), 0))
-    facets = facets[_stable_order(tie[facets.max(axis=1, initial=-1)], len(edges))]
-    return Filtration(
-        n_vertices=adjacency.shape[1],
-        edge_start=_offsets(np.bincount(window, minlength=n_windows)),
-        edges=edges,
-        weights=weights,
-        tri_start=_offsets(np.bincount(tw, minlength=n_windows)),
-        facets=facets,
-    )
+    tri_order = _stable_order(tie[youngest], len(edges))
+    facets = np.take(np.stack([bc, ac, ab], axis=1), tri_order, axis=0)  # faster than [tri_order]
+    edge_start = _offsets(np.bincount(window, minlength=n_windows))
+    tri_start = np.searchsorted(e, edge_start)  # windows start at the same row-major edges
+    return Filtration(n, edge_start, edges, weights, tri_start, facets, youngest[tri_order])
 
 
-def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
+def _reduce_cocycles(todo, cofacets, cof_start, partner, t0: int, k: int):
     """Persistence pairs and essential edges of one window's H1.
 
     `todo` lists the edges to reduce, youngest first.  Edge e's cofacets
-    are `cofacets[cof_start[e]:cof_start[e + 1]]`, as ranks among the
-    window's k triangles, oldest first; `partner[r]` is the edge whose
-    column, never reduced, has pivot r: triangle r's apparent or emergent
-    pair, or -1.  A column is an edge's coboundary as a Python int (bit r
-    for triangle r); its pivot is its oldest triangle.
+    are `cofacets[cof_start[e]:cof_start[e + 1]]`, as chunk-wide triangle
+    ranks, oldest first; the window's k triangles have ranks t0 to
+    t0 + k - 1.  `partner[r]` is the edge whose column, never reduced,
+    has pivot r: triangle r's apparent or emergent pair, or -1.  A column
+    is an edge's coboundary as a Python int (bit r - t0 for triangle r);
+    its pivot is its oldest triangle.
     """
 
     def column(edge: int) -> int:
         bits = bytearray((k + 7) // 8)
         for r in cofacets[cof_start[edge] : cof_start[edge + 1]].tolist():
+            r -= t0
             bits[r >> 3] |= 1 << (r & 7)
         return int.from_bytes(bits, "little")
 
@@ -179,7 +184,7 @@ def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
                 continue
         col = column(edge)
         while col:
-            low = (col & -col).bit_length() - 1
+            low = (col & -col).bit_length() - 1 + t0
             other = pivots.get(low)
             if other is None:
                 partner_edge = partner[low]
@@ -197,45 +202,37 @@ def _reduce_cocycles(todo, cofacets, cof_start, partner, k: int):
 
 def _windows(f: Filtration):
     """Each window's H0 deaths, nonzero H1 bars by death, essential H1 births, top weight."""
-    n_edges, n_tris = len(f.edges), len(f.facets)
+    n_edges, youngest = len(f.edges), f.youngest
     # each edge's cofacets, oldest first
     cofacets = _stable_order(f.facets.reshape(-1), n_edges) // 3
     cof_start = _offsets(np.bincount(f.facets.reshape(-1), minlength=n_edges))
-    youngest = f.facets.max(axis=1, initial=-1)
-    apparent = cofacets[cof_start[youngest]] == np.arange(n_tris)
+    apparent = cofacets[cof_start[youngest]] == np.arange(len(youngest))
     partner = np.where(apparent, youngest, -1)
     unpaired = np.ones(n_edges, dtype=bool)
     unpaired[youngest[apparent]] = False
-    tri_window = np.repeat(np.arange(len(f.tri_start) - 1), np.diff(f.tri_start))
-    cofacets -= f.tri_start[tri_window[cofacets]]  # rank within the window
-    cof_start = cof_start.tolist()
+    # H0 deaths: the spanning forest of the unpaired edges weighted by rank + 1, over the
+    # chunk's W * n vertices, in the int32 indices and float64 weights csgraph works in
+    from scipy.sparse.csgraph import minimum_spanning_tree  # only runs with TDA pay its import
 
-    weights, unpaired = f.weights.tolist(), unpaired.tolist()
-    sources, targets = f.edges.T.tolist()
-    edge_start, tri_start = f.edge_start.tolist(), f.tri_start.tolist()
+    (rest,) = np.nonzero(unpaired)
+    window = np.searchsorted(f.edge_start, rest, "right") - 1
+    vertex = (f.edges[rest] + f.n_vertices * window[:, None]).astype(np.int32)
+    size = f.n_vertices * (len(f.edge_start) - 1)
+    graph = csr_matrix((rest + 1.0, vertex.T), shape=(size, size))
+    forest = np.sort(minimum_spanning_tree(graph, overwrite=True).data).astype(np.intp) - 1
+    unpaired[forest] = False
+    (todo,) = np.nonzero(unpaired)
+
+    deaths_at, todo_at = (np.searchsorted(x, f.edge_start).tolist() for x in (forest, todo))
+    weights, edge_start, tri_start = f.weights.tolist(), f.edge_start.tolist(), f.tri_start.tolist()
+    h0, todo, cof_start = f.weights[forest].tolist(), todo.tolist(), cof_start.tolist()
     for i in range(len(edge_start) - 1):
-        parent = list(range(f.n_vertices))
-        deaths, todo = [], []
-        for e in range(edge_start[i], edge_start[i + 1]):
-            if not unpaired[e]:
-                continue
-            u, v = sources[e], targets[e]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u == v:
-                todo.append(e)
-            else:
-                parent[u] = v
-                deaths.append(weights[e])
-        t0, t1 = tri_start[i], tri_start[i + 1]
+        deaths = h0[deaths_at[i] : deaths_at[i + 1]]
         pairs, h1_essential = _reduce_cocycles(
-            todo[::-1], cofacets, cof_start, partner[t0:t1], t1 - t0
+            todo[todo_at[i] : todo_at[i + 1]][::-1],
+            cofacets, cof_start, partner, tri_start[i], tri_start[i + 1] - tri_start[i],
         )
-        bars = [(weights[e], weights[youngest[t0 + low]]) for low, e in sorted(pairs)]
+        bars = [(weights[e], weights[youngest[low]]) for low, e in sorted(pairs)]
         births = [weights[e] for e in sorted(h1_essential)]
         top = weights[edge_start[i + 1] - 1] if deaths else 0.0  # an oldest edge kills H0
         yield deaths, [bar for bar in bars if bar[0] != bar[1]], births, top

@@ -429,6 +429,27 @@ class TestBatchedEngine:
                 assert [bar for bar in d.finite if bar[2] == 0] == [(0.0, w, 0) for w in deaths]
                 assert d.essential.count((0.0, 0)) == f.n_vertices - len(deaths)
 
+    def test_dense_windows_in_one_chunk_equal_each_window_alone(self):
+        # eight one-factor 39-ticker CCM windows fill one chunk, so their triangle
+        # ranks run across it; weights rounded up to 64ths make edges tie
+        rng = np.random.default_rng(15)
+        returns = 1.5 * rng.standard_normal((32, 1)) + rng.standard_normal((32, 39))
+        days = [date(2020, 1, 1) + timedelta(days=i) for i in range(32)]
+        rm = ReturnMatrix(dates=days, tickers=[f"T{i}" for i in range(39)], returns=returns)
+        chunk = np.ceil(correlation_series(rm, 25, "ccm").weights * 64) / 64
+        assert [len(c) for c in ph.window_chunks(chunk)] == [8]
+        assert np.count_nonzero(chunk) > 8 * 1300
+        assert all(len(np.unique(w[w > 0])) < np.count_nonzero(w) for w in chunk)
+        s, t = np.nonzero(chunk[0])
+        want = reference_persistence(graph(39, zip(s, t, chunk[0][s, t])))
+        for essential in ("drop", "cap"):
+            feats = tda_features(chunk, essential)
+            alone = np.concatenate([tda_features(w[None], essential) for w in chunk])
+            assert feats.tobytes() == alone.tobytes()
+            assert tuple(feats[0].tolist()) == tuple(
+                diagram_norm(want, p, dim, essential) for dim in (0, 1) for p in (1, 2)
+            )
+
     def test_dense_39_vertex_graph_ten_times_faster_than_reference(self):
         rng = np.random.default_rng(39)
         edges = [

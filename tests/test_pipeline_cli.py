@@ -21,8 +21,9 @@ from flagcrash.cli import main
 from flagcrash.corrnet import CcmParams, WindowSeries
 from flagcrash.detectors import LOF_BLOCK_ROWS
 from flagcrash.errors import ConfigError
-from flagcrash.ingest import read_returns_csv
+from flagcrash.ingest import read_returns_csv, serialize_price_csv
 from flagcrash.pipeline import PipelineConfig, gnn_grid, load_config, run_pipeline
+from flagcrash.synth import Episode, make_synthetic
 from flagcrash.tables import read_feature_csv, read_scores_csv
 from oracles import reference_ccm_corr
 
@@ -45,6 +46,24 @@ def synth_files(tmp_path_factory):
     )
     assert code == 0
     return prices, events
+
+
+@pytest.fixture(scope="module")
+def dense_files(tmp_path_factory):
+    """A one-factor `synth` panel of 39 tickers and 125 days (100 CCM
+    windows of about 1440 of 1482 edges), with a stress episode in the
+    middle.  Prices start between 8 and 80 and are quoted in cents, so
+    that returns tie, and ticker S05 stays flat for 30 days, longer than
+    a window, so that its windows take the zero-variance path."""
+    root = tmp_path_factory.mktemp("densedata")
+    episodes = [Episode(0, 70, 0.6), Episode(70, 15, 0.9), Episode(85, 39, 0.6)]
+    table, events = make_synthetic(39, 125, episodes, seed=11)
+    prices = np.round(table.prices * np.random.default_rng(11).uniform(8, 80, 39), 2)
+    prices[40:70, 5] = prices[40, 5]
+    (root / "prices.csv").write_text(serialize_price_csv(dataclasses.replace(table, prices=prices)))
+    lines = ["date,label"] + [f"{e.date_spec},{e.label}" for e in events.events]
+    (root / "events.csv").write_text("\n".join(lines) + "\n")
+    return root / "prices.csv", root / "events.csv"
 
 
 def config_text(prices, events, outdir, gnn_models=""):
@@ -152,18 +171,20 @@ def environment_stamp() -> dict:
     }
 
 
-def test_outputs_equal_the_golden_digests(synth_files, tmp_path):
-    """Both `every_branch_config` runs, at one BLAS thread in a fresh
-    process, give every output the digest committed for this environment
-    stamp in tests/golden/; on any other stamp, the report_*.json files
+def test_outputs_equal_the_golden_digests(synth_files, dense_files, tmp_path):
+    """The `every_branch_config` runs, Pearson and CCM on `synth_files` and
+    CCM on the dense, tied `dense_files` ("dense-ccm"), at one BLAS thread
+    in a fresh process, give every output the digest committed for this
+    environment stamp in tests/golden/; on any other stamp, the report_*.json files
     (flag counts and scores of discrete events) must still match.  After
     an intended change of outputs, paste the entry the failure prints in
     place of the stamp's entry (or add it, for a new stamp)."""
-    prices, events = synth_files
+    runs = {"pearson": (synth_files, "pearson"), "ccm": (synth_files, "ccm"),
+            "dense-ccm": (dense_files, "ccm")}
     configs = []
-    for kind in ("pearson", "ccm"):
-        configs.append(tmp_path / f"{kind}.ini")
-        configs[-1].write_text(every_branch_config(prices, events, tmp_path / kind, kind))
+    for name, ((prices, events), kind) in runs.items():
+        configs.append(tmp_path / f"{name}.ini")
+        configs[-1].write_text(every_branch_config(prices, events, tmp_path / name, kind))
     code = (
         "import sys\n"
         "from flagcrash.pipeline import load_config, run_pipeline\n"
@@ -178,8 +199,8 @@ def test_outputs_equal_the_golden_digests(synth_files, tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     outputs = {
-        kind: json.loads((Path(run_dir) / "manifest.json").read_text())["outputs"]
-        for kind, run_dir in zip(("pearson", "ccm"), run.stdout.splitlines())
+        name: json.loads((Path(run_dir) / "manifest.json").read_text())["outputs"]
+        for name, run_dir in zip(runs, run.stdout.splitlines())
     }
     entry = {"stamp": environment_stamp(), "outputs": outputs}
     golden = json.loads(GOLDEN.read_text())
