@@ -27,14 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .corrnet import EDGE_DTYPE, WindowSeries, load_edges, window_edges
-from .tables import parse_day
+from .corrnet import EDGE_DTYPE, WindowSeries, load_edges
+from .tables import day_texts, parse_day
 
 MAGIC = b"FCGR"
 VERSION = 1
 _HEAD = struct.Struct("<4sIQ")
 _REC_HEAD = struct.Struct("<10sIQ")
-BLOCK_RECORDS = 64  # records whose edges are read and checked at once; bounds the reader's memory
+_REC_DTYPE = np.dtype([("date", "S10"), ("n", "<u4"), ("count", "<u8")])  # _REC_HEAD's fields
+BLOCK_RECORDS = 64  # records written, or read and checked, at once; bounds either's memory
 
 
 def sidecar_path(path) -> Path:
@@ -51,13 +52,32 @@ def write_graphs(path, series: WindowSeries, params: dict) -> None:
     _check_tickers(path, params, series.weights.shape[1])
     with open(path, "wb") as f:
         f.write(_HEAD.pack(MAGIC, VERSION, len(series)))
-        for day, w in zip(series.dates, series.weights):
-            e = window_edges(w)
-            f.write(_REC_HEAD.pack(day.isoformat().encode("ascii"), len(w), len(e)))
-            f.write(e)
+        days = day_texts(series.dates)
+        for lo in range(0, len(series), BLOCK_RECORDS):
+            hi = lo + BLOCK_RECORDS
+            f.write(_record_block(series.weights[lo:hi], days[lo:hi]))
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         json.dump(params, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _record_block(w: np.ndarray, days: list[str]) -> bytes:
+    """The records of the windows `w` (B, n, n) dated `days`, each
+    window's edges in row-major (source, target) order: one `np.nonzero`
+    over the block, one edge array, one header array, interleaved."""
+    k, s, t = np.nonzero(w)
+    edges = np.empty(len(k), EDGE_DTYPE)
+    edges["s"], edges["t"], edges["w"] = s, t, w[k, s, t]
+    heads = np.empty(len(w), _REC_DTYPE)
+    heads["date"] = [day.encode("ascii") for day in days]
+    heads["n"] = w.shape[1]
+    heads["count"] = counts = np.bincount(k, minlength=len(w))
+    head, edge = memoryview(heads.view(np.uint8)), memoryview(edges.view(np.uint8))
+    ends = (np.cumsum(counts) * EDGE_DTYPE.itemsize).tolist()
+    parts = []
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
+        parts += (head[i * _REC_HEAD.size : (i + 1) * _REC_HEAD.size], edge[start:end])
+    return b"".join(parts)
 
 
 def read_graphs(path) -> WindowSeries:

@@ -29,7 +29,7 @@ RIDGE_EPS = 1e-6
 LRD_EPS = 1e-10  # keeps densities finite around duplicate points
 LOF_BLOCK_ROWS = 128  # LOF computes and sums (128 x T) blocks, never the (T x T) matrix
 _EXACT_ROWS = 16  # rows of a block that share one `cdist` call over their candidates
-LOF_TREE_COLUMNS = 4  # LOF searches tables up to this wide with a k-d tree, wider ones by Gram
+LOF_TREE_COLUMNS = 6  # LOF searches tables up to this wide with a k-d tree, wider ones by Gram
 
 
 @dataclass

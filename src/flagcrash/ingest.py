@@ -16,7 +16,7 @@ from datetime import date
 import numpy as np
 
 from .errors import DataError
-from .tables import read_feature_csv, read_rows, write_rows
+from .tables import cell_blocks, joined_rows, read_feature_csv, read_rows, write_rows
 
 
 @dataclass
@@ -93,13 +93,19 @@ def parse_price_csv(source) -> PriceTable:
 
 def serialize_price_csv(table: PriceTable) -> str:
     """Inverse of parse_price_csv; floats use shortest round-trip repr."""
-    cells = (
-        ["" if gap else repr(v) for v, gap in zip(row.tolist(), gaps.tolist())]
-        for row, gaps in zip(table.prices, table.missing)
-    )
     out = io.StringIO()
-    write_rows(out, table.tickers, table.dates, cells)
+    write_rows(out, table.tickers, [d.isoformat() for d in table.dates], _price_blocks(table))
     return out.getvalue()
+
+
+def _price_blocks(table: PriceTable):
+    """`write_rows`' blocks of the table's rows, a missing price an empty cell."""
+    lo = 0
+    for rows, cells in cell_blocks(table.prices):
+        for i in np.flatnonzero(table.missing[lo : lo + rows]).tolist():
+            cells[i] = ""
+        lo += rows
+        yield joined_rows(cells, rows)
 
 
 def align_and_filter(
@@ -124,8 +130,8 @@ def align_and_filter(
             f"no trading days in [{start.isoformat()}, {end.isoformat()}]"
         )
     dates = [table.dates[i] for i in keep_rows]
-    prices = table.prices[keep_rows].copy()
-    missing = table.missing[keep_rows].copy()
+    prices = table.prices[keep_rows]
+    missing = table.missing[keep_rows]
 
     t_rows = len(dates)
     coverage = 1.0 - missing.sum(axis=0) / t_rows
@@ -140,14 +146,12 @@ def align_and_filter(
         )
 
     tickers = [table.tickers[j] for j in keep_cols]
-    prices = prices[:, keep_cols]
     missing = missing[:, keep_cols]
-    for t in range(1, t_rows):
-        gap = missing[t]
-        if gap.any():
-            prices[t, gap] = prices[t - 1, gap]
-            missing[t, gap] = False
-    return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=missing)
+    # each cell takes the price of its column's last present row up to it
+    last = np.where(missing, 0, np.arange(t_rows)[:, None])
+    np.maximum.accumulate(last, axis=0, out=last)
+    prices = prices[last, np.asarray(keep_cols)]
+    return PriceTable(dates=dates, tickers=tickers, prices=prices, missing=np.zeros_like(missing))
 
 
 def log_returns(table: PriceTable) -> ReturnMatrix:
@@ -164,11 +168,24 @@ def log_returns(table: PriceTable) -> ReturnMatrix:
     )
 
 
-def write_returns_csv(rm: ReturnMatrix, path) -> None:
-    """Write `date,<ticker...>` rows with 12 significant digits."""
+def write_returns_csv(rm: ReturnMatrix, path) -> ReturnMatrix:
+    """Write `date,<ticker...>` rows with 12 significant digits; returns the
+    matrix the file holds, each value `float` of its cell, as
+    `read_returns_csv` reads it back."""
+    held = np.empty(rm.returns.shape)  # C order, as read_returns_csv gives it
     with open(path, "w", encoding="utf-8") as f:
-        cells = ([f"{v:.12g}" for v in row.tolist()] for row in rm.returns)
-        write_rows(f, rm.tickers, rm.dates, cells)
+        days = [d.isoformat() for d in rm.dates]
+        write_rows(f, rm.tickers, days, _return_blocks(rm.returns, held))
+    return ReturnMatrix(list(rm.dates), list(rm.tickers), held)
+
+
+def _return_blocks(returns: np.ndarray, held: np.ndarray):
+    """`write_rows`' blocks of `returns`, each cell's value stored in `held`."""
+    flat, lo = held.reshape(-1), 0
+    for rows, cells in cell_blocks(returns, "{:.12g}".format):
+        flat[lo : lo + len(cells)] = list(map(float, cells))
+        lo += len(cells)
+        yield joined_rows(cells, rows)
 
 
 def read_returns_csv(path) -> ReturnMatrix:

@@ -7,9 +7,12 @@ hyperparameter, its grid axis.  `load_config` reads the fields and
 
 Past ingest and graph building, each `stage_*` function takes its input
 in memory, writes its output file and returns its result.  A run hands
-the window series, feature tables and scores from stage to stage in
-memory; the standalone commands read them from the files a run writes,
-so chaining the commands reproduces the run byte for byte.  Scoring has no
+the returns, window series, feature tables and scores from stage to stage
+in memory; the returns are `float` of the cells written to returns.csv,
+so graph building (`build_graphs`, which `stage_graphs` runs on the file
+read back) sees the values it would read.  The standalone commands read
+their inputs from the files a run writes, so chaining the commands
+reproduces the run byte for byte.  Scoring has no
 stage of its own: `score_table` serves both a run and `flagcrash score`.
 A run keeps one (method, family, precision, recall, f_score) row per
 method, and one writer turns those rows into results.csv and summary.csv.
@@ -45,6 +48,7 @@ from .evaluation import (
 )
 from .features import fit_pca, project_matrix
 from .ingest import (
+    ReturnMatrix,
     align_and_filter,
     log_returns,
     parse_price_csv,
@@ -231,17 +235,25 @@ def gnn_grid(config: PipelineConfig) -> list[tuple[str, dict]]:
 FeatureTable = tuple[list[date], list[str], np.ndarray]  # dates, columns, values
 
 
-def stage_ingest(prices_path, start, end, min_coverage, out_path) -> None:
+def stage_ingest(prices_path, start, end, min_coverage, out_path) -> ReturnMatrix:
+    """Write the returns of the aligned price panel; returns them as the file
+    holds them, as `read_returns_csv` would read them back."""
     with open(prices_path, "r", encoding="utf-8-sig") as f:
         table = parse_price_csv(f)
     table = align_and_filter(table, start, end, min_coverage)
-    write_returns_csv(log_returns(table), out_path)
+    return write_returns_csv(log_returns(table), out_path)
 
 
 def stage_graphs(
     returns_path, window, kind, ccm_params: CcmParams, out_path, jobs: int = 1
 ) -> corrnet.WindowSeries:
-    returns = read_returns_csv(returns_path)
+    return build_graphs(read_returns_csv(returns_path), window, kind, ccm_params, out_path, jobs)
+
+
+def build_graphs(
+    returns: ReturnMatrix, window, kind, ccm_params: CcmParams, out_path, jobs: int = 1
+) -> corrnet.WindowSeries:
+    """`stage_graphs` on returns in memory: the window series, archived at `out_path`."""
     series = corrnet.correlation_series(
         returns, width=window, kind=kind, ccm_params=ccm_params, jobs=jobs
     )
@@ -411,16 +423,17 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
         events = load_events(config.events_path)
 
         stage = "ingest"
-        returns_csv = run_dir / "returns.csv"
-        stage_ingest(
-            config.prices_path, config.start, config.end, config.min_coverage, returns_csv
+        returns = stage_ingest(
+            config.prices_path, config.start, config.end, config.min_coverage,
+            run_dir / "returns.csv",
         )
 
         stage = "graphs"
-        series = stage_graphs(
-            returns_csv, config.window, config.correlation, config.ccm_params,
+        series = build_graphs(
+            returns, config.window, config.correlation, config.ccm_params,
             run_dir / "graphs.bin", jobs=jobs,
         )
+        del returns  # every later stage reads the series
 
         features: dict[str, FeatureTable] = {}
         if config.tda_norms:

@@ -3,23 +3,30 @@
 A price CSV and a returns table have one column per ticker, a feature
 table one row per graph date, and a score table is `date,score`.
 `read_rows` reads them all and names the file and the line in every
-message; `write_rows` writes them all from formatted cells.  Feature
-dates must strictly increase, and no non-finite value is written or read
-back; feature and score cells are shortest round-trip repr, so reruns
-hash identically.  `parse_day` reads every date the program is given:
-table cells, config keys, flags, archive records and event lists.
+message; `write_rows` writes them all from blocks of formatted rows, each
+block the cells of one `tolist` of at most BLOCK_CELLS values
+(`cell_blocks`).  Feature and score tables take their dates' texts from a
+memo (`day_texts`); a price or returns table, written once from its
+dates, formats them itself.  Feature dates must strictly increase, and
+no non-finite value is written or read back; feature and score cells are
+shortest round-trip repr, so reruns hash identically.  `parse_day` reads
+every date the program is given: table cells, config keys, flags,
+archive records and event lists.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from datetime import date, datetime
+from functools import lru_cache
 from math import isqrt
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
+
+BLOCK_CELLS = 1 << 10  # cells a writer formats from one `tolist`; bounds its temporaries
 
 
 def parse_day(text: str) -> date:
@@ -54,12 +61,47 @@ def read_rows(lines, name):
         yield lineno, day, cells[1:]
 
 
-def write_rows(f, columns: list[str], dates: list[date], rows) -> None:
+def day_texts(dates) -> list[str]:
+    """Each date's `isoformat` text.  The texts of the last two date lists
+    are kept, one string each, so that the feature and score tables of a
+    run, which share the series' dates, format each date once."""
+    return _joined_days(tuple(dates)).split("\n") if dates else []
+
+
+@lru_cache(maxsize=2)
+def _joined_days(dates: tuple) -> str:
+    return "\n".join([d.isoformat() for d in dates])
+
+
+def cell_blocks(values: np.ndarray, cell=repr, columns=None):
+    """Yield (rows, cells) for blocks of at most BLOCK_CELLS cells of the 2-d
+    `values`, or of its `columns` alone: the block's row count and `cell` of
+    each of its values, row by row, from one `tolist` of the flat block, so
+    that no list is made per row."""
+    step = max(1, BLOCK_CELLS // max(1, values.shape[1]))
+    for lo in range(0, len(values), step):
+        block = values[lo : lo + step] if columns is None else values[lo : lo + step, columns]
+        yield len(block), list(map(cell, block.ravel().tolist()))
+
+
+def joined_rows(cells: list[str], rows: int, pick=None) -> list[str]:
+    """`cells`, `rows` rows of equal width, as one text per row: its cells,
+    or those `pick` takes from them, joined by commas."""
+    width = len(cells) // rows
+    if width == 1 and pick is None:
+        return cells
+    runs = (cells[i * width : (i + 1) * width] for i in range(rows))
+    return list(map(",".join, runs if pick is None else map(pick, runs)))
+
+
+def write_rows(f, columns: list[str], days: list[str], blocks) -> None:
     """Write the `date,<col...>` header to the text stream `f`, then one line
-    per date holding that date's row of formatted cells."""
+    per date text of `days`: it and its row of `blocks`, each block a list
+    of rows' comma-joined cells."""
     f.write("date," + ",".join(columns) + "\n")
-    for d, cells in zip(dates, rows):
-        f.write(d.isoformat() + "," + ",".join(cells) + "\n")
+    days = iter(days)
+    for block in blocks:  # zip takes no date past the block's last row
+        f.writelines([day + "," + cells + "\n" for cells, day in zip(block, days)])
 
 
 def write_feature_csv(path, dates: list[date], columns: list[str], values) -> None:
@@ -74,17 +116,18 @@ def write_feature_csv(path, dates: list[date], columns: list[str], values) -> No
         )
     if not np.isfinite(values).all():
         raise DataError(f"refusing to write {path}: the table has non-finite values")
-    rows = (map(repr, row.tolist()) for row in values)
+    blocks = (joined_rows(cells, rows) for rows, cells in cell_blocks(values))
     n = isqrt(values.shape[1])
     bits = values.view(np.int64).reshape(-1, n, n) if n > 1 and n * n == values.shape[1] else None
     if bits is not None and np.array_equal(bits, bits.transpose(0, 2, 1)):
         i, j = np.triu_indices(n)
         index = np.empty((n, n), dtype=np.intp)
         index[i, j] = index[j, i] = np.arange(len(i))
-        mirror, upper = itemgetter(*index.ravel().tolist()), values[:, i * n + j]
-        rows = (mirror(list(map(repr, row.tolist()))) for row in upper)
+        mirror = itemgetter(*index.ravel().tolist())
+        upper = cell_blocks(values, columns=i * n + j)
+        blocks = (joined_rows(cells, rows, mirror) for rows, cells in upper)
     with open(path, "w", encoding="utf-8") as f:
-        write_rows(f, columns, dates, rows)
+        write_rows(f, columns, day_texts(dates), blocks)
 
 
 def read_feature_csv(path) -> tuple[list[date], list[str], np.ndarray]:

@@ -1128,6 +1128,18 @@ def _parse_date(text: str, context: str) -> date:
         raise DataError(f"{context}: cannot parse date {text!r} as YYYY-MM-DD") from None
 
 
+def reference_forward_fill(prices: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """A copy of `prices` whose missing cells take the row above's price,
+    row by row from the top; the first row must be complete."""
+    prices, missing = prices.copy(), missing.copy()
+    for t in range(1, len(prices)):
+        gap = missing[t]
+        if gap.any():
+            prices[t, gap] = prices[t - 1, gap]
+            missing[t, gap] = False
+    return prices
+
+
 def reference_parse_price_csv(source) -> PriceTable:
     """`ingest.parse_price_csv` with its per-cell loop: three branches mark a
     cell missing (empty, unparseable, non-finite), one rejects a price <= 0.

@@ -14,8 +14,15 @@ from flagcrash.archive import BLOCK_RECORDS, read_graphs, sidecar_path, write_gr
 from flagcrash.cli import main
 from flagcrash.corrnet import EDGE_DTYPE, WeightedDigraph, WindowSeries, correlation_series
 from flagcrash.errors import DataError
-from flagcrash.ingest import PriceTable, ReturnMatrix, serialize_price_csv, write_returns_csv
+from flagcrash.ingest import (
+    PriceTable,
+    ReturnMatrix,
+    read_returns_csv,
+    serialize_price_csv,
+    write_returns_csv,
+)
 from flagcrash.tables import (
+    BLOCK_CELLS,
     parse_day,
     read_feature_csv,
     read_scores_csv,
@@ -114,6 +121,25 @@ class TestGraphArchive:
             tracemalloc.stop()
         assert back.weights.tobytes() == weights.tobytes()
         assert peak < weights.nbytes + edge_bytes / 2
+
+    def test_write_holds_a_block_of_records_not_the_series(self, tmp_path):
+        # 1000 dense 39-vertex windows, as a market-scale CCM series has:
+        # the writer peaks at one block's indices, edges and record bytes,
+        # far below the three index arrays of one nonzero over the series
+        rng = np.random.default_rng(2)
+        weights = rng.uniform(0.01, 1.0, (1000, 39, 39))
+        weights[:, np.eye(39, dtype=bool)] = 0.0
+        dates = [date(2001, 1, 1) + timedelta(days=i) for i in range(1000)]
+        series = WindowSeries(weights, dates, "ccm")
+        whole_series_indices = 3 * np.dtype(np.intp).itemsize * np.count_nonzero(weights)
+        tracemalloc.start()
+        try:
+            write_graphs(tmp_path / "graphs.bin", series, {"correlation": "ccm"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_series_indices / 4
+        assert read_graphs(tmp_path / "graphs.bin").weights.tobytes() == weights.tobytes()
 
     def test_sidecar_written(self, tmp_path):
         path = tmp_path / "g.bin"
@@ -326,7 +352,10 @@ VALID = small_series("ccm")
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(["pearson", "ccm"]),
-    st.integers(1, 7),
+    st.one_of(  # single records, and counts about the writer's block of records
+        st.integers(1, 7),
+        st.sampled_from([BLOCK_RECORDS - 1, BLOCK_RECORDS, 2 * BLOCK_RECORDS + 1]),
+    ),
     st.integers(1, 6),
     st.floats(0.0, 1.0),
     st.integers(0, 2**32 - 1),
@@ -571,3 +600,45 @@ def test_symmetric_rows_bytes_equal_the_per_cell_writer(tmp_path, flip):
     lines += [d.isoformat() + "," + ",".join(repr(v) for v in row)
               for d, row in zip(dates, values.tolist())]
     assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+SPECIAL_CELLS = [-0.0, 5e-324, 1e16, 1e-05, 2.0**53]
+
+
+@pytest.mark.parametrize("width", [1, 4, 144, 1521])
+def test_writers_bytes_over_several_blocks(tmp_path, width):
+    # tables of two whole blocks of cells and part of a third, special cells
+    # among them; a 144-column table is a mirrored 12 x 12 matrix a row, so
+    # the feature writer takes its mirror
+    rows = 2 * max(1, BLOCK_CELLS // width) + 3
+    rng = np.random.default_rng(width)
+    values = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 8, (rows, width))
+    at = rng.random((rows, width)) < 0.1
+    values[at] = rng.choice(SPECIAL_CELLS, at.sum())
+    if width == 144:
+        m = values.reshape(rows, 12, 12)
+        lower = np.tri(12, k=-1, dtype=bool)
+        values = np.where(lower, m.transpose(0, 2, 1), m).reshape(rows, width)
+    dates = [date(1995, 1, 2) + timedelta(days=i) for i in range(rows)]
+    columns = [f"c{i}" for i in range(width)]
+
+    def per_cell(cell, grid, gaps=None):
+        gaps = np.zeros(grid.shape, dtype=bool) if gaps is None else gaps
+        lines = ["date," + ",".join(columns)]
+        lines += [d.isoformat() + "," + ",".join("" if g else cell(v) for v, g in zip(row, row_gaps))
+                  for d, row, row_gaps in zip(dates, grid.tolist(), gaps.tolist())]
+        return "\n".join(lines) + "\n"
+
+    write_feature_csv(tmp_path / "f.csv", dates, columns, values)
+    assert (tmp_path / "f.csv").read_text(encoding="utf-8") == per_cell(repr, values)
+
+    missing = rng.random((rows, width)) < 0.05
+    table = PriceTable(dates, columns, values, missing)
+    assert serialize_price_csv(table) == per_cell(repr, values, missing)
+
+    held = write_returns_csv(ReturnMatrix(dates, columns, values), tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == per_cell("{:.12g}".format, values)
+    back = read_returns_csv(tmp_path / "r.csv")
+    assert (held.dates, held.tickers) == (back.dates, back.tickers)
+    assert held.returns.flags.c_contiguous and held.returns.dtype == back.returns.dtype
+    assert held.returns.tobytes() == back.returns.tobytes()

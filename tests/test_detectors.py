@@ -453,7 +453,10 @@ class TestLofAgainstReference:
         monkeypatch.setattr(detectors, "KDTree", OffByAnUlp)
         assert_tree_candidates_hold_every_neighbor(LOF_CASES[name])
 
-    @pytest.mark.parametrize("name", ["normal-T293", "normal-d4", "tda-norms", "ascending", "descending"])
+    @pytest.mark.parametrize(
+        "name",
+        ["normal-T293", f"normal-d{LOF_TREE_COLUMNS}", "tda-norms", "ascending", "descending"],
+    )
     def test_tree_finds_no_tie_without_one(self, name):
         # no row is tied at its radius, so each has k + 1 candidates, however
         # far apart in time its neighbors lie or its row norms spread

@@ -1,4 +1,4 @@
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from flagcrash.ingest import (
     write_returns_csv,
 )
 
-from oracles import reference_parse_price_csv
+from oracles import reference_forward_fill, reference_parse_price_csv
 
 CSV_3x2 = """date,AAA,BBB
 2020-01-02,10.0,20.0
@@ -115,6 +115,23 @@ def test_align_forward_fills_interior_gap():
     out = align_and_filter(parse_price_csv(csv), date(2020, 1, 1), date(2020, 12, 31), 0.5)
     assert not out.missing.any()
     assert list(out.prices[:, 0]) == [5.0, 5.0, 7.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 5), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_align_forward_fill_matches_the_row_loop(rows, cols, gap_rate, seed):
+    """Gaps of any length, a column's last rows among them, take the price of
+    the column's last present row, bit for bit as the row-by-row fill gives."""
+    rng = np.random.default_rng(seed)
+    prices = rng.uniform(1.0, 100.0, (rows, cols)).round(rng.integers(0, 17))
+    missing = rng.random((rows, cols)) < gap_rate
+    missing[0] = False
+    prices[missing] = np.nan
+    dates = [date(2020, 1, 1) + timedelta(days=i) for i in range(rows)]
+    table = PriceTable(dates, [f"t{j}" for j in range(cols)], prices, missing)
+    out = align_and_filter(table, dates[0], date(2099, 1, 1), 0.01)  # keeps every column
+    assert out.tickers == table.tickers and not out.missing.any()
+    assert out.prices.tobytes() == reference_forward_fill(prices, missing).tobytes()
 
 
 def test_align_leading_gap_drops_ticker():
