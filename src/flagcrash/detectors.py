@@ -2,14 +2,17 @@
 
 Both detectors are transductive: scores are computed in-sample over the
 whole series, matching the percentile-over-observed-distribution protocol
-used downstream.  LOF scores every configured neighbor count k in one
-pass over blocks of LOF_BLOCK_ROWS rows, which finds each row's neighbor
-candidates within a rounding bound, from a k-d tree for tables of at most
-LOF_TREE_COLUMNS columns and from a Gram product for wider ones, and every
-k-distance from exact distances to them alone, with `cdist`'s bits; and
-two passes that sum over the neighborhoods.  It holds no T x T matrix:
-beyond a few (LOF_BLOCK_ROWS, T) buffers it keeps each row's widest
-neighborhood, and its scores have the bits of the dense computation.
+used downstream.  Mahalanobis holds one centered copy of the table and,
+with more rows than columns, solves its d x d system against blocks of
+rows, never against all T at once.  LOF scores every configured neighbor
+count k in one pass over blocks of LOF_BLOCK_ROWS rows, which finds each
+row's neighbor candidates within a rounding bound, from a k-d tree for
+tables of at most LOF_TREE_COLUMNS columns and from a Gram product for
+wider ones, and every k-distance from exact distances to them alone, with
+`cdist`'s bits; and two passes that sum over the neighborhoods.  It holds
+no T x T matrix: beyond a few (LOF_BLOCK_ROWS, T) buffers it keeps each
+row's widest neighborhood, and its scores have the bits of the dense
+computation.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ LRD_EPS = 1e-10  # keeps densities finite around duplicate points
 LOF_BLOCK_ROWS = 128  # LOF computes and sums (128 x T) blocks, never the (T x T) matrix
 _EXACT_ROWS = 16  # rows of a block that share one `cdist` call over their candidates
 LOF_TREE_COLUMNS = 6  # LOF searches tables up to this wide with a k-d tree, wider ones by Gram
+MAHALANOBIS_BLOCK_ROWS = 384  # Mahalanobis solves blocks of its least multiple >= d rows
 
 
 @dataclass
@@ -59,8 +63,14 @@ def mahalanobis_scores(
     [0.5, 1): the scaling is exact and the scores scale-free, so neither the
     column means nor tiny or huge spreads under- or overflow the sums.
     With more rows than columns (T > d) the d x d system (C + lam I) is
-    solved against the rows.  Otherwise the scores come from the T x T
-    Gram matrix G = Xc Xc^T through the Woodbury identity,
+    solved against blocks of rows, each the least multiple of
+    MAHALANOBIS_BLOCK_ROWS (3 * 2^7) that holds d rows, and the last
+    taking a one-row tail.  So each block starts where OpenBLAS starts a
+    group of columns in one solve against all T rows, and every score
+    keeps that solve's bits: blocks of d rows changed the bits of their
+    last few columns at d = 700 and 1521, and a single right-hand side
+    takes another LAPACK path altogether.  Otherwise the scores come
+    from the T x T Gram matrix G = Xc Xc^T through the Woodbury identity,
     score^2 = (T-1) * diag(A^-1 G) with A = G + lam (T-1) I, at
     O(T^2 d + T^3) instead of O(T d^2 + d^3).
     """
@@ -80,13 +90,18 @@ def mahalanobis_scores(
         return AnomalySeries(dates=list(dates), scores=np.zeros(t_rows), method_tag=method_tag)
     centered = np.ldexp(x, -np.frexp(max(x.max(), -x.min()))[1])
     centered -= centered.mean(axis=0)
-    np.ldexp(centered, -np.frexp(np.abs(centered).max())[1], out=centered)
+    np.ldexp(centered, -np.frexp(max(centered.max(), -centered.min()))[1], out=centered)
     if t_rows > dim:
-        cov = (centered.T @ centered) / (t_rows - 1)
-        trace = float(np.trace(cov))
-        ridged = cov + (RIDGE_EPS * trace / dim) * np.eye(dim)
-        solved = np.linalg.solve(ridged, centered.T)  # (d, T)
-        squared = np.einsum("td,dt->t", centered, solved)
+        ridged = (centered.T @ centered) / (t_rows - 1)  # C, then ridged in place
+        trace = float(np.trace(ridged))
+        ridged += (RIDGE_EPS * trace / dim) * np.eye(dim)
+        squared = np.empty(t_rows)
+        step = -(-dim // MAHALANOBIS_BLOCK_ROWS) * MAHALANOBIS_BLOCK_ROWS
+        bounds = [*range(0, t_rows - 1, step), t_rows]  # the last block takes a one-row tail
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = centered[lo:hi]
+            # the (d, block) solution is freed before the next block's
+            np.einsum("td,dt->t", block, np.linalg.solve(ridged, block.T), out=squared[lo:hi])
     else:
         gram = centered @ centered.T
         trace = float(np.trace(gram))  # (T-1) trace(C), so the ridge is lam (T-1)

@@ -46,7 +46,7 @@ from .evaluation import (
     metrics,
     threshold_anomalies,
 )
-from .features import fit_pca, project_matrix
+from .features import fit_pca
 from .ingest import (
     ReturnMatrix,
     align_and_filter,
@@ -283,7 +283,9 @@ def stage_pca(series: corrnet.WindowSeries, out_paths: dict) -> dict[str, Featur
     """Each window's flattened correlation matrix, raw or projected on its
     top d principal components, for each dim ("raw" or d) of `out_paths`,
     written to the dim's path; a Pearson matrix is mirrored first.  One fit
-    at the largest d serves every d: a thin SVD's components do not depend on d."""
+    at the largest d serves every d: a thin SVD's components do not depend
+    on d.  The table is centered once, and each d projected with
+    `project_matrix`'s product, so each table has its bytes."""
     w = series.weights
     if series.kind == "pearson":
         w = w + w.transpose(0, 2, 1)
@@ -293,9 +295,10 @@ def stage_pca(series: corrnet.WindowSeries, out_paths: dict) -> dict[str, Featur
         # the first d out of range fails, as it did when each d had a fit of its own
         bad = [d for d in numeric if not 1 <= d <= min(data.shape)]
         model = fit_pca(data, bad[0] if bad else max(numeric))
+        centered = data - model.mean
     out = {}
     for dim, path in out_paths.items():
-        values = data if dim == "raw" else project_matrix(model.top(int(dim)), data)
+        values = data if dim == "raw" else centered @ model.components[: int(dim)].T
         out[dim] = (series.dates, [f"c{i + 1}" for i in range(values.shape[1])], values)
         tables.write_feature_csv(path, *out[dim])
     return out

@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (explicit rank
 computations, literal formulas, exhaustive loops) without touching the
-library's reduction/score code paths.
+library's reduction/score code paths.  `traced_peak` and
+`run_at_blas_threads`, at the end, are the allocation probe and the
+subprocess runner that the memory and bit tests share.
 """
 
 from __future__ import annotations
@@ -10,7 +12,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from datetime import date, datetime, timedelta
@@ -21,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
+import flagcrash
 from flagcrash import autodiff as ad
 from flagcrash import gnn
 from flagcrash.checkpoint import MAGIC, VERSION
@@ -1276,3 +1283,31 @@ def reference_signal_events(
         any(lo <= day_index[f] <= hi for lo, hi in windows) for f in flags
     ]
     return per_event, attributed
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of the Python and numpy allocations made during fn(),
+    above those live when it starts."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def run_at_blas_threads(code: str, threads: int = 1) -> str:
+    """stdout of `python -c code` in a process of `threads` BLAS threads,
+    which imports flagcrash and the test modules as this one does."""
+    path = [str(Path(flagcrash.__file__).parents[1]), str(Path(__file__).parent)]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout

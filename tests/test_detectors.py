@@ -1,29 +1,27 @@
 import hashlib
-import os
-import subprocess
-import sys
-import tracemalloc
 from datetime import date, timedelta
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
-import flagcrash
 from flagcrash import detectors
 from flagcrash.corrnet import correlation_series
 from flagcrash.detectors import (
-    _EXACT_ROWS, LOF_BLOCK_ROWS, LOF_TREE_COLUMNS, RIDGE_EPS, _candidates, _k_distances,
-    _pair_distances, _tree_candidates, lof_scores, mahalanobis_scores,
+    _EXACT_ROWS, LOF_BLOCK_ROWS, LOF_TREE_COLUMNS, MAHALANOBIS_BLOCK_ROWS, RIDGE_EPS,
+    _candidates, _k_distances, _pair_distances, _tree_candidates, lof_scores,
+    mahalanobis_scores,
 )
 from flagcrash.errors import DataError
 from flagcrash.ingest import log_returns
 from flagcrash.ph import tda_features
 from flagcrash.synth import Episode, make_synthetic
 
-from oracles import brute_force_lof, reference_lof, reference_lof_blocks, reference_mahalanobis
+from oracles import (
+    brute_force_lof, reference_lof, reference_lof_blocks, reference_mahalanobis,
+    run_at_blas_threads, traced_peak,
+)
 
 
 def dates_for(n):
@@ -144,6 +142,35 @@ class TestMahalanobisPaths:
         x = correlation_table(np.random.default_rng(9), 400, 12)
         s = mahalanobis_scores(dates_for(400), x).scores
         assert np.array_equal(s, reference_mahalanobis(x))
+
+    @pytest.mark.parametrize("d", [1, 2, 144])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, MAHALANOBIS_BLOCK_ROWS + 1])
+    def test_row_blocks_are_the_reference(self, d, extra):
+        # one solve per block of 384 rows; 2 blocks + 1 leaves a one-row
+        # tail, which the last block takes
+        t = MAHALANOBIS_BLOCK_ROWS + extra
+        x = np.random.default_rng(t + d).normal(size=(t, d))
+        s = mahalanobis_scores(dates_for(t), x).scores
+        assert np.array_equal(s, reference_mahalanobis(x))
+
+    def test_wide_row_blocks_are_the_reference_at_one_thread(self):
+        # d = 801 solves blocks of 1152 rows; blocks of 801 rows changed the
+        # bits of their last columns.  More threads split a solve this large
+        # differently for each width, so the check runs at one
+        code = (
+            "import numpy as np, test_detectors as t\n"
+            "x = np.random.default_rng(801).normal(size=(2305, 801))\n"
+            "s = t.mahalanobis_scores(t.dates_for(2305), x).scores\n"
+            "print(np.array_equal(s, t.reference_mahalanobis(x)))\n"
+        )
+        assert run_at_blas_threads(code) == "True\n"
+
+    def test_row_blocks_hold_no_full_solution(self):
+        # one solve against all T rows held a (d, T) solution next to the
+        # centered copy: twice the table
+        x = np.random.default_rng(8).normal(size=(4000, 150))
+        dates = dates_for(4000)
+        assert traced_peak(lambda: mahalanobis_scores(dates, x)) < 1.5 * x.nbytes
 
     @pytest.mark.parametrize("t,d", [(2, 5), (2, 2), (30, 30), (12, 40), (50, 1521)])
     def test_gram_path_matches_the_reference(self, t, d):
@@ -488,37 +515,13 @@ def test_scores_do_not_depend_on_blas_threads():
         "    series = t.lof_scores(t.dates_for(len(x)), x, [1, 5, 20])\n"
         "    print(hashlib.sha256(b''.join(s.scores.tobytes() for s in series)).hexdigest())\n"
     )
-    path = [str(Path(flagcrash.__file__).parents[1]), str(Path(__file__).parent)]
-    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(path))
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = [run_at_blas_threads(code, threads) for threads in (1, 2)]
     digests = []
     for name in ("pearson-raw", "wide", "tda-norms"):
         x = LOF_CASES[name]
         series = lof_scores(dates_for(len(x)), x, [1, 5, 20])
         digests.append(hashlib.sha256(b"".join(s.scores.tobytes() for s in series)).hexdigest())
     assert outputs == ["".join(d + "\n" for d in digests)] * 2
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes of the Python and numpy allocations made during fn(),
-    above those live when it starts."""
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 class TestLofMemory:

@@ -1,8 +1,64 @@
+import json
+
 import numpy as np
 import pytest
 
 from flagcrash.errors import DataError
 from flagcrash.features import fit_pca, project_matrix
+from oracles import run_at_blas_threads, traced_peak
+
+
+def mirrored_pearson(rng, t=300, n=12):
+    """Flattened Pearson windows mirrored as `stage_pca` mirrors them: each
+    column appears twice and the diagonal's are zero, so the rank is
+    n (n - 1) / 2 of n^2 columns."""
+    returns = rng.normal(size=(t + 24, n))
+    w = np.stack([np.corrcoef(returns[i:i + 25], rowvar=False) for i in range(t)])
+    w[:, np.tri(n, dtype=bool)] = 0.0
+    return (w + w.transpose(0, 2, 1)).reshape(t, -1)
+
+
+# gesdd QR-factors tables of T >= D * 11 // 6 rows first (293 for D = 160);
+# fit_pca does that QR itself, except at scales where gesdd would rescale
+SVD_CASES = {
+    "tall": lambda rng: rng.normal(size=(40, 7)),
+    "wide": lambda rng: rng.normal(size=(7, 40)),
+    "qr-threshold": lambda rng: rng.normal(size=(293, 160)),
+    "below-qr-threshold": lambda rng: rng.normal(size=(292, 160)),
+    "mirrored-pearson": mirrored_pearson,
+    "one-column": lambda rng: rng.normal(size=(50, 1)),
+    "tall-1e-150": lambda rng: rng.normal(size=(400, 30)) * 1e-150,
+    "tall-1e150": lambda rng: rng.normal(size=(400, 30)) * 1e150,
+}
+
+
+def svd_bits(case: str, order: str) -> dict:
+    """Whether fit_pca leaves the case's table untouched, and gives the
+    components and variances of numpy's `svd`, bit for bit."""
+    data = np.asarray(SVD_CASES[case](np.random.default_rng(15)), order=order)
+    before = data.tobytes()
+    d = min(data.shape)
+    model = fit_pca(data, d)
+    _, s, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+    flip = vt[np.arange(d), np.abs(vt).argmax(axis=1)] < 0
+    vt[flip] *= -1.0
+    return {
+        "input": data.tobytes() == before,
+        "components": model.components.tobytes() == vt.tobytes(),
+        "variance": model.explained_variance.tobytes() == (s**2 / (len(data) - 1)).tobytes(),
+    }
+
+
+@pytest.fixture(scope="module")
+def one_thread_svd_bits():
+    """`svd_bits` of every case and order, in a process of one BLAS thread:
+    at two, numpy's `svd` and scipy's `gesdd`, which fit_pca calls, round
+    160-column tables differently, with or without the QR route."""
+    code = (
+        "import json, test_features as t\n"
+        "print(json.dumps({f'{c}-{o}': t.svd_bits(c, o) for c in t.SVD_CASES for o in 'CF'}))\n"
+    )
+    return json.loads(run_at_blas_threads(code))
 
 
 def reconstruct(model, projected):
@@ -61,19 +117,16 @@ class TestFitPca:
         )
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("shape", [(40, 7), (7, 40)], ids=["tall", "wide"])
-    def test_numpy_svd_bits_and_input_untouched(self, order, shape):
-        # the SVD overwrites a centered copy, never the caller's matrix
-        data = np.asarray(np.random.default_rng(15).normal(size=shape), order=order)
-        before = data.tobytes()
-        d = min(shape)
-        model = fit_pca(data, d)
-        assert data.tobytes() == before
-        _, s, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
-        flip = vt[np.arange(d), np.abs(vt).argmax(axis=1)] < 0
-        vt[flip] *= -1.0
-        assert model.components.tobytes() == vt.tobytes()
-        assert model.explained_variance.tobytes() == (s**2 / (shape[0] - 1)).tobytes()
+    @pytest.mark.parametrize("case", list(SVD_CASES))
+    def test_numpy_svd_bits_and_input_untouched(self, one_thread_svd_bits, order, case):
+        # the QR and the SVD overwrite a centered copy, never the caller's matrix
+        expected = {"input": True, "components": True, "variance": True}
+        assert one_thread_svd_bits[f"{case}-{order}"] == expected
+
+    def test_tall_table_holds_one_copy(self):
+        # gesdd alone on a tall table holds the centered copy and its T x D U
+        data = np.random.default_rng(16).normal(size=(4000, 150))
+        assert traced_peak(lambda: fit_pca(data, 10)) < 1.3 * data.nbytes
 
 
 class TestProject:
