@@ -55,16 +55,17 @@ def write_graphs(path, series: WindowSeries, params: dict) -> None:
         days = day_texts(series.dates)
         for lo in range(0, len(series), BLOCK_RECORDS):
             hi = lo + BLOCK_RECORDS
-            f.write(_record_block(series.weights[lo:hi], days[lo:hi]))
+            f.writelines(_record_block(series.weights[lo:hi], days[lo:hi]))
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         json.dump(params, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _record_block(w: np.ndarray, days: list[str]) -> bytes:
+def _record_block(w: np.ndarray, days: list[str]) -> list[memoryview]:
     """The records of the windows `w` (B, n, n) dated `days`, each
     window's edges in row-major (source, target) order: one `np.nonzero`
-    over the block, one edge array, one header array, interleaved."""
+    over the block, one edge array, one header array, and their slices
+    interleaved, to be written in turn without a joined copy."""
     k, s, t = np.nonzero(w)
     edges = np.empty(len(k), EDGE_DTYPE)
     edges["s"], edges["t"], edges["w"] = s, t, w[k, s, t]
@@ -77,7 +78,7 @@ def _record_block(w: np.ndarray, days: list[str]) -> bytes:
     parts = []
     for i, (start, end) in enumerate(zip([0] + ends, ends)):
         parts += (head[i * _REC_HEAD.size : (i + 1) * _REC_HEAD.size], edge[start:end])
-    return b"".join(parts)
+    return parts
 
 
 def read_graphs(path) -> WindowSeries:

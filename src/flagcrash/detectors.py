@@ -151,7 +151,12 @@ def _candidates(x: np.ndarray, top: int):
         gram = (-2.0 * scaled[lo:hi]) @ scaled.T
         gram += norms
         gram[np.arange(hi - lo), np.arange(lo, hi)] = np.nan  # partitioned last, never <=
-        mask = gram <= (np.partition(gram, top, axis=1)[:, top] + tol[lo:hi])[:, None]
+        # np.partition copies what it sorts: a few rows at a time, not the block
+        threshold = np.empty(hi - lo)
+        for first in range(0, hi - lo, _EXACT_ROWS):
+            rows = slice(first, first + _EXACT_ROWS)
+            threshold[rows] = np.partition(gram[rows], top, axis=1)[:, top]
+        mask = gram <= (threshold + tol[lo:hi])[:, None]
         del gram
         yield lo, mask
 

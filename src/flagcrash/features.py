@@ -5,8 +5,9 @@ keeps the bits numpy's `svd` gives.  On a table tall in `gesdd`'s own
 sense, T >= 11 D / 6 rows (LAPACK's MNTHR), `gesdd` first QR-factors it
 and takes the SVD of the D x D R (Chan, ACM TOMS 8(1), 1982).  `fit_pca`
 does that QR itself, in place in its centered copy, and hands `gesdd`
-only R: the same operations, without the T x D U and the product Q U
-that `gesdd` would form and the fit would throw away.
+only R, in the Fortran order `gesdd` works in: the same operations,
+without the T x D U and the product Q U that `gesdd` would form and the
+fit would throw away.
 """
 
 from __future__ import annotations
@@ -59,7 +60,12 @@ def fit_pca(data: np.ndarray, d: int) -> PcaModel:
     # gesdd, or the QR before it, works in this Fortran-ordered copy
     centered = np.subtract(data, mean, out=np.empty(data.shape, order="F"))
     if _qr_first(centered):
-        centered = qr(centered, mode="raw", overwrite_a=True, check_finite=False)[1]
+        # qr's R is C-ordered, which gesdd would copy: take R in Fortran order
+        # from the top rows of the raw factor instead
+        raw = qr(centered, mode="raw", overwrite_a=True, check_finite=False)[0][0]
+        centered = raw[:dim].copy(order="F")
+        del raw
+        centered[np.tri(dim, k=-1, dtype=bool)] = 0.0
     _, s, vt = svd(centered, full_matrices=False, overwrite_a=True, check_finite=False)
     components = vt[:d].copy()
     for row in components:

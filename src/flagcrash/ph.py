@@ -20,9 +20,10 @@ triangle's two older edges already join its ends, so it kills no H0
 class, and it pairs with that triangle.  In a flag complex most
 triangles pair this way, at zero length.  Of the other edges, those that
 join two components in filtration order kill H0 classes: as ranks are
-distinct, they are the chunk's minimum spanning forest by rank, found by
-one scipy call.  The rest are reduced for H1, youngest first, over GF(2)
-(Python ints as bit columns over the window's triangles).  Reducing
+distinct, they are the chunk's minimum spanning forest by rank, which
+Borůvka rounds find in numpy.  The rest are reduced for H1, youngest
+first, over GF(2) (Python ints as bit columns over the window's
+triangles).  Reducing
 coboundaries in reverse filtration order, the cohomology dual of
 boundary reduction, yields the same pairs (de Silva, Morozov &
 Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).  An
@@ -40,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .corrnet import WeightedDigraph, matrix_from_digraph
 from .errors import DataError
@@ -200,6 +200,43 @@ def _reduce_cocycles(todo, cofacets, cof_start, partner, t0: int, k: int):
     return pairs, essential
 
 
+def _spanning_forest(ends: np.ndarray, size: int) -> np.ndarray:
+    """Whether each edge of `ends` (E, 2), listed by ascending rank over
+    vertices below `size`, is in the minimum spanning forest by rank.
+
+    Borůvka rounds (Borůvka 1926): each component takes its least-rank
+    leaving edge, the first of its ends in a stable sort by component,
+    and points at the component across it; two components that take the
+    same edge point at each other, and the lower one becomes the root.
+    Pointer jumping then merges every tree into its root.  As ranks are
+    distinct, these are the edges Kruskal's algorithm keeps.
+    """
+    tree = np.zeros(len(ends), dtype=bool)
+    edge, comp, label = np.arange(len(ends)), ends, np.arange(size)
+    while True:
+        leaving = comp[:, 0] != comp[:, 1]
+        edge, comp = edge[leaving], comp[leaving]
+        if not len(edge):
+            return tree
+        flat = comp.reshape(-1)  # edge i's ends at 2i and 2i + 1
+        order = _stable_order(flat, size)
+        by_comp = flat[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = by_comp[1:] != by_comp[:-1]
+        least = order[first]
+        tree[edge[least >> 1]] = True
+        parent = label.copy()
+        parent[flat[least]] = flat[least ^ 1]
+        root = (parent[parent] == label) & (label < parent)
+        parent[root] = label[root]
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
+        comp = parent[comp]
+
+
 def _windows(f: Filtration):
     """Each window's H0 deaths, nonzero H1 bars by death, essential H1 births, top weight."""
     n_edges, youngest = len(f.edges), f.youngest
@@ -210,16 +247,11 @@ def _windows(f: Filtration):
     partner = np.where(apparent, youngest, -1)
     unpaired = np.ones(n_edges, dtype=bool)
     unpaired[youngest[apparent]] = False
-    # H0 deaths: the spanning forest of the unpaired edges weighted by rank + 1, over the
-    # chunk's W * n vertices, in the int32 indices and float64 weights csgraph works in
-    from scipy.sparse.csgraph import minimum_spanning_tree  # only runs with TDA pay its import
-
+    # H0 deaths: the spanning forest by rank of the unpaired edges, over the chunk's W * n vertices
     (rest,) = np.nonzero(unpaired)
     window = np.searchsorted(f.edge_start, rest, "right") - 1
-    vertex = (f.edges[rest] + f.n_vertices * window[:, None]).astype(np.int32)
-    size = f.n_vertices * (len(f.edge_start) - 1)
-    graph = csr_matrix((rest + 1.0, vertex.T), shape=(size, size))
-    forest = np.sort(minimum_spanning_tree(graph, overwrite=True).data).astype(np.intp) - 1
+    ends = f.edges[rest] + f.n_vertices * window[:, None]
+    forest = rest[_spanning_forest(ends, f.n_vertices * (len(f.edge_start) - 1))]
     unpaired[forest] = False
     (todo,) = np.nonzero(unpaired)
 

@@ -12,8 +12,11 @@ in memory; the returns are `float` of the cells written to returns.csv,
 so graph building (`build_graphs`, which `stage_graphs` runs on the file
 read back) sees the values it would read.  The standalone commands read
 their inputs from the files a run writes, so chaining the commands
-reproduces the run byte for byte.  Scoring has no
-stage of its own: `score_table` serves both a run and `flagcrash score`.
+reproduces the run byte for byte.  A run without GNN models lets its
+window series go once TDA and PCA's flattening have read it, before the
+PCA fit and the detectors; one with them keeps it for the GNN stage.
+Scoring has no stage of its own: `score_table` serves both a run and
+`flagcrash score`.
 A run keeps one (method, family, precision, recall, f_score) row per
 method, and one writer turns those rows into results.csv and summary.csv.
 """
@@ -282,14 +285,24 @@ def stage_tda(series: corrnet.WindowSeries, essential, out_path, jobs: int = 1) 
 def stage_pca(series: corrnet.WindowSeries, out_paths: dict) -> dict[str, FeatureTable]:
     """Each window's flattened correlation matrix, raw or projected on its
     top d principal components, for each dim ("raw" or d) of `out_paths`,
-    written to the dim's path; a Pearson matrix is mirrored first.  One fit
-    at the largest d serves every d: a thin SVD's components do not depend
-    on d.  The table is centered once, and each d projected with
-    `project_matrix`'s product, so each table has its bytes."""
+    written to the dim's path; a Pearson matrix is mirrored first."""
+    return _pca_tables(series.dates, _flat_windows(series), out_paths)
+
+
+def _flat_windows(series: corrnet.WindowSeries) -> np.ndarray:
+    """The (T, n * n) table of `stage_pca`: Pearson windows mirrored into a
+    new array, cross-map windows a view of the series'."""
     w = series.weights
     if series.kind == "pearson":
         w = w + w.transpose(0, 2, 1)
-    data = w.reshape(len(w), -1)
+    return w.reshape(len(w), -1)
+
+
+def _pca_tables(dates, data: np.ndarray, out_paths: dict) -> dict[str, FeatureTable]:
+    """`stage_pca` of the flattened windows `data`.  One fit at the largest
+    d serves every d: a thin SVD's components do not depend on d.  The
+    table is centered once, and each d projected with `project_matrix`'s
+    product, so each table has its bytes."""
     numeric = [int(dim) for dim in out_paths if dim != "raw"]
     if numeric:
         # the first d out of range fails, as it did when each d had a fit of its own
@@ -299,7 +312,7 @@ def stage_pca(series: corrnet.WindowSeries, out_paths: dict) -> dict[str, Featur
     out = {}
     for dim, path in out_paths.items():
         values = data if dim == "raw" else centered @ model.components[: int(dim)].T
-        out[dim] = (series.dates, [f"c{i + 1}" for i in range(values.shape[1])], values)
+        out[dim] = (dates, [f"c{i + 1}" for i in range(values.shape[1])], values)
         tables.write_feature_csv(path, *out[dim])
     return out
 
@@ -451,8 +464,15 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
                 features[f"tda-{norm}"] = table
         if config.pca_dims:
             stage = "pca"
+            data = _flat_windows(series)
+        dates = series.dates
+        if not config.gnn_models:
+            del series  # no later stage reads the windows (a cross-map `data` is their view)
+        if config.pca_dims:
             paths = {dim: run_dir / f"pca_{dim}.csv" for dim in config.pca_dims}
-            features.update((f"pca-{dim}", t) for dim, t in stage_pca(series, paths).items())
+            for dim, table in _pca_tables(dates, data, paths).items():
+                features[f"pca-{dim}"] = table
+            del data  # freed here unless a "raw" table holds it
 
         stage = "score"
         scores: dict[str, tuple[list[date], np.ndarray]] = {}
@@ -466,9 +486,10 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> Path:
 
         stage = "gnn"
         grid = gnn_grid(config)
-        tasks = [dict(train, out_path=run_dir / f"scores_{_slug(m)}.csv") for m, train in grid]
-        results = corrnet.parallel_map(partial(_gnn_task, series), tasks, jobs)
-        scores.update((m, (series.dates, r)) for (m, _), r in zip(grid, results))
+        if grid:
+            tasks = [dict(train, out_path=run_dir / f"scores_{_slug(m)}.csv") for m, train in grid]
+            results = corrnet.parallel_map(partial(_gnn_task, series), tasks, jobs)
+            scores.update((m, (series.dates, r)) for (m, _), r in zip(grid, results))
 
         stage = "evaluate"
         rows = []  # (method, family, precision, recall, f_score), in method order

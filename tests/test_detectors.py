@@ -565,3 +565,10 @@ class TestLofMemory:
         x = np.ones((self.T, 2))
         dates = dates_for(self.T)
         assert traced_peak(lambda: lof_scores(dates, x, range(5, 31))) <= 1.25 * self.MATRIX
+
+    def test_gram_candidates_block_holds_one_gram_buffer(self):
+        # each row's threshold comes from a partitioned copy of a few rows, not of the block
+        x = np.random.default_rng(3).normal(size=(self.T, LOF_TREE_COLUMNS + 2))
+        blocks = _candidates(x, 19)
+        gram = LOF_BLOCK_ROWS * self.T * 8
+        assert traced_peak(lambda: next(blocks)) < 1.25 * gram

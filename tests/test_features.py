@@ -128,6 +128,13 @@ class TestFitPca:
         data = np.random.default_rng(16).normal(size=(4000, 150))
         assert traced_peak(lambda: fit_pca(data, 10)) < 1.3 * data.nbytes
 
+    def test_tall_table_hands_gesdd_one_r(self):
+        # R is half this table; gesdd holds it, U, Vt and its work, about 6 R, and
+        # would copy an R that is not in Fortran order
+        data = np.random.default_rng(16).normal(size=(1200, 600))
+        r_bytes = 600 * 600 * 8
+        assert traced_peak(lambda: fit_pca(data, 10)) < 6.5 * r_bytes
+
 
 class TestProject:
     def fitted(self, seed=14, t=30, dim=6, d=6):

@@ -27,6 +27,7 @@ from oracles import (
     random_digraph,
     reference_kruskal,
     reference_persistence,
+    run_at_blas_threads,
     series_of,
     union_find_merge_weights,
 )
@@ -470,3 +471,83 @@ class TestBatchedEngine:
         slow = time.perf_counter() - t0
         assert_same_diagrams(got, want)
         assert slow > 10 * min(fast)
+
+
+def forest_of(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`ph._spanning_forest` over every edge of a (W, n, n) chunk, and
+    `reference_kruskal`'s forest of the chunk's filtration."""
+    f = ph._build(chunk)
+    n_windows, n = chunk.shape[:2]
+    window = np.searchsorted(f.edge_start, np.arange(len(f.edges)), "right") - 1
+    got = ph._spanning_forest(f.edges + n * window[:, None], n_windows * n)
+    return got, reference_kruskal(f)
+
+
+class TestSpanningForest:
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 4, 4), (2, 1, 1)])
+    def test_edgeless_chunks_have_no_forest(self, shape):
+        got, want = forest_of(np.zeros(shape))
+        assert got.shape == want.shape == (0,)
+
+    def test_isolated_vertices_stay_out(self):
+        chunk = np.zeros((1, 6, 6))
+        chunk[0, 0, 1], chunk[0, 1, 2], chunk[0, 2, 0] = 0.3, 0.2, 0.1
+        got, want = forest_of(chunk)
+        assert got.tolist() == want.tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("first, second", [(0.4, 0.7), (0.7, 0.4), (0.5, 0.5)])
+    def test_one_direction_of_a_pair_joins(self, first, second):
+        chunk = np.zeros((1, 2, 2))
+        chunk[0, 0, 1], chunk[0, 1, 0] = first, second
+        got, want = forest_of(chunk)
+        assert got.tolist() == want.tolist() == [True, False]
+
+    def test_several_components_in_one_window(self):
+        # a triangle, a two-way pair and a four-vertex cycle, apart
+        chunk = np.zeros((1, 10, 10))
+        for s, t, w in [(0, 1, 0.5), (1, 2, 0.25), (0, 2, 0.75), (3, 4, 0.5), (4, 3, 0.5),
+                        (5, 6, 0.1), (6, 7, 0.4), (7, 8, 0.3), (8, 5, 0.2), (5, 7, 0.9)]:
+            chunk[0, s, t] = w
+        got, want = forest_of(chunk)
+        assert got.tolist() == want.tolist()
+        assert got.sum() == 10 - 3 - 1  # three components and isolated vertex 9
+
+    def test_a_path_of_hooks(self):
+        # every vertex's least edge leads to its left neighbor, so the first
+        # round's hooks form one path of 63, which pointer jumping collapses
+        n = 64
+        chunk = np.zeros((1, n, n))
+        chunk[0, np.arange(n - 1), np.arange(1, n)] = np.linspace(0.1, 0.9, n - 1)
+        chunk[0, 0, n - 1] = 1.0
+        got, want = forest_of(chunk)
+        assert got.tolist() == want.tolist() == [True] * (n - 1) + [False]
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["pearson", "ccm"])
+    def test_one_window_and_many_window_chunks_equal_kruskal(self, kind, seed):
+        chunk = correlation_chunk(seed, kind)
+        for part in (chunk, chunk[2:3], chunk[[1]], chunk[::-1]):
+            got, want = forest_of(part)
+            assert got.tolist() == want.tolist()
+
+    def test_random_tied_chunks_equal_kruskal(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n_windows, n = rng.integers(1, 7), rng.integers(1, 10)
+            chunk = np.ceil(rng.random((n_windows, n, n)) * 4) / 4
+            chunk *= rng.random(chunk.shape) < rng.random()
+            chunk[:, range(n), range(n)] = 0.0
+            got, want = forest_of(chunk)
+            assert got.tolist() == want.tolist()
+
+    def test_persistence_leaves_csgraph_unimported(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from flagcrash.ph import tda_features\n"
+            "w = np.random.default_rng(0).random((30, 6, 6))\n"
+            "w[:, range(6), range(6)] = 0.0\n"
+            "assert tda_features(w).shape == (30, 4)\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n"
+        )
+        assert run_at_blas_threads(code).strip() == "False"

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from datetime import date
 from pathlib import Path
@@ -15,7 +16,7 @@ import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
 import flagcrash
-from flagcrash import ph
+from flagcrash import ph, pipeline
 from flagcrash.archive import read_graphs, write_graphs
 from flagcrash.cli import main
 from flagcrash.corrnet import CcmParams, WindowSeries
@@ -726,6 +727,44 @@ class TestRunPipeline:
         assert any(r.startswith("ocgin") for r in rows[1:])
         summary = (run_dir / "summary.csv").read_text()
         assert "ocgin" in summary
+
+    @staticmethod
+    def series_alive_at(monkeypatch, name):
+        """Whether the run's window array is alive at each call of `pipeline.<name>`:
+        a weak reference to the array `build_graphs` returns, read by a patched `name`."""
+        refs, alive = [], []
+        build, target = pipeline.build_graphs, getattr(pipeline, name)
+
+        def tracked_build(*args, **kwargs):
+            series = build(*args, **kwargs)
+            refs.append(weakref.ref(series.weights))
+            return series
+
+        def probe(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return target(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_graphs", tracked_build)
+        monkeypatch.setattr(pipeline, name, probe)
+        return alive
+
+    def test_series_is_released_before_the_detectors_without_gnn(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        prices, events = synth_files
+        alive = self.series_alive_at(monkeypatch, "mahalanobis_scores")
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(config_text(prices, events, tmp_path / "runs"))
+        run_pipeline(load_config(cfg_path))
+        assert alive == [False, False]  # tda-l1, then pca-raw
+
+    def test_series_is_kept_for_the_gnn_stage(self, synth_files, tmp_path, monkeypatch):
+        prices, events = synth_files
+        alive = self.series_alive_at(monkeypatch, "_gnn_task")
+        cfg_path = tmp_path / "pipeline.ini"
+        cfg_path.write_text(config_text(prices, events, tmp_path / "runs", gnn_models="ocgin"))
+        run_pipeline(load_config(cfg_path))
+        assert alive == [True]
 
     def test_gnn_grid_method_labels(self, synth_files, tmp_path):
         prices, events = synth_files
